@@ -18,8 +18,10 @@ from .errors import (
     InvalidTask,
     NotColored,
     ResourceBound,
+    check_resilience,
 )
 from .forksim import (
+    PROTOCOLS,
     ExhaustiveMode,
     RandomMode,
     check_trace,
@@ -122,9 +124,7 @@ def _print_check(name: str, ok: bool, detail: str = "") -> None:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     task = _load_task(args.task)
-    n = task.input.dimension
-    if args.t < 1 or 2 * args.t >= n + 1:
-        return _usage_error(f"--t must satisfy 0 < t < (n+1)/2 with n={n}")
+    check_resilience(task.input.dimension, args.t, allow_zero=False)
     input_, output = task.input, task.output
     in_parts = connected_components(input_)
     out_parts = connected_components(output)
@@ -174,9 +174,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     task = _load_task(args.task)
-    n = task.input.dimension
-    if args.t < 1 or 2 * args.t >= n + 1:
-        return _usage_error(f"--t must satisfy 0 < t < (n+1)/2 with n={n}")
     if args.depth < 0:
         return _usage_error("--N must be non-negative")
     report = search_carried_simplicial_map(
@@ -194,10 +191,6 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        return _usage_error("--n must be at least 1")
-    if args.t < 0 or 2 * args.t >= args.n + 1:
-        return _usage_error(f"--t must satisfy 0 <= t < (n+1)/2 with n={args.n}")
     protocol = get_protocol(args.protocol)
     if args.random:
         mode: ExhaustiveMode | RandomMode = RandomMode(seed=args.seed, trials=args.trials)
@@ -311,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="hunt for protocol violations under suspension")
     p_sim.add_argument("--n", type=int, required=True)
     p_sim.add_argument("--t", type=int, required=True)
-    p_sim.add_argument("--protocol", default="2pc", choices=sorted({"2pc"}))
+    p_sim.add_argument("--protocol", default="2pc", choices=sorted(PROTOCOLS))
     mode = p_sim.add_mutually_exclusive_group()
     mode.add_argument("--exhaustive", action="store_true", help="enumerate schedules (default)")
     mode.add_argument("--random", action="store_true", help="sample random schedules")

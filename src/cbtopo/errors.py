@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the resilience rule."""
 from __future__ import annotations
 
 
@@ -32,6 +32,20 @@ class InvalidTask(CbtopoError):
 
 class BadResilience(CbtopoError):
     """The resilience parameter falls outside the admissible range."""
+
+
+def check_resilience(n: int, t: int, *, allow_zero: bool) -> None:
+    """Require n+1 >= 2 chains and a crash bound t with 2t < n+1.
+
+    A majority of chains must survive, matching the quorum a commit
+    decision needs.  The obstruction needs at least one crash (0 < t); the
+    simulator also runs crash-free (``allow_zero``, 0 <= t).
+    """
+    if n < 1:
+        raise BadResilience(f"need at least two chains, got n={n}")
+    if t < (0 if allow_zero else 1) or 2 * t >= n + 1:
+        window = "0 <= t" if allow_zero else "0 < t"
+        raise BadResilience(f"resilience must satisfy {window} < (n+1)/2 with n={n}, got t={t}")
 
 
 class InvalidSchedule(CbtopoError):

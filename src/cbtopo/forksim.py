@@ -15,7 +15,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import BadResilience, InvalidSchedule, ResourceBound
+from .errors import InvalidSchedule, ResourceBound, check_resilience
 from .simplicial import BlockRef, Value
 
 __all__ = [
@@ -50,6 +50,11 @@ class NodeState:
     the suspended marker by a Suspend event; protocols must treat it as
     read-only.  ``memory`` holds protocol-private state and may contain only
     scalars and flat dicts so that states stay comparable.
+
+    Records are shared copy-on-write between simulation states: a cloned
+    ``Simulation`` holds the same records as its parent until ``apply``
+    copies the one record it is about to change.  Code outside ``apply``
+    must therefore treat ``sim.nodes[i]`` as read-only.
     """
 
     chain: BlockRef
@@ -269,7 +274,14 @@ def get_protocol(name: str) -> CommitProtocol:
 
 
 class Simulation:
-    """Explicit simulator state; every mutation happens through ``apply``."""
+    """Explicit simulator state; every mutation happens through ``apply``.
+
+    ``clone`` is cheap: the twin shares every ``NodeState`` record with its
+    parent, copy-on-write, and ``apply`` copies only the record of the node
+    it hands to the protocol or changes.  Code outside ``apply`` must treat
+    ``sim.nodes[i]`` as read-only.  ``fingerprint`` caches each node's key
+    and the in-flight key, and ``apply`` clears only the entries it touches.
+    """
 
     def __init__(
         self,
@@ -295,6 +307,10 @@ class Simulation:
         self.crash_count = 0
         self.suspend_count = 0
         self.events: List[SimEvent] = []
+        # Bit i set: nodes[i] is this state's own record, free to change in place.
+        self._owned = (1 << (n + 1)) - 1
+        self._node_keys: List[Optional[tuple]] = [None] * (n + 1)
+        self._flight_key: Optional[tuple] = None
 
     def clone(self) -> "Simulation":
         twin = Simulation.__new__(Simulation)
@@ -302,31 +318,46 @@ class Simulation:
         twin.t = self.t
         twin.protocol = self.protocol
         twin.inputs = self.inputs
-        twin.nodes = [node.clone() for node in self.nodes]
+        twin.nodes = list(self.nodes)
         twin.in_flight = dict(self.in_flight)
         twin.next_sequence = self.next_sequence
         twin.started = set(self.started)
         twin.crash_count = self.crash_count
         twin.suspend_count = self.suspend_count
         twin.events = list(self.events)
+        # Both sides now share every record, so neither may write one in place.
+        self._owned = twin._owned = 0
+        twin._node_keys = list(self._node_keys)
+        twin._flight_key = self._flight_key
         return twin
 
     def fingerprint(self) -> tuple:
-        flight = tuple(
-            sorted(
-                (m.sender, m.receiver, m.payload) for m in self.in_flight.values()
+        keys = self._node_keys
+        for i, key in enumerate(keys):
+            if key is None:
+                keys[i] = self.nodes[i].fingerprint()
+        if self._flight_key is None:
+            self._flight_key = tuple(
+                sorted(
+                    (m.sender, m.receiver, m.payload) for m in self.in_flight.values()
+                )
             )
-        )
-        return (
-            tuple(node.fingerprint() for node in self.nodes),
-            flight,
-            tuple(sorted(self.started)),
-        )
+        return (tuple(keys), self._flight_key, tuple(sorted(self.started)))
 
     def _check_chain(self, chain: Optional[int]) -> int:
         if chain is None or not (0 <= chain <= self.n):
             raise InvalidSchedule(f"chain index {chain} outside 0..{self.n}")
         return chain
+
+    def _writable(self, chain: int) -> NodeState:
+        """The record of ``chain``, copied first if another state shares it."""
+        node = self.nodes[chain]
+        bit = 1 << chain
+        if not self._owned & bit:
+            node = self.nodes[chain] = node.clone()
+            self._owned |= bit
+        self._node_keys[chain] = None
+        return node
 
     def _send_all(self, sender: int, outgoing: Iterable[Tuple[int, Dict[str, Any]]]) -> None:
         for receiver, payload in outgoing:
@@ -339,16 +370,17 @@ class Simulation:
             )
             self.in_flight[message.sequence] = message
             self.next_sequence += 1
+            self._flight_key = None
 
     def apply(self, action: ScheduleAction) -> None:
         if action.kind == "step":
             chain = self._check_chain(action.chain)
-            node = self.nodes[chain]
-            if node.crashed:
+            if self.nodes[chain].crashed:
                 raise InvalidSchedule(f"chain {chain} cannot step after crashing")
             if chain in self.started:
                 raise InvalidSchedule(f"chain {chain} already took its start step")
             self.started.add(chain)
+            node = self._writable(chain)
             self._send_all(chain, self.protocol.on_start(node, self.n))
             self.events.append(SimEvent(kind="step", chain=chain))
         elif action.kind == "deliver":
@@ -356,8 +388,9 @@ class Simulation:
             if seq is None or seq not in self.in_flight:
                 raise InvalidSchedule(f"no in-flight message with sequence {seq}")
             message = self.in_flight.pop(seq)
-            node = self.nodes[message.receiver]
-            if not node.crashed:
+            self._flight_key = None
+            if not self.nodes[message.receiver].crashed:
+                node = self._writable(message.receiver)
                 self._send_all(
                     message.receiver,
                     self.protocol.on_message(
@@ -367,19 +400,18 @@ class Simulation:
             self.events.append(SimEvent(kind="deliver", chain=message.receiver, message=message))
         elif action.kind == "crash":
             chain = self._check_chain(action.chain)
-            node = self.nodes[chain]
-            if node.crashed:
+            if self.nodes[chain].crashed:
                 raise InvalidSchedule(f"chain {chain} already crashed")
             if self.crash_count >= self.t:
                 raise InvalidSchedule(f"crash budget t={self.t} exhausted")
-            node.crashed = True
+            self._writable(chain).crashed = True
             self.crash_count += 1
             self.events.append(SimEvent(kind="crash", chain=chain))
         elif action.kind == "suspend":
             chain = self._check_chain(action.chain)
-            node = self.nodes[chain]
-            if node.suspended:
+            if self.nodes[chain].suspended:
                 raise InvalidSchedule(f"chain {chain} is already suspended")
+            node = self._writable(chain)
             node.suspended = True
             node.local_value = Value.BOTTOM
             self.suspend_count += 1
@@ -431,13 +463,6 @@ class Simulation:
         )
 
 
-def _check_sim_bounds(n: int, t: int) -> None:
-    if n < 1:
-        raise BadResilience(f"need at least two chains, got n={n}")
-    if t < 0 or 2 * t >= n + 1:
-        raise BadResilience(f"resilience must satisfy 0 <= t < (n+1)/2 with n={n}, got t={t}")
-
-
 def run(
     n: int,
     t: int,
@@ -452,7 +477,7 @@ def run(
     Inputs default to every leg locally committed, the configuration in
     which fork suspension is the only source of trouble.
     """
-    _check_sim_bounds(n, t)
+    check_resilience(n, t, allow_zero=True)
     if inputs is None:
         inputs = [Value.ONE] * (n + 1)
     sim = Simulation(n, t, protocol, inputs, block_index)
@@ -553,11 +578,14 @@ def find_violation(
 
     Exhaustive mode walks the schedule tree depth first in canonical action
     order, pruning states already seen (two deliveries to unrelated nodes
-    commute, so their two orders collapse onto one state).  Random mode
-    samples uniformly among enabled actions with a fixed seed.  Returns the
-    first violating trace, or None when the bound is reached without one.
+    commute, so their two orders collapse onto one state).  The pruning is
+    depth-aware: a state seen before is expanded again when it is reached
+    on fewer events, so every state within ``depth`` events is checked.
+    Random mode samples uniformly among enabled actions with a fixed seed.
+    Returns the first violating trace, or None when the bound is reached
+    without one.
     """
-    _check_sim_bounds(n, t)
+    check_resilience(n, t, allow_zero=True)
     if inputs is None:
         inputs = [Value.ONE] * (n + 1)
     budget = state_budget if state_budget is not None else DEFAULT_STATE_BUDGET
@@ -567,7 +595,10 @@ def find_violation(
         if mode.depth < 1:
             raise ValueError("exploration depth must be positive")
         root = Simulation(n, t, protocol, inputs)
-        seen = {root.fingerprint()}
+        # Fewest events on which each state was reached.  A state reached
+        # again on strictly fewer events is expanded again: its earlier
+        # subtree was cut at the depth bound sooner.
+        shallowest = {root.fingerprint(): 0}
         stack = [root]
         explored = 0
         while stack:
@@ -581,15 +612,17 @@ def find_violation(
             trace = sim.trace()
             if check_trace(trace).violations:
                 return trace
-            if len(sim.events) >= mode.depth:
+            events = len(sim.events) + 1
+            if events > mode.depth:
                 continue
             children = sim.enabled(suspensions)
             for action in reversed(children):
                 child = sim.clone()
                 child.apply(action)
                 key = child.fingerprint()
-                if key not in seen:
-                    seen.add(key)
+                known = shallowest.get(key)
+                if known is None or known > events:
+                    shallowest[key] = events
                     stack.append(child)
         return None
     if isinstance(mode, RandomMode):

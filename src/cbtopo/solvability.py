@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Any, Dict, Tuple
 
 from .connectivity import connected_components, reduced_betti
-from .errors import BadResilience, NotColored, ResourceBound
+from .errors import NotColored, ResourceBound, check_resilience
 from .simplicial import Complex, Simplex, Vertex, barycentric_subdivide
 from .tasks import Task, restrict_to_skeleton, colorless_projection
 
@@ -87,13 +87,6 @@ def _node_budget(explicit: int | None) -> int:
     return DEFAULT_NODE_BUDGET
 
 
-def _check_resilience(task: Task, t: int) -> int:
-    n = task.input.dimension
-    if t < 1 or 2 * t >= n + 1:
-        raise BadResilience(f"resilience must satisfy 0 < t < (n+1)/2 with n={n}, got t={t}")
-    return n
-
-
 def connectivity_obstruction(task: Task, t: int) -> SolvabilityReport:
     """Certify unsolvability from a connected input facing a split output.
 
@@ -105,7 +98,8 @@ def connectivity_obstruction(task: Task, t: int) -> SolvabilityReport:
     """
     if task.colored:
         raise NotColored("the obstruction check expects a colorless task")
-    n = _check_resilience(task, t)
+    n = task.input.dimension
+    check_resilience(n, t, allow_zero=False)
     restricted = restrict_to_skeleton(task, t)
     input_parts = connected_components(restricted.input)
     output_parts = connected_components(task.output)
@@ -173,7 +167,8 @@ def search_carried_simplicial_map(
     processed tightest carrier first; each attempted assignment counts
     against the node budget.
     """
-    n = _check_resilience(task, t)
+    n = task.input.dimension
+    check_resilience(n, t, allow_zero=False)
     if depth < 0:
         raise ValueError("subdivision depth must be non-negative")
     budget = _node_budget(node_budget)

@@ -6,10 +6,12 @@ genuine cross-check rather than a tautology.
 """
 from __future__ import annotations
 
+import copy
 import itertools
-from collections import deque
+from collections import Counter, deque
 from typing import Any, Dict, Iterable, Mapping, Optional, Sequence
 
+from cbtopo.forksim import Simulation, check_trace
 from cbtopo.simplicial import (
     BlockRef,
     Complex,
@@ -124,6 +126,60 @@ def assignment_is_valid(
         if not any(image <= fs for fs in output_facet_sets):
             return False
     return True
+
+
+def encode_state(sim: Simulation) -> tuple:
+    """Key of a simulator state built field by field, independent of
+    ``Simulation.fingerprint``: in-flight messages as a multiset without
+    sequence numbers, started chains and protocol memory as sets."""
+
+    def frozen(value: Any) -> Any:
+        if isinstance(value, dict):
+            return frozenset((k, frozen(v)) for k, v in value.items())
+        return value
+
+    nodes = tuple(
+        (
+            node.phase,
+            node.local_value.value,
+            None if node.decided is None else node.decided.value,
+            node.crashed,
+            node.suspended,
+            frozen(node.memory),
+        )
+        for node in sim.nodes
+    )
+    flight = Counter(
+        (m.sender, m.receiver, frozenset(m.payload)) for m in sim.in_flight.values()
+    )
+    return nodes, frozenset(flight.items()), frozenset(sim.started)
+
+
+def reachable_states(sim: Simulation, depth: int, suspensions: int) -> Dict[tuple, tuple]:
+    """Every state within ``depth`` events of ``sim``, by naive BFS.
+
+    Each child is a ``copy.deepcopy`` of its parent, so no state shares
+    anything with another.  Maps ``encode_state`` of each state to the
+    fewest events that reach it and the violation kinds its trace carries.
+    """
+
+    def kinds(state: Simulation) -> frozenset:
+        return frozenset(v.kind for v in check_trace(state.trace()).violations)
+
+    states = {encode_state(sim): (0, kinds(sim))}
+    frontier = [sim]
+    for events in range(1, depth + 1):
+        next_frontier = []
+        for parent in frontier:
+            for action in parent.enabled(suspensions):
+                child = copy.deepcopy(parent)
+                child.apply(action)
+                key = encode_state(child)
+                if key not in states:
+                    states[key] = (events, kinds(child))
+                    next_frontier.append(child)
+        frontier = next_frontier
+    return states
 
 
 # ---------------------------------------------------------------------------

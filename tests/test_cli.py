@@ -4,6 +4,7 @@ import json
 import pytest
 
 from cbtopo.cli import main
+from cbtopo.forksim import PROTOCOLS, TwoPhaseCommit
 from cbtopo.serialize import dumps, task_to_obj
 
 from helpers import cx, identity_task, vtx
@@ -156,6 +157,12 @@ class TestSearch:
         )
         assert code == 2
 
+    def test_resilience_out_of_range(self, task_file, capsys):
+        code, out, err = run_cli(["search", str(task_file), "--t", "2", "--N", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "0 < t < (n+1)/2" in err
+
 
 class TestSimulate:
     def test_exhaustive_finds_atomicity_violation(self, capsys):
@@ -179,6 +186,13 @@ class TestSimulate:
     def test_resilience_window(self, capsys):
         code, _, err = run_cli(["simulate", "--n", "2", "--t", "2"], capsys)
         assert code == 2
+        assert "0 <= t < (n+1)/2" in err
+
+    def test_too_few_chains(self, capsys):
+        code, out, err = run_cli(["simulate", "--n", "0", "--t", "0"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "at least two chains" in err
 
     def test_state_budget(self, capsys):
         code, _, err = run_cli(
@@ -206,6 +220,20 @@ class TestSimulate:
         assert lines[0]["type"] == "meta"
         assert lines[-1]["type"] == "verdict"
         assert lines[-1]["ok"] is False
+
+    def test_exhaustive_flag_is_the_default(self, capsys):
+        argv = ["simulate", "--n", "2", "--t", "1", "--depth", "10"]
+        assert run_cli(argv + ["--exhaustive"], capsys) == run_cli(argv, capsys)
+
+    def test_protocol_choices_come_from_the_registry(self, monkeypatch, capsys):
+        class Renamed(TwoPhaseCommit):
+            name = "2pc-renamed"
+
+        monkeypatch.setitem(PROTOCOLS, Renamed.name, Renamed)
+        argv = ["simulate", "--n", "2", "--t", "1", "--depth", "10"]
+        renamed = run_cli(argv + ["--protocol", Renamed.name], capsys)
+        assert renamed[0] == 0
+        assert renamed == run_cli(argv, capsys)
 
     def test_unknown_protocol_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

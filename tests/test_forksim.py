@@ -1,10 +1,13 @@
 """Fork-suspension simulator: schedules, protocol, checker, exploration."""
+import copy
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cbtopo.errors import BadResilience, InvalidSchedule, ResourceBound
 from cbtopo.forksim import (
+    CommitProtocol,
     ExecutionTrace,
     ExhaustiveMode,
     Message,
@@ -21,6 +24,8 @@ from cbtopo.forksim import (
 from cbtopo.simplicial import BlockRef, Simplex, Value, Vertex
 
 from cbtopo import CbtConfig, build_task
+
+from helpers import encode_state, reachable_states
 
 
 def A(kind, chain=None, sequence=None):
@@ -389,6 +394,137 @@ class TestFindViolation:
     def test_unsupported_mode_rejected(self):
         with pytest.raises(TypeError):
             find_violation(2, 1, TwoPhaseCommit(), mode="exhaustive")
+
+
+class DetourProtocol(CommitProtocol):
+    """Two chains whose handshake state S is reached on three events, or on
+    four through a detour; from S a token needs ``HOPS`` more deliveries
+    before the run stops undecided, a termination violation.
+
+    Chain 1 starts by greeting chain 0.  Chain 0 starts the token once it
+    has both started and heard the greeting.  Started first, it also sends
+    itself a ``noop``, whose delivery is the detour's extra event.
+    """
+
+    name = "detour"
+    HOPS = 2
+
+    def on_start(self, node, n):
+        node.phase = "started"
+        if node.index == 1:
+            return [(0, {"kind": "hello"})]
+        if node.memory.get("heard"):
+            return [(1, {"kind": "token", "hops": 0})]
+        return [(0, {"kind": "noop"})]
+
+    def on_message(self, node, sender, payload, n):
+        if payload["kind"] == "hello":
+            node.memory["heard"] = True
+            if node.phase == "started":
+                return [(1, {"kind": "token", "hops": 0})]
+        elif payload["kind"] == "token" and payload["hops"] + 1 < self.HOPS:
+            return [(1 - node.index, {"kind": "token", "hops": payload["hops"] + 1})]
+        return []
+
+
+class TestDepthAwareDedup:
+    """Canonical order reaches S through the detour first.  A depth-blind
+    seen-set then prunes the shorter path to S, and the violation at
+    3 + HOPS events is never checked."""
+
+    def test_violation_just_under_the_bound_is_found(self):
+        def hunt(depth):
+            mode = ExhaustiveMode(depth=depth)
+            return find_violation(1, 0, DetourProtocol(), mode, suspensions=0)
+
+        depth = 3 + DetourProtocol.HOPS
+        assert hunt(depth - 1) is None
+        trace = hunt(depth)
+        assert trace is not None
+        assert len(trace.events) == depth
+        assert [v.kind for v in check_trace(trace).violations] == ["termination"]
+
+
+def _replayed(trace):
+    """A fresh simulation that ran the trace's schedule."""
+    sim = Simulation(trace.n, trace.t, get_protocol(trace.protocol), trace.inputs)
+    for action in trace.schedule():
+        sim.apply(action)
+    return sim
+
+
+def _oracle_grid():
+    for n in (2, 3):
+        for t in (0, 1):
+            # n=3, t=1 has over a thousand states by depth 5; its coordinator
+            # crash is a termination violation from depth 4 on.
+            depth = 4 if (n, t) == (3, 1) else 24
+            for position in range(n + 1):
+                for leg in (Value.ZERO, Value.BOTTOM):
+                    yield pytest.param(
+                        n, t, depth, position, leg, id=f"n{n}-t{t}-d{depth}-{leg.value}@{position}"
+                    )
+
+
+class TestExhaustiveAgainstOracle:
+    """``ExhaustiveMode`` against a deep-copying BFS with its own state keys."""
+
+    @pytest.mark.parametrize("n,t,depth,position,leg", list(_oracle_grid()))
+    def test_same_states_and_verdict(self, n, t, depth, position, leg):
+        inputs = [Value.ONE] * (n + 1)
+        inputs[position] = leg
+        states = reachable_states(Simulation(n, t, TwoPhaseCommit(), inputs), depth, 1)
+        violating = {kinds for _, kinds in states.values() if kinds}
+        mode = ExhaustiveMode(depth=depth)
+        # With a budget of the oracle's state count, a clean walk passes
+        # and one state fewer runs out: it checks exactly those states.
+        budget = len(states)
+        trace = find_violation(
+            n, t, TwoPhaseCommit(), mode, inputs=inputs, state_budget=budget
+        )
+        assert (trace is not None) == bool(violating)
+        if trace is None:
+            with pytest.raises(ResourceBound):
+                find_violation(
+                    n, t, TwoPhaseCommit(), mode, inputs=inputs, state_budget=budget - 1
+                )
+        else:
+            events, kinds = states[encode_state(_replayed(trace))]
+            assert events <= len(trace.events) <= depth
+            assert kinds == {v.kind for v in check_trace(trace).violations}
+            assert kinds in violating
+
+
+def _snapshot(sim):
+    return sim.fingerprint(), sim.trace(), copy.deepcopy([vars(node) for node in sim.nodes])
+
+
+class TestCopyOnWrite:
+    """Clones share node records; neither side may see the other's steps."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(2, 3),
+        t=st.integers(0, 1),
+        legs=st.lists(st.sampled_from(list(Value)), min_size=4, max_size=4),
+    )
+    def test_apply_on_either_side_leaves_the_other_alone(self, data, n, t, legs):
+        sim = Simulation(n, t, TwoPhaseCommit(), legs[: n + 1])
+        for _ in range(data.draw(st.integers(1, 16))):
+            actions = sim.enabled(1)
+            if not actions:
+                break
+            before = _snapshot(sim)
+            twin = sim.clone()
+            twin.apply(data.draw(st.sampled_from(actions)))
+            assert _snapshot(sim) == before
+            after = _snapshot(twin)
+            sim.apply(data.draw(st.sampled_from(actions)))
+            assert _snapshot(twin) == after
+            for state in (sim, twin):
+                assert state.fingerprint() == _replayed(state.trace()).fingerprint()
+            sim = data.draw(st.sampled_from((sim, twin)))
 
 
 class TestTaskOracleAgreement:

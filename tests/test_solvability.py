@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cbtopo.errors import BadResilience, NotColored, ResourceBound
+from cbtopo.errors import BadResilience, NotColored, ResourceBound, check_resilience
 from cbtopo.solvability import (
     DEFAULT_NODE_BUDGET,
     NODE_BUDGET_ENV,
@@ -40,6 +40,25 @@ def constant_carrier_task():
     output = cx([free("0")], [free("1")])
     entries = {s: output for s in inp.simplices()}
     return Task(input=inp, output=output, carrier=CarrierMap(entries), colored=False)
+
+
+class TestCheckResilience:
+    """One window for both callers; only the simulator admits t = 0."""
+
+    @pytest.mark.parametrize("n,t", [(1, 0), (2, 0), (4, 2)])
+    def test_simulator_window(self, n, t):
+        check_resilience(n, t, allow_zero=True)
+
+    @pytest.mark.parametrize("n,t", [(0, 0), (1, 1), (2, 2), (3, -1)])
+    def test_outside_every_window(self, n, t):
+        for allow_zero in (True, False):
+            with pytest.raises(BadResilience):
+                check_resilience(n, t, allow_zero=allow_zero)
+
+    def test_obstruction_needs_a_crash(self):
+        check_resilience(2, 1, allow_zero=False)
+        with pytest.raises(BadResilience, match="0 < t < "):
+            check_resilience(2, 0, allow_zero=False)
 
 
 class TestReportValidation:
