@@ -197,8 +197,11 @@ class Complex:
         candidates = sorted(set(facets), key=lambda s: (-len(s), s.sort_key()))
         if not candidates:
             raise EmptyInput("a complex needs at least one facet")
-        maximal: list[Simplex] = []
-        for s in candidates:
+        # A candidate of the largest size is no proper subset of another, so
+        # only smaller ones are scanned; a pure family skips the scan.
+        top = len(candidates[0])
+        maximal = [s for s in candidates if len(s) == top]
+        for s in candidates[len(maximal):]:
             if not any(s.issubset(kept) for kept in maximal):
                 maximal.append(s)
         self._facets = tuple(sorted(maximal, key=lambda s: s.sort_key()))
@@ -207,10 +210,6 @@ class Complex:
         vset = frozenset(v for f in self._facets for v in f)
         self._vertex_set = vset
         self._vertices = tuple(sorted(vset, key=lambda v: v.sort_key()))
-
-    @classmethod
-    def from_facets(cls, facets: Iterable[Iterable[Any]]) -> "Complex":
-        return cls(Simplex(f) for f in facets)
 
     @property
     def facets(self) -> Tuple[Simplex, ...]:

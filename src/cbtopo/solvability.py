@@ -163,9 +163,12 @@ def search_carried_simplicial_map(
     The input is restricted to its t-skeleton and subdivided N times.  The
     search assigns an output vertex to every subdivision vertex so that each
     vertex lands inside the carrier of the simplex it subdivides and every
-    subdivided facet maps onto a simplex of the output.  Vertices are
-    processed tightest carrier first; each attempted assignment counts
-    against the node budget.
+    subdivided facet maps onto a simplex of the output.  Output vertices that
+    lie in exactly the same output facets are interchangeable, so each domain
+    keeps one vertex per such class, the first in the carrier's canonical
+    order; verdicts do not depend on this and any map found is valid.
+    Vertices are processed smallest domain first; each attempted value class
+    counts as one node against the node budget.
     """
     n = task.input.dimension
     check_resilience(n, t, allow_zero=False)
@@ -182,9 +185,14 @@ def search_carried_simplicial_map(
         w: sum(1 << i for i, fs in enumerate(output_facets) if w in fs)
         for w in output_vertices
     }
-    domains: Dict[Any, tuple] = {
-        u: restricted.carrier[carrier_of[u]].vertices for u in subdivided.vertices
-    }
+    # Value interchangeability (Freuder, AAAI 1991): one vertex per mask.
+    class_reps: Dict[Simplex, tuple] = {}
+    for carrier in set(carrier_of.values()):
+        first_of_mask: Dict[int, Any] = {}
+        for w in restricted.carrier[carrier].vertices:
+            first_of_mask.setdefault(vertex_bit[w], w)
+        class_reps[carrier] = tuple(first_of_mask.values())
+    domains: Dict[Any, tuple] = {u: class_reps[carrier_of[u]] for u in subdivided.vertices}
     order = sorted(subdivided.vertices, key=lambda u: (len(domains[u]), u.sort_key()))
     position = {u: i for i, u in enumerate(order)}
     sub_facets = list(subdivided.facets)
@@ -279,6 +287,12 @@ def decide(
     Colored tasks are projected to their colorless form first.  The
     obstruction verdict is final when it fires; otherwise the search runs at
     depths 0..max_depth and the first map found wins.
+
+    A map at depth k gives one at every deeper depth, so a single search at
+    ``max_depth`` would settle a negative answer alone.  The loop stays for
+    positive answers: a map found at a shallow depth costs no subdivision
+    beyond it, where one search at ``max_depth`` would subdivide the whole
+    skeleton ``max_depth`` times first.
     """
     if max_depth < 0:
         raise ValueError("maximum depth must be non-negative")

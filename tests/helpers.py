@@ -108,6 +108,13 @@ def brute_force_depth0_map(task: Task, t: int) -> Optional[Dict[Any, Vertex]]:
     return None
 
 
+def maximal_facets(facets: Iterable[Iterable[Any]]) -> set[frozenset]:
+    """Inclusion-maximal members of a vertex-set family, by comparing every
+    pair; duplicates collapse to one member."""
+    family = {frozenset(f) for f in facets}
+    return {f for f in family if not any(f < g for g in family)}
+
+
 def assignment_is_valid(
     task: Task, t: int, depth: int, assignment: Sequence[tuple]
 ) -> bool:
@@ -223,6 +230,25 @@ def random_connected_complex(rng, n_vertices: int, codes: str = "01") -> Complex
         i, j = rng.sample(range(n_vertices), 2)
         facets.append([vertices[i], vertices[j]])
     return cx(*facets)
+
+
+def random_shared_mask_task(rng) -> Task:
+    """Colored task on a random connected input whose output facets hold
+    several vertices each, so many output vertices share a facet mask.
+
+    Each input vertex allows a random set of output vertices, and a simplex
+    is carried onto the output induced on the union of its vertices' sets,
+    so the carrier map is monotonic and both verdicts occur.
+    """
+    inp = random_connected_complex(rng, rng.randint(3, 6))
+    pool = [vtx(10 + i, rng.choice("01")) for i in range(rng.randint(3, 6))]
+    output = cx(*(rng.sample(pool, rng.randint(2, 3)) for _ in range(rng.randint(2, 4))))
+    allowed = {v: rng.sample(output.vertices, rng.randint(1, 2)) for v in inp.vertices}
+    entries = {
+        s: output.induced_subcomplex({w for v in s for w in allowed[v]})
+        for s in inp.simplices()
+    }
+    return Task(input=inp, output=output, carrier=CarrierMap(entries), colored=True)
 
 
 def replace_image(task: Task, simplex: Simplex, image: Complex) -> Task:

@@ -23,7 +23,7 @@ from cbtopo.simplicial import (
     make_complex,
 )
 
-from helpers import bfs_components, cx, free, sx, vtx
+from helpers import bfs_components, cx, free, maximal_facets, sx, vtx
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +325,35 @@ def _facet_strategy():
 def _complexes(draw):
     facets = draw(st.lists(_facet_strategy(), min_size=1, max_size=4))
     return make_complex(facets)
+
+
+@st.composite
+def _facet_families(draw):
+    """Facet lists with duplicates and nested faces, or pure ones of one size
+    with duplicates only, in any order."""
+    pure = draw(st.booleans())
+    if pure:
+        size = draw(st.integers(min_value=1, max_value=4))
+        sized = st.sets(st.sampled_from(_POOL), min_size=size, max_size=size)
+        base = draw(st.lists(sized, min_size=1, max_size=6))
+    else:
+        base = draw(st.lists(_facet_strategy(), min_size=1, max_size=6))
+    family = list(base)
+    for f in base:
+        if draw(st.booleans()):
+            family.append(set(f))
+        if not pure and len(f) > 1 and draw(st.booleans()):
+            ordered = sorted(f, key=lambda v: v.sort_key())
+            family.append(draw(st.sets(st.sampled_from(ordered), min_size=1, max_size=len(f) - 1)))
+    return draw(st.permutations(family))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_facet_families())
+def test_facets_match_maximal_oracle(family):
+    facets = make_complex(family).facets
+    assert {f.vertex_set for f in facets} == maximal_facets(family)
+    assert list(facets) == sorted(facets, key=lambda f: f.sort_key())
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

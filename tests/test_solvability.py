@@ -2,7 +2,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cbtopo import CbtConfig, build_task
 from cbtopo.errors import BadResilience, NotColored, ResourceBound, check_resilience
 from cbtopo.solvability import (
     DEFAULT_NODE_BUDGET,
@@ -23,6 +25,7 @@ from helpers import (
     free,
     identity_task,
     random_connected_complex,
+    random_shared_mask_task,
     split_vote_task,
     sx,
     vtx,
@@ -149,6 +152,12 @@ class TestSearch:
     def test_depth0_verdict_matches_brute_force_oracle(self, colorless_tasks):
         assert brute_force_depth0_map(colorless_tasks[2], 1) is None
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_colored_depth0_verdict_matches_brute_force_oracle(self, cbt_tasks, n):
+        report = search_carried_simplicial_map(cbt_tasks[n], 1, 0)
+        assert report.verdict is Verdict.NO_MAP_UP_TO_DEPTH
+        assert brute_force_depth0_map(cbt_tasks[n], 1) is None
+
     def test_identity_task_yields_map(self, triangle_identity):
         for depth in (0, 1):
             report = search_carried_simplicial_map(triangle_identity, 1, depth)
@@ -204,6 +213,33 @@ class TestSearch:
         assert search_carried_simplicial_map(
             colorless_tasks[2], 1, 1
         ) == search_carried_simplicial_map(colorless_tasks[2], 1, 1)
+
+    @pytest.mark.parametrize("n,depth", [(3, 1), (2, 2), (4, 1)])
+    def test_colored_cbt_finishes_in_few_nodes(self, n, depth):
+        # One node per value class: all chains' commit vertices share a mask,
+        # and so do their abort vertices.
+        task = build_task(CbtConfig(n=n))
+        report = search_carried_simplicial_map(task, 1, depth, node_budget=1_000)
+        assert report.verdict is Verdict.NO_MAP_UP_TO_DEPTH
+        assert report.depth == depth
+        assert report.nodes_explored < 1_000
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_shared_mask_tasks_agree_with_oracles(self, seed):
+        task = random_shared_mask_task(random.Random(seed))
+        shallow = search_carried_simplicial_map(task, 1, 0)
+        expected = brute_force_depth0_map(task, 1)
+        assert (shallow.verdict is Verdict.MAP_FOUND) == (expected is not None)
+        deep = search_carried_simplicial_map(task, 1, 1)
+        for depth, report in ((0, shallow), (1, deep)):
+            if report.verdict is Verdict.MAP_FOUND:
+                assert assignment_is_valid(task, 1, depth, report.assignment)
+            else:
+                assert report.verdict is Verdict.NO_MAP_UP_TO_DEPTH
+        # The carrier map is monotonic, so a map at depth 0 persists at depth 1.
+        if shallow.verdict is Verdict.MAP_FOUND:
+            assert deep.verdict is Verdict.MAP_FOUND
 
 
 class TestDecide:
