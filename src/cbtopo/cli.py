@@ -183,8 +183,9 @@ def cmd_search(args: argparse.Namespace) -> int:
     if report.verdict is Verdict.MAP_FOUND:
         print(f"map found at depth {args.depth} after {report.nodes_explored} nodes")
     else:
+        scope = "up to" if report.note.endswith(" or below") else "at"
         print(
-            f"no carried simplicial map up to depth {args.depth} "
+            f"no carried simplicial map {scope} depth {args.depth} "
             f"({report.nodes_explored} nodes explored)"
         )
     return EXIT_OK

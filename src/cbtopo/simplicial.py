@@ -1,9 +1,11 @@
 """Finite abstract simplicial complexes with canonical ordering.
 
-A complex is stored as its set of inclusion-maximal facets; the downward
-closure is implied and materialized lazily.  Every vertex kind exposes a
-``sort_key`` so that simplices, facet lists, and iteration orders are total
-and reproducible across runs.
+A complex is stored as its set of inclusion-maximal facets and answers every
+membership question from them: a simplex belongs to the complex when its
+vertex set is a subset of some facet's.  Simplices are enumerated, lazily and
+once, only when a caller asks for them by dimension.  Every vertex kind
+exposes a ``sort_key`` so that simplices, facet lists, and iteration orders
+are total and reproducible across runs.
 """
 from __future__ import annotations
 
@@ -189,9 +191,13 @@ class Simplex:
 
 
 class Complex:
-    """A finite simplicial complex represented by its maximal facets."""
+    """A finite simplicial complex represented by its maximal facets.
 
-    __slots__ = ("_facets", "_closure", "_by_dim", "_vertices", "_vertex_set")
+    Membership is a subset test against the facets; the simplices of each
+    dimension are built lazily from the facets' faces on first request.
+    """
+
+    __slots__ = ("_facets", "_by_dim", "_vertices", "_vertex_set")
 
     def __init__(self, facets: Iterable[Simplex]) -> None:
         candidates = sorted(set(facets), key=lambda s: (-len(s), s.sort_key()))
@@ -205,7 +211,6 @@ class Complex:
             if not any(s.issubset(kept) for kept in maximal):
                 maximal.append(s)
         self._facets = tuple(sorted(maximal, key=lambda s: s.sort_key()))
-        self._closure: frozenset | None = None
         self._by_dim: Dict[int, Tuple[Simplex, ...]] | None = None
         vset = frozenset(v for f in self._facets for v in f)
         self._vertex_set = vset
@@ -227,15 +232,6 @@ class Complex:
     def dimension(self) -> int:
         return max(f.dim for f in self._facets)
 
-    def _closure_set(self) -> frozenset:
-        if self._closure is None:
-            seen: set[Simplex] = set()
-            for f in self._facets:
-                for face in f.faces():
-                    seen.add(face)
-            self._closure = frozenset(seen)
-        return self._closure
-
     def simplices(self) -> Tuple[Simplex, ...]:
         """All simplices of the complex in canonical (dimension, key) order."""
         return tuple(
@@ -246,17 +242,20 @@ class Complex:
 
     def simplices_of_dim(self, k: int) -> Tuple[Simplex, ...]:
         if self._by_dim is None:
-            groups: Dict[int, list[Simplex]] = {}
-            for s in self._closure_set():
-                groups.setdefault(s.dim, []).append(s)
+            # Facet vertices are in canonical order, so shared faces are equal tuples.
+            groups: Dict[int, set[tuple]] = {}
+            for f in self._facets:
+                for r in range(1, len(f) + 1):
+                    groups.setdefault(r - 1, set()).update(itertools.combinations(f.vertices, r))
             self._by_dim = {
-                d: tuple(sorted(group, key=lambda s: s.sort_key()))
+                d: tuple(sorted(map(Simplex, group), key=Simplex.sort_key))
                 for d, group in groups.items()
             }
         return self._by_dim.get(k, ())
 
     def contains(self, simplex: Simplex) -> bool:
-        return simplex in self._closure_set()
+        vset = simplex.vertex_set
+        return any(vset <= f.vertex_set for f in self._facets)
 
     def contains_complex(self, other: "Complex") -> bool:
         """True when every facet of ``other`` is a simplex of this complex."""
@@ -283,7 +282,10 @@ class Complex:
             raise DimensionOutOfRange("skeleton dimension must be non-negative")
         if k >= self.dimension:
             return self
-        return Complex(s for s in self._closure_set() if s.dim <= k)
+        # Every simplex of dimension at most k lies in a k-face or in a
+        # smaller facet.
+        low = [f for f in self._facets if f.dim < k]
+        return Complex((*self.simplices_of_dim(k), *low))
 
     def induced_subcomplex(self, vertices: Iterable[Any]) -> "Complex":
         """The subcomplex of all simplices whose vertices lie in ``vertices``."""
@@ -294,7 +296,8 @@ class Complex:
         if missing:
             shown = ", ".join(sorted(str(v) for v in missing))
             raise UnknownVertex(f"vertices not in complex: {shown}")
-        return Complex(s for s in self._closure_set() if s.vertex_set <= wanted)
+        parts = (f.vertex_set & wanted for f in self._facets)
+        return Complex(Simplex(part) for part in parts if part)
 
     def __eq__(self, other: Any) -> bool:
         if not isinstance(other, Complex):
@@ -310,10 +313,7 @@ class Complex:
 
 def make_complex(facets: Iterable[Iterable[Any]]) -> Complex:
     """Build a complex from vertex iterables, pruning dominated facets."""
-    facet_list = list(facets)
-    if not facet_list:
-        raise EmptyInput("a complex needs at least one facet")
-    return Complex(Simplex(f) for f in facet_list)
+    return Complex(Simplex(f) for f in facets)
 
 
 @dataclass(frozen=True)
@@ -353,21 +353,17 @@ def barycentric_subdivide(complex_: Complex, depth: int) -> SubdivisionResult:
 def _subdivide_once(
     complex_: Complex, carriers: Mapping[Any, Simplex], original: Complex, level: int
 ) -> tuple[Complex, Dict[Any, Simplex]]:
-    barycenter: Dict[Simplex, SubdivisionVertex] = {}
+    barycenter: Dict[frozenset, SubdivisionVertex] = {}
     new_carriers: Dict[Any, Simplex] = {}
     for s in complex_.simplices():
         carrier = _carrier_join([carriers[v] for v in s], original)
         vertex = SubdivisionVertex(below=s, carrier=carrier, level=level)
-        barycenter[s] = vertex
+        barycenter[s.vertex_set] = vertex
         new_carriers[vertex] = carrier
     facets = []
     for facet in complex_.facets:
         for perm in itertools.permutations(facet.vertices):
-            prefix: list[Any] = []
-            chain = []
-            for v in perm:
-                prefix.append(v)
-                chain.append(barycenter[Simplex(prefix)])
+            chain = [barycenter[frozenset(perm[:i])] for i in range(1, len(perm) + 1)]
             facets.append(Simplex(chain))
     return Complex(facets), new_carriers
 
@@ -380,10 +376,7 @@ def _carrier_join(simplices: list[Simplex], original: Complex) -> Simplex:
     a nested chain and the union is its top.  Either way the union must be a
     simplex of the original complex.
     """
-    vertices: set[Any] = set()
-    for s in simplices:
-        vertices.update(s.vertex_set)
-    join = Simplex(vertices)
+    join = Simplex(frozenset().union(*(s.vertex_set for s in simplices)))
     if not original.contains(join):
         raise AssertionError(f"carrier join {join} is not a simplex of the original complex")
     return join

@@ -3,9 +3,10 @@
 Two complementary engines: a connectivity obstruction that certifies
 unsolvability outright, and an exhaustive backtracking search for a carried
 simplicial map from an iterated barycentric subdivision of the restricted
-input into the output complex.  Absence of such a map at depth N also rules
-out every smaller depth, so an exhausted search is reported as holding up to
-the depth it ran at.
+input into the output complex.  When the carrier map is monotonic, absence
+of such a map at depth N also rules out every smaller depth, and an exhausted
+search is reported as holding up to the depth it ran at; otherwise it is
+reported for depth N alone.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from typing import Any, Dict, Tuple
 from .connectivity import connected_components, reduced_betti
 from .errors import NotColored, ResourceBound, check_resilience
 from .simplicial import Complex, Simplex, Vertex, barycentric_subdivide
-from .tasks import Task, restrict_to_skeleton, colorless_projection
+from .tasks import Task, colorless_projection, restrict_to_skeleton, verify_monotonic
 
 __all__ = [
     "Verdict",
@@ -169,6 +170,10 @@ def search_carried_simplicial_map(
     order; verdicts do not depend on this and any map found is valid.
     Vertices are processed smallest domain first; each attempted value class
     counts as one node against the node budget.
+
+    A map at depth k gives one at depth k + 1 only through a monotonic
+    carrier map, so an exhausted search claims the smaller depths too
+    ("or below" in its note) only when the restricted map is monotonic.
     """
     n = task.input.dimension
     check_resilience(n, t, allow_zero=False)
@@ -261,16 +266,18 @@ def search_carried_simplicial_map(
             continue
         level -= 1
         if level < 0:
+            note = f"no carried simplicial map exists at subdivision depth {depth}"
+            if verify_monotonic(restricted).ok:
+                note += " or below"
+            else:
+                note += "; the carrier map is not monotonic, so smaller depths are not covered"
             return SolvabilityReport(
                 verdict=Verdict.NO_MAP_UP_TO_DEPTH,
                 n=n,
                 t=t,
                 depth=depth,
                 nodes_explored=nodes,
-                note=(
-                    "no carried simplicial map exists at subdivision depth "
-                    f"{depth} or below"
-                ),
+                note=note,
             )
         for fid, old in undo_stack[level]:
             candidates[fid] = old
@@ -288,11 +295,11 @@ def decide(
     obstruction verdict is final when it fires; otherwise the search runs at
     depths 0..max_depth and the first map found wins.
 
-    A map at depth k gives one at every deeper depth, so a single search at
-    ``max_depth`` would settle a negative answer alone.  The loop stays for
-    positive answers: a map found at a shallow depth costs no subdivision
-    beyond it, where one search at ``max_depth`` would subdivide the whole
-    skeleton ``max_depth`` times first.
+    For a monotonic carrier map, a map at depth k gives one at every deeper
+    depth, so a single search at ``max_depth`` would settle a negative answer
+    alone.  The loop stays for positive answers: a map found at a shallow
+    depth costs no subdivision beyond it, where one search at ``max_depth``
+    would subdivide the whole skeleton ``max_depth`` times first.
     """
     if max_depth < 0:
         raise ValueError("maximum depth must be non-negative")

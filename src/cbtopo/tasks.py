@@ -118,10 +118,15 @@ class Task:
 
 
 def verify_monotonic(task: Task) -> PropertyCheck:
-    """Check that faces are carried into the carriers of their cofaces."""
+    """Check that faces are carried into the carriers of their cofaces.
+
+    Every proper face is reached through a chain of codimension-1 faces and
+    inclusion is transitive, so only those are compared; a counterexample is
+    a codimension-1 pair ``(face, coface)``.
+    """
     for simplex in task.input.simplices():
         image = task.carrier[simplex]
-        for face in simplex.faces(proper=True):
+        for face in simplex.boundary():
             face_image = task.carrier[face]
             if not image.contains_complex(face_image):
                 return PropertyCheck(

@@ -115,6 +115,34 @@ def maximal_facets(facets: Iterable[Iterable[Any]]) -> set[frozenset]:
     return {f for f in family if not any(f < g for g in family)}
 
 
+def closure_oracle(facets: Iterable[Iterable[Any]]) -> set[frozenset]:
+    """Every non-empty subset of every facet, as vertex sets, enumerated with
+    ``itertools.combinations`` and no ``Complex`` method."""
+    return {
+        frozenset(combo)
+        for facet in facets
+        for r in range(1, len(facet) + 1)
+        for combo in itertools.combinations(list(facet), r)
+    }
+
+
+def monotonic_oracle(task: Task) -> set[tuple[Simplex, Simplex]]:
+    """Every pair ``(face, coface)`` of an input simplex and one of its proper
+    faces whose carrier is not contained in the coface's, with containment
+    decided by ``closure_oracle``; empty exactly when the map is monotonic."""
+    closure = {
+        s: closure_oracle(f.vertex_set for f in image.facets)
+        for s, image in task.carrier.items()
+    }
+    return {
+        (Simplex(face), s)
+        for s in task.input.simplices()
+        for r in range(1, len(s))
+        for face in itertools.combinations(s.vertices, r)
+        if not closure[Simplex(face)] <= closure[s]
+    }
+
+
 def assignment_is_valid(
     task: Task, t: int, depth: int, assignment: Sequence[tuple]
 ) -> bool:
@@ -249,6 +277,18 @@ def random_shared_mask_task(rng) -> Task:
         for s in inp.simplices()
     }
     return Task(input=inp, output=output, carrier=CarrierMap(entries), colored=True)
+
+
+def random_induced_image_task(rng) -> Task:
+    """``random_shared_mask_task`` with every carrier image redrawn as the
+    output induced on a random vertex subset, each simplex on its own, so
+    the carrier map is in general not monotonic."""
+    base = random_shared_mask_task(rng)
+    entries = {
+        s: base.output.induced_subcomplex(rng.sample(base.output.vertices, rng.randint(1, 2)))
+        for s in base.input.simplices()
+    }
+    return Task(input=base.input, output=base.output, carrier=CarrierMap(entries), colored=True)
 
 
 def replace_image(task: Task, simplex: Simplex, image: Complex) -> Task:

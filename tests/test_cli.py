@@ -1,5 +1,6 @@
 """End-to-end checks of the cbtopo command line."""
 import json
+import random
 
 import pytest
 
@@ -7,7 +8,7 @@ from cbtopo.cli import main
 from cbtopo.forksim import PROTOCOLS, TwoPhaseCommit
 from cbtopo.serialize import dumps, task_to_obj
 
-from helpers import cx, identity_task, vtx
+from helpers import cx, identity_task, random_induced_image_task, vtx
 
 
 def run_cli(argv, capsys):
@@ -143,6 +144,18 @@ class TestSearch:
         code, out, err = run_cli(["search", str(path), "--t", "1", "--N", "0"], capsys)
         assert code == 0
         assert "map found at depth 0" in out
+
+    def test_non_monotonic_task_no_map_at_depth_only(self, tmp_path, capsys):
+        # A map exists at depth 0, so the verdict line must not claim "up to".
+        path = tmp_path / "induced.json"
+        path.write_text(dumps(task_to_obj(random_induced_image_task(random.Random(3)))))
+        code, out, err = run_cli(["search", str(path), "--t", "1", "--N", "1"], capsys)
+        assert code == 0
+        head, _, tail = out.rpartition("\n}")
+        report = json.loads(head + "\n}")
+        assert report["verdict"] == "no_map_up_to_depth"
+        assert "or below" not in report["note"]
+        assert tail.strip().startswith("no carried simplicial map at depth 1 (")
 
     def test_budget_exhaustion(self, task_file, capsys):
         code, _, err = run_cli(

@@ -23,7 +23,7 @@ from cbtopo.simplicial import (
     make_complex,
 )
 
-from helpers import bfs_components, cx, free, maximal_facets, sx, vtx
+from helpers import bfs_components, closure_oracle, cx, free, maximal_facets, sx, vtx
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +370,36 @@ def test_complex_is_downward_closed(k):
     for facet in k.facets:
         for face in facet.faces():
             assert k.contains(face)
+
+
+_FOREIGN = [vtx(0, "1"), vtx(7, "0")]
+
+
+def _subsets(vertices):
+    for r in range(1, len(vertices) + 1):
+        yield from (set(c) for c in itertools.combinations(vertices, r))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_complexes())
+def test_facet_queries_match_closure_oracle(k):
+    closure = closure_oracle(f.vertices for f in k.facets)
+    for d in range(k.dimension + 2):
+        layer = k.simplices_of_dim(d)
+        assert {s.vertex_set for s in layer} == {c for c in closure if len(c) == d + 1}
+        assert list(layer) == sorted(layer, key=lambda s: s.sort_key())
+    for probe in _subsets(_POOL + _FOREIGN):
+        assert k.contains(Simplex(probe)) == (frozenset(probe) in closure)
+    for wanted in _subsets(k.vertices):
+        induced = k.induced_subcomplex(wanted)
+        assert closure_oracle(f.vertices for f in induced.facets) == {
+            c for c in closure if c <= wanted
+        }
+    for d in range(k.dimension + 1):
+        skeleton = k.skeleton(d)
+        assert closure_oracle(f.vertices for f in skeleton.facets) == {
+            c for c in closure if len(c) <= d + 1
+        }
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -16,7 +16,7 @@ from cbtopo.solvability import (
     search_carried_simplicial_map,
 )
 from cbtopo.simplicial import Complex, Simplex
-from cbtopo.tasks import CarrierMap, Task, colorless_projection
+from cbtopo.tasks import CarrierMap, Task, colorless_projection, restrict_to_skeleton
 
 from helpers import (
     assignment_is_valid,
@@ -24,7 +24,9 @@ from helpers import (
     cx,
     free,
     identity_task,
+    monotonic_oracle,
     random_connected_complex,
+    random_induced_image_task,
     random_shared_mask_task,
     split_vote_task,
     sx,
@@ -240,6 +242,27 @@ class TestSearch:
         # The carrier map is monotonic, so a map at depth 0 persists at depth 1.
         if shallow.verdict is Verdict.MAP_FOUND:
             assert deep.verdict is Verdict.MAP_FOUND
+
+    def test_non_monotonic_task_claims_its_depth_alone(self):
+        # A map exists at depth 0 but none at depth 1, so "or below" is false.
+        task = random_induced_image_task(random.Random(3))
+        assert search_carried_simplicial_map(task, 1, 0).verdict is Verdict.MAP_FOUND
+        deep = search_carried_simplicial_map(task, 1, 1)
+        assert deep.verdict is Verdict.NO_MAP_UP_TO_DEPTH
+        assert deep.note.startswith("no carried simplicial map exists at subdivision depth 1")
+        assert "or below" not in deep.note
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_or_below_claimed_exactly_for_monotonic_maps(self, seed):
+        for build in (random_induced_image_task, random_shared_mask_task):
+            task = build(random.Random(seed))
+            deep = search_carried_simplicial_map(task, 1, 1)
+            if deep.verdict is Verdict.NO_MAP_UP_TO_DEPTH:
+                claims_below = deep.note.endswith(" or below")
+                assert claims_below == (not monotonic_oracle(restrict_to_skeleton(task, 1)))
+                if claims_below:
+                    assert brute_force_depth0_map(task, 1) is None
 
 
 class TestDecide:

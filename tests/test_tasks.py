@@ -1,4 +1,6 @@
 """Task triples, carrier-map validation, and the structural property checks."""
+import random
+
 import pytest
 
 from cbtopo.errors import BadResilience, InvalidTask, NotColored
@@ -14,7 +16,16 @@ from cbtopo.tasks import (
     verify_rigid,
 )
 
-from helpers import cx, free, identity_task, replace_image, sx, vtx
+from helpers import (
+    cx,
+    free,
+    identity_task,
+    monotonic_oracle,
+    random_shared_mask_task,
+    replace_image,
+    sx,
+    vtx,
+)
 
 
 @pytest.fixture
@@ -143,6 +154,28 @@ class TestVerifyChecks:
         broken = replace_image(task, edge, task.output.induced_subcomplex(kept))
         check = verify_monotonic(broken)
         assert not check.ok
+
+    def test_monotonic_matches_all_faces_oracle(self):
+        # Codimension-1 checks agree with every proper face; the swapped
+        # copies give both verdicts.
+        verdicts = set()
+        for seed in range(120):
+            rng = random.Random(seed)
+            task = random_shared_mask_task(rng)
+            assert not monotonic_oracle(task)
+            simplex = rng.choice(task.input.simplices())
+            picked = rng.sample(task.output.vertices, rng.randint(1, 2))
+            swapped = replace_image(task, simplex, task.output.induced_subcomplex(picked))
+            for candidate in (task, swapped):
+                check = verify_monotonic(candidate)
+                violations = monotonic_oracle(candidate)
+                assert check.ok == (not violations)
+                verdicts.add(check.ok)
+                if not check.ok:
+                    face, coface = check.counterexample
+                    assert face.issubset(coface) and face.dim == coface.dim - 1
+                    assert (face, coface) in violations
+        assert verdicts == {True, False}
 
     def test_rigid_catches_dimension_drop(self, cbt_tasks):
         task = cbt_tasks[1]
