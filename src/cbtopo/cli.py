@@ -307,9 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--t", type=int, required=True)
     p_sim.add_argument("--protocol", default="2pc", choices=sorted(PROTOCOLS))
     mode = p_sim.add_mutually_exclusive_group()
-    mode.add_argument("--exhaustive", action="store_true", help="enumerate schedules (default)")
+    mode.add_argument("--exhaustive", action="store_true", help="check every state within --depth events (default)")
     mode.add_argument("--random", action="store_true", help="sample random schedules")
-    p_sim.add_argument("--depth", type=int, default=24, help="exhaustive schedule depth")
+    p_sim.add_argument("--depth", type=int, default=24, help="exhaustive search depth, in events")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--trials", type=int, default=200)
     p_sim.add_argument("--no-suspend", action="store_true", help="disable fork suspensions")

@@ -34,11 +34,6 @@ class GF2Matrix:
     def n_rows(self) -> int:
         return len(self.rows)
 
-    def entry(self, i: int, j: int) -> int:
-        if not (0 <= i < self.n_rows and 0 <= j < self.n_cols):
-            raise IndexError(f"entry ({i}, {j}) outside {self.n_rows}x{self.n_cols} matrix")
-        return (self.rows[i] >> j) & 1
-
     def rank(self) -> int:
         """Rank over GF(2) by reduction against a pivot basis."""
         basis: Dict[int, int] = {}
@@ -52,30 +47,6 @@ class GF2Matrix:
                     basis[pivot] = r
                     break
         return len(basis)
-
-    def multiply(self, other: "GF2Matrix") -> "GF2Matrix":
-        if self.n_cols != other.n_rows:
-            raise ValueError(
-                f"cannot multiply {self.n_rows}x{self.n_cols} by {other.n_rows}x{other.n_cols}"
-            )
-        col_masks = []
-        for j in range(other.n_cols):
-            mask = 0
-            for i, row in enumerate(other.rows):
-                if (row >> j) & 1:
-                    mask |= 1 << i
-            col_masks.append(mask)
-        product = []
-        for row in self.rows:
-            bits = 0
-            for j, mask in enumerate(col_masks):
-                if (row & mask).bit_count() & 1:
-                    bits |= 1 << j
-            product.append(bits)
-        return GF2Matrix(tuple(product), other.n_cols, self.row_labels, other.col_labels)
-
-    def is_zero(self) -> bool:
-        return all(row == 0 for row in self.rows)
 
 
 def boundary_matrix(complex_: Complex, k: int) -> GF2Matrix:

@@ -187,7 +187,15 @@ class ViolationReport:
 
 
 class CommitProtocol(ABC):
-    """Per-node state machine driven by the simulator."""
+    """Per-node state machine driven by the simulator.
+
+    A reaction may depend only on the node record it is handed, that
+    node's index and the event (the start step, or the sender and payload
+    of one message).  It must not read or change other nodes, the network
+    or the schedule.  The exhaustive search relies on this: it treats
+    states with equal ``fingerprint`` as one, and actions on different
+    chains as commuting.
+    """
 
     name: str = "abstract"
 
@@ -550,7 +558,9 @@ def check_trace(trace: ExecutionTrace) -> ViolationReport:
 
 @dataclass(frozen=True)
 class ExhaustiveMode:
-    """Depth-first enumeration of all schedules up to ``depth`` events."""
+    """Depth-first search that checks every state reachable within ``depth``
+    events, not every schedule: each state is checked once, and sleep sets
+    skip orders of commuting actions that another order already covers."""
 
     depth: int
 
@@ -576,14 +586,21 @@ def find_violation(
 ) -> Optional[ExecutionTrace]:
     """Search schedules for a trace that the checker rejects.
 
-    Exhaustive mode walks the schedule tree depth first in canonical action
-    order, pruning states already seen (two deliveries to unrelated nodes
-    commute, so their two orders collapse onto one state).  The pruning is
-    depth-aware: a state seen before is expanded again when it is reached
-    on fewer events, so every state within ``depth`` events is checked.
-    Random mode samples uniformly among enabled actions with a fixed seed.
-    Returns the first violating trace, or None when the bound is reached
-    without one.
+    Exhaustive mode checks every *state* within ``depth`` events, not every
+    schedule.  It walks depth first in canonical action order with two
+    reductions.  Equal states are cached: each is checked once, on its
+    first visit, and counts once against ``state_budget``.  Sleep sets
+    (Godefroid, LNCS 1032, 1996) skip a transition whose target another
+    order of the same commuting actions covers at the same depth.  Two
+    actions commute when they act on different chains: a step, crash or
+    suspend acts on its own chain, a delivery on its receiver.  Two crashes,
+    or two suspensions, share a budget and never commute.  A delivery is
+    identified by receiver, sender and payload, not by its sequence number.
+    A cached state is expanded again when it is reached on fewer events, or
+    on as many or more with a sleep set that lacks some of the stored one's
+    actions; then only those actions are taken.  Random mode samples
+    uniformly among enabled actions with a fixed seed.  Returns the first
+    violating trace, or None when the bound is reached without one.
     """
     check_resilience(n, t, allow_zero=True)
     if inputs is None:
@@ -594,37 +611,7 @@ def find_violation(
     if isinstance(mode, ExhaustiveMode):
         if mode.depth < 1:
             raise ValueError("exploration depth must be positive")
-        root = Simulation(n, t, protocol, inputs)
-        # Fewest events on which each state was reached.  A state reached
-        # again on strictly fewer events is expanded again: its earlier
-        # subtree was cut at the depth bound sooner.
-        shallowest = {root.fingerprint(): 0}
-        stack = [root]
-        explored = 0
-        while stack:
-            sim = stack.pop()
-            explored += 1
-            if explored > budget:
-                raise ResourceBound(
-                    f"schedule exploration exceeded the state budget of {budget}",
-                    explored=explored,
-                )
-            trace = sim.trace()
-            if check_trace(trace).violations:
-                return trace
-            events = len(sim.events) + 1
-            if events > mode.depth:
-                continue
-            children = sim.enabled(suspensions)
-            for action in reversed(children):
-                child = sim.clone()
-                child.apply(action)
-                key = child.fingerprint()
-                known = shallowest.get(key)
-                if known is None or known > events:
-                    shallowest[key] = events
-                    stack.append(child)
-        return None
+        return _explore(Simulation(n, t, protocol, inputs), mode.depth, suspensions, budget)
     if isinstance(mode, RandomMode):
         if mode.trials < 1:
             raise ValueError("need at least one trial")
@@ -641,3 +628,87 @@ def find_violation(
                 return trace
         return None
     raise TypeError(f"unsupported mode {mode!r}")
+
+
+def _explore(
+    root: Simulation, depth: int, suspensions: int, budget: int
+) -> Optional[ExecutionTrace]:
+    """``find_violation``'s exhaustive walk: state caching plus sleep sets."""
+    # Every action identity owns one bit.  A step, suspend and crash of
+    # chain c own bits 3c, 3c+1 and 3c+2; deliveries are numbered as met.
+    identities: Dict[tuple, Tuple[int, int, int]] = {}  # key -> bit, chain, offset
+    acts_on = [0] * (root.n + 1)
+    for chain in range(root.n + 1):
+        for offset, kind in enumerate(("step", "suspend", "crash")):
+            identities[(kind, chain)] = (1 << (3 * chain + offset), chain, offset)
+        acts_on[chain] = 0b111 << (3 * chain)
+    # By offset: the bits an action shares a budget with (all suspends, all
+    # crashes); steps and deliveries (offset 0) share none.
+    suspends = sum(1 << (3 * chain + 1) for chain in range(root.n + 1))
+    shared = (0, suspends, suspends << 1)
+    # Each visited state maps to its sleep set and the fewest events that
+    # reached it, packed as ``sleep << shift | events``.
+    shift = depth.bit_length()
+    fewest = (1 << shift) - 1
+    seen = {root.fingerprint(): 0}
+    # Stack entries: state, sleep set, actions it may take, first visit.
+    stack = [(root, 0, -1, True)]
+    explored = 0
+    while stack:
+        sim, sleep, allowed, first = stack.pop()
+        if first:
+            explored += 1
+            if explored > budget:
+                raise ResourceBound(
+                    f"schedule exploration exceeded the state budget of {budget}",
+                    explored=explored,
+                )
+            trace = sim.trace()
+            if check_trace(trace).violations:
+                return trace
+        events = len(sim.events) + 1
+        if events > depth:
+            continue
+        # Taken actions join the sleep sets of later siblings they commute
+        # with; an identity already taken here (a twin message) is skipped.
+        skip = sleep | ~allowed
+        taken = 0
+        children = []
+        for action in sim.enabled(suspensions):
+            if action.kind == "deliver":
+                message = sim.in_flight[action.sequence]
+                key: tuple = (message.receiver, message.sender, message.payload)
+            else:
+                key = (action.kind, action.chain)
+            identity = identities.get(key)
+            if identity is None:
+                identity = identities[key] = (1 << len(identities), key[0], 0)
+                acts_on[key[0]] |= identity[0]
+            bit, chain, offset = identity
+            if bit & (skip | taken):
+                continue
+            # Children on the depth bound are never expanded: no sleep set.
+            child_sleep = 0
+            if events < depth:
+                child_sleep = (sleep | taken) & ~(acts_on[chain] | shared[offset])
+            children.append((action, child_sleep))
+            taken |= bit
+        # Pushed last to first, so a child is expanded only after the
+        # subtrees of the siblings in its sleep set.
+        for action, child_sleep in reversed(children):
+            child = sim.clone()
+            child.apply(action)
+            state = child.fingerprint()
+            known = seen.get(state)
+            if known is None or known & fewest > events:
+                seen[state] = child_sleep << shift | events
+                stack.append((child, child_sleep, -1, known is None))
+                continue
+            # Reached again on as many events or more: take only the actions
+            # asleep at the earlier visits but awake now, and keep the
+            # intersection of the two sleep sets.
+            missing = (known >> shift) & ~child_sleep
+            if missing and events < depth:
+                seen[state] = known ^ (missing << shift)
+                stack.append((child, child_sleep, missing, False))
+    return None

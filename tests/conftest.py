@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from cbtopo import CbtConfig, build_colorless_task, build_task
+
+# Every property test runs the same fixed examples on every run, so a
+# failure reproduces, and no example is cut short by a deadline.
+settings.register_profile("cbtopo", deadline=None, derandomize=True)
+settings.load_profile("cbtopo")
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,13 @@ import itertools
 from collections import Counter, deque
 from typing import Any, Dict, Iterable, Mapping, Optional, Sequence
 
-from cbtopo.forksim import Simulation, check_trace
+from cbtopo.forksim import (
+    CommitProtocol,
+    ExecutionTrace,
+    NodeState,
+    Simulation,
+    check_trace,
+)
 from cbtopo.simplicial import (
     BlockRef,
     Complex,
@@ -80,6 +86,20 @@ def xor_span_rank(rows: Sequence[int]) -> int:
     size = len(span)
     assert size & (size - 1) == 0, "span size must be a power of two"
     return size.bit_length() - 1
+
+
+def gf2_product_rows(left: Sequence[int], right: Sequence[int]) -> list[int]:
+    """Rows of the GF(2) product of two bit-row matrices, entry by entry:
+    bit j of row i is the parity of the k with bit k of ``left[i]`` and
+    bit j of ``right[k]`` both set."""
+    width = max((row.bit_length() for row in right), default=0)
+    return [
+        sum(
+            (sum((a >> k) & (right[k] >> j) & 1 for k in range(len(right))) % 2) << j
+            for j in range(width)
+        )
+        for a in left
+    ]
 
 
 def brute_force_depth0_map(task: Task, t: int) -> Optional[Dict[Any, Vertex]]:
@@ -215,6 +235,81 @@ def reachable_states(sim: Simulation, depth: int, suspensions: int) -> Dict[tupl
                     next_frontier.append(child)
         frontier = next_frontier
     return states
+
+
+def unreduced_walk(
+    sim: Simulation, depth: int, suspensions: int
+) -> Optional[ExecutionTrace]:
+    """First violating trace of a depth-first walk without sleep sets.
+
+    Children are generated in reverse canonical order and recorded by
+    ``encode_state`` with the fewest events that reached them; a child is
+    pushed when it is new or reached on fewer events, and every popped
+    state is checked.  Written over the public ``Simulation`` API, it is
+    the reference whose trace ``find_violation`` must return.
+    """
+    shallowest = {encode_state(sim): 0}
+    stack = [sim]
+    while stack:
+        state = stack.pop()
+        trace = state.trace()
+        if check_trace(trace).violations:
+            return trace
+        events = len(state.events) + 1
+        if events > depth:
+            continue
+        for action in reversed(state.enabled(suspensions)):
+            child = state.clone()
+            child.apply(action)
+            key = encode_state(child)
+            known = shallowest.get(key)
+            if known is None or known > events:
+                shallowest[key] = events
+                stack.append(child)
+    return None
+
+
+class TableProtocol(CommitProtocol):
+    """Deterministic protocol read off a table keyed by phase and event.
+
+    ``table[(phase, kind)]`` is ``(next_phase, sends, remember, decision)``,
+    where ``kind`` is ``"start"`` for the start step or a message kind.
+    ``sends`` lists ``(offset, kind)`` pairs: a message of that kind, with
+    the sender's current local value, to chain ``(index + offset) % (n + 1)``.
+    ``remember`` records the value heard from the sender in a flat dict.
+    ``decision`` is None, ``"0"``, ``"1"`` or ``"own"`` (commit exactly
+    when the node's own local value is committed); a node decides once.
+    Missing entries ignore the event.  A reaction reads nothing but the
+    node's own record, its index and the event.
+    """
+
+    name = "table"
+
+    def __init__(self, table: Mapping[tuple, tuple]) -> None:
+        self.table = dict(table)
+
+    def _react(self, node: NodeState, kind: str, sender: int, value: Any, n: int) -> list:
+        entry = self.table.get((node.phase, kind))
+        if entry is None:
+            return []
+        phase, sends, remember, decision = entry
+        node.phase = phase
+        if remember:
+            node.memory.setdefault("heard", {})[sender] = value
+        if decision is not None and node.decided is None:
+            if decision == "own":
+                decision = "1" if node.local_value is Value.ONE else "0"
+            node.decide(Value.from_code(decision))
+        return [
+            ((node.index + offset) % (n + 1), {"kind": sent, "value": node.local_value.value})
+            for offset, sent in sends
+        ]
+
+    def on_start(self, node: NodeState, n: int) -> list:
+        return self._react(node, "start", node.index, None, n)
+
+    def on_message(self, node: NodeState, sender: int, payload: Dict[str, Any], n: int) -> list:
+        return self._react(node, payload["kind"], sender, payload["value"], n)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from cbtopo.connectivity import (
 from cbtopo.errors import DimensionOutOfRange
 from cbtopo.simplicial import barycentric_subdivide
 
-from helpers import bfs_components, cx, vtx, xor_span_rank
+from helpers import bfs_components, cx, gf2_product_rows, vtx, xor_span_rank
 
 
 def verts(k):
@@ -41,13 +41,9 @@ class TestGF2Matrix:
     def test_entry_and_bounds(self):
         m = GF2Matrix(rows=(0b01, 0b10), n_cols=2)
         assert m.n_rows == 2
-        assert m.entry(0, 0) == 1
-        assert m.entry(0, 1) == 0
-        assert m.entry(1, 1) == 1
-        with pytest.raises(IndexError):
-            m.entry(2, 0)
-        with pytest.raises(IndexError):
-            m.entry(0, 2)
+        assert [(m.rows[0] >> j) & 1 for j in range(m.n_cols)] == [1, 0]
+        assert [(m.rows[1] >> j) & 1 for j in range(m.n_cols)] == [0, 1]
+        assert all(row >> m.n_cols == 0 for row in m.rows)
 
     def test_rank_simple_cases(self):
         assert GF2Matrix(rows=(0b1, 0b1), n_cols=1).rank() == 1
@@ -62,20 +58,6 @@ class TestGF2Matrix:
             rows = tuple(rng.getrandbits(n_cols) for _ in range(n_rows))
             assert GF2Matrix(rows=rows, n_cols=n_cols).rank() == xor_span_rank(rows)
 
-    def test_multiply_and_is_zero(self):
-        identity = GF2Matrix(rows=(0b01, 0b10), n_cols=2)
-        other = GF2Matrix(rows=(0b11, 0b01), n_cols=2)
-        assert identity.multiply(other).rows == other.rows
-        zero = GF2Matrix(rows=(0, 0), n_cols=2)
-        assert zero.is_zero()
-        assert not other.is_zero()
-
-    def test_multiply_dimension_mismatch(self):
-        a = GF2Matrix(rows=(0b1,), n_cols=1)
-        b = GF2Matrix(rows=(0b1, 0b1), n_cols=1)
-        with pytest.raises(ValueError, match="cannot multiply"):
-            a.multiply(b)
-
 
 # ---------------------------------------------------------------------------
 # Boundary matrices
@@ -87,7 +69,7 @@ class TestBoundaryMatrix:
         a, b = verts(2)
         m = boundary_matrix(cx([a, b]), 1)
         assert (m.n_rows, m.n_cols) == (2, 1)
-        assert [m.entry(i, 0) for i in range(2)] == [1, 1]
+        assert list(m.rows) == [0b1, 0b1]
         assert m.row_labels[0].vertices == (a,)
 
     def test_labels_are_canonical(self, sphere):
@@ -102,17 +84,22 @@ class TestBoundaryMatrix:
             boundary_matrix(circle, 2)
 
     def test_boundary_of_boundary_vanishes(self, sphere):
-        for k in range(2, sphere.dimension + 1):
-            dk = boundary_matrix(sphere, k)
-            dk_minus = boundary_matrix(sphere, k - 1)
-            assert dk_minus.multiply(dk).is_zero()
+        assert gf2_product_rows([0b01, 0b10], [0b11, 0b01]) == [0b11, 0b01]
+        solid = cx(verts(4))
+        for complex_ in (sphere, solid):
+            for k in range(2, complex_.dimension + 1):
+                dk = boundary_matrix(complex_, k)
+                dk_minus = boundary_matrix(complex_, k - 1)
+                product = gf2_product_rows(dk_minus.rows, dk.rows)
+                assert len(product) == dk_minus.n_rows
+                assert not any(product)
 
     def test_entry_means_face_incidence(self, circle):
         m = boundary_matrix(circle, 1)
         for i, row_simplex in enumerate(m.row_labels):
             for j, col_simplex in enumerate(m.col_labels):
                 expected = 1 if row_simplex.issubset(col_simplex) else 0
-                assert m.entry(i, j) == expected
+                assert (m.rows[i] >> j) & 1 == expected
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cbtopo import forksim
 from cbtopo.errors import BadResilience, InvalidSchedule, ResourceBound
 from cbtopo.forksim import (
     CommitProtocol,
@@ -16,6 +17,7 @@ from cbtopo.forksim import (
     ScheduleAction,
     Simulation,
     TwoPhaseCommit,
+    ViolationReport,
     check_trace,
     find_violation,
     get_protocol,
@@ -25,7 +27,7 @@ from cbtopo.simplicial import BlockRef, Simplex, Value, Vertex
 
 from cbtopo import CbtConfig, build_task
 
-from helpers import encode_state, reachable_states
+from helpers import TableProtocol, encode_state, reachable_states, unreduced_walk
 
 
 def A(kind, chain=None, sequence=None):
@@ -445,9 +447,11 @@ class TestDepthAwareDedup:
         assert [v.kind for v in check_trace(trace).violations] == ["termination"]
 
 
-def _replayed(trace):
+def _replayed(trace, protocol=None):
     """A fresh simulation that ran the trace's schedule."""
-    sim = Simulation(trace.n, trace.t, get_protocol(trace.protocol), trace.inputs)
+    if protocol is None:
+        protocol = get_protocol(trace.protocol)
+    sim = Simulation(trace.n, trace.t, protocol, trace.inputs)
     for action in trace.schedule():
         sim.apply(action)
     return sim
@@ -462,37 +466,155 @@ def _oracle_grid():
             for position in range(n + 1):
                 for leg in (Value.ZERO, Value.BOTTOM):
                     yield pytest.param(
-                        n, t, depth, position, leg, id=f"n{n}-t{t}-d{depth}-{leg.value}@{position}"
+                        n, t, depth, 1, position, leg,
+                        id=f"n{n}-t{t}-d{depth}-{leg.value}@{position}",
                     )
+    # Two suspensions, or two crashes, enabled at once.
+    for leg in (Value.ZERO, Value.BOTTOM):
+        for position in range(3):
+            yield pytest.param(
+                2, 0, 24, 2, position, leg, id=f"n2-t0-d24-{leg.value}@{position}-s2"
+            )
+    yield pytest.param(2, 1, 24, 2, 0, Value.ONE, id="n2-t1-d24-1@0-s2")
+    yield pytest.param(3, 0, 24, 2, 1, Value.BOTTOM, id="n3-t0-d24-bot@1-s2")
+    yield pytest.param(4, 2, 4, 1, 1, Value.ZERO, id="n4-t2-d4-0@1")
 
 
 class TestExhaustiveAgainstOracle:
     """``ExhaustiveMode`` against a deep-copying BFS with its own state keys."""
 
-    @pytest.mark.parametrize("n,t,depth,position,leg", list(_oracle_grid()))
-    def test_same_states_and_verdict(self, n, t, depth, position, leg):
+    @pytest.mark.parametrize(
+        "n,t,depth,suspensions,position,leg", list(_oracle_grid())
+    )
+    def test_same_states_and_verdict(self, n, t, depth, suspensions, position, leg):
         inputs = [Value.ONE] * (n + 1)
         inputs[position] = leg
-        states = reachable_states(Simulation(n, t, TwoPhaseCommit(), inputs), depth, 1)
+        states = reachable_states(
+            Simulation(n, t, TwoPhaseCommit(), inputs), depth, suspensions
+        )
         violating = {kinds for _, kinds in states.values() if kinds}
         mode = ExhaustiveMode(depth=depth)
         # With a budget of the oracle's state count, a clean walk passes
         # and one state fewer runs out: it checks exactly those states.
         budget = len(states)
         trace = find_violation(
-            n, t, TwoPhaseCommit(), mode, inputs=inputs, state_budget=budget
+            n, t, TwoPhaseCommit(), mode,
+            suspensions=suspensions, inputs=inputs, state_budget=budget,
         )
         assert (trace is not None) == bool(violating)
         if trace is None:
             with pytest.raises(ResourceBound):
                 find_violation(
-                    n, t, TwoPhaseCommit(), mode, inputs=inputs, state_budget=budget - 1
+                    n, t, TwoPhaseCommit(), mode,
+                    suspensions=suspensions, inputs=inputs, state_budget=budget - 1,
                 )
         else:
             events, kinds = states[encode_state(_replayed(trace))]
             assert events <= len(trace.events) <= depth
             assert kinds == {v.kind for v in check_trace(trace).violations}
             assert kinds in violating
+
+
+def _trace_identity_grid():
+    for n in (2, 3, 4):
+        depth = 14 if n == 4 else 24
+        for t in range(n):
+            if 2 * t >= n + 1:
+                break
+            legs = [(Value.ONE, 0)]
+            legs += [(leg, p) for leg in (Value.ZERO, Value.BOTTOM) for p in range(n + 1)]
+            for suspensions in (0, 1):
+                for leg, position in legs:
+                    yield pytest.param(
+                        n, t, depth, suspensions, position, leg,
+                        id=f"n{n}-t{t}-s{suspensions}-{leg.value}@{position}",
+                    )
+
+
+class TestSleepSetsAgainstOracles:
+    """Sleep sets skip transitions only: every state within the bound is
+    still checked once, and 2PC hunts return the unreduced walk's trace."""
+
+    @pytest.mark.parametrize(
+        "n,t,depth,suspensions,position,leg", list(_trace_identity_grid())
+    )
+    def test_same_trace_as_unreduced_walk(self, n, t, depth, suspensions, position, leg):
+        inputs = [Value.ONE] * (n + 1)
+        inputs[position] = leg
+        expected = unreduced_walk(
+            Simulation(n, t, TwoPhaseCommit(), inputs), depth, suspensions
+        )
+        trace = find_violation(
+            n, t, TwoPhaseCommit(), ExhaustiveMode(depth=depth),
+            suspensions=suspensions, inputs=inputs,
+        )
+        assert trace == expected
+
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_random_protocols_check_every_state(self, data):
+        n = data.draw(st.integers(1, 2), label="n")
+        t = data.draw(st.integers(0, n // 2), label="t")
+        suspensions = data.draw(st.integers(0, 2), label="suspensions")
+        depth = data.draw(st.integers(2, 6 if n == 1 else 5), label="depth")
+        inputs = data.draw(
+            st.lists(st.sampled_from(list(Value)), min_size=n + 1, max_size=n + 1),
+            label="inputs",
+        )
+        protocol = TableProtocol(data.draw(_tables(n), label="table"))
+        states = reachable_states(Simulation(n, t, protocol, inputs), depth, suspensions)
+        violating = {kinds for _, kinds in states.values() if kinds}
+        mode = ExhaustiveMode(depth=depth)
+
+        def hunt(budget=None):
+            return find_violation(
+                n, t, protocol, mode, suspensions=suspensions, inputs=inputs,
+                state_budget=budget,
+            )
+
+        trace = hunt()
+        assert (trace is not None) == bool(violating)
+        if trace is not None:
+            events, kinds = states[encode_state(_replayed(trace, protocol))]
+            assert events <= len(trace.events) <= depth
+            assert kinds == {v.kind for v in check_trace(trace).violations}
+        # With a checker that flags nothing, the walk sweeps the bound: it
+        # checks each reachable state exactly once, so a budget of the
+        # oracle's state count passes and one fewer runs out.
+        checked = []
+
+        def record(trace):
+            checked.append(encode_state(_replayed(trace, protocol)))
+            return ViolationReport(())
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(forksim, "check_trace", record)
+            assert hunt(len(states)) is None
+            assert len(checked) == len(states)
+            assert set(checked) == set(states)
+            with pytest.raises(ResourceBound):
+                hunt(len(states) - 1)
+
+
+@st.composite
+def _tables(draw, n):
+    """A ``TableProtocol`` table over three phases and two message kinds."""
+    phases = ("init", "a", "b")
+    sends = st.lists(
+        st.tuples(st.integers(0, n), st.sampled_from(("x", "y"))), max_size=2
+    )
+    entry = st.tuples(
+        st.sampled_from(phases),
+        sends,
+        st.booleans(),
+        st.sampled_from((None, None, "0", "1", "own")),
+    )
+    table = {}
+    for phase in phases:
+        for kind in ("start", "x", "y"):
+            if draw(st.booleans()) or kind == "start" and phase == "init":
+                table[(phase, kind)] = draw(entry)
+    return table
 
 
 def _snapshot(sim):
@@ -502,7 +624,7 @@ def _snapshot(sim):
 class TestCopyOnWrite:
     """Clones share node records; neither side may see the other's steps."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         data=st.data(),
         n=st.integers(2, 3),

@@ -348,7 +348,7 @@ def _facet_families(draw):
     return draw(st.permutations(family))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(_facet_families())
 def test_facets_match_maximal_oracle(family):
     facets = make_complex(family).facets
@@ -356,7 +356,7 @@ def test_facets_match_maximal_oracle(family):
     assert list(facets) == sorted(facets, key=lambda f: f.sort_key())
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(_complexes())
 def test_facets_are_mutually_incomparable(k):
     for s, t in itertools.combinations(k.facets, 2):
@@ -364,7 +364,7 @@ def test_facets_are_mutually_incomparable(k):
         assert not t.issubset(s)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(_complexes())
 def test_complex_is_downward_closed(k):
     for facet in k.facets:
@@ -380,7 +380,7 @@ def _subsets(vertices):
         yield from (set(c) for c in itertools.combinations(vertices, r))
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80)
 @given(_complexes())
 def test_facet_queries_match_closure_oracle(k):
     closure = closure_oracle(f.vertices for f in k.facets)
@@ -402,13 +402,13 @@ def test_facet_queries_match_closure_oracle(k):
         }
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(_complexes())
 def test_euler_matches_direct_enumeration(k):
     assert k.euler_characteristic == sum((-1) ** s.dim for s in k.simplices())
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(_complexes())
 def test_subdivision_preserves_euler_and_components(k):
     sub, carrier_of = barycentric_subdivide(k, 1)

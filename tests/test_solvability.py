@@ -226,7 +226,7 @@ class TestSearch:
         assert report.depth == depth
         assert report.nodes_explored < 1_000
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_shared_mask_tasks_agree_with_oracles(self, seed):
         task = random_shared_mask_task(random.Random(seed))
@@ -252,7 +252,7 @@ class TestSearch:
         assert deep.note.startswith("no carried simplicial map exists at subdivision depth 1")
         assert "or below" not in deep.note
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_or_below_claimed_exactly_for_monotonic_maps(self, seed):
         for build in (random_induced_image_task, random_shared_mask_task):
