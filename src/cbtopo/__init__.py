@@ -32,6 +32,7 @@ from .errors import (
     InvalidSchedule,
     InvalidTask,
     MalformedSimplex,
+    MalformedTrace,
     NotColored,
     ResourceBound,
     UnknownVertex,

@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 usage or parameter error, 3 I/O or malformed input
-file, 4 failed claim check, 5 exhausted resource budget.
+file, 4 failed claim check (including a trace that does not replay), 5
+exhausted resource budget.
 """
 from __future__ import annotations
 
@@ -15,18 +16,23 @@ from .connectivity import connected_components, reduced_betti
 from .errors import (
     BadResilience,
     CbtopoError,
+    InvalidSchedule,
     InvalidTask,
+    MalformedTrace,
     NotColored,
     ResourceBound,
     check_resilience,
 )
 from .forksim import (
     PROTOCOLS,
+    ExecutionTrace,
     ExhaustiveMode,
     RandomMode,
+    ViolationReport,
     check_trace,
     find_violation,
     get_protocol,
+    run,
 )
 from .serialize import (
     complex_to_obj,
@@ -34,6 +40,7 @@ from .serialize import (
     report_to_obj,
     task_from_obj,
     task_to_obj,
+    trace_from_jsonl,
     trace_to_jsonl,
 )
 from .simplicial import Value
@@ -214,6 +221,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return EXIT_OK
     report = check_trace(trace)
     print(f"violation found after {len(trace.events)} events:")
+    _print_run(trace, report)
+    if args.trace_out is not None:
+        _write_text(args.trace_out, trace_to_jsonl(trace, report))
+    return EXIT_OK
+
+
+def _print_run(trace: ExecutionTrace, report: ViolationReport) -> None:
     for i, event in enumerate(trace.events):
         if event.kind == "deliver":
             message = event.message
@@ -232,8 +246,42 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     print(f"realized inputs: {realized}")
     for violation in report.violations:
         print(f"violation[{violation.kind}]: {violation.detail}")
-    if args.trace_out is not None:
-        _write_text(args.trace_out, trace_to_jsonl(trace, report))
+
+
+def _final_state(trace: ExecutionTrace) -> tuple:
+    return trace.outcome, trace.realized, trace.crashed, trace.suspended, trace.quiescent
+
+
+def cmd_replay(args: argparse.Namespace) -> int:
+    with open(args.trace, "r", encoding="utf-8") as handle:
+        recorded, kinds = trace_from_jsonl(handle.read())
+    protocol = get_protocol(recorded.protocol)
+    try:
+        replayed = run(
+            recorded.n, recorded.t, protocol, recorded.schedule(), inputs=recorded.inputs
+        )
+    except InvalidSchedule as exc:
+        print(f"replay: FAILED (the recorded schedule does not run: {exc})")
+        return EXIT_CLAIM
+    report = check_trace(replayed)
+    print(
+        f"replayed {len(replayed.events)} events of {replayed.protocol} "
+        f"at n={replayed.n}, t={replayed.t}:"
+    )
+    _print_run(replayed, report)
+    differs = [
+        name
+        for name, same in (
+            ("events", replayed.events == recorded.events),
+            ("outcome", _final_state(replayed) == _final_state(recorded)),
+            ("violations", kinds is None or kinds == tuple(v.kind for v in report.violations)),
+        )
+        if not same
+    ]
+    if differs:
+        print(f"replay: FAILED ({', '.join(differs)} not reproduced)")
+        return EXIT_CLAIM
+    print("replay: REPRODUCED")
     return EXIT_OK
 
 
@@ -317,6 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--trace-out", default=None, help="write the violating trace as JSON lines")
     p_sim.set_defaults(func=cmd_simulate)
 
+    p_replay = sub.add_parser(
+        "replay", help="re-run and re-check a trace written by simulate --trace-out"
+    )
+    p_replay.add_argument("trace", help="trace JSON lines path")
+    p_replay.set_defaults(func=cmd_replay)
+
     p_export = sub.add_parser("export", help="render a task complex 1-skeleton")
     p_export.add_argument("task", help="task JSON path")
     p_export.add_argument("--format", choices=("dot", "json"), default="dot")
@@ -334,8 +388,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ResourceBound as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    # JSONDecodeError subclasses ValueError, so file problems must win first
-    except (OSError, json.JSONDecodeError, InvalidTask) as exc:
+    # JSONDecodeError and UnicodeDecodeError subclass ValueError, so file
+    # problems must win first
+    except (
+        OSError, json.JSONDecodeError, UnicodeDecodeError, InvalidTask, MalformedTrace
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (BadResilience, NotColored, ValueError) as exc:

@@ -52,6 +52,10 @@ class InvalidSchedule(CbtopoError):
     """A simulator schedule references an event that cannot occur."""
 
 
+class MalformedTrace(CbtopoError):
+    """A trace file does not hold the records ``trace_to_jsonl`` writes."""
+
+
 class ResourceBound(CbtopoError):
     """A bounded search exceeded its configured node budget."""
 

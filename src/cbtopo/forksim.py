@@ -439,22 +439,44 @@ class Simulation:
 
     def enabled(self, max_suspensions: int) -> List[ScheduleAction]:
         """Applicable actions in canonical order: steps, delivers, suspends, crashes."""
-        actions: List[ScheduleAction] = []
-        for node in self.nodes:
-            if not node.crashed and node.index not in self.started:
-                actions.append(ScheduleAction(kind="step", chain=node.index))
-        for seq in sorted(self.in_flight):
-            if not self.nodes[self.in_flight[seq].receiver].crashed:
-                actions.append(ScheduleAction(kind="deliver", sequence=seq))
+        return [
+            ScheduleAction(kind=kind, chain=chain)
+            if message is None
+            else ScheduleAction(kind=kind, sequence=message.sequence)
+            for kind, chain, message in self._enabled(max_suspensions)
+        ]
+
+    def _enabled(
+        self, max_suspensions: int
+    ) -> List[Tuple[str, int, Optional[Message]]]:
+        """``enabled`` as ``(kind, chain, message)`` triples, without building
+        actions: a delivery names its receiver and message, the others
+        their chain and None."""
+        nodes = self.nodes
+        started = self.started
+        options: List[Tuple[str, int, Optional[Message]]] = [
+            ("step", chain, None)
+            for chain, node in enumerate(nodes)
+            if not node.crashed and chain not in started
+        ]
+        in_flight = self.in_flight
+        for seq in sorted(in_flight):
+            message = in_flight[seq]
+            if not nodes[message.receiver].crashed:
+                options.append(("deliver", message.receiver, message))
         if self.suspend_count < max_suspensions:
-            for node in self.nodes:
-                if not node.suspended:
-                    actions.append(ScheduleAction(kind="suspend", chain=node.index))
+            options += [
+                ("suspend", chain, None)
+                for chain, node in enumerate(nodes)
+                if not node.suspended
+            ]
         if self.crash_count < self.t:
-            for node in self.nodes:
-                if not node.crashed:
-                    actions.append(ScheduleAction(kind="crash", chain=node.index))
-        return actions
+            options += [
+                ("crash", chain, None)
+                for chain, node in enumerate(nodes)
+                if not node.crashed
+            ]
+        return options
 
     def trace(self) -> ExecutionTrace:
         return ExecutionTrace(
@@ -556,11 +578,46 @@ def check_trace(trace: ExecutionTrace) -> ViolationReport:
     return ViolationReport(tuple(violations))
 
 
+def _violates(sim: Simulation) -> bool:
+    """Whether ``check_trace(sim.trace())`` would flag a violation, read off
+    the node records without building the trace.
+
+    The same four rules: live nodes that decided differently, a commit
+    beside a suspended leg, an abort although every leg stayed committed,
+    and, asking ``quiescent`` only then, a live node still undecided.
+    """
+    # Looked up once: this runs on every state the walk checks.
+    one, zero, bottom = Value.ONE, Value.ZERO, Value.BOTTOM
+    live_decision = None
+    committed = aborted = suspended = undecided = False
+    all_one = True
+    for node in sim.nodes:
+        value, decided = node.local_value, node.decided
+        if value is not one:
+            all_one = False
+            suspended = suspended or value is bottom
+        committed = committed or decided is one
+        aborted = aborted or decided is zero
+        if node.crashed:
+            continue
+        if decided is None:
+            undecided = True
+        elif live_decision is None:
+            live_decision = decided
+        elif decided is not live_decision:
+            return True
+    if committed and suspended or aborted and all_one:
+        return True
+    return undecided and sim.quiescent()
+
+
 @dataclass(frozen=True)
 class ExhaustiveMode:
     """Depth-first search that checks every state reachable within ``depth``
-    events, not every schedule: each state is checked once, and sleep sets
-    skip orders of commuting actions that another order already covers."""
+    events, not every schedule: each state is checked once, by a predicate
+    on its node records, and sleep sets skip orders of commuting actions
+    that another order already covers.  Only the violating state returned
+    becomes an ``ExecutionTrace``."""
 
     depth: int
 
@@ -587,9 +644,13 @@ def find_violation(
     """Search schedules for a trace that the checker rejects.
 
     Exhaustive mode checks every *state* within ``depth`` events, not every
-    schedule.  It walks depth first in canonical action order with two
-    reductions.  Equal states are cached: each is checked once, on its
-    first visit, and counts once against ``state_budget``.  Sleep sets
+    schedule.  A state is checked by a predicate on its node records
+    (decisions, local values, crashes, and quiescence only while a live
+    node is undecided) that flags exactly what ``check_trace`` flags on its
+    trace; only the state returned becomes an ``ExecutionTrace``.  The
+    walk goes depth first in canonical action order with two reductions.
+    Equal states are cached: each is checked once, on its first visit, and
+    counts once against ``state_budget``.  Sleep sets
     (Godefroid, LNCS 1032, 1996) skip a transition whose target another
     order of the same commuting actions covers at the same depth.  Two
     actions commute when they act on different chains: a step, crash or
@@ -599,8 +660,9 @@ def find_violation(
     A cached state is expanded again when it is reached on fewer events, or
     on as many or more with a sleep set that lacks some of the stored one's
     actions; then only those actions are taken.  Random mode samples
-    uniformly among enabled actions with a fixed seed.  Returns the first
-    violating trace, or None when the bound is reached without one.
+    uniformly among enabled actions with a fixed seed and checks the state
+    each trial ends in.  Returns the first violating trace, or None when
+    the bound is reached without one.
     """
     check_resilience(n, t, allow_zero=True)
     if inputs is None:
@@ -623,9 +685,8 @@ def find_violation(
                 if not actions:
                     break
                 sim.apply(rng.choice(actions))
-            trace = sim.trace()
-            if check_trace(trace).violations:
-                return trace
+            if _violates(sim):
+                return sim.trace()
         return None
     raise TypeError(f"unsupported mode {mode!r}")
 
@@ -636,11 +697,15 @@ def _explore(
     """``find_violation``'s exhaustive walk: state caching plus sleep sets."""
     # Every action identity owns one bit.  A step, suspend and crash of
     # chain c own bits 3c, 3c+1 and 3c+2; deliveries are numbered as met.
-    identities: Dict[tuple, Tuple[int, int, int]] = {}  # key -> bit, chain, offset
+    # A step, suspend or crash keeps its one ``ScheduleAction``; a delivery's
+    # action names a sequence number and is built for each child made.
+    identities: Dict[tuple, Tuple[int, int, Optional[ScheduleAction]]] = {}
     acts_on = [0] * (root.n + 1)
     for chain in range(root.n + 1):
         for offset, kind in enumerate(("step", "suspend", "crash")):
-            identities[(kind, chain)] = (1 << (3 * chain + offset), chain, offset)
+            identities[(kind, chain)] = (
+                1 << (3 * chain + offset), offset, ScheduleAction(kind=kind, chain=chain)
+            )
         acts_on[chain] = 0b111 << (3 * chain)
     # By offset: the bits an action shares a budget with (all suspends, all
     # crashes); steps and deliveries (offset 0) share none.
@@ -663,9 +728,8 @@ def _explore(
                     f"schedule exploration exceeded the state budget of {budget}",
                     explored=explored,
                 )
-            trace = sim.trace()
-            if check_trace(trace).violations:
-                return trace
+            if _violates(sim):
+                return sim.trace()
         events = len(sim.events) + 1
         if events > depth:
             continue
@@ -674,19 +738,20 @@ def _explore(
         skip = sleep | ~allowed
         taken = 0
         children = []
-        for action in sim.enabled(suspensions):
-            if action.kind == "deliver":
-                message = sim.in_flight[action.sequence]
-                key: tuple = (message.receiver, message.sender, message.payload)
+        for kind, chain, message in sim._enabled(suspensions):
+            if message is None:
+                key: tuple = (kind, chain)
             else:
-                key = (action.kind, action.chain)
+                key = (chain, message.sender, message.payload)
             identity = identities.get(key)
             if identity is None:
-                identity = identities[key] = (1 << len(identities), key[0], 0)
-                acts_on[key[0]] |= identity[0]
-            bit, chain, offset = identity
+                identity = identities[key] = (1 << len(identities), 0, None)
+                acts_on[chain] |= identity[0]
+            bit, offset, action = identity
             if bit & (skip | taken):
                 continue
+            if action is None:
+                action = ScheduleAction(kind="deliver", sequence=message.sequence)
             # Children on the depth bound are never expanded: no sleep set.
             child_sleep = 0
             if events < depth:

@@ -6,9 +6,9 @@ always produce byte-identical text.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .errors import InvalidTask
+from .errors import InvalidTask, MalformedTrace
 from .forksim import ExecutionTrace, Message, ScheduleAction, SimEvent, ViolationReport
 from .simplicial import (
     BlockRef,
@@ -34,6 +34,7 @@ __all__ = [
     "task_from_obj",
     "report_to_obj",
     "trace_to_jsonl",
+    "trace_from_jsonl",
     "schedule_to_obj",
     "schedule_from_obj",
 ]
@@ -225,6 +226,103 @@ def trace_to_jsonl(trace: ExecutionTrace, report: ViolationReport | None = None)
             )
         )
     return "\n".join(lines) + "\n"
+
+
+def _int_field(obj: Dict[str, Any], key: str) -> int:
+    value = obj[key]
+    if type(value) is not int:
+        raise TypeError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _list_field(obj: Dict[str, Any], key: str) -> List[Any]:
+    value = obj[key]
+    if not isinstance(value, list):
+        raise TypeError(f"{key!r} must be a list, got {value!r}")
+    return value
+
+
+def _chain_set(obj: Dict[str, Any], key: str) -> frozenset:
+    chains = _list_field(obj, key)
+    if any(type(chain) is not int for chain in chains):
+        raise TypeError(f"{key!r} must list integers, got {chains!r}")
+    return frozenset(chains)
+
+
+def _event_from_obj(obj: Dict[str, Any]) -> SimEvent:
+    kind = obj["kind"]
+    if kind == "deliver":
+        raw = obj["message"]
+        message = Message(
+            sender=_int_field(raw, "from"),
+            receiver=_int_field(raw, "to"),
+            sequence=_int_field(raw, "seq"),
+            payload=tuple(sorted(raw["payload"].items())),
+        )
+        return SimEvent(kind="deliver", chain=message.receiver, message=message)
+    if kind not in ("step", "crash", "suspend"):
+        raise ValueError(f"unknown event kind {kind!r}")
+    return SimEvent(kind=kind, chain=_int_field(obj, "chain"))
+
+
+def trace_from_jsonl(text: str) -> Tuple[ExecutionTrace, Optional[Tuple[str, ...]]]:
+    """Read ``trace_to_jsonl``'s output back: the trace, and the violation
+    kinds its verdict line names (None when the file has no verdict).
+
+    The lines must be one meta record, the events, one outcome and at most
+    one verdict, in that order; anything else raises ``MalformedTrace``.
+    """
+    try:
+        records = [json.loads(line) for line in text.splitlines()]
+    except json.JSONDecodeError as exc:
+        raise MalformedTrace(f"trace line is not JSON: {exc}") from None
+    types = [r.get("type") if isinstance(r, dict) else None for r in records]
+    if "outcome" not in types:
+        raise MalformedTrace("trace has no outcome line")
+    end = types.index("outcome")
+    if (
+        types[0] != "meta"
+        or any(kind != "event" for kind in types[1:end])
+        or types[end + 1:] not in ([], ["verdict"])
+    ):
+        raise MalformedTrace(
+            "trace lines must be meta, events, outcome and an optional verdict"
+        )
+    meta, outcome = records[0], records[end]
+    try:
+        n = _int_field(meta, "n")
+        inputs = tuple(Value.from_code(v) for v in _list_field(meta, "inputs"))
+        decided = tuple(
+            None if v is None else Value.from_code(v)
+            for v in _list_field(outcome, "decided")
+        )
+        realized = tuple(Value.from_code(v) for v in _list_field(outcome, "realized"))
+        if not len(inputs) == len(decided) == len(realized) == n + 1:
+            raise ValueError(f"need {n + 1} inputs, decisions and realized values")
+        quiescent = outcome["quiescent"]
+        if not isinstance(quiescent, bool):
+            raise TypeError(f"'quiescent' must be a boolean, got {quiescent!r}")
+        trace = ExecutionTrace(
+            n=n,
+            t=_int_field(meta, "t"),
+            protocol=str(meta["protocol"]),
+            inputs=inputs,
+            events=tuple(_event_from_obj(r) for r in records[1:end]),
+            outcome=decided,
+            realized=realized,
+            crashed=_chain_set(outcome, "crashed"),
+            suspended=_chain_set(outcome, "suspended"),
+            quiescent=quiescent,
+        )
+        kinds = None
+        if types[end + 1:]:
+            verdict = records[end + 1]
+            kinds = tuple(str(v["kind"]) for v in _list_field(verdict, "violations"))
+            if verdict["ok"] is not (not kinds):
+                raise ValueError("verdict 'ok' disagrees with its violations")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise MalformedTrace(f"malformed trace record: {exc}") from None
+    return trace, kinds
 
 
 def schedule_to_obj(schedule: Sequence[ScheduleAction]) -> List[Dict[str, Any]]:

@@ -41,6 +41,10 @@ class Value(Enum):
     ONE = "1"
     BOTTOM = "bot"
 
+    # Members are singletons, so identity is equality; this hash runs in C
+    # where ``Enum.__hash__`` hashes the member name in Python.
+    __hash__ = object.__hash__
+
     @property
     def rank(self) -> int:
         return _VALUE_RANK[self]

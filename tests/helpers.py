@@ -9,7 +9,7 @@ from __future__ import annotations
 import copy
 import itertools
 from collections import Counter, deque
-from typing import Any, Dict, Iterable, Mapping, Optional, Sequence
+from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from cbtopo.forksim import (
     CommitProtocol,
@@ -210,18 +210,19 @@ def encode_state(sim: Simulation) -> tuple:
     return nodes, frozenset(flight.items()), frozenset(sim.started)
 
 
-def reachable_states(sim: Simulation, depth: int, suspensions: int) -> Dict[tuple, tuple]:
-    """Every state within ``depth`` events of ``sim``, by naive BFS.
+def bfs_states(
+    sim: Simulation, depth: int, suspensions: int
+) -> Iterator[Tuple[tuple, int, Simulation]]:
+    """Every state within ``depth`` events of ``sim``, once each, by naive BFS.
 
     Each child is a ``copy.deepcopy`` of its parent, so no state shares
-    anything with another.  Maps ``encode_state`` of each state to the
-    fewest events that reach it and the violation kinds its trace carries.
+    anything with another.  Yields ``encode_state`` of each state, the
+    fewest events that reach it and the state itself, which the caller
+    must not change.
     """
-
-    def kinds(state: Simulation) -> frozenset:
-        return frozenset(v.kind for v in check_trace(state.trace()).violations)
-
-    states = {encode_state(sim): (0, kinds(sim))}
+    key = encode_state(sim)
+    seen = {key}
+    yield key, 0, sim
     frontier = [sim]
     for events in range(1, depth + 1):
         next_frontier = []
@@ -230,11 +231,20 @@ def reachable_states(sim: Simulation, depth: int, suspensions: int) -> Dict[tupl
                 child = copy.deepcopy(parent)
                 child.apply(action)
                 key = encode_state(child)
-                if key not in states:
-                    states[key] = (events, kinds(child))
+                if key not in seen:
+                    seen.add(key)
+                    yield key, events, child
                     next_frontier.append(child)
         frontier = next_frontier
-    return states
+
+
+def reachable_states(sim: Simulation, depth: int, suspensions: int) -> Dict[tuple, tuple]:
+    """``bfs_states`` as a map from ``encode_state`` of each state to the
+    fewest events that reach it and the violation kinds its trace carries."""
+    return {
+        key: (events, frozenset(v.kind for v in check_trace(state.trace()).violations))
+        for key, events, state in bfs_states(sim, depth, suspensions)
+    }
 
 
 def unreduced_walk(

@@ -1,9 +1,14 @@
 """End-to-end checks of the cbtopo command line."""
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cbtopo
 from cbtopo.cli import main
 from cbtopo.forksim import PROTOCOLS, TwoPhaseCommit
 from cbtopo.serialize import dumps, task_to_obj
@@ -252,6 +257,189 @@ class TestSimulate:
         with pytest.raises(SystemExit) as excinfo:
             main(["simulate", "--n", "2", "--t", "1", "--protocol", "3pc"])
         assert excinfo.value.code == 2
+
+
+@pytest.fixture
+def trace_lines(tmp_path, capsys):
+    """``simulate --trace-out`` lines of the n=2, t=1 atomicity violation."""
+    path = tmp_path / "trace.jsonl"
+    code, _, _ = run_cli(
+        ["simulate", "--n", "2", "--t", "1", "--depth", "10", "--trace-out", str(path)],
+        capsys,
+    )
+    assert code == 0
+    return path.read_text().splitlines(keepends=True)
+
+
+def _replay_lines(tmp_path, capsys, lines):
+    path = tmp_path / "replay.jsonl"
+    path.write_text("".join(lines))
+    return run_cli(["replay", str(path)], capsys)
+
+
+def _edited(lines, index, edit):
+    """``lines`` with the JSON record at ``index`` changed in place by ``edit``."""
+    index %= len(lines)
+    record = json.loads(lines[index])
+    edit(record)
+    return lines[:index] + [json.dumps(record) + "\n"] + lines[index + 1:]
+
+
+class TestReplay:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--n", "2", "--t", "1"],
+            ["--n", "3", "--t", "1"],
+            ["--n", "4", "--t", "1", "--no-suspend"],
+            ["--n", "2", "--t", "0", "--random", "--seed", "3", "--trials", "20"],
+        ],
+    )
+    def test_round_trip_from_simulate(self, argv, tmp_path, capsys):
+        path = tmp_path / "trace.jsonl"
+        code, simulated, _ = run_cli(
+            ["simulate", *argv, "--trace-out", str(path)], capsys
+        )
+        assert code == 0
+        code, out, err = run_cli(["replay", str(path)], capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "replay: REPRODUCED"
+        # The replay prints the run simulate printed, line for line.
+        assert out.splitlines()[1:-1] == simulated.splitlines()[1:]
+
+    def test_file_without_verdict_checks_the_run(self, trace_lines, tmp_path, capsys):
+        code, out, _ = _replay_lines(tmp_path, capsys, trace_lines[:-1])
+        assert code == 0
+        assert "violation[atomicity]:" in out
+        assert out.endswith("replay: REPRODUCED\n")
+
+    def test_corrupted_verdict(self, trace_lines, tmp_path, capsys):
+        def relabel(record):
+            record["violations"][0]["kind"] = "termination"
+
+        code, out, _ = _replay_lines(tmp_path, capsys, _edited(trace_lines, -1, relabel))
+        assert code == 4
+        assert out.endswith("replay: FAILED (violations not reproduced)\n")
+
+    def test_dropped_violation(self, trace_lines, tmp_path, capsys):
+        def clear(record):
+            record["ok"], record["violations"] = True, []
+
+        code, _, _ = _replay_lines(tmp_path, capsys, _edited(trace_lines, -1, clear))
+        assert code == 4
+
+    def test_corrupted_event_payload(self, trace_lines, tmp_path, capsys):
+        # Line 4 is the first delivery, a vote for commit.
+        def flip(record):
+            record["message"]["payload"]["value"] = "0"
+
+        code, out, _ = _replay_lines(tmp_path, capsys, _edited(trace_lines, 4, flip))
+        assert code == 4
+        assert out.endswith("replay: FAILED (events not reproduced)\n")
+
+    def test_corrupted_event_that_cannot_run(self, trace_lines, tmp_path, capsys):
+        # Line 1 starts chain 0; starting chain 1 there makes it start twice.
+        def restart(record):
+            record["chain"] = 1
+
+        code, out, _ = _replay_lines(tmp_path, capsys, _edited(trace_lines, 1, restart))
+        assert code == 4
+        assert "schedule does not run" in out
+
+    def test_corrupted_outcome(self, trace_lines, tmp_path, capsys):
+        def undecide(record):
+            record["decided"][1] = None
+
+        code, out, _ = _replay_lines(tmp_path, capsys, _edited(trace_lines, -2, undecide))
+        assert code == 4
+        assert out.endswith("replay: FAILED (outcome not reproduced)\n")
+
+    @pytest.mark.parametrize("keep", [1, 5, -2])
+    def test_truncated_at_a_line_end(self, keep, trace_lines, tmp_path, capsys):
+        lines = trace_lines[:keep] if keep > 0 else trace_lines[:keep] + trace_lines[-1:]
+        code, out, err = _replay_lines(tmp_path, capsys, lines)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ")
+
+    def test_truncated_mid_line(self, trace_lines, tmp_path, capsys):
+        text = "".join(trace_lines)
+        code, out, err = _replay_lines(tmp_path, capsys, [text[: len(text) // 2]])
+        assert (code, out) == (3, "")
+        assert "not JSON" in err
+
+    @pytest.mark.parametrize(
+        "index,key,value",
+        [
+            (0, "n", "two"),
+            (0, "inputs", "111"),
+            (0, "inputs", ["1", "1"]),
+            (1, "chain", "0"),
+            (1, "kind", "teleport"),
+            (4, "message", {"from": 1}),
+            (-2, "quiescent", "yes"),
+            (-2, "crashed", [None]),
+            (-1, "ok", True),
+        ],
+    )
+    def test_malformed_record(self, index, key, value, trace_lines, tmp_path, capsys):
+        def spoil(record):
+            record[key] = value
+
+        code, out, err = _replay_lines(
+            tmp_path, capsys, _edited(trace_lines, index, spoil)
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ")
+
+    def test_empty_missing_and_binary_files(self, tmp_path, capsys):
+        assert _replay_lines(tmp_path, capsys, [])[0] == 3
+        assert run_cli(["replay", str(tmp_path / "absent.jsonl")], capsys)[0] == 3
+        path = tmp_path / "binary.jsonl"
+        path.write_bytes(b"\xff\xfe\x00")
+        assert run_cli(["replay", str(path)], capsys)[0] == 3
+
+    def test_unknown_protocol_is_a_usage_error(self, trace_lines, tmp_path, capsys):
+        def rename(record):
+            record["protocol"] = "3pc"
+
+        code, _, err = _replay_lines(tmp_path, capsys, _edited(trace_lines, 0, rename))
+        assert code == 2
+        assert "unknown protocol" in err
+
+
+class TestHashIndependence:
+    """``Value`` hashes by identity, which differs from run to run; no
+    output may depend on it, nor on the string hash seed."""
+
+    def test_output_is_the_same_under_two_hash_seeds(self, tmp_path):
+        src = str(Path(cbtopo.__file__).resolve().parent.parent)
+
+        def outputs(seed):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])
+            )
+            task = tmp_path / f"task-{seed}.json"
+            runs = [
+                ["build", "--n", "3"],
+                ["build", "--n", "3", "--out", str(task)],
+                ["analyze", str(task), "--t", "1"],
+                ["search", str(task), "--t", "1", "--N", "1"],
+                ["simulate", "--n", "4", "--t", "1"],
+            ]
+            stdout = []
+            for argv in runs:
+                done = subprocess.run(
+                    [sys.executable, "-m", "cbtopo", *argv],
+                    env=env, capture_output=True, text=True, check=False,
+                )
+                assert done.returncode == 0, done.stderr
+                stdout.append(done.stdout.replace(str(task), "TASK"))
+            return stdout
+
+        first, second = outputs("0"), outputs("1")
+        for one, other in zip(first, second):
+            assert one == other
 
 
 class TestExport:

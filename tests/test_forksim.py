@@ -17,7 +17,6 @@ from cbtopo.forksim import (
     ScheduleAction,
     Simulation,
     TwoPhaseCommit,
-    ViolationReport,
     check_trace,
     find_violation,
     get_protocol,
@@ -27,7 +26,13 @@ from cbtopo.simplicial import BlockRef, Simplex, Value, Vertex
 
 from cbtopo import CbtConfig, build_task
 
-from helpers import TableProtocol, encode_state, reachable_states, unreduced_walk
+from helpers import (
+    TableProtocol,
+    bfs_states,
+    encode_state,
+    reachable_states,
+    unreduced_walk,
+)
 
 
 def A(kind, chain=None, sequence=None):
@@ -553,15 +558,7 @@ class TestSleepSetsAgainstOracles:
     @settings(max_examples=150)
     @given(data=st.data())
     def test_random_protocols_check_every_state(self, data):
-        n = data.draw(st.integers(1, 2), label="n")
-        t = data.draw(st.integers(0, n // 2), label="t")
-        suspensions = data.draw(st.integers(0, 2), label="suspensions")
-        depth = data.draw(st.integers(2, 6 if n == 1 else 5), label="depth")
-        inputs = data.draw(
-            st.lists(st.sampled_from(list(Value)), min_size=n + 1, max_size=n + 1),
-            label="inputs",
-        )
-        protocol = TableProtocol(data.draw(_tables(n), label="table"))
+        n, t, suspensions, depth, inputs, protocol = _draw_table_run(data)
         states = reachable_states(Simulation(n, t, protocol, inputs), depth, suspensions)
         violating = {kinds for _, kinds in states.values() if kinds}
         mode = ExhaustiveMode(depth=depth)
@@ -578,22 +575,61 @@ class TestSleepSetsAgainstOracles:
             events, kinds = states[encode_state(_replayed(trace, protocol))]
             assert events <= len(trace.events) <= depth
             assert kinds == {v.kind for v in check_trace(trace).violations}
-        # With a checker that flags nothing, the walk sweeps the bound: it
-        # checks each reachable state exactly once, so a budget of the
+        # With a state check that flags nothing, the walk sweeps the bound:
+        # it checks each reachable state exactly once, so a budget of the
         # oracle's state count passes and one fewer runs out.
         checked = []
 
-        def record(trace):
-            checked.append(encode_state(_replayed(trace, protocol)))
-            return ViolationReport(())
+        def record(sim):
+            checked.append(encode_state(sim))
+            return False
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(forksim, "check_trace", record)
+            patch.setattr(forksim, "_violates", record)
             assert hunt(len(states)) is None
             assert len(checked) == len(states)
             assert set(checked) == set(states)
             with pytest.raises(ResourceBound):
                 hunt(len(states) - 1)
+
+
+class TestStateCheckAgainstChecker:
+    """The walk's state check says what ``check_trace`` says of the state's
+    trace, on every state the deep-copying BFS reaches."""
+
+    @staticmethod
+    def _agree(sim, depth, suspensions):
+        for _, _, state in bfs_states(sim, depth, suspensions):
+            expected = bool(check_trace(state.trace()).violations)
+            assert forksim._violates(state) == expected, encode_state(state)
+
+    @pytest.mark.parametrize(
+        "n,t,depth,suspensions,position,leg", list(_oracle_grid())
+    )
+    def test_2pc_states(self, n, t, depth, suspensions, position, leg):
+        inputs = [Value.ONE] * (n + 1)
+        inputs[position] = leg
+        self._agree(Simulation(n, t, TwoPhaseCommit(), inputs), depth, suspensions)
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_random_protocol_states(self, data):
+        n, t, suspensions, depth, inputs, protocol = _draw_table_run(data)
+        self._agree(Simulation(n, t, protocol, inputs), depth, suspensions)
+
+
+def _draw_table_run(data):
+    """A small ``TableProtocol`` run: n, t, suspensions, depth, inputs and
+    the protocol, drawn one by one from ``data``."""
+    n = data.draw(st.integers(1, 2), label="n")
+    t = data.draw(st.integers(0, n // 2), label="t")
+    suspensions = data.draw(st.integers(0, 2), label="suspensions")
+    depth = data.draw(st.integers(2, 6 if n == 1 else 5), label="depth")
+    inputs = data.draw(
+        st.lists(st.sampled_from(list(Value)), min_size=n + 1, max_size=n + 1),
+        label="inputs",
+    )
+    return n, t, suspensions, depth, inputs, TableProtocol(data.draw(_tables(n), label="table"))
 
 
 @st.composite

@@ -4,8 +4,15 @@ import json
 import pytest
 
 from cbtopo import CbtConfig, build_task, decide
-from cbtopo.errors import InvalidTask
-from cbtopo.forksim import ScheduleAction, TwoPhaseCommit, check_trace, run
+from cbtopo.errors import InvalidTask, MalformedTrace
+from cbtopo.forksim import (
+    RandomMode,
+    ScheduleAction,
+    TwoPhaseCommit,
+    check_trace,
+    find_violation,
+    run,
+)
 from cbtopo.serialize import (
     complex_from_obj,
     complex_to_obj,
@@ -17,6 +24,7 @@ from cbtopo.serialize import (
     simplex_to_obj,
     task_from_obj,
     task_to_obj,
+    trace_from_jsonl,
     trace_to_jsonl,
     vertex_from_obj,
     vertex_to_obj,
@@ -200,6 +208,32 @@ class TestTraceJsonl:
             "seq": 0,
             "payload": {"kind": "vote", "value": "1"},
         }
+
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_read_back(self, seed):
+        trace = find_violation(
+            3, 1, TwoPhaseCommit(), RandomMode(seed=seed, trials=5), suspensions=seed % 2
+        )
+        assert trace is not None
+        report = check_trace(trace)
+        kinds = tuple(v.kind for v in report.violations)
+        assert trace_from_jsonl(trace_to_jsonl(trace, report)) == (trace, kinds)
+        assert trace_from_jsonl(trace_to_jsonl(trace)) == (trace, None)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            '{"type":"outcome"}\n',
+            '{"type":"meta"}\n{"type":"verdict"}\n{"type":"outcome"}\n',
+            "[]\n",
+            "{\n",
+        ],
+    )
+    def test_malformed_text(self, text):
+        with pytest.raises(MalformedTrace):
+            trace_from_jsonl(text)
 
 
 class TestScheduleObjects:
