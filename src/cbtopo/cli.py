@@ -14,12 +14,10 @@ from typing import Any, Sequence
 from .cbt import CbtConfig, build_colorless_task, build_task
 from .connectivity import connected_components, reduced_betti
 from .errors import (
-    BadResilience,
     CbtopoError,
     InvalidSchedule,
     InvalidTask,
     MalformedTrace,
-    NotColored,
     ResourceBound,
     check_resilience,
 )
@@ -395,10 +393,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (BadResilience, NotColored, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CbtopoError as exc:
+    except (ValueError, CbtopoError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

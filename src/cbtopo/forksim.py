@@ -90,22 +90,15 @@ class NodeState:
         )
 
     def fingerprint(self) -> tuple:
-        return (
-            self.phase,
-            self.local_value,
-            self.decided,
-            self.crashed,
-            self.suspended,
-            _freeze(self.memory),
+        # One level deep, as ``clone`` copies: a list stays unhashable.
+        memory = sorted(
+            (key, tuple(sorted(value.items())) if isinstance(value, dict) else value)
+            for key, value in self.memory.items()
         )
-
-
-def _freeze(value: Any) -> Any:
-    if isinstance(value, dict):
-        return tuple(sorted((k, _freeze(v)) for k, v in value.items()))
-    if isinstance(value, (list, tuple)):
-        return tuple(_freeze(v) for v in value)
-    return value
+        return (
+            self.phase, self.local_value, self.decided, self.crashed, self.suspended,
+            tuple(memory),
+        )
 
 
 @dataclass(frozen=True)
@@ -297,7 +290,6 @@ class Simulation:
         t: int,
         protocol: CommitProtocol,
         inputs: Sequence[Value],
-        block_index: int = 0,
     ) -> None:
         if len(inputs) != n + 1:
             raise ValueError(f"need {n + 1} input values, got {len(inputs)}")
@@ -306,7 +298,7 @@ class Simulation:
         self.protocol = protocol
         self.inputs = tuple(inputs)
         self.nodes = [
-            NodeState(chain=BlockRef(i, block_index), local_value=value)
+            NodeState(chain=BlockRef(i), local_value=value)
             for i, value in enumerate(inputs)
         ]
         self.in_flight: Dict[int, Message] = {}
@@ -500,7 +492,6 @@ def run(
     schedule: Sequence[ScheduleAction],
     *,
     inputs: Sequence[Value] | None = None,
-    block_index: int = 0,
 ) -> ExecutionTrace:
     """Execute one explicit schedule and return its trace.
 
@@ -510,7 +501,7 @@ def run(
     check_resilience(n, t, allow_zero=True)
     if inputs is None:
         inputs = [Value.ONE] * (n + 1)
-    sim = Simulation(n, t, protocol, inputs, block_index)
+    sim = Simulation(n, t, protocol, inputs)
     for action in schedule:
         sim.apply(action)
     return sim.trace()
@@ -657,12 +648,10 @@ def find_violation(
     suspend acts on its own chain, a delivery on its receiver.  Two crashes,
     or two suspensions, share a budget and never commute.  A delivery is
     identified by receiver, sender and payload, not by its sequence number.
-    A cached state is expanded again when it is reached on fewer events, or
-    on as many or more with a sleep set that lacks some of the stored one's
-    actions; then only those actions are taken.  Random mode samples
-    uniformly among enabled actions with a fixed seed and checks the state
-    each trial ends in.  Returns the first violating trace, or None when
-    the bound is reached without one.
+    A cached state is expanded again, not checked again, when it is reached
+    on fewer events.  Random mode samples uniformly among enabled actions
+    with a fixed seed and checks the state each trial ends in.  Returns the
+    first violating trace, or None when the bound is reached without one.
     """
     check_resilience(n, t, allow_zero=True)
     if inputs is None:
@@ -694,7 +683,33 @@ def find_violation(
 def _explore(
     root: Simulation, depth: int, suspensions: int, budget: int
 ) -> Optional[ExecutionTrace]:
-    """``find_violation``'s exhaustive walk: state caching plus sleep sets."""
+    """``find_violation``'s exhaustive walk: state caching plus sleep sets.
+
+    The cache maps a state to the fewest events that reached it, not to a
+    sleep set, and drops a state reached again on as many events or more.
+    Every state within the bound is still checked.  Let dist(s) be the
+    fewest events that reach s, and call an entry for s at dist(s) events
+    a dist-entry.
+    1. At most one dist-entry is pushed per state, and every entry on the
+       tree path of a dist-entry is a dist-entry.
+    2. If an entry r pushed a state that a later entry E at the same event
+       count finds cached, the subtree of r's push finished before E was
+       popped: the stack is LIFO, and no entry descends from another at
+       its own event count.
+    3. By induction on finishing time: for a dist-entry E at x and a path
+       a.w from x that stays shortest and within the bound, x.a.w gets a
+       dist-entry.  If a is taken at E, recurse into x.a's dist-entry, E's
+       own child or, by (2), one that finished earlier.  If a is asleep at
+       E, it was taken at an ancestor y before the branch toward x, and it
+       commutes with every action on the tree path p from y to x: actions
+       on different chains commute as states, since the fingerprint
+       ignores sequence numbers, and neither disables the other.  So
+       x.a.w is y.a.p.w, and y.a's dist-entry finished before E, by
+       sibling order or by (2).
+    At the root, (3) covers every state within the bound, so revisiting a
+    cached state reached with fewer actions asleep (Godefroid, LNCS 1032,
+    1996, section 5) would only walk again states the walk reaches anyway.
+    """
     # Every action identity owns one bit.  A step, suspend and crash of
     # chain c own bits 3c, 3c+1 and 3c+2; deliveries are numbered as met.
     # A step, suspend or crash keeps its one ``ScheduleAction``; a delivery's
@@ -711,16 +726,12 @@ def _explore(
     # crashes); steps and deliveries (offset 0) share none.
     suspends = sum(1 << (3 * chain + 1) for chain in range(root.n + 1))
     shared = (0, suspends, suspends << 1)
-    # Each visited state maps to its sleep set and the fewest events that
-    # reached it, packed as ``sleep << shift | events``.
-    shift = depth.bit_length()
-    fewest = (1 << shift) - 1
     seen = {root.fingerprint(): 0}
-    # Stack entries: state, sleep set, actions it may take, first visit.
-    stack = [(root, 0, -1, True)]
+    # Stack entries: state, sleep set, first visit.
+    stack = [(root, 0, True)]
     explored = 0
     while stack:
-        sim, sleep, allowed, first = stack.pop()
+        sim, sleep, first = stack.pop()
         if first:
             explored += 1
             if explored > budget:
@@ -735,7 +746,6 @@ def _explore(
             continue
         # Taken actions join the sleep sets of later siblings they commute
         # with; an identity already taken here (a twin message) is skipped.
-        skip = sleep | ~allowed
         taken = 0
         children = []
         for kind, chain, message in sim._enabled(suspensions):
@@ -748,7 +758,7 @@ def _explore(
                 identity = identities[key] = (1 << len(identities), 0, None)
                 acts_on[chain] |= identity[0]
             bit, offset, action = identity
-            if bit & (skip | taken):
+            if bit & (sleep | taken):
                 continue
             if action is None:
                 action = ScheduleAction(kind="deliver", sequence=message.sequence)
@@ -765,15 +775,7 @@ def _explore(
             child.apply(action)
             state = child.fingerprint()
             known = seen.get(state)
-            if known is None or known & fewest > events:
-                seen[state] = child_sleep << shift | events
-                stack.append((child, child_sleep, -1, known is None))
-                continue
-            # Reached again on as many events or more: take only the actions
-            # asleep at the earlier visits but awake now, and keep the
-            # intersection of the two sleep sets.
-            missing = (known >> shift) & ~child_sleep
-            if missing and events < depth:
-                seen[state] = known ^ (missing << shift)
-                stack.append((child, child_sleep, missing, False))
+            if known is None or known > events:
+                seen[state] = events
+                stack.append((child, child_sleep, known is None))
     return None

@@ -66,11 +66,11 @@ def vertex_from_obj(obj: Dict[str, Any]) -> Vertex:
         chain = obj["chain"]
         block = obj["block"]
         value = Value.from_code(obj["value"])
+        if (chain is None) != (block is None):
+            raise InvalidTask(f"vertex {obj!r} must set chain and block together")
+        ref = None if chain is None else BlockRef(chain=chain, block=block)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidTask(f"malformed vertex object {obj!r}: {exc}") from None
-    if (chain is None) != (block is None):
-        raise InvalidTask(f"vertex {obj!r} must set chain and block together")
-    ref = None if chain is None else BlockRef(chain=chain, block=block)
     return Vertex(block=ref, value=value)
 
 
@@ -114,7 +114,7 @@ def task_from_obj(obj: Dict[str, Any]) -> Task:
     try:
         input_complex = complex_from_obj(obj["input"])
         output_complex = complex_from_obj(obj["output"])
-        entries_raw = obj["carrier"]
+        entries_raw = list(obj["carrier"])
         colored = bool(obj["colored"])
     except (KeyError, TypeError) as exc:
         raise InvalidTask(f"malformed task object: {exc}") from None

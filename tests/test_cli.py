@@ -130,6 +130,27 @@ class TestAnalyze:
         assert code == 3
         assert "cannot load task" in err
 
+    @pytest.mark.parametrize(
+        "where,key,value",
+        [
+            pytest.param("input", "chain", -1, id="negative-chain"),
+            pytest.param("output", "block", -2, id="negative-block"),
+            pytest.param(None, "carrier", 5, id="carrier-int"),
+            pytest.param(None, "carrier", None, id="carrier-null"),
+        ],
+    )
+    def test_malformed_task_exits_io(self, task_file, tmp_path, where, key, value, capsys):
+        obj = json.loads(task_file.read_text())
+        if where is None:
+            obj[key] = value
+        else:
+            obj[where]["facets"][-1][0][key] = value
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(obj))
+        code, _, err = run_cli(["analyze", str(path), "--t", "1"], capsys)
+        assert code == 3
+        assert "cannot load task" in err
+
 
 class TestSearch:
     def test_no_map_on_the_split_task(self, task_file, capsys):

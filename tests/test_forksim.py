@@ -81,6 +81,24 @@ class TestNodeState:
         assert node.memory["votes"] == {0: "1"}
         assert node.fingerprint() != twin.fingerprint()
 
+    def test_list_in_memory_is_rejected(self):
+        """Memory holds scalars and flat dicts only: ``clone`` would share a
+        list between states, so the walk refuses to fingerprint one."""
+
+        class LogProtocol(CommitProtocol):
+            name = "log"
+
+            def on_start(self, node, n):
+                node.memory.setdefault("log", []).append("start")
+                return [(1 - node.index, {"kind": "ping"})]
+
+            def on_message(self, node, sender, payload, n):
+                node.memory.setdefault("log", []).append(payload["kind"])
+                return []
+
+        with pytest.raises(TypeError, match="unhashable"):
+            find_violation(1, 0, LogProtocol(), ExhaustiveMode(depth=4), suspensions=0)
+
     def test_fingerprint_ignores_nothing_visible(self):
         node = NodeState(chain=BlockRef(0), local_value=Value.ONE)
         base = node.fingerprint()
@@ -575,22 +593,67 @@ class TestSleepSetsAgainstOracles:
             events, kinds = states[encode_state(_replayed(trace, protocol))]
             assert events <= len(trace.events) <= depth
             assert kinds == {v.kind for v in check_trace(trace).violations}
-        # With a state check that flags nothing, the walk sweeps the bound:
-        # it checks each reachable state exactly once, so a budget of the
-        # oracle's state count passes and one fewer runs out.
-        checked = []
+        _assert_sweep_checks_each_once(hunt, states)
 
-        def record(sim):
-            checked.append(encode_state(sim))
-            return False
+    @pytest.mark.parametrize(
+        "n,t,suspensions,depth,inputs,table",
+        [
+            pytest.param(
+                1, 0, 2, 6, [Value.BOTTOM, Value.ZERO],
+                {
+                    ("init", "start"): ("a", [(1, "y")], True, "own"),
+                    ("init", "y"): ("init", [(1, "y"), (0, "y")], False, "1"),
+                    ("b", "y"): ("a", [(0, "x"), (0, "y")], False, None),
+                },
+                id="n1-s2",
+            ),
+            pytest.param(
+                2, 1, 0, 8, [Value.ONE, Value.BOTTOM, Value.BOTTOM],
+                {
+                    ("init", "start"): ("a", [(2, "y"), (2, "x")], True, "0"),
+                    ("a", "y"): ("a", [(2, "y")], False, "1"),
+                    ("b", "x"): ("init", [(2, "x"), (1, "y")], True, None),
+                    ("b", "y"): ("a", [(0, "y")], True, "1"),
+                },
+                id="n2-t1",
+            ),
+        ],
+    )
+    def test_revisit_free_walk_on_load_bearing_tables(
+        self, n, t, suspensions, depth, inputs, table
+    ):
+        """Protocols where a walk that revisits a cached state with a
+        smaller sleep set reaches some state first through that revisit;
+        the walk without it reaches each of them another way."""
+        protocol = TableProtocol(table)
+        states = reachable_states(Simulation(n, t, protocol, inputs), depth, suspensions)
 
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(forksim, "_violates", record)
-            assert hunt(len(states)) is None
-            assert len(checked) == len(states)
-            assert set(checked) == set(states)
-            with pytest.raises(ResourceBound):
-                hunt(len(states) - 1)
+        def hunt(budget):
+            return find_violation(
+                n, t, protocol, ExhaustiveMode(depth=depth),
+                suspensions=suspensions, inputs=inputs, state_budget=budget,
+            )
+
+        _assert_sweep_checks_each_once(hunt, states)
+
+
+def _assert_sweep_checks_each_once(hunt, states):
+    """With a state check that flags nothing, ``hunt(budget)`` sweeps the
+    bound: it checks each of the oracle's ``states`` exactly once, so a
+    budget of their count passes and one fewer runs out."""
+    checked = []
+
+    def record(sim):
+        checked.append(encode_state(sim))
+        return False
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(forksim, "_violates", record)
+        assert hunt(len(states)) is None
+        assert len(checked) == len(states)
+        assert set(checked) == set(states)
+        with pytest.raises(ResourceBound):
+            hunt(len(states) - 1)
 
 
 class TestStateCheckAgainstChecker:
