@@ -37,7 +37,7 @@ from .serialize import (
     dumps,
     report_to_obj,
     task_from_obj,
-    task_to_obj,
+    task_to_json,
     trace_from_jsonl,
     trace_to_jsonl,
 )
@@ -83,9 +83,11 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _load_task(path: str) -> Task:
     with open(path, "r", encoding="utf-8") as handle:
-        obj = json.load(handle)
+        text = handle.read()
     try:
-        return task_from_obj(obj)
+        return task_from_obj(json.loads(text))
+    except RecursionError:
+        raise InvalidTask(f"cannot load task from {path}: JSON nested too deeply") from None
     except CbtopoError as exc:
         raise InvalidTask(f"cannot load task from {path}: {exc}") from None
 
@@ -109,7 +111,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         return _usage_error("--block-index must be non-negative")
     config = CbtConfig(n=args.n, block_index=args.block_index)
     task = build_colorless_task(config) if args.colorless else build_task(config)
-    text = dumps(task_to_obj(task))
+    text = task_to_json(task)
     if args.out is None:
         sys.stdout.write(text)
         sys.stderr.write(_task_summary(task))

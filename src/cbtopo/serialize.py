@@ -30,6 +30,7 @@ __all__ = [
     "simplex_from_obj",
     "complex_to_obj",
     "complex_from_obj",
+    "task_to_json",
     "task_to_obj",
     "task_from_obj",
     "report_to_obj",
@@ -94,20 +95,63 @@ def complex_from_obj(obj: Dict[str, Any]) -> Complex:
     return make_complex([[vertex_from_obj(v) for v in facet] for facet in facets])
 
 
-def task_to_obj(task: Task) -> Dict[str, Any]:
+_INDENT = "  "
+
+
+def _json_list(items: Sequence[str], depth: int) -> str:
+    """A JSON list at nesting ``depth``, laid out as ``json.dumps(indent=2)``
+    lays it out, from items already encoded at ``depth + 1``."""
+    if not items:
+        return "[]"
+    inner = "\n" + _INDENT * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + _INDENT * depth + "]"
+
+
+def _json_object(fields: Sequence[Tuple[str, str]], depth: int) -> str:
+    """A JSON object at nesting ``depth``, laid out like ``_json_list``."""
+    inner = "\n" + _INDENT * (depth + 1)
+    pairs = (f"{json.dumps(key)}: {text}" for key, text in fields)
+    return "{" + inner + ("," + inner).join(pairs) + "\n" + _INDENT * depth + "}"
+
+
+def task_to_json(task: Task) -> str:
+    """The task file: the same text as ``dumps`` of the task object.
+
+    A task repeats its few distinct vertices throughout, so each one is
+    encoded once per nesting depth, from ``vertex_to_obj``, and the pieces
+    are joined around it.  This is the one definition of the task format.
+    """
+    encoded: Dict[Tuple[Any, int], str] = {}
+
+    def simplex(s: Simplex, depth: int) -> str:
+        items = []
+        for v in s:
+            text = encoded.get((v, depth))
+            if text is None:
+                text = json.dumps(vertex_to_obj(v), indent=2)
+                text = encoded[v, depth] = text.replace("\n", "\n" + _INDENT * (depth + 1))
+            items.append(text)
+        return _json_list(items, depth)
+
+    def facets(complex_: Complex, depth: int) -> str:
+        return _json_list([simplex(f, depth + 1) for f in complex_.facets], depth)
+
     carrier = [
-        {
-            "simplex": simplex_to_obj(simplex),
-            "image_facets": [simplex_to_obj(f) for f in image.facets],
-        }
-        for simplex, image in task.carrier.items()
+        _json_object((("simplex", simplex(s, 3)), ("image_facets", facets(image, 3))), 2)
+        for s, image in task.carrier.items()
     ]
-    return {
-        "input": complex_to_obj(task.input),
-        "output": complex_to_obj(task.output),
-        "carrier": carrier,
-        "colored": task.colored,
-    }
+    fields = (
+        ("input", _json_object((("facets", facets(task.input, 2)),), 1)),
+        ("output", _json_object((("facets", facets(task.output, 2)),), 1)),
+        ("carrier", _json_list(carrier, 1)),
+        ("colored", json.dumps(task.colored)),
+    )
+    return _json_object(fields, 0) + "\n"
+
+
+def task_to_obj(task: Task) -> Dict[str, Any]:
+    """The task as fresh JSON objects, read back from ``task_to_json``."""
+    return json.loads(task_to_json(task))
 
 
 def task_from_obj(obj: Dict[str, Any]) -> Task:
@@ -276,6 +320,8 @@ def trace_from_jsonl(text: str) -> Tuple[ExecutionTrace, Optional[Tuple[str, ...
         records = [json.loads(line) for line in text.splitlines()]
     except json.JSONDecodeError as exc:
         raise MalformedTrace(f"trace line is not JSON: {exc}") from None
+    except RecursionError:
+        raise MalformedTrace("trace line is JSON nested too deeply") from None
     types = [r.get("type") if isinstance(r, dict) else None for r in records]
     if "outcome" not in types:
         raise MalformedTrace("trace has no outcome line")

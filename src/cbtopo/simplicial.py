@@ -10,6 +10,7 @@ are total and reproducible across runs.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Dict, Iterable, Iterator, Mapping, Tuple
@@ -52,8 +53,8 @@ class Value(Enum):
     @classmethod
     def from_code(cls, code: str) -> "Value":
         try:
-            return cls(code)
-        except ValueError:
+            return _VALUE_OF_CODE[code]
+        except (KeyError, TypeError):
             raise ValueError(f"unknown value code {code!r}") from None
 
     def __str__(self) -> str:
@@ -61,38 +62,114 @@ class Value(Enum):
 
 
 _VALUE_RANK = {Value.ZERO: 0, Value.ONE: 1, Value.BOTTOM: 2}
+_VALUE_OF_CODE = {value.value: value for value in Value}
 
 
-@dataclass(frozen=True)
-class BlockRef:
-    """Identity of one block on one chain: chain index plus block index."""
+class _Interned:
+    """Base of the interned value objects: one instance per distinct key.
 
-    chain: int
-    block: int = 0
+    A subclass builds each instance once, in ``__new__``, and registers it
+    in its class-level ``_table`` with ``dict.setdefault``, so two threads
+    interning one key get the same object.  Instances are immutable, so
+    equality and hashing are identity (inherited from ``object``);
+    ``copy`` and ``deepcopy`` return the instance itself, and ``pickle``
+    rebuilds it through the constructor, which returns the interned
+    instance.  The table keeps every distinct instance for the life of the
+    process.
+    """
 
-    def __post_init__(self) -> None:
-        if self.chain < 0 or self.block < 0:
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __copy__(self) -> "_Interned":
+        return self
+
+    def __deepcopy__(self, memo: dict) -> "_Interned":
+        return self
+
+
+class BlockRef(_Interned):
+    """Identity of one block on one chain: chain index plus block index.
+
+    Interned: ``BlockRef(c, b)`` returns the one instance for (c, b), so
+    equality is identity.  Both indices must be non-negative ``int``s; a
+    ``bool`` or a float is refused before the table is consulted, since
+    ``True`` and ``1.0`` hash and compare equal to 1.
+    """
+
+    __slots__ = ("chain", "block")
+    _table: Dict[Tuple[int, int], "BlockRef"] = {}
+
+    def __new__(cls, chain: int, block: int = 0) -> "BlockRef":
+        if type(chain) is not int or type(block) is not int:
+            raise TypeError(
+                f"chain and block indices must be integers, got {chain!r} and {block!r}"
+            )
+        if chain < 0 or block < 0:
             raise ValueError("chain and block indices must be non-negative")
+        ref = cls._table.get((chain, block))
+        if ref is None:
+            ref = object.__new__(cls)
+            object.__setattr__(ref, "chain", chain)
+            object.__setattr__(ref, "block", block)
+            ref = cls._table.setdefault((chain, block), ref)
+        return ref
+
+    def __reduce__(self) -> tuple:
+        return (BlockRef, (self.chain, self.block))
+
+    def __repr__(self) -> str:
+        return f"BlockRef(chain={self.chain!r}, block={self.block!r})"
 
     def __str__(self) -> str:
         return f"v{self.chain}.{self.block}"
 
 
-@dataclass(frozen=True)
-class Vertex:
-    """A (block, value) pair; ``block`` is None for colorless vertices."""
+class Vertex(_Interned):
+    """A (block, value) pair; ``block`` is None for colorless vertices.
 
-    block: BlockRef | None
-    value: Value
+    Interned: ``Vertex(b, v)`` returns the one instance for (b, v), so
+    equality is identity, and its sort key is computed once, here.
+    """
+
+    __slots__ = ("block", "value", "_key")
+    _table: Dict[Tuple[BlockRef | None, Value], "Vertex"] = {}
+
+    def __new__(cls, block: BlockRef | None, value: Value) -> "Vertex":
+        vertex = cls._table.get((block, value))
+        if vertex is not None:
+            return vertex
+        if type(value) is not Value:
+            raise TypeError(f"vertex value must be a Value, got {value!r}")
+        if block is None:
+            key: tuple = (0, value.rank)
+        elif type(block) is BlockRef:
+            key = (1, block.chain, block.block, value.rank)
+        else:
+            raise TypeError(f"vertex block must be a BlockRef or None, got {block!r}")
+        vertex = object.__new__(cls)
+        object.__setattr__(vertex, "block", block)
+        object.__setattr__(vertex, "value", value)
+        object.__setattr__(vertex, "_key", key)
+        return cls._table.setdefault((block, value), vertex)
+
+    def __reduce__(self) -> tuple:
+        return (Vertex, (self.block, self.value))
 
     @property
     def colored(self) -> bool:
         return self.block is not None
 
     def sort_key(self) -> tuple:
-        if self.block is None:
-            return (0, self.value.rank)
-        return (1, self.block.chain, self.block.block, self.value.rank)
+        return self._key
+
+    def __repr__(self) -> str:
+        return f"Vertex(block={self.block!r}, value={self.value!r})"
 
     def __str__(self) -> str:
         if self.block is None:
@@ -120,6 +197,9 @@ class SubdivisionVertex:
         return f"b{self.level}{self.below}"
 
 
+_sort_key = operator.methodcaller("sort_key")
+
+
 class Simplex:
     """A non-empty, duplicate-free vertex set kept in canonical order."""
 
@@ -132,10 +212,10 @@ class Simplex:
         vset = frozenset(vs)
         if len(vset) != len(vs):
             raise MalformedSimplex(f"repeated vertex in simplex {vs!r}")
-        ordered = tuple(sorted(vs, key=lambda v: v.sort_key()))
+        ordered = tuple(sorted(vs, key=_sort_key))
         self._vertices = ordered
         self._vertex_set = vset
-        self._key = tuple(v.sort_key() for v in ordered)
+        self._key = tuple(map(_sort_key, ordered))
         self._hash = hash(ordered)
 
     @property
@@ -214,11 +294,11 @@ class Complex:
         for s in candidates[len(maximal):]:
             if not any(s.issubset(kept) for kept in maximal):
                 maximal.append(s)
-        self._facets = tuple(sorted(maximal, key=lambda s: s.sort_key()))
+        self._facets = tuple(sorted(maximal, key=Simplex.sort_key))
         self._by_dim: Dict[int, Tuple[Simplex, ...]] | None = None
         vset = frozenset(v for f in self._facets for v in f)
         self._vertex_set = vset
-        self._vertices = tuple(sorted(vset, key=lambda v: v.sort_key()))
+        self._vertices = tuple(sorted(vset, key=_sort_key))
 
     @property
     def facets(self) -> Tuple[Simplex, ...]:

@@ -322,6 +322,57 @@ class TableProtocol(CommitProtocol):
         return self._react(node, payload["kind"], sender, payload["value"], n)
 
 
+_RANK_OF_CODE = {"0": 0, "1": 1, "bot": 2}
+
+
+def vertex_key_oracle(vertex: Vertex) -> tuple:
+    """Canonical order of a vertex, from its fields alone: colorless
+    vertices first, then colored ones by chain, block and value, with
+    values ordered 0 < 1 < bot."""
+    rank = _RANK_OF_CODE[vertex.value.value]
+    if vertex.block is None:
+        return (0, rank)
+    return (1, vertex.block.chain, vertex.block.block, rank)
+
+
+def task_obj_oracle(task: Task) -> dict:
+    """The JSON object of a task file, by a walk of its own: vertices as
+    chain/block/value objects, each simplex and facet list sorted by
+    ``vertex_key_oracle``, and one carrier entry per input simplex, by
+    dimension and then vertex order."""
+
+    def ordered(simplex: Simplex) -> list:
+        return sorted(simplex.vertex_set, key=vertex_key_oracle)
+
+    def key(simplex: Simplex) -> tuple:
+        return tuple(vertex_key_oracle(v) for v in ordered(simplex))
+
+    def vertex_obj(vertex: Vertex) -> dict:
+        block = vertex.block
+        return {
+            "chain": None if block is None else block.chain,
+            "block": None if block is None else block.block,
+            "value": vertex.value.value,
+        }
+
+    def simplex_obj(simplex: Simplex) -> list:
+        return [vertex_obj(v) for v in ordered(simplex)]
+
+    def facets_obj(complex_: Complex) -> list:
+        return [simplex_obj(f) for f in sorted(complex_.facets, key=key)]
+
+    domain = sorted(task.input.simplices(), key=lambda s: (len(s.vertex_set), key(s)))
+    return {
+        "input": {"facets": facets_obj(task.input)},
+        "output": {"facets": facets_obj(task.output)},
+        "carrier": [
+            {"simplex": simplex_obj(s), "image_facets": facets_obj(task.carrier[s])}
+            for s in domain
+        ],
+        "colored": task.colored,
+    }
+
+
 # ---------------------------------------------------------------------------
 # Toy task builders
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 """End-to-end checks of the cbtopo command line."""
+import hashlib
 import json
 import os
 import random
@@ -65,6 +66,28 @@ class TestBuild:
         code, out, err = run_cli(argv, capsys)
         assert code == 2
         assert err.startswith("error:")
+
+    # sha256 of ``build --n k [--colorless] --block-index 7`` stdout, as the
+    # object-by-object encoder wrote it before the task writer replaced it.
+    @pytest.mark.parametrize(
+        "n,flags,digest",
+        [
+            (1, [], "bf3b53de1c5a995addc567dcd8851a2ead599fb1b15237821c7ca84709cd2a12"),
+            (1, ["--colorless"], "c1d2404dd337e7c0aea1698f0347bb92d92533a6c058078b41bf099c8fe81741"),
+            (2, [], "43347f430312fd6dc05c526d1fea65740ddb69866a5ca8d6f158ced6e7249660"),
+            (2, ["--colorless"], "ae88835fbd4593afb30f0f5e461f07cb7d0aa288e7d4e14ee199019d2003ee46"),
+            (3, [], "e69e5f8933c139831413cdaf404098305c0a9961fc9e0c96ad208dda4e942e89"),
+            (3, ["--colorless"], "02ee738bbb8a6a06c6a916aef8bfc926a352b5e201a60eb9f97b250610903afa"),
+            (4, [], "9881e6b4ede09d3f87724c4ecd0640361ad8883d6bf97937f36ee065df0622c1"),
+            (4, ["--colorless"], "9a511fb17a745a74b35706c690b7cc1676ab86d2446eb942e930579fe7db2aa8"),
+        ],
+    )
+    def test_output_bytes_are_pinned(self, n, flags, digest, capsys):
+        code, out, err = run_cli(
+            ["build", "--n", str(n), *flags, "--block-index", "7"], capsys
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 class TestAnalyze:
@@ -150,6 +173,41 @@ class TestAnalyze:
         code, _, err = run_cli(["analyze", str(path), "--t", "1"], capsys)
         assert code == 3
         assert "cannot load task" in err
+
+    @pytest.mark.parametrize(
+        "key,old,new",
+        [("chain", 1, True), ("chain", 1, 1.0), ("block", 0, 0.5)],
+        ids=["chain-true", "chain-float", "block-float"],
+    )
+    def test_non_integer_index_exits_io(self, task_file, tmp_path, key, old, new, capsys):
+        # Every vertex with that index is rewritten, so the task would still
+        # be consistent if the index were read as the equal integer.
+        text = task_file.read_text()
+        spoiled = text.replace(f'"{key}": {old},', f'"{key}": {json.dumps(new)},')
+        assert spoiled != text
+        path = tmp_path / "spoiled.json"
+        path.write_text(spoiled)
+        code, out, err = run_cli(["analyze", str(path), "--t", "1"], capsys)
+        assert (code, out) == (3, "")
+        assert "cannot load task" in err
+        assert "must be integers" in err
+
+
+@pytest.mark.parametrize(
+    "command,options",
+    [
+        ("analyze", ["--t", "1"]),
+        ("search", ["--t", "1", "--N", "0"]),
+        ("export", []),
+        ("replay", []),
+    ],
+)
+def test_deeply_nested_json_exits_io(command, options, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    code, out, err = run_cli([command, str(path), *options], capsys)
+    assert (code, out) == (3, "")
+    assert "nested too deeply" in err
 
 
 class TestSearch:
@@ -429,8 +487,10 @@ class TestReplay:
 
 
 class TestHashIndependence:
-    """``Value`` hashes by identity, which differs from run to run; no
-    output may depend on it, nor on the string hash seed."""
+    """``Value``, ``BlockRef`` and ``Vertex`` hash by identity, that is by
+    address, which differs from run to run; no output may depend on it, nor
+    on the string hash seed.  The runs cover colored and colorless tasks and
+    every command that writes one."""
 
     def test_output_is_the_same_under_two_hash_seeds(self, tmp_path):
         src = str(Path(cbtopo.__file__).resolve().parent.parent)
@@ -441,11 +501,17 @@ class TestHashIndependence:
                 filter(None, [src, os.environ.get("PYTHONPATH")])
             )
             task = tmp_path / f"task-{seed}.json"
+            colorless = tmp_path / f"colorless-{seed}.json"
             runs = [
                 ["build", "--n", "3"],
                 ["build", "--n", "3", "--out", str(task)],
+                ["build", "--colorless", "--n", "3"],
+                ["build", "--colorless", "--n", "3", "--out", str(colorless)],
                 ["analyze", str(task), "--t", "1"],
                 ["search", str(task), "--t", "1", "--N", "1"],
+                ["search", str(colorless), "--t", "1", "--N", "1"],
+                ["export", str(task), "--format", "dot"],
+                ["export", str(colorless), "--format", "json", "--which", "output"],
                 ["simulate", "--n", "4", "--t", "1"],
             ]
             stdout = []
@@ -455,7 +521,9 @@ class TestHashIndependence:
                     env=env, capture_output=True, text=True, check=False,
                 )
                 assert done.returncode == 0, done.stderr
-                stdout.append(done.stdout.replace(str(task), "TASK"))
+                stdout.append(
+                    done.stdout.replace(str(task), "TASK").replace(str(colorless), "TASK")
+                )
             return stdout
 
         first, second = outputs("0"), outputs("1")

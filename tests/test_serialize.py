@@ -1,9 +1,10 @@
 """JSON round trips for vertices, complexes, tasks, reports, traces."""
 import json
+import random
 
 import pytest
 
-from cbtopo import CbtConfig, build_task, decide
+from cbtopo import CbtConfig, build_colorless_task, build_task, decide
 from cbtopo.errors import InvalidTask, MalformedTrace
 from cbtopo.forksim import (
     RandomMode,
@@ -23,6 +24,7 @@ from cbtopo.serialize import (
     simplex_from_obj,
     simplex_to_obj,
     task_from_obj,
+    task_to_json,
     task_to_obj,
     trace_from_jsonl,
     trace_to_jsonl,
@@ -31,7 +33,16 @@ from cbtopo.serialize import (
 )
 from cbtopo.simplicial import barycentric_subdivide
 
-from helpers import cx, free, identity_task, sx, vtx
+from helpers import (
+    cx,
+    free,
+    identity_task,
+    random_induced_image_task,
+    random_shared_mask_task,
+    sx,
+    task_obj_oracle,
+    vtx,
+)
 
 
 class TestVertexObjects:
@@ -129,6 +140,35 @@ class TestTaskObjects:
         ]
         with pytest.raises(InvalidTask):
             task_from_obj(obj)
+
+
+class TestTaskWriter:
+    """``task_to_json`` is ``dumps`` of an independently built task object."""
+
+    @staticmethod
+    def check(task):
+        text = task_to_json(task)
+        assert text == json.dumps(task_obj_oracle(task), indent=2) + "\n"
+        assert dumps(task_to_obj(task)) == text
+
+    @pytest.mark.parametrize("colorless", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_cbt_tasks(self, n, colorless):
+        config = CbtConfig(n=n, block_index=7)
+        self.check(build_colorless_task(config) if colorless else build_task(config))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_tasks(self, seed):
+        self.check(random_shared_mask_task(random.Random(seed)))
+        self.check(random_induced_image_task(random.Random(seed)))
+
+    def test_identity_task(self):
+        self.check(identity_task(cx([vtx(0, "1"), vtx(1, "0"), vtx(2, "1")])))
+
+    def test_task_to_obj_returns_fresh_objects(self, cbt_tasks):
+        first = task_to_obj(cbt_tasks[1])
+        first["input"]["facets"][0][0]["value"] = "bot"
+        assert task_to_obj(cbt_tasks[1])["input"]["facets"][0][0]["value"] != "bot"
 
 
 class TestReportObjects:

@@ -1,7 +1,10 @@
 """Core complex machinery: vertices, simplices, complexes, subdivision."""
+import copy
 import itertools
 import math
+import pickle
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +26,16 @@ from cbtopo.simplicial import (
     make_complex,
 )
 
-from helpers import bfs_components, closure_oracle, cx, free, maximal_facets, sx, vtx
+from helpers import (
+    bfs_components,
+    closure_oracle,
+    cx,
+    free,
+    maximal_facets,
+    sx,
+    vertex_key_oracle,
+    vtx,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +66,89 @@ class TestBlockRef:
     def test_negative_indices_rejected(self, chain, block):
         with pytest.raises(ValueError):
             BlockRef(chain, block)
+
+    @pytest.mark.parametrize("chain,block", [(True, 0), (1.0, 0), (0, 0.5), (0, False), ("1", 0)])
+    def test_non_integer_indices_rejected(self, chain, block):
+        # The instances for the equal integer keys exist already.
+        assert str(BlockRef(1, 0)) == "v1.0"
+        assert str(BlockRef(0, 0)) == "v0.0"
+        with pytest.raises(TypeError):
+            BlockRef(chain, block)
+
+
+indices = st.integers(min_value=0, max_value=40)
+values = st.sampled_from(list(Value))
+blocks = st.one_of(st.none(), st.builds(BlockRef, indices, indices))
+
+
+class TestInterning:
+    """``BlockRef`` and ``Vertex`` are interned: one object per key."""
+
+    @given(chain=indices, block=indices, value=values)
+    def test_equal_arguments_give_one_object(self, chain, block, value):
+        ref = BlockRef(chain, block)
+        assert ref is BlockRef(chain=chain, block=block)
+        assert ref is BlockRef(chain, block=block)
+        assert (ref.chain, ref.block) == (chain, block)
+        vertex = Vertex(ref, value)
+        assert vertex is Vertex(block=BlockRef(chain, block), value=value)
+        assert vertex is Vertex(ref, value=value)
+        assert Vertex(None, value) is Vertex(block=None, value=value)
+        if block == 0:
+            assert ref is BlockRef(chain)
+
+    @given(block=blocks, value=values)
+    def test_copies_are_the_interned_object(self, block, value):
+        vertex = Vertex(block, value)
+        for obj in (vertex, block):
+            assert copy.copy(obj) is obj
+            assert copy.deepcopy(obj) is obj
+            assert pickle.loads(pickle.dumps(obj)) is obj
+        assert copy.deepcopy([vertex, (vertex,)])[1][0] is vertex
+
+    @given(block=blocks, value=values)
+    def test_attribute_assignment_raises(self, block, value):
+        vertex = Vertex(block, value)
+        for obj, name in ((vertex, "value"), (vertex, "block"), (vertex, "extra")):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            del vertex.value
+        if block is not None:
+            with pytest.raises(AttributeError):
+                block.chain = block.chain + 1
+        assert Vertex(block, value).value is value
+
+    @given(st.lists(st.tuples(blocks, values), min_size=1, max_size=12))
+    def test_sort_key_matches_field_order(self, pairs):
+        vertices = [Vertex(block, value) for block, value in pairs]
+        by_library = sorted(set(vertices), key=lambda v: v.sort_key())
+        by_oracle = sorted(set(vertices), key=vertex_key_oracle)
+        assert by_library == by_oracle
+        assert [v.sort_key() for v in by_library] == [vertex_key_oracle(v) for v in by_oracle]
+
+    def test_threads_intern_one_object_per_key(self):
+        # Fresh keys, so the threads race to create the entries.
+        keys = [(1000 + chain, block) for chain in range(30) for block in range(30)]
+        barrier = threading.Barrier(4)
+        results = [None] * 4
+
+        def intern(slot):
+            barrier.wait()
+            results[slot] = [
+                Vertex(BlockRef(chain, block), value)
+                for chain, block in keys
+                for value in Value
+            ]
+
+        threads = [threading.Thread(target=intern, args=(slot,)) for slot in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for other in results[1:]:
+            assert all(a is b for a, b in zip(results[0], other))
+        assert len(set(map(id, results[0]))) == len(keys) * len(Value)
 
 
 class TestVertex:
