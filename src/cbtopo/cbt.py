@@ -9,11 +9,10 @@ the all-abort verdict.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable
+from typing import Iterable
 
-from .simplicial import BlockRef, Complex, Simplex, Value, Vertex, make_complex
+from .simplicial import BlockRef, Complex, Value, Vertex, _Numbering
 from .tasks import CarrierMap, Task, colorless_projection
 
 __all__ = [
@@ -45,33 +44,52 @@ class CbtConfig:
         return BlockRef(chain=chain, block=self.block_index)
 
 
+def _numbering(config: CbtConfig) -> _Numbering:
+    """The input vertices in canonical order, chain by chain with values
+    0 < 1 < bot, so chain c's vertex of value rank r is bit 3c + r.  The
+    output vertices are among them, so input, output and carrier images
+    share this numbering."""
+    return _Numbering(
+        Vertex(config.block(chain), value)
+        for chain in range(config.n + 1)
+        for value in _INPUT_VALUES
+    )
+
+
+def _legs(n: int, rank: int) -> int:
+    """The mask of every chain's vertex of value rank ``rank``."""
+    return sum(1 << (3 * chain + rank) for chain in range(n + 1))
+
+
+def _per_chain(n: int, ranks: Iterable[int | None]) -> list[int]:
+    """Every mask with, on each chain, the vertex of one rank in ``ranks``
+    (none for None), with the rank tuples in lexicographic order."""
+    masks = [0]
+    for chain in range(n + 1):
+        masks = [
+            m | (0 if rank is None else 1 << (3 * chain + rank)) for m in masks for rank in ranks
+        ]
+    return masks
+
+
 def build_input_complex(config: CbtConfig) -> Complex:
     """All assignments of a value to each chain; facets pick one per chain.
 
     The complex has 3(n+1) vertices and 3^(n+1) facets of dimension n; a
     vertex set spans a simplex exactly when its chains are pairwise distinct.
     """
-    n = config.n
-    facets = []
-    for values in itertools.product(_INPUT_VALUES, repeat=n + 1):
-        facets.append(
-            Simplex(
-                Vertex(config.block(chain), value) for chain, value in enumerate(values)
-            )
-        )
-    return Complex(facets)
+    return Complex._of(_numbering(config), tuple(_per_chain(config.n, (0, 1, 2))))
 
 
 def build_output_complex(config: CbtConfig) -> Complex:
     """Two facets: the all-abort simplex and the all-commit simplex."""
     n = config.n
-    abort = Simplex(Vertex(config.block(chain), Value.ZERO) for chain in range(n + 1))
-    commit = Simplex(Vertex(config.block(chain), Value.ONE) for chain in range(n + 1))
-    return Complex([abort, commit])
+    return Complex._of(_numbering(config), (_legs(n, 0), _legs(n, 1)))
 
 
-def _allowed_output_vertices(simplex: Simplex) -> set[Vertex]:
-    """Output vertices permitted for one input simplex.
+def build_carrier_map(config: CbtConfig) -> CarrierMap:
+    """The image of each input simplex: the output induced on the vertices
+    the simplex allows.
 
     Three base rules drive the image: all legs locally committed allows only
     the commit verdict; a suspended leg forces the abort verdict; a mix of
@@ -86,27 +104,29 @@ def _allowed_output_vertices(simplex: Simplex) -> set[Vertex]:
     - otherwise: an abort vertex for every chain, plus a commit vertex for
       every chain whose leg was not suspended (its singleton face still
       allows commit).
+
+    On masks the commit vertices of a committed simplex are the simplex
+    itself, and a leg's abort and commit vertices are its bit shifted down
+    to rank 0 and then up to rank 1.
     """
-    values = [v.value for v in simplex]
-    if all(value is Value.ONE for value in values):
-        return {Vertex(v.block, Value.ONE) for v in simplex}
-    allowed: set[Vertex] = set()
-    for vertex in simplex:
-        allowed.add(Vertex(vertex.block, Value.ZERO))
-        if vertex.value is not Value.BOTTOM:
-            allowed.add(Vertex(vertex.block, Value.ONE))
-    return allowed
-
-
-def build_carrier_map(config: CbtConfig) -> CarrierMap:
-    input_complex = build_input_complex(config)
-    output_complex = build_output_complex(config)
-    entries: Dict[Simplex, Complex] = {}
-    for simplex in input_complex.simplices():
-        entries[simplex] = output_complex.induced_subcomplex(
-            _allowed_output_vertices(simplex)
-        )
-    return CarrierMap(entries)
+    n = config.n
+    space = _numbering(config)
+    zero, one, bottom = _legs(n, 0), _legs(n, 1), _legs(n, 2)
+    output = build_output_complex(config)
+    images = {}
+    by_allowed = {}
+    # Every input simplex: each chain absent or at one value, not all absent.
+    for simplex in _per_chain(n, (None, 0, 1, 2))[1:]:
+        if simplex & one == simplex:
+            allowed = simplex
+        else:
+            live = simplex & zero | (simplex & one) >> 1
+            allowed = live | (simplex & bottom) >> 2 | live << 1
+        image = by_allowed.get(allowed)
+        if image is None:
+            image = by_allowed[allowed] = output._induced(allowed)._facets
+        images[simplex] = image
+    return CarrierMap._of(space, space, images)
 
 
 def build_task(config: CbtConfig) -> Task:

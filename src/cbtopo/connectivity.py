@@ -2,15 +2,16 @@
 
 Boundary matrices are stored as big-integer bitmasks, one integer per row,
 so rank computation is exact Gaussian elimination over GF(2) with
-machine-word XOR underneath.
+machine-word XOR underneath.  Both read a complex's simplices as masks on
+its vertex numbering.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Tuple
+from typing import Dict, Tuple
 
 from .errors import DimensionOutOfRange
-from .simplicial import Complex, Simplex
+from .simplicial import Complex, Simplex, _bits
 
 __all__ = [
     "GF2Matrix",
@@ -49,6 +50,19 @@ class GF2Matrix:
         return len(basis)
 
 
+def _boundary_rows(complex_: Complex, k: int) -> list[int]:
+    """Rows of the mod-2 boundary operator from k-simplices to
+    (k-1)-simplices, both in canonical order: a k-simplex's faces are its
+    mask less one bit."""
+    layers = complex_._masks()
+    row_index = {s: i for i, s in enumerate(layers[k - 1])}
+    rows = [0] * len(row_index)
+    for j, s in enumerate(layers[k]):
+        for i in _bits(s):
+            rows[row_index[s ^ (1 << i)]] |= 1 << j
+    return rows
+
+
 def boundary_matrix(complex_: Complex, k: int) -> GF2Matrix:
     """The mod-2 boundary operator from k-simplices to (k-1)-simplices.
 
@@ -60,41 +74,35 @@ def boundary_matrix(complex_: Complex, k: int) -> GF2Matrix:
         raise DimensionOutOfRange(
             f"boundary matrix defined for 1 <= k <= {complex_.dimension}, got {k}"
         )
-    row_simplices = complex_.simplices_of_dim(k - 1)
+    rows = _boundary_rows(complex_, k)
     col_simplices = complex_.simplices_of_dim(k)
-    row_index = {s: i for i, s in enumerate(row_simplices)}
-    rows = [0] * len(row_simplices)
-    for j, s in enumerate(col_simplices):
-        for face in s.boundary():
-            rows[row_index[face]] |= 1 << j
-    return GF2Matrix(tuple(rows), len(col_simplices), row_simplices, col_simplices)
+    return GF2Matrix(
+        tuple(rows), len(col_simplices), complex_.simplices_of_dim(k - 1), col_simplices
+    )
 
 
 def connected_components(complex_: Complex) -> Tuple[frozenset, ...]:
-    """Partition of the vertex set by 1-skeleton reachability (union-find)."""
-    parent: Dict[Any, Any] = {v: v for v in complex_.vertices}
+    """Partition of the vertex set by 1-skeleton reachability.
 
-    def find(v: Any) -> Any:
-        root = v
-        while parent[root] is not root:
-            root = parent[root]
-        while parent[v] is not root:
-            parent[v], v = root, parent[v]
-        return root
-
-    for edge in complex_.simplices_of_dim(1):
-        u, v = edge.vertices
-        ru, rv = find(u), find(v)
-        if ru is not rv:
-            parent[ru] = rv
-    groups: Dict[Any, set] = {}
-    for v in complex_.vertices:
-        groups.setdefault(find(v), set()).add(v)
+    Two vertices of one facet are joined by its edges, so each component is
+    a union of facet masks: every facet merges the parts it meets.  Parts
+    are ordered by their first vertex, the lowest bit of the numbering.
+    """
+    parts: list[int] = []
+    for f in complex_._facets:
+        merged = f
+        apart = []
+        for part in parts:
+            if part & f:
+                merged |= part
+            else:
+                apart.append(part)
+        apart.append(merged)
+        parts = apart
+    vertices = complex_._space.vertices
     return tuple(
-        sorted(
-            (frozenset(g) for g in groups.values()),
-            key=lambda g: min(v.sort_key() for v in g),
-        )
+        frozenset(vertices[i] for i in _bits(part))
+        for part in sorted(parts, key=lambda part: part & -part)
     )
 
 
@@ -119,10 +127,12 @@ def reduced_betti(complex_: Complex, up_to: int) -> BettiReport:
     d = complex_.dimension
     if up_to < 0 or up_to > d:
         raise DimensionOutOfRange(f"betti range must satisfy 0 <= up_to <= {d}, got {up_to}")
-    counts = [len(complex_.simplices_of_dim(k)) for k in range(up_to + 2)]
+    layers = complex_._masks()
+    counts = [len(layers.get(k, ())) for k in range(up_to + 2)]
     ranks: Dict[int, int] = {}
     for k in range(1, up_to + 2):
-        ranks[k] = boundary_matrix(complex_, k).rank() if k <= d else 0
+        rows = _boundary_rows(complex_, k) if k <= d else []
+        ranks[k] = GF2Matrix(tuple(rows), counts[k]).rank()
     components = counts[0] - ranks[1]
     betti = [components - 1]
     for k in range(1, up_to + 1):

@@ -6,10 +6,10 @@ always produce byte-identical text.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .errors import InvalidTask, MalformedTrace
-from .forksim import ExecutionTrace, Message, ScheduleAction, SimEvent, ViolationReport
+from .errors import EmptyInput, InvalidTask, MalformedTrace
+from .forksim import ExecutionTrace, Message, SimEvent, ViolationReport
 from .simplicial import (
     BlockRef,
     Complex,
@@ -17,7 +17,10 @@ from .simplicial import (
     SubdivisionVertex,
     Value,
     Vertex,
-    make_complex,
+    _bit_map,
+    _bits,
+    _maximal,
+    _Numbering,
 )
 from .solvability import SolvabilityReport
 from .tasks import CarrierMap, Task
@@ -36,8 +39,6 @@ __all__ = [
     "report_to_obj",
     "trace_to_jsonl",
     "trace_from_jsonl",
-    "schedule_to_obj",
-    "schedule_from_obj",
 ]
 
 
@@ -88,11 +89,10 @@ def complex_to_obj(complex_: Complex) -> Dict[str, Any]:
 
 
 def complex_from_obj(obj: Dict[str, Any]) -> Complex:
-    try:
-        facets = obj["facets"]
-    except (KeyError, TypeError):
-        raise InvalidTask("complex object needs a 'facets' list") from None
-    return make_complex([[vertex_from_obj(v) for v in facet] for facet in facets])
+    reader = _TaskReader()
+    facets = reader.complex(obj)
+    space, renumber = reader.numbering()
+    return Complex._of(space, _maximal(map(renumber, facets)))
 
 
 _INDENT = "  "
@@ -118,32 +118,47 @@ def task_to_json(task: Task) -> str:
     """The task file: the same text as ``dumps`` of the task object.
 
     A task repeats its few distinct vertices throughout, so each one is
-    encoded once per nesting depth, from ``vertex_to_obj``, and the pieces
-    are joined around it.  This is the one definition of the task format.
+    encoded once per numbering and nesting depth, from ``vertex_to_obj``,
+    and the pieces are joined around it from the facet masks; a carrier
+    image shared by several entries is encoded once.  This is the one
+    definition of the task format.
     """
-    encoded: Dict[Tuple[Any, int], str] = {}
+    encoded: Dict[Tuple[Any, int], List[Optional[str]]] = {}
 
-    def simplex(s: Simplex, depth: int) -> str:
+    def simplex(space: Any, mask: int, depth: int) -> str:
+        texts = encoded.get((space, depth))
+        if texts is None:
+            texts = encoded[space, depth] = [None] * len(space.vertices)
         items = []
-        for v in s:
-            text = encoded.get((v, depth))
+        for i in _bits(mask):
+            text = texts[i]
             if text is None:
-                text = json.dumps(vertex_to_obj(v), indent=2)
-                text = encoded[v, depth] = text.replace("\n", "\n" + _INDENT * (depth + 1))
+                text = json.dumps(vertex_to_obj(space.vertices[i]), indent=2)
+                text = texts[i] = text.replace("\n", "\n" + _INDENT * (depth + 1))
             items.append(text)
         return _json_list(items, depth)
 
-    def facets(complex_: Complex, depth: int) -> str:
-        return _json_list([simplex(f, depth + 1) for f in complex_.facets], depth)
+    def facets(space: Any, masks: Sequence[int], depth: int) -> str:
+        return _json_list([simplex(space, f, depth + 1) for f in masks], depth)
 
-    carrier = [
-        _json_object((("simplex", simplex(s, 3)), ("image_facets", facets(image, 3))), 2)
-        for s, image in task.carrier.items()
-    ]
+    def complex_(c: Complex) -> str:
+        return _json_object((("facets", facets(c._space, c._facets, 2)),), 1)
+
+    carrier = task.carrier
+    image_texts: Dict[Tuple[int, ...], str] = {}
+    entries = []
+    for s in carrier._domain():
+        image = carrier._images[s]
+        text = image_texts.get(image)
+        if text is None:
+            text = image_texts[image] = facets(carrier._out, image, 3)
+        entries.append(
+            _json_object((("simplex", simplex(carrier._in, s, 3)), ("image_facets", text)), 2)
+        )
     fields = (
-        ("input", _json_object((("facets", facets(task.input, 2)),), 1)),
-        ("output", _json_object((("facets", facets(task.output, 2)),), 1)),
-        ("carrier", _json_list(carrier, 1)),
+        ("input", complex_(task.input)),
+        ("output", complex_(task.output)),
+        ("carrier", _json_list(entries, 1)),
         ("colored", json.dumps(task.colored)),
     )
     return _json_object(fields, 0) + "\n"
@@ -154,28 +169,111 @@ def task_to_obj(task: Task) -> Dict[str, Any]:
     return json.loads(task_to_json(task))
 
 
+class _TaskReader:
+    """Decodes the vertex objects of one task file, or one complex, into masks.
+
+    Each distinct vertex object is decoded once and numbered in the order
+    it is first seen; ``numbering`` then gives the canonical numbering and
+    the map onto it.  Two objects share a number only when their chain,
+    block and value are equal and of the same types, so ``true`` is never
+    read as a cached chain 1.
+    """
+
+    def __init__(self) -> None:
+        self.bit_of: Dict[tuple, int] = {}
+        self.vertices: List[Vertex] = []
+
+    def bit(self, obj: Any) -> int:
+        """The bit of a vertex object not read before, or the
+        ``InvalidTask`` of a malformed one."""
+        vertex = vertex_from_obj(obj)
+        chain, block = obj["chain"], obj["block"]
+        bit = self.bit_of[type(chain), chain, type(block), block, obj["value"]] = (
+            1 << len(self.vertices)
+        )
+        self.vertices.append(vertex)
+        return bit
+
+    def simplex(self, objs: Sequence[Any]) -> int:
+        bit_of = self.bit_of
+        mask = 0
+        for obj in objs:
+            try:
+                chain, block = obj["chain"], obj["block"]
+                mask |= bit_of[type(chain), chain, type(block), block, obj["value"]]
+            except (KeyError, TypeError):
+                mask |= self.bit(obj)
+        if not mask or mask.bit_count() != len(objs):
+            # Empty, or a vertex repeated: the constructor names the fault.
+            Simplex(vertex_from_obj(obj) for obj in objs)
+        return mask
+
+    def facets(self, objs: Sequence[Any]) -> List[int]:
+        masks = [self.simplex(f) for f in objs]
+        if not masks:
+            raise EmptyInput("a complex needs at least one facet")
+        return masks
+
+    def complex(self, obj: Any) -> List[int]:
+        try:
+            facets = obj["facets"]
+        except (KeyError, TypeError):
+            raise InvalidTask("complex object needs a 'facets' list") from None
+        return self.facets(facets)
+
+    def numbering(self) -> Tuple[_Numbering, Callable[[int], int]]:
+        """The canonical numbering of every vertex read, and the map from
+        first-seen masks onto it."""
+        order = sorted(range(len(self.vertices)), key=lambda i: self.vertices[i].sort_key())
+        targets = [0] * len(order)
+        for rank, i in enumerate(order):
+            targets[i] = 1 << rank
+        return _Numbering(self.vertices[i] for i in order), _bit_map(targets)
+
+
 def task_from_obj(obj: Dict[str, Any]) -> Task:
+    """Read a task object, such as ``json.loads`` of a task file.
+
+    Every vertex of the file is numbered in one numbering, which the input,
+    the output and the carrier images share.  A malformed object raises
+    ``InvalidTask`` (or the ``CbtopoError`` a malformed simplex or complex
+    raises), and so does a carrier map that lists one input simplex twice.
+    """
+    reader = _TaskReader()
     try:
-        input_complex = complex_from_obj(obj["input"])
-        output_complex = complex_from_obj(obj["output"])
+        input_facets = reader.complex(obj["input"])
+        output_facets = reader.complex(obj["output"])
         entries_raw = list(obj["carrier"])
-        colored = bool(obj["colored"])
+        colored = obj["colored"]
     except (KeyError, TypeError) as exc:
         raise InvalidTask(f"malformed task object: {exc}") from None
-    entries = {}
+    if type(colored) is not bool:
+        raise InvalidTask(f"malformed task object: 'colored' must be a boolean, got {colored!r}")
+    entries: Dict[int, Tuple[int, ...]] = {}
     for entry in entries_raw:
         try:
-            simplex = simplex_from_obj(entry["simplex"])
-            image = make_complex(
-                [[vertex_from_obj(v) for v in f] for f in entry["image_facets"]]
-            )
+            simplex = reader.simplex(entry["simplex"])
+            image = tuple(reader.facets(entry["image_facets"]))
         except (KeyError, TypeError) as exc:
             raise InvalidTask(f"malformed carrier entry: {exc}") from None
+        if simplex in entries:
+            raise InvalidTask(
+                f"carrier map lists input simplex "
+                f"{Simplex(reader.vertices[i] for i in _bits(simplex))} twice"
+            )
         entries[simplex] = image
+    space, renumber = reader.numbering()
+    images = {}
+    canonical: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+    for simplex, image in entries.items():
+        facets = canonical.get(image)
+        if facets is None:
+            facets = canonical[image] = _maximal(map(renumber, image))
+        images[renumber(simplex)] = facets
     return Task(
-        input=input_complex,
-        output=output_complex,
-        carrier=CarrierMap(entries),
+        input=Complex._of(space, _maximal(map(renumber, input_facets))),
+        output=Complex._of(space, _maximal(map(renumber, output_facets))),
+        carrier=CarrierMap._of(space, space, images),
         colored=colored,
     )
 
@@ -369,24 +467,3 @@ def trace_from_jsonl(text: str) -> Tuple[ExecutionTrace, Optional[Tuple[str, ...
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise MalformedTrace(f"malformed trace record: {exc}") from None
     return trace, kinds
-
-
-def schedule_to_obj(schedule: Sequence[ScheduleAction]) -> List[Dict[str, Any]]:
-    out = []
-    for action in schedule:
-        if action.kind == "deliver":
-            out.append({"kind": "deliver", "seq": action.sequence})
-        else:
-            out.append({"kind": action.kind, "chain": action.chain})
-    return out
-
-
-def schedule_from_obj(obj: Sequence[Dict[str, Any]]) -> List[ScheduleAction]:
-    actions = []
-    for entry in obj:
-        kind = entry.get("kind")
-        if kind == "deliver":
-            actions.append(ScheduleAction(kind="deliver", sequence=entry.get("seq")))
-        else:
-            actions.append(ScheduleAction(kind=kind, chain=entry.get("chain")))
-    return actions

@@ -1,11 +1,17 @@
-"""Finite abstract simplicial complexes with canonical ordering.
+"""Finite abstract simplicial complexes over numbered vertices.
 
-A complex is stored as its set of inclusion-maximal facets and answers every
-membership question from them: a simplex belongs to the complex when its
-vertex set is a subset of some facet's.  Simplices are enumerated, lazily and
-once, only when a caller asks for them by dimension.  Every vertex kind
-exposes a ``sort_key`` so that simplices, facet lists, and iteration orders
-are total and reproducible across runs.
+Every vertex kind exposes a ``sort_key``, so simplices, facet lists and
+iteration orders are total and reproducible across runs.  The vertices a
+complex is built on are numbered in that order, bit i for the i-th vertex,
+and inside a complex a simplex is an int mask on that numbering: a complex
+is the numbering plus the masks of its inclusion-maximal facets.  A simplex
+belongs to the complex when its mask is a submask of some facet's, and the
+simplices of each dimension are enumerated from the facets once, on first
+request.  Complexes derived from one another (a skeleton, an induced
+subcomplex, a carrier image read on the output) share one numbering, so a
+test between them is a mask test; a complex built from outside objects
+numbers its own vertices.  ``Simplex`` and ``Complex`` objects are the
+public face, built only when a caller asks for them.
 """
 from __future__ import annotations
 
@@ -13,7 +19,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Dict, Iterable, Iterator, Mapping, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, Mapping, Sequence, Tuple
 
 from .errors import DimensionOutOfRange, EmptyInput, MalformedSimplex, UnknownVertex
 
@@ -200,6 +206,157 @@ class SubdivisionVertex:
 _sort_key = operator.methodcaller("sort_key")
 
 
+def _byte_bits(offset: int) -> list:
+    """Entry b: the set bits of byte value b, plus ``offset``, ascending."""
+    table = [()]
+    for i in range(offset, offset + 8):
+        table += [bits + (i,) for bits in table]
+    return table
+
+
+_BYTE_BITS, _BYTE_BITS_8, _BYTE_BITS_16 = map(_byte_bits, (0, 8, 16))
+
+
+def _bits(mask: int) -> Tuple[int, ...]:
+    """Indices of the set bits of ``mask``, ascending.
+
+    On a numbering these are the mask's vertices in canonical order, so the
+    tuple is also the mask's sort key: comparing two tuples compares the
+    simplices' vertex keys one by one.  Masks of up to 24 bits, every task
+    numbering up to n = 6, are read a byte at a time from tables.
+    """
+    if mask < 1 << 24:
+        return _BYTE_BITS[mask & 255] + _BYTE_BITS_8[mask >> 8 & 255] + _BYTE_BITS_16[mask >> 16]
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _rank(mask: int) -> tuple:
+    """Canonical (dimension, sort key) order of the simplex of ``mask``."""
+    return mask.bit_count(), _bits(mask)
+
+
+def _maximal(masks: Iterable[int]) -> Tuple[int, ...]:
+    """The inclusion-maximal members of a mask family, in canonical order."""
+    family = sorted(set(masks), key=int.bit_count, reverse=True)
+    if not family:
+        raise EmptyInput("a complex needs at least one facet")
+    # A mask of the largest size is no proper subset of another, so only
+    # smaller ones are scanned; a pure family skips the scan.
+    top = family[0].bit_count()
+    kept = list(itertools.takewhile(lambda m: m.bit_count() == top, family))
+    for m in family[len(kept):]:
+        if all(m | k != k for k in kept):
+            kept.append(m)
+    return tuple(sorted(kept, key=_bits))
+
+
+def _within(small: Iterable[int], big: Tuple[int, ...]) -> bool:
+    """True when every mask of ``small`` is a submask of one of ``big``."""
+    for g in small:
+        for f in big:
+            if g & f == g:
+                break
+        else:
+            return False
+    return True
+
+
+def _support(masks: Iterable[int]) -> int:
+    """The OR of ``masks``: the vertices they use."""
+    out = 0
+    for m in masks:
+        out |= m
+    return out
+
+
+def _closure(facets: Iterable[int]) -> set:
+    """Every non-empty submask of every facet mask."""
+    out: set = set()
+    for f in facets:
+        s = f
+        while s:
+            out.add(s)
+            s = (s - 1) & f
+    return out
+
+
+def _bit_map(targets: Sequence[int]) -> Callable[[int], int]:
+    """The map that sends a mask to the OR of ``targets[i]`` over its bits i.
+
+    Tables of 256 entries serve eight bits each, so a mask on a numbering of
+    up to eight vertices costs one lookup.
+    """
+    tables = []
+    for base in range(0, len(targets), 8):
+        chunk = targets[base:base + 8]
+        table = [0] * (1 << len(chunk))
+        for b in range(1, len(table)):
+            low = b & -b
+            table[b] = table[b ^ low] | chunk[low.bit_length() - 1]
+        tables.append(table)
+    if len(tables) == 1:
+        return tables[0].__getitem__
+
+    def apply(mask: int) -> int:
+        out = 0
+        for table in tables:
+            out |= table[mask & 255]
+            mask >>= 8
+        return out
+
+    return apply
+
+
+class _Numbering:
+    """Vertices in canonical sort-key order; bit i of a mask is ``vertices[i]``.
+
+    Complexes derived from one another share one numbering, so a test
+    between them is a mask test.  A numbering may hold more vertices than a
+    complex on it uses.
+    """
+
+    __slots__ = ("vertices", "bit")
+
+    def __init__(self, ordered: Iterable[Any]) -> None:
+        self.vertices = tuple(ordered)
+        self.bit = {v: 1 << i for i, v in enumerate(self.vertices)}
+
+    @classmethod
+    def of(cls, vertices: Iterable[Any]) -> "_Numbering":
+        """The numbering of the distinct ``vertices``, sorted here."""
+        return cls(sorted(set(vertices), key=_sort_key))
+
+    def mask(self, vertices: Iterable[Any]) -> int:
+        """The mask of ``vertices``; KeyError names one that is not numbered."""
+        bit = self.bit
+        m = 0
+        for v in vertices:
+            m |= bit[v]
+        return m
+
+    def simplex(self, mask: int) -> "Simplex":
+        vertices = self.vertices
+        return Simplex(vertices[i] for i in _bits(mask))
+
+    def same(self, other: "_Numbering") -> bool:
+        # Vertices are interned or compare by value, so equal tuples number alike.
+        return self is other or self.vertices == other.vertices
+
+    def to(self, other: "_Numbering") -> Callable[[int], int] | None:
+        """Renumbering of masks from this numbering onto ``other``, or None
+        when they number alike.  A vertex ``other`` lacks becomes a bit past
+        its end, so such a mask lies in no complex on ``other``."""
+        if self.same(other):
+            return None
+        foreign = 1 << len(other.vertices)
+        return _bit_map([other.bit.get(v, foreign) for v in self.vertices])
+
+
 class Simplex:
     """A non-empty, duplicate-free vertex set kept in canonical order."""
 
@@ -232,13 +389,6 @@ class Simplex:
 
     def sort_key(self) -> tuple:
         return self._key
-
-    def faces(self, proper: bool = False) -> Iterator["Simplex"]:
-        """Yield every non-empty sub-simplex, optionally excluding self."""
-        top = len(self._vertices) - (1 if proper else 0)
-        for r in range(1, top + 1):
-            for combo in itertools.combinations(self._vertices, r):
-                yield Simplex(combo)
 
     def boundary(self) -> Iterator["Simplex"]:
         """Yield the codimension-1 faces."""
@@ -275,90 +425,111 @@ class Simplex:
 
 
 class Complex:
-    """A finite simplicial complex represented by its maximal facets.
+    """A finite simplicial complex: facet masks over a vertex numbering.
 
-    Membership is a subset test against the facets; the simplices of each
-    dimension are built lazily from the facets' faces on first request.
+    A simplex of the complex is an int mask on the numbering, and the
+    complex keeps the masks of its inclusion-maximal facets in canonical
+    order.  Membership is a mask test against the facets; the masks of each
+    dimension are enumerated from the facets once, on first request.
+    ``Simplex`` objects are built only for the callers that ask for them.
+    Equality and hashing compare vertices, not numberings.
     """
 
-    __slots__ = ("_facets", "_by_dim", "_vertices", "_vertex_set")
+    __slots__ = ("_space", "_facets", "_support", "_layers", "_simplices", "_vertices")
 
     def __init__(self, facets: Iterable[Simplex]) -> None:
-        candidates = sorted(set(facets), key=lambda s: (-len(s), s.sort_key()))
-        if not candidates:
-            raise EmptyInput("a complex needs at least one facet")
-        # A candidate of the largest size is no proper subset of another, so
-        # only smaller ones are scanned; a pure family skips the scan.
-        top = len(candidates[0])
-        maximal = [s for s in candidates if len(s) == top]
-        for s in candidates[len(maximal):]:
-            if not any(s.issubset(kept) for kept in maximal):
-                maximal.append(s)
-        self._facets = tuple(sorted(maximal, key=Simplex.sort_key))
-        self._by_dim: Dict[int, Tuple[Simplex, ...]] | None = None
-        vset = frozenset(v for f in self._facets for v in f)
-        self._vertex_set = vset
-        self._vertices = tuple(sorted(vset, key=_sort_key))
+        facets = list(facets)
+        space = _Numbering.of(v for f in facets for v in f)
+        self._set(space, _maximal(space.mask(f) for f in facets))
+
+    @classmethod
+    def _of(cls, space: _Numbering, facets: Tuple[int, ...]) -> "Complex":
+        """The complex on ``space`` whose facets are ``facets``: maximal
+        masks in canonical order."""
+        complex_ = object.__new__(cls)
+        complex_._set(space, facets)
+        return complex_
+
+    def _set(self, space: _Numbering, facets: Tuple[int, ...]) -> None:
+        self._space = space
+        self._facets = facets
+        self._support = _support(facets)
+        self._layers = None
+        self._simplices = {}
+        self._vertices = None
+
+    def _masks(self) -> Dict[int, Tuple[int, ...]]:
+        """Every simplex mask by dimension, each layer in canonical order."""
+        if self._layers is None:
+            groups: Dict[int, list] = {}
+            for s in _closure(self._facets):
+                groups.setdefault(s.bit_count() - 1, []).append(s)
+            self._layers = {d: tuple(sorted(groups[d], key=_bits)) for d in sorted(groups)}
+        return self._layers
+
+    def _induced(self, mask: int) -> "Complex":
+        return Complex._of(self._space, _maximal(f & mask for f in self._facets if f & mask))
 
     @property
     def facets(self) -> Tuple[Simplex, ...]:
-        return self._facets
+        return tuple(map(self._space.simplex, self._facets))
 
     @property
     def vertices(self) -> Tuple[Any, ...]:
+        if self._vertices is None:
+            space = self._space.vertices
+            self._vertices = tuple(space[i] for i in _bits(self._support))
         return self._vertices
 
     @property
     def vertex_set(self) -> frozenset:
-        return self._vertex_set
+        return frozenset(self.vertices)
 
     @property
     def dimension(self) -> int:
-        return max(f.dim for f in self._facets)
+        return max(map(int.bit_count, self._facets)) - 1
 
     def simplices(self) -> Tuple[Simplex, ...]:
         """All simplices of the complex in canonical (dimension, key) order."""
-        return tuple(
-            s
-            for d in range(self.dimension + 1)
-            for s in self.simplices_of_dim(d)
-        )
+        return tuple(s for d in self._masks() for s in self.simplices_of_dim(d))
 
     def simplices_of_dim(self, k: int) -> Tuple[Simplex, ...]:
-        if self._by_dim is None:
-            # Facet vertices are in canonical order, so shared faces are equal tuples.
-            groups: Dict[int, set[tuple]] = {}
-            for f in self._facets:
-                for r in range(1, len(f) + 1):
-                    groups.setdefault(r - 1, set()).update(itertools.combinations(f.vertices, r))
-            self._by_dim = {
-                d: tuple(sorted(map(Simplex, group), key=Simplex.sort_key))
-                for d, group in groups.items()
-            }
-        return self._by_dim.get(k, ())
+        layer = self._simplices.get(k)
+        if layer is None:
+            layer = tuple(map(self._space.simplex, self._masks().get(k, ())))
+            self._simplices[k] = layer
+        return layer
 
     def contains(self, simplex: Simplex) -> bool:
-        vset = simplex.vertex_set
-        return any(vset <= f.vertex_set for f in self._facets)
+        bit = self._space.bit
+        mask = 0
+        for v in simplex:
+            b = bit.get(v)
+            if b is None:
+                return False
+            mask |= b
+        return _within((mask,), self._facets)
 
     def contains_complex(self, other: "Complex") -> bool:
         """True when every facet of ``other`` is a simplex of this complex."""
-        return all(self.contains(f) for f in other.facets)
+        renumber = other._space.to(self._space)
+        facets = other._facets if renumber is None else map(renumber, other._facets)
+        return _within(facets, self._facets)
 
     def has_vertex(self, vertex: Any) -> bool:
-        return vertex in self._vertex_set
+        return bool(self._space.bit.get(vertex, 0) & self._support)
 
     @property
     def f_vector(self) -> Tuple[int, ...]:
-        return tuple(len(self.simplices_of_dim(d)) for d in range(self.dimension + 1))
+        return tuple(len(layer) for layer in self._masks().values())
 
     @property
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * count for d, count in enumerate(self.f_vector))
 
     def is_pure(self) -> bool:
-        d = self.dimension
-        return all(f.dim == d for f in self._facets)
+        top = self._facets[0].bit_count()
+        return all(f.bit_count() == top for f in self._facets)
 
     def skeleton(self, k: int) -> "Complex":
         """The subcomplex of all simplices of dimension at most ``k``."""
@@ -367,32 +538,44 @@ class Complex:
         if k >= self.dimension:
             return self
         # Every simplex of dimension at most k lies in a k-face or in a
-        # smaller facet.
-        low = [f for f in self._facets if f.dim < k]
-        return Complex((*self.simplices_of_dim(k), *low))
+        # smaller facet, and none of those lies in another.
+        layers = self._masks()
+        low = [f for f in self._facets if f.bit_count() <= k]
+        skeleton = Complex._of(self._space, tuple(sorted((*layers[k], *low), key=_bits)))
+        skeleton._layers = {d: layer for d, layer in layers.items() if d <= k}
+        return skeleton
 
     def induced_subcomplex(self, vertices: Iterable[Any]) -> "Complex":
         """The subcomplex of all simplices whose vertices lie in ``vertices``."""
         wanted = frozenset(vertices)
         if not wanted:
             raise EmptyInput("induced subcomplex needs at least one vertex")
-        missing = wanted - self._vertex_set
+        bit = self._space.bit
+        missing = [v for v in wanted if not bit.get(v, 0) & self._support]
         if missing:
             shown = ", ".join(sorted(str(v) for v in missing))
             raise UnknownVertex(f"vertices not in complex: {shown}")
-        parts = (f.vertex_set & wanted for f in self._facets)
-        return Complex(Simplex(part) for part in parts if part)
+        return self._induced(self._space.mask(wanted))
+
+    def _facet_vertices(self) -> Tuple[Tuple[Any, ...], ...]:
+        space = self._space.vertices
+        return tuple(tuple(space[i] for i in _bits(f)) for f in self._facets)
 
     def __eq__(self, other: Any) -> bool:
         if not isinstance(other, Complex):
             return NotImplemented
-        return self._facets == other._facets
+        if self._space.same(other._space):
+            return self._facets == other._facets
+        return self._facet_vertices() == other._facet_vertices()
 
     def __hash__(self) -> int:
-        return hash(self._facets)
+        return hash(self._facet_vertices())
 
     def __repr__(self) -> str:
-        return f"Complex({len(self._vertices)} vertices, {len(self._facets)} facets, dim {self.dimension})"
+        return (
+            f"Complex({len(self.vertices)} vertices, {len(self._facets)} facets, "
+            f"dim {self.dimension})"
+        )
 
 
 def make_complex(facets: Iterable[Iterable[Any]]) -> Complex:
@@ -424,43 +607,43 @@ def barycentric_subdivide(complex_: Complex, depth: int) -> SubdivisionResult:
     old facet.  Carriers compose across rounds, so the returned mapping always
     points back into the original complex.  Depth 0 returns the complex
     unchanged with each vertex carried by itself.
+
+    A round numbers its new vertices by the masks of the simplices they
+    subdivide, in sort-key order, and builds each chain's facet mask from
+    the chain's prefixes.  A vertex's carrier is the union of the carriers of
+    the vertices below it: in the first round that union is the simplex
+    itself, later it is the top of a nested chain.
     """
     if depth < 0:
         raise ValueError("subdivision depth must be non-negative")
-    carriers: Dict[Any, Simplex] = {v: Simplex([v]) for v in complex_.vertices}
-    current = complex_
+    if depth == 0:
+        return SubdivisionResult(complex_, {v: Simplex([v]) for v in complex_.vertices})
+    original = complex_._space
+    space, facets = original, complex_._facets
+    carrier = [1 << i for i in range(len(space.vertices))]
+    carrier_simplex: Dict[int, Simplex] = {}
     for level in range(1, depth + 1):
-        current, carriers = _subdivide_once(current, carriers, complex_, level)
-    return SubdivisionResult(current, carriers)
-
-
-def _subdivide_once(
-    complex_: Complex, carriers: Mapping[Any, Simplex], original: Complex, level: int
-) -> tuple[Complex, Dict[Any, Simplex]]:
-    barycenter: Dict[frozenset, SubdivisionVertex] = {}
-    new_carriers: Dict[Any, Simplex] = {}
-    for s in complex_.simplices():
-        carrier = _carrier_join([carriers[v] for v in s], original)
-        vertex = SubdivisionVertex(below=s, carrier=carrier, level=level)
-        barycenter[s.vertex_set] = vertex
-        new_carriers[vertex] = carrier
-    facets = []
-    for facet in complex_.facets:
-        for perm in itertools.permutations(facet.vertices):
-            chain = [barycenter[frozenset(perm[:i])] for i in range(1, len(perm) + 1)]
-            facets.append(Simplex(chain))
-    return Complex(facets), new_carriers
-
-
-def _carrier_join(simplices: list[Simplex], original: Complex) -> Simplex:
-    """Smallest original simplex containing every given carrier: their union.
-
-    In the first round the carriers of a simplex's vertices are distinct
-    singletons and the union is the simplex itself; in later rounds they form
-    a nested chain and the union is its top.  Either way the union must be a
-    simplex of the original complex.
-    """
-    join = Simplex(frozenset().union(*(s.vertex_set for s in simplices)))
-    if not original.contains(join):
-        raise AssertionError(f"carrier join {join} is not a simplex of the original complex")
-    return join
+        simplices = sorted(_closure(facets), key=_bits)
+        index = {s: 1 << i for i, s in enumerate(simplices)}
+        vertices = []
+        next_carrier = []
+        for s in simplices:
+            join = 0
+            for i in _bits(s):
+                join |= carrier[i]
+            found = carrier_simplex.get(join)
+            if found is None:
+                found = carrier_simplex[join] = original.simplex(join)
+            vertices.append(SubdivisionVertex(below=space.simplex(s), carrier=found, level=level))
+            next_carrier.append(join)
+        chains = []
+        for f in facets:
+            for order in itertools.permutations(_bits(f)):
+                prefix = chain = 0
+                for i in order:
+                    prefix |= 1 << i
+                    chain |= index[prefix]
+                chains.append(chain)
+        space, facets, carrier = _Numbering(vertices), _maximal(chains), next_carrier
+    carrier_of = {u: u.carrier for u in space.vertices}
+    return SubdivisionResult(Complex._of(space, facets), carrier_of)

@@ -17,7 +17,7 @@ from typing import Any, Dict, Tuple
 
 from .connectivity import connected_components, reduced_betti
 from .errors import NotColored, ResourceBound, check_resilience
-from .simplicial import Complex, Simplex, Vertex, barycentric_subdivide
+from .simplicial import Simplex, Vertex, _bits, _support, barycentric_subdivide
 from .tasks import Task, colorless_projection, restrict_to_skeleton, verify_monotonic
 
 __all__ = [
@@ -124,25 +124,25 @@ def connectivity_obstruction(task: Task, t: int) -> SolvabilityReport:
             note="output complex is connected",
             **base,
         )
-    component_of = {v: i for i, part in enumerate(output_parts) for v in part}
-    found: list[tuple[int, Simplex]] = []
-    seen_components: set[int] = set()
-    for simplex in restricted.input.simplices():
-        touched = {component_of[v] for v in restricted.carrier[simplex].vertices}
-        if len(touched) == 1:
-            component = next(iter(touched))
-            if component not in seen_components:
-                seen_components.add(component)
-                found.append((component, simplex))
-                if len(found) == 2:
-                    break
+    out_space = task.output._space
+    part_masks = [out_space.mask(part) for part in output_parts]
+    images = restricted._images()
+    found: list[tuple[int, int]] = []
+    for simplex in restricted._simplices():
+        support = _support(images[simplex])
+        touched = [c for c, part in enumerate(part_masks) if support & part]
+        if len(touched) == 1 and all(c != touched[0] for c, _ in found):
+            found.append((touched[0], simplex))
+            if len(found) == 2:
+                break
     if len(found) < 2:
         return SolvabilityReport(
             verdict=Verdict.INCONCLUSIVE,
             note="no simplex pair is carried into distinct output components",
             **base,
         )
-    (comp_a, witness_a), (comp_b, witness_b) = found
+    (comp_a, mask_a), (comp_b, mask_b) = found
+    witness_a, witness_b = map(restricted.input._space.simplex, (mask_a, mask_b))
     return SolvabilityReport(
         verdict=Verdict.UNSOLVABLE_BY_OBSTRUCTION,
         witnesses=(witness_a, witness_b),
@@ -182,28 +182,31 @@ def search_carried_simplicial_map(
     budget = _node_budget(node_budget)
     restricted = restrict_to_skeleton(task, t)
     subdivided, carrier_of = barycentric_subdivide(restricted.input, depth)
-    output = task.output
-    output_facets = [f.vertex_set for f in output.facets]
+    images = restricted._images()
+    in_space = restricted.input._space
+    output_facets = task.output._facets
     all_facets_mask = (1 << len(output_facets)) - 1
-    output_vertices = list(output.vertices)
+    # Vertices are bit indices: u of the subdivision, w of the output.
     vertex_bit = {
-        w: sum(1 << i for i, fs in enumerate(output_facets) if w in fs)
-        for w in output_vertices
+        w: sum(1 << i for i, f in enumerate(output_facets) if f >> w & 1)
+        for w in _bits(task.output._support)
     }
     # Value interchangeability (Freuder, AAAI 1991): one vertex per mask.
     class_reps: Dict[Simplex, tuple] = {}
     for carrier in set(carrier_of.values()):
-        first_of_mask: Dict[int, Any] = {}
-        for w in restricted.carrier[carrier].vertices:
+        first_of_mask: Dict[int, int] = {}
+        for w in _bits(_support(images[in_space.mask(carrier)])):
             first_of_mask.setdefault(vertex_bit[w], w)
         class_reps[carrier] = tuple(first_of_mask.values())
-    domains: Dict[Any, tuple] = {u: class_reps[carrier_of[u]] for u in subdivided.vertices}
-    order = sorted(subdivided.vertices, key=lambda u: (len(domains[u]), u.sort_key()))
+    sub_vertices = subdivided._space.vertices
+    sub_indices = _bits(subdivided._support)
+    domains = {u: class_reps[carrier_of[sub_vertices[u]]] for u in sub_indices}
+    order = sorted(sub_indices, key=lambda u: (len(domains[u]), u))
     position = {u: i for i, u in enumerate(order)}
-    sub_facets = list(subdivided.facets)
-    incidence: Dict[Any, list[int]] = {u: [] for u in order}
+    sub_facets = subdivided._facets
+    incidence: Dict[int, list[int]] = {u: [] for u in order}
     for fid, facet in enumerate(sub_facets):
-        for u in facet:
+        for u in _bits(facet):
             incidence[u].append(fid)
 
     candidates = [all_facets_mask] * len(sub_facets)
@@ -214,11 +217,9 @@ def search_carried_simplicial_map(
     level = 0
     while True:
         if level == len(order):
+            out_vertices = task.output._space.vertices
             assignment = tuple(
-                sorted(
-                    ((u, chosen[position[u]]) for u in subdivided.vertices),
-                    key=lambda pair: pair[0].sort_key(),
-                )
+                (sub_vertices[u], out_vertices[chosen[position[u]]]) for u in sub_indices
             )
             return SolvabilityReport(
                 verdict=Verdict.MAP_FOUND,

@@ -4,15 +4,31 @@ A carrier map assigns to every simplex of the input complex a subcomplex of
 the output complex: the outputs permitted when exactly that set of
 observations occurs.  The checks in this module verify the structural
 properties a well-formed carrier map is expected to have and report a
-concrete counterexample when one fails.
+concrete counterexample when one fails.  They run on masks: an input simplex
+is a mask on the input complex's numbering and its image is a tuple of facet
+masks on the output's, and ``Simplex`` objects are built only for a
+counterexample.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Tuple
 
 from .errors import BadResilience, InvalidTask, NotColored
-from .simplicial import Complex, Simplex, Value, Vertex, make_complex
+from .simplicial import (
+    BlockRef,
+    Complex,
+    Simplex,
+    Value,
+    Vertex,
+    _bit_map,
+    _bits,
+    _maximal,
+    _Numbering,
+    _rank,
+    _support,
+    _within,
+)
 
 __all__ = [
     "CarrierMap",
@@ -24,6 +40,9 @@ __all__ = [
     "restrict_to_skeleton",
     "colorless_projection",
 ]
+
+# An input simplex mask mapped to the facet masks of its image.
+Images = Dict[int, Tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -40,49 +59,108 @@ class PropertyCheck:
 
 
 class CarrierMap:
-    """A total assignment of output subcomplexes to input simplices."""
+    """A total assignment of output subcomplexes to input simplices.
 
-    __slots__ = ("_entries",)
+    Entries are keyed by input simplex masks on one numbering and hold the
+    image's facet masks on another.  A map built from ``Simplex`` and
+    ``Complex`` objects numbers their vertices itself; ``validate_for``
+    renumbers it onto the input and output complexes, so that the checks
+    compare masks.  Lookups and ``items()`` build the objects on demand, and
+    equality does not depend on the numberings.
+    """
+
+    __slots__ = ("_in", "_out", "_images")
 
     def __init__(self, entries: Mapping[Simplex, Complex]) -> None:
-        self._entries: Dict[Simplex, Complex] = dict(entries)
+        entries = dict(entries)
+        in_space = _Numbering.of(v for s in entries for v in s)
+        out_space = _Numbering.of(v for image in entries.values() for v in image.vertices)
+        images = {}
+        for s, image in entries.items():
+            renumber = image._space.to(out_space)
+            facets = image._facets
+            images[in_space.mask(s)] = facets if renumber is None else tuple(map(renumber, facets))
+        self._set(in_space, out_space, images)
+
+    @classmethod
+    def _of(cls, in_space: _Numbering, out_space: _Numbering, images: Images) -> "CarrierMap":
+        carrier = object.__new__(cls)
+        carrier._set(in_space, out_space, images)
+        return carrier
+
+    def _set(self, in_space: _Numbering, out_space: _Numbering, images: Images) -> None:
+        self._in = in_space
+        self._out = out_space
+        self._images = images
+
+    def _renumbered(self, in_space: _Numbering, out_space: _Numbering) -> Images:
+        """The entries on other numberings; a vertex one of them lacks
+        becomes a bit past its end."""
+        keys = self._in.to(in_space)
+        facets = self._out.to(out_space)
+        if keys is None and facets is None:
+            return self._images
+        done: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        out = {}
+        for s, image in self._images.items():
+            moved = done.get(image)
+            if moved is None:
+                moved = done[image] = image if facets is None else tuple(map(facets, image))
+            out[s if keys is None else keys(s)] = moved
+        return out
+
+    def _domain(self) -> List[int]:
+        """The input masks in canonical (dimension, key) order."""
+        return sorted(self._images, key=_rank)
 
     def __getitem__(self, simplex: Simplex) -> Complex:
-        return self._entries[simplex]
+        return Complex._of(self._out, self._images[self._in.mask(simplex)])
 
     def __contains__(self, simplex: Simplex) -> bool:
-        return simplex in self._entries
+        try:
+            return self._in.mask(simplex) in self._images
+        except KeyError:
+            return False
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._images)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CarrierMap):
             return NotImplemented
-        return self._entries == other._entries
+        return self._images == other._renumbered(self._in, self._out)
 
     def domain(self) -> Tuple[Simplex, ...]:
-        return tuple(sorted(self._entries, key=lambda s: (s.dim, s.sort_key())))
+        return tuple(map(self._in.simplex, self._domain()))
 
     def items(self) -> Iterator[tuple[Simplex, Complex]]:
-        for s in self.domain():
-            yield s, self._entries[s]
+        for s in self._domain():
+            yield self._in.simplex(s), Complex._of(self._out, self._images[s])
 
     def validate_for(self, input_complex: Complex, output_complex: Complex) -> None:
-        """Raise InvalidTask unless the map is total and lands in the output."""
-        domain = set(self._entries)
-        expected = set(input_complex.simplices())
-        missing = expected - domain
+        """Raise InvalidTask unless the map is total and lands in the output.
+
+        On success the map is renumbered onto the two complexes' numberings.
+        """
+        in_space, out_space = input_complex._space, output_complex._space
+        images = self._renumbered(in_space, out_space)
+        expected = set().union(*input_complex._masks().values())
+        missing = expected.difference(images)
         if missing:
-            example = min(missing, key=lambda s: (s.dim, s.sort_key()))
+            example = in_space.simplex(min(missing, key=_rank))
             raise InvalidTask(f"carrier map has no entry for input simplex {example}")
-        extra = domain - expected
-        if extra:
-            example = min(extra, key=lambda s: (s.dim, s.sort_key()))
+        if len(self._images) != len(expected):
+            keys = self._in.to(in_space) or (lambda s: s)
+            extra = [s for s in self._images if keys(s) not in expected]
+            example = self._in.simplex(min(extra, key=_rank))
             raise InvalidTask(f"carrier map entry for foreign simplex {example}")
-        for s, image in self._entries.items():
-            if not output_complex.contains_complex(image):
-                raise InvalidTask(f"carrier image of {s} is not a subcomplex of the output")
+        output = output_complex._facets
+        for s, image in images.items():
+            if not _within(image, output):
+                raise InvalidTask(
+                    f"carrier image of {in_space.simplex(s)} is not a subcomplex of the output"
+                )
+        self._set(in_space, out_space, images)
 
 
 @dataclass(frozen=True, eq=True)
@@ -113,6 +191,27 @@ class Task:
                 if not isinstance(v, Vertex) or v.block is not None:
                     raise InvalidTask("colorless tasks need unlabeled output vertices")
 
+    @classmethod
+    def _derived(
+        cls, input: Complex, output: Complex, carrier: CarrierMap, colored: bool
+    ) -> "Task":
+        """A task valid by construction from a valid one, not validated again."""
+        task = object.__new__(cls)
+        for name, value in (("input", input), ("output", output), ("carrier", carrier),
+                            ("colored", colored)):
+            object.__setattr__(task, name, value)
+        return task
+
+    def _images(self) -> Images:
+        """The carrier entries on the input's and output's numberings, which
+        are the map's own once ``validate_for`` has run on this task."""
+        return self.carrier._renumbered(self.input._space, self.output._space)
+
+    def _simplices(self) -> Iterator[int]:
+        """The input simplex masks in canonical (dimension, key) order."""
+        for layer in self.input._masks().values():
+            yield from layer
+
     def __hash__(self) -> int:
         return hash((self.input, self.output, self.colored))
 
@@ -121,85 +220,107 @@ def verify_monotonic(task: Task) -> PropertyCheck:
     """Check that faces are carried into the carriers of their cofaces.
 
     Every proper face is reached through a chain of codimension-1 faces and
-    inclusion is transitive, so only those are compared; a counterexample is
-    a codimension-1 pair ``(face, coface)``.
+    inclusion is transitive, so only those are compared, each one the
+    coface's mask less one bit; a counterexample is a codimension-1 pair
+    ``(face, coface)``.  Images are compared once per distinct pair.
     """
-    for simplex in task.input.simplices():
-        image = task.carrier[simplex]
-        for face in simplex.boundary():
-            face_image = task.carrier[face]
-            if not image.contains_complex(face_image):
-                return PropertyCheck(
-                    name="monotonic",
-                    ok=False,
-                    counterexample=(face, simplex),
-                    detail=f"carrier of face {face} is not contained in carrier of {simplex}",
-                )
+    images = task._images()
+    known: Dict[Tuple[int, int], bool] = {}
+    for simplex in task._simplices():
+        image = images[simplex]
+        bits = _bits(simplex)
+        # Last vertex dropped first: the order of ``Simplex.boundary``.
+        for i in reversed(bits if len(bits) > 1 else ()):
+            face = simplex ^ (1 << i)
+            face_image = images[face]
+            pair = id(face_image), id(image)
+            ok = known.get(pair)
+            if ok is None:
+                ok = known[pair] = _within(face_image, image)
+            if ok:
+                continue
+            space = task.input._space
+            face_s, simplex_s = space.simplex(face), space.simplex(simplex)
+            return PropertyCheck(
+                name="monotonic",
+                ok=False,
+                counterexample=(face_s, simplex_s),
+                detail=f"carrier of face {face_s} is not contained in carrier of {simplex_s}",
+            )
     return PropertyCheck(name="monotonic", ok=True)
 
 
 def verify_rigid(task: Task) -> PropertyCheck:
     """Check that every carrier image has the simplex's own dimension."""
-    for simplex in task.input.simplices():
-        image = task.carrier[simplex]
-        if image.dimension != simplex.dim:
+    images = task._images()
+    for simplex in task._simplices():
+        dim = simplex.bit_count() - 1
+        image_dim = max(map(int.bit_count, images[simplex])) - 1
+        if image_dim != dim:
+            simplex_s = task.input._space.simplex(simplex)
             return PropertyCheck(
                 name="rigid",
                 ok=False,
-                counterexample=(simplex,),
-                detail=(
-                    f"carrier of {simplex} has dimension {image.dimension}, "
-                    f"expected {simplex.dim}"
-                ),
+                counterexample=(simplex_s,),
+                detail=f"carrier of {simplex_s} has dimension {image_dim}, expected {dim}",
             )
     return PropertyCheck(name="rigid", ok=True)
 
 
 def verify_name_preserving(task: Task) -> PropertyCheck:
-    """Check that carrier images mention exactly the blocks of their simplex."""
+    """Check that carrier images mention exactly the blocks of their simplex.
+
+    Blocks are numbered too, and a per-bit table maps a simplex or an
+    image's vertex mask to the mask of the blocks it names.
+    """
     if not task.colored:
         raise NotColored("name preservation is defined for colored tasks only")
-    for simplex in task.input.simplices():
-        names = {v.block for v in simplex}
-        image_names = {v.block for v in task.carrier[simplex].vertices}
-        if names != image_names:
-            return PropertyCheck(
-                name="name_preserving",
-                ok=False,
-                counterexample=(simplex,),
-                detail=(
-                    f"carrier of {simplex} mentions blocks "
-                    f"{sorted(str(b) for b in image_names)}, expected "
-                    f"{sorted(str(b) for b in names)}"
-                ),
-            )
+    images = task._images()
+    block_bit: Dict[BlockRef, int] = {}
+
+    def names(complex_: Complex) -> Callable[[int], int]:
+        return _bit_map([
+            block_bit.setdefault(v.block, 1 << len(block_bit)) if complex_._support >> i & 1
+            else 0
+            for i, v in enumerate(complex_._space.vertices)
+        ])
+
+    names_in, names_out = names(task.input), names(task.output)
+    for simplex in task._simplices():
+        if names_in(simplex) == names_out(_support(images[simplex])):
+            continue
+        simplex_s = task.input._space.simplex(simplex)
+        blocks = {v.block for v in simplex_s}
+        image_blocks = {v.block for v in task.carrier[simplex_s].vertices}
+        return PropertyCheck(
+            name="name_preserving",
+            ok=False,
+            counterexample=(simplex_s,),
+            detail=(
+                f"carrier of {simplex_s} mentions blocks "
+                f"{sorted(str(b) for b in image_blocks)}, expected "
+                f"{sorted(str(b) for b in blocks)}"
+            ),
+        )
     return PropertyCheck(name="name_preserving", ok=True)
 
 
 def restrict_to_skeleton(task: Task, t: int) -> Task:
-    """The same task with the input cut down to its t-skeleton."""
+    """The same task with the input cut down to its t-skeleton.
+
+    The skeleton shares the input's numbering and the restricted map keeps
+    the entries of at most t + 1 vertices, so the result is valid by
+    construction and not validated again.
+    """
     if t < 1 or t > task.input.dimension:
         raise BadResilience(
             f"skeleton restriction needs 1 <= t <= {task.input.dimension}, got {t}"
         )
     skeleton = task.input.skeleton(t)
-    entries = {s: task.carrier[s] for s in skeleton.simplices()}
-    return Task(
-        input=skeleton,
-        output=task.output,
-        carrier=CarrierMap(entries),
-        colored=task.colored,
-    )
-
-
-def _project_vertex(vertex: Vertex) -> Vertex:
-    return Vertex(block=None, value=vertex.value)
-
-
-def _project_complex(complex_: Complex) -> Complex:
-    return make_complex(
-        [{_project_vertex(v) for v in facet} for facet in complex_.facets]
-    )
+    images = task._images()
+    entries = {s: image for s, image in images.items() if s.bit_count() <= t + 1}
+    carrier = CarrierMap._of(task.input._space, task.output._space, entries)
+    return Task._derived(skeleton, task.output, carrier, task.colored)
 
 
 def colorless_projection(task: Task) -> Task:
@@ -207,10 +328,31 @@ def colorless_projection(task: Task) -> Task:
 
     Output vertices keep only their value, distinct simplices that collapse
     onto the same projected simplex are merged, and every carrier image is
-    projected vertex-wise.  The input complex is left untouched.
+    projected vertex-wise, through a per-bit table onto the numbering of the
+    projected vertices.  The input complex is left untouched.  The result is
+    valid by construction and not validated again.
     """
     if not task.colored:
         raise NotColored("task is already colorless")
-    output = _project_complex(task.output)
-    entries = {s: _project_complex(image) for s, image in task.carrier.items()}
-    return Task(input=task.input, output=output, carrier=CarrierMap(entries), colored=False)
+    images = task._images()
+    output = task.output
+    support = output._support
+    vertices = output._space.vertices
+    projected = {i: Vertex(None, vertices[i].value) for i in _bits(support)}
+    space = _Numbering.of(projected.values())
+    project = _bit_map([
+        space.bit[projected[i]] if i in projected else 0 for i in range(len(vertices))
+    ])
+    done: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+    entries = {}
+    for s, image in images.items():
+        moved = done.get(image)
+        if moved is None:
+            moved = done[image] = _maximal(map(project, image))
+        entries[s] = moved
+    return Task._derived(
+        task.input,
+        Complex._of(space, _maximal(map(project, output._facets))),
+        CarrierMap._of(task.input._space, space, entries),
+        False,
+    )

@@ -22,6 +22,7 @@ from cbtopo.simplicial import (
     BlockRef,
     Complex,
     Simplex,
+    SubdivisionVertex,
     Value,
     Vertex,
     barycentric_subdivide,
@@ -146,6 +147,20 @@ def closure_oracle(facets: Iterable[Iterable[Any]]) -> set[frozenset]:
     }
 
 
+def subdivision_facets_oracle(
+    facets: Iterable[Iterable[Any]], vertices: Iterable[SubdivisionVertex]
+) -> set[frozenset]:
+    """Facets of one round of barycentric subdivision, from the original
+    facets and the round's own vertices: one facet per ordering of each
+    original facet, holding the vertex below each prefix of the ordering."""
+    by_below = {u.below.vertex_set: u for u in vertices}
+    return {
+        frozenset(by_below[frozenset(order[:i])] for i in range(1, len(order) + 1))
+        for facet in facets
+        for order in itertools.permutations(list(facet))
+    }
+
+
 def monotonic_oracle(task: Task) -> set[tuple[Simplex, Simplex]]:
     """Every pair ``(face, coface)`` of an input simplex and one of its proper
     faces whose carrier is not contained in the coface's, with containment
@@ -161,6 +176,28 @@ def monotonic_oracle(task: Task) -> set[tuple[Simplex, Simplex]]:
         for face in itertools.combinations(s.vertices, r)
         if not closure[Simplex(face)] <= closure[s]
     }
+
+
+def rigid_oracle(task: Task) -> set[Simplex]:
+    """Every input simplex whose carrier image, enumerated by
+    ``closure_oracle``, has a largest simplex of another size than its own."""
+    return {
+        s
+        for s, image in task.carrier.items()
+        if max(map(len, closure_oracle(f.vertex_set for f in image.facets))) != len(s)
+    }
+
+
+def projection_oracle(task: Task) -> tuple[set[frozenset], Dict[Simplex, set[frozenset]]]:
+    """The closures of the colorless output and of each carrier image: every
+    vertex replaced by the colorless vertex of its value, facet by facet."""
+
+    def projected(complex_: Complex) -> set[frozenset]:
+        return closure_oracle(
+            {Vertex(None, v.value) for v in f.vertex_set} for f in complex_.facets
+        )
+
+    return projected(task.output), {s: projected(image) for s, image in task.carrier.items()}
 
 
 def assignment_is_valid(

@@ -116,8 +116,9 @@ class TestCarrierMap:
         task = cbt_tasks[2]
         for simplex, image in task.carrier.items():
             expected = set()
-            for face in simplex.faces():
-                expected |= base_rule_vertices(face)
+            for r in range(1, len(simplex) + 1):
+                for face in itertools.combinations(simplex.vertices, r):
+                    expected |= base_rule_vertices(face)
             assert image.vertex_set == expected, str(simplex)
             assert image == task.output.induced_subcomplex(expected)
 

@@ -1,5 +1,7 @@
 """End-to-end checks of the cbtopo command line."""
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -88,6 +90,62 @@ class TestBuild:
         )
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.fixture(scope="module")
+def block7_files(tmp_path_factory):
+    """``build --n k [--colorless] --block-index 7 --out f`` for k = 2, 3, 4."""
+    root = tmp_path_factory.mktemp("block7")
+    files = {}
+    for k in (2, 3, 4):
+        for colorless in (False, True):
+            path = root / f"n{k}{'-colorless' if colorless else ''}.json"
+            flags = ["--colorless"] if colorless else []
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(["build", "--n", str(k), *flags, "--block-index", "7",
+                             "--out", str(path)])
+            assert code == 0
+            files[k, colorless] = path
+    return files
+
+
+# sha256 of the stdout of ``analyze`` at every legal t, ``search`` at N = 0
+# and 1, and ``export`` in both formats, on the files of ``block7_files``, as
+# written before complexes were kept as masks.
+@pytest.mark.parametrize(
+    "k,colorless,argv,digest",
+    [
+        (2, False, ["analyze", "--t", "1"], "465376a7d3d4e1e804670f4554132904627028f2a2b9c2d90fc3ac24cc0ad6cf"),
+        (2, True, ["analyze", "--t", "1"], "e4c0823adf7f8407b355f5d5811e60289ab7af6c1f689214df61babb833897fe"),
+        (3, False, ["analyze", "--t", "1"], "0198911eed65d6a5a30d657dd06c74df1ca0bc12dc10bacbc109fc13b167992e"),
+        (3, True, ["analyze", "--t", "1"], "13289a6b6a331d1d87275bd7ea51f8dc8e691c67c48d4c57a7c6e5991cb32995"),
+        (4, False, ["analyze", "--t", "1"], "54dc0fcf6cb19c46da318d081bd4988ee14eac8c509774b8d9df935ddcc352e4"),
+        (4, False, ["analyze", "--t", "2"], "71d554e1534d95e54ff7c2434271934765480eeacfce7345114479878979719b"),
+        (4, True, ["analyze", "--t", "1"], "d54c4a8a3ee8778769e6d1b8119f15ddc2e3ee137d19c25d7a2c9802dcedca6e"),
+        (4, True, ["analyze", "--t", "2"], "0d8449057f41cde87cb15b83e9f94b5e9e1b3386d1fcdd26d17431adc025d4a0"),
+        (2, False, ["search", "--t", "1", "--N", "0"], "b658e87082fdb4764ed174b639fa0c7ff4bdfa05d3afe786e3cb106ba1c283e1"),
+        (2, False, ["search", "--t", "1", "--N", "1"], "07023fcaf04d9eb1eb5092e8c5d6f0f54c2183c397feed315281d677537e1603"),
+        (2, True, ["search", "--t", "1", "--N", "0"], "b658e87082fdb4764ed174b639fa0c7ff4bdfa05d3afe786e3cb106ba1c283e1"),
+        (2, True, ["search", "--t", "1", "--N", "1"], "07023fcaf04d9eb1eb5092e8c5d6f0f54c2183c397feed315281d677537e1603"),
+        (3, False, ["search", "--t", "1", "--N", "0"], "17f482affbe3edc0c25478766e59f59b2271a6070554d5d4fd0ef6aff4a68fb8"),
+        (3, False, ["search", "--t", "1", "--N", "1"], "c32f3c0184da596fbdc9e8fd2f6ba0c8254677fab117cfac8fde9475596fabf8"),
+        (3, True, ["search", "--t", "1", "--N", "0"], "17f482affbe3edc0c25478766e59f59b2271a6070554d5d4fd0ef6aff4a68fb8"),
+        (3, True, ["search", "--t", "1", "--N", "1"], "c32f3c0184da596fbdc9e8fd2f6ba0c8254677fab117cfac8fde9475596fabf8"),
+        (3, False, ["export", "--format", "dot", "--which", "input"], "d54dfdb2ed51f4dfff6ddeda8f454e39322791d79586e8d33656b475bb81a2eb"),
+        (3, False, ["export", "--format", "dot", "--which", "output"], "0807b263aae0165c24c8c6b28cdb528c6bb279441b81578d1d01c9861571ad7e"),
+        (3, False, ["export", "--format", "json", "--which", "input"], "e8ea5cd419a264e6c2e6813710cf5c6038f97a74462eafbdb384cfc2e5e1700d"),
+        (3, False, ["export", "--format", "json", "--which", "output"], "8010ceb24d820e5fb620c4c17d8163733a646937617e83a6cd6f9580a860f849"),
+        (3, True, ["export", "--format", "dot", "--which", "input"], "d54dfdb2ed51f4dfff6ddeda8f454e39322791d79586e8d33656b475bb81a2eb"),
+        (3, True, ["export", "--format", "dot", "--which", "output"], "bd701ea4abe371b2ace348cc32fa269c5535d76df7dbb478b20857a97fcad93d"),
+        (3, True, ["export", "--format", "json", "--which", "input"], "e8ea5cd419a264e6c2e6813710cf5c6038f97a74462eafbdb384cfc2e5e1700d"),
+        (3, True, ["export", "--format", "json", "--which", "output"], "6e643650b1ad6e658ecdc26051182ce40a04e50b7ccd3a1f812cf63c59810fac"),
+    ],
+)
+def test_reading_outputs_are_pinned(k, colorless, argv, digest, block7_files, capsys):
+    command, *options = argv
+    code, out, err = run_cli([command, str(block7_files[k, colorless]), *options], capsys)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 class TestAnalyze:
@@ -208,6 +266,37 @@ def test_deeply_nested_json_exits_io(command, options, tmp_path, capsys):
     code, out, err = run_cli([command, str(path), *options], capsys)
     assert (code, out) == (3, "")
     assert "nested too deeply" in err
+
+
+@pytest.mark.parametrize(
+    "command,options",
+    [("analyze", ["--t", "1"]), ("search", ["--t", "1", "--N", "0"]), ("export", [])],
+)
+def test_duplicate_carrier_entry_exits_io(command, options, tmp_path, capsys):
+    # A 16th entry for {v0.0=0}, with the image {v0.0=0, v1.0=0} that is not
+    # name-preserving; the loader used to keep it in place of the first.
+    path = tmp_path / "n1.json"
+    assert run_cli(["build", "--n", "1", "--out", str(path)], capsys)[0] == 0
+    obj = json.loads(path.read_text())
+    zero = [{"chain": c, "block": 0, "value": "0"} for c in (0, 1)]
+    obj["carrier"].append({"simplex": zero[:1], "image_facets": [zero]})
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli([command, str(path), *options], capsys)
+    assert (code, out) == (3, "")
+    assert "cannot load task" in err
+    assert "lists input simplex {v0.0=0} twice" in err
+
+
+@pytest.mark.parametrize("colored", ["false", 0, None])
+def test_non_boolean_colored_exits_io(colored, task_file, tmp_path, capsys):
+    obj = json.loads(task_file.read_text())
+    obj["colored"] = colored
+    path = tmp_path / "colored.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(["analyze", str(path), "--t", "1"], capsys)
+    assert (code, out) == (3, "")
+    assert "cannot load task" in err
+    assert "'colored' must be a boolean" in err
 
 
 class TestSearch:

@@ -19,8 +19,6 @@ from cbtopo.serialize import (
     complex_to_obj,
     dumps,
     report_to_obj,
-    schedule_from_obj,
-    schedule_to_obj,
     simplex_from_obj,
     simplex_to_obj,
     task_from_obj,
@@ -274,20 +272,6 @@ class TestTraceJsonl:
     def test_malformed_text(self, text):
         with pytest.raises(MalformedTrace):
             trace_from_jsonl(text)
-
-
-class TestScheduleObjects:
-    def test_round_trip(self):
-        schedule = [
-            ScheduleAction(kind="step", chain=0),
-            ScheduleAction(kind="deliver", sequence=3),
-            ScheduleAction(kind="crash", chain=2),
-            ScheduleAction(kind="suspend", chain=1),
-        ]
-        obj = schedule_to_obj(schedule)
-        assert obj[1] == {"kind": "deliver", "seq": 3}
-        assert obj[2] == {"kind": "crash", "chain": 2}
-        assert schedule_from_obj(obj) == schedule
 
 
 class TestDumps:

@@ -32,6 +32,7 @@ from helpers import (
     cx,
     free,
     maximal_facets,
+    subdivision_facets_oracle,
     sx,
     vertex_key_oracle,
     vtx,
@@ -195,15 +196,6 @@ class TestSimplex:
     def test_dim_is_vertex_count_minus_one(self):
         assert sx(vtx(0, "0")).dim == 0
         assert sx(vtx(0, "0"), vtx(1, "0"), vtx(2, "0")).dim == 2
-
-    def test_faces_count_all_nonempty_subsets(self):
-        s = sx(vtx(0, "0"), vtx(1, "0"), vtx(2, "0"))
-        faces = list(s.faces())
-        assert len(faces) == 2 ** 3 - 1
-        assert s in faces
-        proper = list(s.faces(proper=True))
-        assert len(proper) == 2 ** 3 - 2
-        assert s not in proper
 
     def test_boundary_is_codimension_one(self):
         s = sx(vtx(0, "0"), vtx(1, "0"), vtx(2, "0"))
@@ -463,8 +455,8 @@ def test_facets_are_mutually_incomparable(k):
 @given(_complexes())
 def test_complex_is_downward_closed(k):
     for facet in k.facets:
-        for face in facet.faces():
-            assert k.contains(face)
+        for face in closure_oracle([facet.vertices]):
+            assert k.contains(Simplex(face))
 
 
 _FOREIGN = [vtx(0, "1"), vtx(7, "0")]
@@ -529,3 +521,74 @@ def test_random_complexes_share_counts_with_oracle():
             for c in itertools.combinations(f, r)
         }
         assert sum(k.f_vector) == len(closure)
+
+
+# ---------------------------------------------------------------------------
+# The mask kernel against frozenset oracles, across numberings
+# ---------------------------------------------------------------------------
+
+
+def _check_family(family, probes):
+    """Each (complex, closure) pair answers from its oracle closure, and
+    every two of them compare as their closures do."""
+    for k, closure in family:
+        for probe in probes:
+            assert k.contains(Simplex(probe)) == (probe in closure)
+        top = max(map(len, closure))
+        assert k.dimension == top - 1
+        for d in range(top + 1):
+            layer = k.simplices_of_dim(d)
+            assert {s.vertex_set for s in layer} == {c for c in closure if len(c) == d + 1}
+            assert list(layer) == sorted(layer, key=lambda s: s.sort_key())
+        assert {f.vertex_set for f in k.facets} == maximal_facets(closure)
+        support = frozenset().union(*closure)
+        assert k.vertex_set == support
+        for v in frozenset().union(*probes):
+            assert k.has_vertex(v) == (v in support)
+    for (a, ca), (b, cb) in itertools.product(family, repeat=2):
+        assert a.contains_complex(b) == (cb <= ca)
+        assert (a == b) == (ca == cb)
+        if ca == cb:
+            assert hash(a) == hash(b)
+
+
+def _derived(k, closure, wanted, d):
+    """``k`` with its skeleton and an induced subcomplex, which share its
+    numbering, and copies of both built on numberings of their own."""
+    skeleton = {c for c in closure if len(c) <= d + 1}
+    induced = {c for c in closure if c <= wanted}
+    return [
+        (k, closure),
+        (k.skeleton(d), skeleton),
+        (k.induced_subcomplex(wanted), induced),
+        (k.induced_subcomplex(wanted).skeleton(d), {c for c in induced if len(c) <= d + 1}),
+        (make_complex(maximal_facets(skeleton)), skeleton),
+        (Complex(Simplex(f) for f in maximal_facets(induced)), induced),
+    ]
+
+
+@settings(max_examples=80)
+@given(_complexes(), st.data())
+def test_shared_and_separate_numberings_match_oracle(k, data):
+    closure = closure_oracle(f.vertices for f in k.facets)
+    wanted = data.draw(st.sets(st.sampled_from(k.vertices), min_size=1))
+    d = data.draw(st.integers(min_value=0, max_value=k.dimension))
+    foreign = make_complex([_FOREIGN, _POOL[:2]])
+    family = _derived(k, closure, frozenset(wanted), d)
+    family.append((foreign, closure_oracle([_FOREIGN, _POOL[:2]])))
+    _check_family(family, [frozenset(p) for p in _subsets(_POOL + _FOREIGN)])
+
+
+@settings(max_examples=30)
+@given(_complexes(), st.data())
+def test_subdivision_complexes_match_oracle(k, data):
+    sub, _ = barycentric_subdivide(k, 1)
+    closure = closure_oracle(subdivision_facets_oracle((f.vertices for f in k.facets), sub.vertices))
+    wanted = data.draw(st.sets(st.sampled_from(sub.vertices), min_size=1))
+    d = data.draw(st.integers(min_value=0, max_value=sub.dimension))
+    family = _derived(sub, closure, frozenset(wanted), d)
+    family.append((k, closure_oracle(f.vertices for f in k.facets)))
+    probes = set(closure) | {
+        frozenset(pair) for pair in itertools.combinations([*sub.vertices, _FOREIGN[0]], 2)
+    }
+    _check_family(family, probes)

@@ -2,6 +2,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cbtopo.errors import BadResilience, InvalidTask, NotColored
 from cbtopo.simplicial import Complex, Simplex, Value, Vertex
@@ -20,12 +21,29 @@ from helpers import (
     cx,
     free,
     identity_task,
+    maximal_facets,
     monotonic_oracle,
+    projection_oracle,
+    random_induced_image_task,
     random_shared_mask_task,
     replace_image,
+    rigid_oracle,
     sx,
     vtx,
 )
+
+
+def assert_valid(task):
+    """``validate_for`` accepts the task, and the task rebuilt from its
+    carrier's items through the validating constructor equals it."""
+    task.carrier.validate_for(task.input, task.output)
+    rebuilt = Task(
+        input=task.input,
+        output=task.output,
+        carrier=CarrierMap(dict(task.carrier.items())),
+        colored=task.colored,
+    )
+    assert rebuilt == task
 
 
 @pytest.fixture
@@ -227,6 +245,13 @@ class TestRestrictToSkeleton:
         for s, image in restricted.carrier.items():
             assert image == task.carrier[s]
 
+    @pytest.mark.parametrize("n,t", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
+    def test_restricted_tasks_validate(self, cbt_tasks, colorless_tasks, n, t):
+        for task in (cbt_tasks[n], colorless_tasks[n]):
+            restricted = restrict_to_skeleton(task, t)
+            assert_valid(restricted)
+            assert set(restricted.carrier.domain()) == set(task.input.skeleton(t).simplices())
+
     @pytest.mark.parametrize("t", [0, 3, -1])
     def test_out_of_range_rejected(self, cbt_tasks, t):
         with pytest.raises(BadResilience):
@@ -254,6 +279,50 @@ class TestColorlessProjection:
         all_bot = sx(vtx(0, "bot"), vtx(1, "bot"))
         assert projected.carrier[all_bot].facets == (sx(free("0")),)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_projected_tasks_validate(self, cbt_tasks, n):
+        assert_valid(colorless_projection(cbt_tasks[n]))
+
     def test_projecting_twice_rejected(self, colorless_tasks):
         with pytest.raises(NotColored, match="already colorless"):
             colorless_projection(colorless_tasks[1])
+
+
+@settings(max_examples=80)
+@given(st.integers(min_value=0, max_value=2**32), st.booleans())
+def test_mask_checks_match_oracles(seed, induced):
+    """The mask checks, the projection and the restriction against
+    frozenset oracles, on monotonic and on induced (in general not
+    monotonic) random tasks; every derived task passes ``validate_for``."""
+    task = (random_induced_image_task if induced else random_shared_mask_task)(random.Random(seed))
+    # A check reports the first failure in canonical order: the coface by
+    # (dimension, key), then its faces in ``boundary`` order, which is key
+    # order.
+    monotonic = verify_monotonic(task)
+    violations = [(f, c) for f, c in monotonic_oracle(task) if f.dim == c.dim - 1]
+    assert monotonic.ok == (not violations)
+    if violations:
+        assert monotonic.counterexample == min(
+            violations, key=lambda p: (p[1].dim, p[1].sort_key(), p[0].sort_key())
+        )
+    rigid = verify_rigid(task)
+    flat = rigid_oracle(task)
+    assert rigid.ok == (not flat)
+    if flat:
+        assert rigid.counterexample == (min(flat, key=lambda s: (s.dim, s.sort_key())),)
+    projected = colorless_projection(task)
+    assert_valid(projected)
+    output, images = projection_oracle(task)
+    for complex_, closure in (
+        (projected.output, output),
+        *((image, images[s]) for s, image in projected.carrier.items()),
+    ):
+        facets = complex_.facets
+        assert {f.vertex_set for f in facets} == maximal_facets(closure)
+        assert list(facets) == sorted(facets, key=lambda f: f.sort_key())
+    for derived in (task, projected):
+        restricted = restrict_to_skeleton(derived, 1)
+        assert_valid(restricted)
+        for s, image in restricted.carrier.items():
+            assert s.dim <= 1
+            assert image == derived.carrier[s]
