@@ -390,13 +390,6 @@ class Simplex:
     def sort_key(self) -> tuple:
         return self._key
 
-    def boundary(self) -> Iterator["Simplex"]:
-        """Yield the codimension-1 faces."""
-        if self.dim == 0:
-            return
-        for combo in itertools.combinations(self._vertices, len(self._vertices) - 1):
-            yield Simplex(combo)
-
     def issubset(self, other: "Simplex") -> bool:
         return self._vertex_set <= other._vertex_set
 

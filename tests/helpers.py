@@ -6,7 +6,6 @@ genuine cross-check rather than a tautology.
 """
 from __future__ import annotations
 
-import copy
 import itertools
 from collections import Counter, deque
 from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
@@ -15,6 +14,7 @@ from cbtopo.forksim import (
     CommitProtocol,
     ExecutionTrace,
     NodeState,
+    ScheduleAction,
     Simulation,
     check_trace,
 )
@@ -252,26 +252,34 @@ def bfs_states(
 ) -> Iterator[Tuple[tuple, int, Simulation]]:
     """Every state within ``depth`` events of ``sim``, once each, by naive BFS.
 
-    Each child is a ``copy.deepcopy`` of its parent, so no state shares
-    anything with another.  Yields ``encode_state`` of each state, the
-    fewest events that reach it and the state itself, which the caller
-    must not change.
+    Each child is a fresh ``Simulation`` that runs ``sim``'s schedule, its
+    parent's actions and one more, so no state shares records or memoized
+    reactions with another, nor with a walk under test.  Yields
+    ``encode_state`` of each state, the fewest events that reach it and the
+    state itself.
     """
+
+    def replayed(schedule: Tuple[ScheduleAction, ...]) -> Simulation:
+        state = Simulation(sim.n, sim.t, sim.protocol, sim.inputs)
+        for action in schedule:
+            state.apply(action)
+        return state
+
     key = encode_state(sim)
     seen = {key}
     yield key, 0, sim
-    frontier = [sim]
+    frontier = [(sim, sim.trace().schedule())]
     for events in range(1, depth + 1):
         next_frontier = []
-        for parent in frontier:
+        for parent, schedule in frontier:
             for action in parent.enabled(suspensions):
-                child = copy.deepcopy(parent)
-                child.apply(action)
+                child_schedule = schedule + (action,)
+                child = replayed(child_schedule)
                 key = encode_state(child)
                 if key not in seen:
                     seen.add(key)
                     yield key, events, child
-                    next_frontier.append(child)
+                    next_frontier.append((child, child_schedule))
         frontier = next_frontier
 
 

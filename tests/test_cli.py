@@ -427,6 +427,144 @@ class TestSimulate:
         assert excinfo.value.code == 2
 
 
+# sha256 of ``simulate`` stdout and of its ``--trace-out`` bytes (None: no
+# file, the run found no violation) at n = 2..5, every legal t, with and
+# without ``--no-suspend``, plus one random run per n, as written while each
+# simulator state still owned mutable node records.
+@pytest.mark.parametrize(
+    "argv,stdout_digest,trace_digest",
+    [
+        (
+            ["--n", "2", "--t", "0"],
+            "f863f520f0e0baea2a1788192a50f76d44c3d770f3ec0362e24ea1ca041ecf11",
+            "3d1b57fcdbb1caf28d42259097d78bf258469c2e19341944038aa8b4d1c31561",
+        ),
+        (
+            ["--n", "2", "--t", "0", "--no-suspend"],
+            "ed9c7e43ce3f77d2130752720d2f4719f26b29cd580e24b003bb1aed893f5fea",
+            None,
+        ),
+        (
+            ["--n", "2", "--t", "1"],
+            "f863f520f0e0baea2a1788192a50f76d44c3d770f3ec0362e24ea1ca041ecf11",
+            "b5d57c0d1637ccf051bcc364d637b746485140750cfa41789fb2f8f4c7bcd09c",
+        ),
+        (
+            ["--n", "2", "--t", "1", "--no-suspend"],
+            "cdde6bf04f63f1daf3d74e8a3116d6080433c99fa8a2f8e5d016907a1af19c4d",
+            "68698becd6e23f9bf0bdbefb4c38636b49f3c2b67cf73854430f879d4b6fef1e",
+        ),
+        (
+            ["--n", "2", "--t", "1", "--random", "--seed", "5", "--trials", "60"],
+            "f1d3210578b162d92147bf7ebf01302b07b2cb722e8915898e7d9afdc590aa6d",
+            "43670898197a437cfceeb8a7f35d6ae862bc00cdbd87c56845240ecd81108b21",
+        ),
+        (
+            ["--n", "3", "--t", "0"],
+            "a0970cfdf571aba2c07f2297496598842b2e2999789b21b798c24763a58b403d",
+            "8a735d8c4d9c7b59d8103f4244e3d47cbc65a145278f3028e459c2b9bc9a7dc8",
+        ),
+        (
+            ["--n", "3", "--t", "0", "--no-suspend"],
+            "ed9c7e43ce3f77d2130752720d2f4719f26b29cd580e24b003bb1aed893f5fea",
+            None,
+        ),
+        (
+            ["--n", "3", "--t", "1"],
+            "a0970cfdf571aba2c07f2297496598842b2e2999789b21b798c24763a58b403d",
+            "07e2e27143224db7b2b513d0a73cfd66bf2ba4f456b5a42cbf18c678a6d3decf",
+        ),
+        (
+            ["--n", "3", "--t", "1", "--no-suspend"],
+            "e00e3370311aa230bc30ee8e6a6848bacb909643d996455067f6b4421186d630",
+            "f25b0ba32a0e3c55a210e06c25d8344c0da60eb629f3cc4b6b79ec6c80d02e5e",
+        ),
+        (
+            ["--n", "3", "--t", "1", "--random", "--seed", "5", "--trials", "60"],
+            "14fee2f01cfe19a45ad753bf7e5d91b2326f7e7f09253480e5f2d6e327029df0",
+            "19ccf4c0998ecd2893fe7f2250a40d4522998b8f0e0950ad173ef78db9437596",
+        ),
+        (
+            ["--n", "4", "--t", "0"],
+            "1d176c375445856359c792c8a75cfddeeaa066f0e323d051a1c562da74c77e62",
+            "6305dd986cef4c18132a4c2d89cb0fef64e8e5301b93f84485dc57fd69441f6b",
+        ),
+        (
+            ["--n", "4", "--t", "0", "--no-suspend"],
+            "ed9c7e43ce3f77d2130752720d2f4719f26b29cd580e24b003bb1aed893f5fea",
+            None,
+        ),
+        (
+            ["--n", "4", "--t", "1"],
+            "1d176c375445856359c792c8a75cfddeeaa066f0e323d051a1c562da74c77e62",
+            "6a1ed880931f42d0fcaeb9f66cece0bcaddc6a505669b65942a123f7f2b39fde",
+        ),
+        (
+            ["--n", "4", "--t", "1", "--no-suspend"],
+            "7378b87df5a9dde1fca81242adfcfa7b18ab2715de7b2501a1042b95f031a7ec",
+            "2d38eb5c45735eb8470b31458a452e2f9d0e9e2cd26a7db04a7e4e7e297edc57",
+        ),
+        (
+            ["--n", "4", "--t", "2"],
+            "1d176c375445856359c792c8a75cfddeeaa066f0e323d051a1c562da74c77e62",
+            "94414f580248d49386220c255d80e4ae659e51a56978fb9a3d466442483e31ea",
+        ),
+        (
+            ["--n", "4", "--t", "2", "--no-suspend"],
+            "7378b87df5a9dde1fca81242adfcfa7b18ab2715de7b2501a1042b95f031a7ec",
+            "2b60a30846cfae3e16965eadbeb0287b5e7983bc8417379ce65b89977f72b796",
+        ),
+        (
+            ["--n", "4", "--t", "2", "--random", "--seed", "5", "--trials", "60"],
+            "7610318e4b16561d3dafee9783f9ff79fdb2fc16e78d39852cfc587d3f7fbf85",
+            "03a97994eae4d292cd36ed84215b8acefb21c4572fceaa6aa4cd78debde39bbb",
+        ),
+        (
+            ["--n", "5", "--t", "0"],
+            "36f6af73a20b174c072c0d059f69a1024c7483f0cdee3fef6b8d5c82eab261c6",
+            "d2388c62d3c58439717b640971b44c8b0c3b4fab44e22d490ee60e930a410a03",
+        ),
+        (
+            ["--n", "5", "--t", "0", "--no-suspend"],
+            "ed9c7e43ce3f77d2130752720d2f4719f26b29cd580e24b003bb1aed893f5fea",
+            None,
+        ),
+        (
+            ["--n", "5", "--t", "1"],
+            "36f6af73a20b174c072c0d059f69a1024c7483f0cdee3fef6b8d5c82eab261c6",
+            "cf06b298b82fdfefbc193a1a2bf4f914d46f556793066479f01fdf260a467513",
+        ),
+        (
+            ["--n", "5", "--t", "1", "--no-suspend"],
+            "b91a5db403690c0425bfe39b982eca0c11c4c29e9d53387bf53cd6ff47e87250",
+            "d7d4e8474d1083d54f56ccd0187b656f8538aa169023ef56a77a98500777490b",
+        ),
+        (
+            ["--n", "5", "--t", "2"],
+            "36f6af73a20b174c072c0d059f69a1024c7483f0cdee3fef6b8d5c82eab261c6",
+            "21e95da846caddb9ab82562045e0803c02a050d96518d1e07616d0116e8db049",
+        ),
+        (
+            ["--n", "5", "--t", "2", "--no-suspend"],
+            "b91a5db403690c0425bfe39b982eca0c11c4c29e9d53387bf53cd6ff47e87250",
+            "24c66d4ccf98c78143511c20025d57808530e9d0bf72fa1d6d85fe4ad8ab50bb",
+        ),
+        (
+            ["--n", "5", "--t", "2", "--random", "--seed", "5", "--trials", "60"],
+            "6bc41229742397bd38501463f195ad561fb31bd4c9c2165d255ee546cbf9c44b",
+            "abfc5b230a2cd909d6281b1090e96028a2c3751d1ccd6faa8ae40d234d081d13",
+        ),
+    ],
+)
+def test_simulate_outputs_are_pinned(argv, stdout_digest, trace_digest, tmp_path, capsys):
+    path = tmp_path / "trace.jsonl"
+    code, out, err = run_cli(["simulate", *argv, "--trace-out", str(path)], capsys)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == stdout_digest
+    written = hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
+    assert written == trace_digest
+
+
 @pytest.fixture
 def trace_lines(tmp_path, capsys):
     """``simulate --trace-out`` lines of the n=2, t=1 atomicity violation."""

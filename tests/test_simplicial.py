@@ -197,13 +197,6 @@ class TestSimplex:
         assert sx(vtx(0, "0")).dim == 0
         assert sx(vtx(0, "0"), vtx(1, "0"), vtx(2, "0")).dim == 2
 
-    def test_boundary_is_codimension_one(self):
-        s = sx(vtx(0, "0"), vtx(1, "0"), vtx(2, "0"))
-        boundary = list(s.boundary())
-        assert len(boundary) == 3
-        assert all(f.dim == 1 for f in boundary)
-        assert list(sx(vtx(0, "0")).boundary()) == []
-
     def test_subset_and_membership(self):
         a, b, c = vtx(0, "0"), vtx(1, "0"), vtx(2, "0")
         assert sx(a, b).issubset(sx(a, b, c))
