@@ -361,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--trials", type=int, default=200)
     p_sim.add_argument("--no-suspend", action="store_true", help="disable fork suspensions")
-    p_sim.add_argument("--budget", type=int, default=None, help="state budget override")
+    p_sim.add_argument("--budget", type=int, default=None,
+                       help="state budget override, counted in orbit representatives")
     p_sim.add_argument("--trace-out", default=None, help="write the violating trace as JSON lines")
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -31,10 +31,6 @@ class GF2Matrix:
     row_labels: Tuple[Simplex, ...] = field(default=())
     col_labels: Tuple[Simplex, ...] = field(default=())
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
-
     def rank(self) -> int:
         """Rank over GF(2) by reduction against a pivot basis."""
         basis: Dict[int, int] = {}

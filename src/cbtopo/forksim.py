@@ -111,9 +111,6 @@ class Message:
     sequence: int
     payload: Tuple[Tuple[str, Any], ...]
 
-    def payload_dict(self) -> Dict[str, Any]:
-        return dict(self.payload)
-
 
 @dataclass(frozen=True)
 class SimEvent:
@@ -191,9 +188,28 @@ class CommitProtocol(ABC):
     and replays the memoized result, and the exhaustive search treats
     states with equal ``fingerprint`` as one and actions on different
     chains as commuting.  Payload values must be hashable.
+
+    A protocol may declare a symmetry: ``symmetric_chains`` names chains
+    it treats alike, and ``chain_keyed`` the memory fields holding dicts
+    keyed by chain index.  A permutation of the declared chains that keeps
+    ``inputs`` renames a state: each record's chain and the keys of its
+    chain-keyed dicts, and each message's sender and receiver.  The
+    exhaustive search then treats a state and its renamings as one, which
+    is sound only if every reaction is equivariant: reacting to the
+    renamed record and event gives the renamed record and the renamed
+    messages, as a multiset.  So a reaction may not single out one
+    declared chain: it may compare indices with its own and with the
+    undeclared ones, or send to every declared chain alike, and payload
+    values may not hold chain indices.  Declaring nothing leaves the
+    trivial group, and every state stands for itself.
     """
 
     name: str = "abstract"
+    chain_keyed: Tuple[str, ...] = ()
+
+    def symmetric_chains(self, n: int) -> Iterable[int]:
+        """Chains the protocol treats alike (see the class docstring)."""
+        return ()
 
     @abstractmethod
     def on_start(self, node: NodeState, n: int) -> List[Tuple[int, Dict[str, Any]]]:
@@ -219,6 +235,12 @@ class TwoPhaseCommit(CommitProtocol):
 
     name = "2pc"
     COORDINATOR = 0
+    chain_keyed = ("votes",)
+
+    def symmetric_chains(self, n: int) -> Iterable[int]:
+        # The coordinator is fixed; the participants vote, and hear the
+        # decision, alike.
+        return range(1, n + 1)
 
     def _vote(self, node: NodeState) -> Value:
         return Value.ONE if node.local_value is Value.ONE else Value.ZERO
@@ -293,7 +315,9 @@ class _Kernel:
     ``records`` (read-only) and ``messages`` (``(receiver, sender, payload)``)
     by id, and memos.  ``reactions`` maps a record id and an event ("step",
     "crash", "suspend" or a message id) to the new record id and the ids of
-    the messages sent.  The others hold what ``Simulation._enabled`` lists."""
+    the messages sent.  Others hold what ``Simulation._enabled`` lists.
+    ``symmetry`` is None unless the protocol declares chains alike with
+    equal inputs."""
 
     def __init__(self, n: int, t: int, protocol: CommitProtocol, inputs: tuple) -> None:
         self.n, self.t, self.protocol, self.inputs = n, t, protocol, inputs
@@ -311,6 +335,11 @@ class _Kernel:
         self.deliveries: Dict[int, ScheduleAction] = {}  # by sequence number
         self.step_bits = sum(1 << (3 * chain) for chain in range(n + 1))
         self.suspend_bits, self.crash_bits = self.step_bits << 1, self.step_bits << 2
+        by_input: Dict[Value, List[int]] = {}
+        for chain in sorted(set(protocol.symmetric_chains(n))):
+            by_input.setdefault(inputs[chain], []).append(chain)
+        classes = [chains for chains in by_input.values() if len(chains) > 1]
+        self.symmetry = _Symmetry(self, classes) if classes else None
 
     def _intern(self, table: list, key: tuple, value: Any) -> int:
         ident = self._ids.get(key)
@@ -359,6 +388,156 @@ class _Kernel:
     def message(self, sequence: int, ident: int) -> Message:
         receiver, sender, payload = self.messages[ident]
         return Message(sender=sender, receiver=receiver, sequence=sequence, payload=payload)
+
+
+class _Symmetry:
+    """A kernel's quotient by the protocol's declared symmetry (see
+    ``CommitProtocol``): ``classes`` are the declared chains grouped by
+    input, each of two or more; signature parts are numbered in
+    ``_parts``, and renamed ids are kept by permutation number."""
+
+    def __init__(self, kernel: _Kernel, classes: List[List[int]]) -> None:
+        self.kernel, self.classes, self.n = kernel, classes, kernel.n
+        self.keyed = kernel.protocol.chain_keyed
+        self.moving = frozenset(chain for chains in classes for chain in chains)
+        # The fixed chains whose chain-keyed dicts a signature reads.
+        fixed = [chain for chain in range(self.n + 1) if chain not in self.moving]
+        self._keyed_fixed = fixed if self.keyed else []
+        self._parts: Dict[tuple, int] = {}
+        self._chain_free: Dict[int, int] = {}  # by record id
+        self._entries: Dict[int, tuple] = {}  # by record id of a fixed chain
+        self._sides: Dict[int, tuple] = {}  # by message id
+        self._perms: Dict[tuple, int] = {}
+        self._renamed_records: Dict[Tuple[int, int], int] = {}
+        self._renamed_messages: Dict[Tuple[int, int], int] = {}
+        self._renamed_flags: Dict[Tuple[int, int], int] = {}
+
+    def canonical(self, records: tuple, idents: tuple, flags: int) -> tuple:
+        """A state's ``fingerprint``: the state renamed by the permutation
+        that ranks each class's chains by signature, the i-th lowest moving
+        to the class's i-th chain (ties keep index order).
+
+        A chain's signature is what the state holds of it, read without
+        its index: its record with its own index blanked, its flag bits,
+        and, as a multiset of parts, what the fixed chains' chain-keyed
+        dicts hold for it and the messages it sends or receives, each
+        marked with the other end's index if that is fixed.  Renamings of
+        one state hold equal signature multisets, so each is ranked into
+        one representative whenever no message or record ties two declared
+        chains to each other, as under 2PC.  Otherwise two keys may share
+        an orbit, but a key is always a renaming of its state, so equal
+        keys never join two orbits."""
+        # Signature lists: the record and flag bits as one int, then parts.
+        chain_free = self._chain_free
+        signature = {}
+        for chain in self.moving:
+            record = records[chain]
+            local = chain_free.get(record)
+            if local is None:
+                local = self._chain_free_part(record)
+            signature[chain] = [local << 3 | flags >> 3 * chain & 7]
+        sides, entries = self._sides, self._entries
+        about = [self._side_parts(ident) if sides.get(ident) is None else sides[ident]
+                 for ident in idents]
+        for chain in self._keyed_fixed:
+            pairs = entries.get(records[chain])
+            about.append(self._entry_parts(records[chain]) if pairs is None else pairs)
+        for pairs in about:
+            for chain, part in pairs:
+                signature[chain].append(part)
+        for held in signature.values():
+            if len(held) > 2:
+                held[1:] = sorted(held[1:])
+        perm = None
+        for chains in self.classes:
+            ranked = sorted(chains, key=signature.__getitem__)
+            if ranked != chains:
+                if perm is None:
+                    perm = list(range(self.n + 1))
+                for old, new in zip(ranked, chains):
+                    perm[old] = new
+        if perm is None:
+            return records, tuple(sorted(idents)), flags
+        perm = tuple(perm)
+        code = self._perms.get(perm)
+        if code is None:
+            code = self._perms[perm] = len(self._perms)
+        kernel = self.kernel
+        renamed = list(records)
+        memo = self._renamed_records
+        for chain, record in enumerate(records):
+            ident = memo.get((record, code))
+            if ident is None:
+                node = self._rekeyed(kernel.records[record], perm)
+                node.chain = BlockRef(perm[chain], node.chain.block)
+                ident = memo[record, code] = kernel.record(node)
+            renamed[perm[chain]] = ident
+        messages = []
+        memo = self._renamed_messages
+        for ident in idents:
+            moved = memo.get((ident, code))
+            if moved is None:
+                receiver, sender, payload = kernel.messages[ident]
+                key = (perm[receiver], perm[sender], payload)
+                moved = memo[ident, code] = kernel._intern(kernel.messages, key, key)
+            messages.append(moved)
+        messages.sort()
+        memo = self._renamed_flags
+        moved_flags = memo.get((flags, code))
+        if moved_flags is None:
+            moved_flags = memo[flags, code] = sum(
+                (flags >> 3 * chain & 7) << 3 * target for chain, target in enumerate(perm)
+            )
+        return tuple(renamed), tuple(messages), moved_flags
+
+    def _part(self, key: tuple) -> int:
+        return self._parts.setdefault(key, len(self._parts))
+
+    def _rekeyed(self, node: NodeState, mapping: Any) -> NodeState:
+        """A copy of ``node`` whose chain-keyed dicts are keyed by ``mapping[key]``."""
+        twin = node.clone()
+        for name in self.keyed:
+            value = twin.memory.get(name)
+            if isinstance(value, dict):
+                twin.memory[name] = {mapping[key]: entry for key, entry in value.items()}
+        return twin
+
+    def _chain_free_part(self, record: int) -> int:
+        node = self.kernel.records[record]
+        mapping = list(range(self.n + 1))
+        mapping[node.index] = -1
+        # The fingerprint without its first field, the chain.
+        local = self._part(self._rekeyed(node, mapping).fingerprint()[1:])
+        self._chain_free[record] = local
+        return local
+
+    def _entry_parts(self, record: int) -> tuple:
+        """What this fixed chain's chain-keyed dicts hold for each declared
+        chain, as ``(chain, part)`` pairs."""
+        node = self.kernel.records[record]
+        entries = []
+        for name in self.keyed:
+            value = node.memory.get(name)
+            if isinstance(value, dict):
+                entries += [(chain, self._part(("entry", node.index, name, entry)))
+                            for chain, entry in value.items() if chain in self.moving]
+        self._entries[record] = entries = tuple(entries)
+        return entries
+
+    def _side_parts(self, message: int) -> tuple:
+        """The message as seen from each declared end, as ``(chain, part)``
+        pairs; the other end is -1 unless fixed."""
+        receiver, sender, payload = self.kernel.messages[message]
+        if receiver == sender:
+            sides = [(receiver, self._part(("self", payload)))]
+        else:
+            def mark(chain: int) -> int:
+                return -1 if chain in self.moving else chain
+
+            sides = [(receiver, self._part(("in", mark(sender), payload))),
+                     (sender, self._part(("out", mark(receiver), payload)))]
+        self._sides[message] = sides = tuple(pair for pair in sides if pair[0] in self.moving)
+        return sides
 
 
 class Simulation:
@@ -417,8 +596,18 @@ class Simulation:
         return twin
 
     def fingerprint(self) -> tuple:
+        """Key of the state up to the protocol's declared symmetry: the
+        state renamed by one permutation chosen from the state itself (see
+        ``_Symmetry.canonical``), as its record ids, its in-flight message ids
+        sorted, and its flag mask.  Sequence numbers and the event log are
+        left out.  Without a declared symmetry the permutation is the
+        identity; either way two keys are equal only if their states are
+        renamings of each other."""
         records, _, idents, flags = self.state[:4]
-        return (records, tuple(sorted(idents)), flags)
+        symmetry = self.kernel.symmetry
+        if symmetry is None:
+            return records, tuple(sorted(idents)), flags
+        return symmetry.canonical(records, idents, flags)
 
     def apply(self, action: ScheduleAction) -> None:
         kernel = self.kernel
@@ -652,11 +841,15 @@ def find_violation(
     """Search schedules for a trace that the checker rejects.
 
     Exhaustive mode checks every *state* within ``depth`` events, not every
-    schedule, depth first in canonical action order (see ``_explore``).  A
-    state is checked once, on its first visit, by a predicate on its node
-    records that flags exactly what ``check_trace`` flags on its trace, and
-    counts once against ``state_budget``; only the state returned becomes
-    an ``ExecutionTrace``.  A cached state is expanded again, not checked
+    schedule, depth first in canonical action order (see ``_explore``), and
+    takes states that the protocol's declared symmetry renames into each
+    other (see ``CommitProtocol``) as one: it checks one state of each
+    orbit, the first it reaches.  A state is checked once, on its first
+    visit, by a predicate on its node records that flags exactly what
+    ``check_trace`` flags on its trace and treats every chain alike, and
+    counts once against ``state_budget``, which so counts orbit
+    representatives; only the state returned becomes an
+    ``ExecutionTrace``.  A cached state is expanded again, not checked
     again, when it is reached on fewer events.  Sleep sets (Godefroid, LNCS
     1032, 1996) skip a transition whose target another order of the same
     commuting actions covers at the same depth.  Actions on different
@@ -699,33 +892,45 @@ def find_violation(
 def _explore(
     root: Simulation, depth: int, suspensions: int, budget: int
 ) -> Optional[ExecutionTrace]:
-    """``find_violation``'s exhaustive walk: state caching plus sleep sets.
+    """``find_violation``'s exhaustive walk: state caching plus sleep sets,
+    quotiented by the protocol's declared symmetry.
 
     Each child is a ``clone`` with one ``apply``.  The cache maps its
     ``fingerprint`` to the fewest events that reached it, not to a sleep
-    set, and drops a state reached again on as many events or more.
-    Every state within the bound is still checked.  Let dist(s) be the
-    fewest events that reach s, and call an entry for s at dist(s) events
-    a dist-entry.
-    1. At most one dist-entry is pushed per state, and every entry on the
+    set, and drops a state reached again on as many events or more.  Equal
+    keys mean states that a declared permutation renames into each other,
+    one orbit; renaming commutes with actions and keeps the root, so a
+    renamed run is a run of the same length, and the state check treats
+    every chain alike.  So checking one state of each orbit within the
+    bound misses no violation, and each is checked.  Let dist(s) be the
+    fewest events that reach s's orbit, and call an entry for s at dist(s)
+    events a dist-entry.
+    1. At most one dist-entry is pushed per key, and every entry on the
        tree path of a dist-entry is a dist-entry.
-    2. If an entry r pushed a state that a later entry E at the same event
-       count finds cached, the subtree of r's push finished before E was
-       popped: the stack is LIFO, and no entry descends from another at
-       its own event count.
+    2. If entry E's child c at dist(c) is dropped as cached, a renaming of
+       c got a dist-entry pushed by an entry at E's event count popped
+       before E, whose subtree finished before E was popped (the stack is
+       LIFO, and no entry descends from another at its own event count),
+       or pushed by E for an earlier sibling of c, whose subtree finishes
+       before those of c's later siblings start.  Siblings are marked first
+       to last so that the earlier one wins: a later sibling kept for both
+       would carry the earlier one's action asleep, and the orbit it
+       stands for would lose the runs that start with that action.
     3. By induction on finishing time: for a dist-entry E at x and a path
-       a.w from x that stays shortest and within the bound, x.a.w gets a
-       dist-entry.  If a is taken at E, recurse into x.a's dist-entry, E's
-       own child or, by (2), one that finished earlier.  If a is asleep at
-       E, it was taken at an ancestor y before the branch toward x, and it
-       commutes with every action on the tree path p from y to x: actions
-       on different chains commute as states, since the fingerprint
-       ignores sequence numbers, and neither disables the other.  So
-       x.a.w is y.a.p.w, and y.a's dist-entry finished before E, by
-       sibling order or by (2).
-    At the root, (3) covers every state within the bound, so revisiting a
-    cached state reached with fewer actions asleep (Godefroid, LNCS 1032,
-    1996, section 5) would only walk again states the walk reaches anyway.
+       a.w from x that stays shortest and within the bound, a renaming of
+       x.a.w gets a dist-entry.  If a is taken at E, recurse into E's
+       child x.a, or by (2) into a renaming of x.a with w renamed alike.
+       If a is asleep at E, it was taken at an ancestor y before the
+       branch toward x, and it commutes with every action on the tree path
+       p from y to x: actions on different chains commute as states, since
+       the fingerprint ignores sequence numbers, and neither disables the
+       other.  So x.a.w is y.a.p.w, and y.a, or by (2) a renaming of it,
+       has a dist-entry that finished before E.
+    At the root, (3) covers every orbit within the bound; this is the
+    combination of partial-order and symmetry reduction of Emerson, Jha &
+    Peled (TACAS 1997, LNCS 1217).  Revisiting a cached state reached with
+    fewer actions asleep (Godefroid, LNCS 1032, 1996, section 5) would only
+    walk again orbits the walk reaches anyway.
     """
     # Action identity i (see ``Simulation._enabled``) owns bit 1 << i, and
     # ``acts_on[c]`` holds the bits of the actions on chain c met so far.
@@ -754,27 +959,29 @@ def _explore(
             continue
         # Taken actions join the sleep sets of later siblings they commute
         # with; an identity already taken here (a twin message) is skipped.
-        children = []
+        # Children are marked in ``seen`` first to last, so of two siblings
+        # in one orbit the first is kept (step 2 of the docstring).
+        kept = []
         for action, chain, identity in sim._enabled(suspensions):
             bit = 1 << identity
             if bit & sleep:
                 continue
             acts_on[chain] |= bit
-            # Children on the depth bound are never expanded: no sleep set.
-            child_sleep = 0
-            if events < depth:
-                conflicts = acts_on[chain] | (shared[identity] if identity < base else 0)
-                child_sleep = sleep & ~conflicts
-            children.append((action, child_sleep))
-            sleep |= bit
-        # Pushed last to first, so a child is expanded only after the
-        # subtrees of the siblings in its sleep set.
-        for action, child_sleep in reversed(children):
             child = sim.clone()
             child.apply(action)
             state = child.fingerprint()
             known = seen.get(state)
             if known is None or known > events:
                 seen[state] = events
-                stack.append((child, child_sleep, known is None))
+                # Children on the depth bound are never expanded: no sleep set.
+                child_sleep = 0
+                if events < depth:
+                    conflicts = acts_on[chain] | (shared[identity] if identity < base else 0)
+                    child_sleep = sleep & ~conflicts
+                kept.append((child, child_sleep, known is None))
+            sleep |= bit
+        # Pushed last to first, so a child is expanded only after the
+        # subtrees of the siblings in its sleep set.
+        kept.reverse()
+        stack += kept
     return None

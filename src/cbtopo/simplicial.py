@@ -503,12 +503,6 @@ class Complex:
             mask |= b
         return _within((mask,), self._facets)
 
-    def contains_complex(self, other: "Complex") -> bool:
-        """True when every facet of ``other`` is a simplex of this complex."""
-        renumber = other._space.to(self._space)
-        facets = other._facets if renumber is None else map(renumber, other._facets)
-        return _within(facets, self._facets)
-
     def has_vertex(self, vertex: Any) -> bool:
         return bool(self._space.bit.get(vertex, 0) & self._support)
 

@@ -247,6 +247,68 @@ def encode_state(sim: Simulation) -> tuple:
     return nodes, frozenset(flight.items()), frozenset(sim.started)
 
 
+def renamed_encoding(key: tuple, perm: Sequence[int], keyed: Iterable[str]) -> tuple:
+    """``encode_state`` key of the state renamed by ``perm`` (chain i
+    becomes chain ``perm[i]``), from the state's own key: node i's fields
+    move to position ``perm[i]``, the keys of its memory dicts named in
+    ``keyed`` are renamed, and so are message ends and started chains."""
+    nodes, flight, started = key
+    renamed: list = [None] * len(nodes)
+    for chain, (*fields, memory) in enumerate(nodes):
+        memory = frozenset(
+            (name, frozenset((perm[k], v) for k, v in value) if name in keyed else value)
+            for name, value in memory
+        )
+        renamed[perm[chain]] = (*fields, memory)
+    flight = frozenset(
+        ((perm[sender], perm[receiver], payload), count)
+        for (sender, receiver, payload), count in flight
+    )
+    return tuple(renamed), flight, frozenset(perm[chain] for chain in started)
+
+
+def chain_permutations(inputs: Sequence[Value], chains: Iterable[int]) -> list[tuple]:
+    """Every permutation of ``chains`` that keeps ``inputs``, as a tuple
+    giving each chain index its image; the other chains stay put."""
+    chains = list(chains)
+    perms = []
+    for image in itertools.permutations(chains):
+        perm = list(range(len(inputs)))
+        for chain, target in zip(chains, image):
+            perm[chain] = target
+        if all(inputs[perm[c]] == inputs[c] for c in chains):
+            perms.append(tuple(perm))
+    return perms
+
+
+def orbit_key(key: tuple, perms: Iterable[Sequence[int]], keyed: Iterable[str]) -> frozenset:
+    """The orbit of the state with ``encode_state`` key ``key`` under the
+    group ``perms``: the set of its keys renamed by every member.  Two
+    states get one orbit key exactly when a member renames one into the
+    other; the set stands in for the least member, which would need an
+    order on keys."""
+    return frozenset(renamed_encoding(key, perm, keyed) for perm in perms)
+
+
+def orbit_states(
+    sim: Simulation,
+    depth: int,
+    suspensions: int,
+    perms: Iterable[Sequence[int]],
+    keyed: Iterable[str],
+) -> Dict[frozenset, tuple]:
+    """``reachable_states`` by orbit: a map from the ``orbit_key`` of each
+    orbit that has a state within ``depth`` events to the fewest events
+    that reach one and the violation kinds, the same on every member."""
+    perms, keyed = list(perms), tuple(keyed)
+    orbits: Dict[frozenset, tuple] = {}
+    for key, events, state in bfs_states(sim, depth, suspensions):
+        kinds = frozenset(v.kind for v in check_trace(state.trace()).violations)
+        orbit = orbit_key(key, perms, keyed)
+        assert orbits.setdefault(orbit, (events, kinds))[1] == kinds, orbit
+    return orbits
+
+
 def bfs_states(
     sim: Simulation, depth: int, suspensions: int
 ) -> Iterator[Tuple[tuple, int, Simulation]]:
@@ -330,7 +392,8 @@ class TableProtocol(CommitProtocol):
     ``table[(phase, kind)]`` is ``(next_phase, sends, remember, decision)``,
     where ``kind`` is ``"start"`` for the start step or a message kind.
     ``sends`` lists ``(offset, kind)`` pairs: a message of that kind, with
-    the sender's current local value, to chain ``(index + offset) % (n + 1)``.
+    the sender's current local value, to chain ``(index + offset) % (n + 1)``
+    (``_receivers`` says where in subclasses).
     ``remember`` records the value heard from the sender in a flat dict.
     ``decision`` is None, ``"0"``, ``"1"`` or ``"own"`` (commit exactly
     when the node's own local value is committed); a node decides once.
@@ -356,15 +419,44 @@ class TableProtocol(CommitProtocol):
                 decision = "1" if node.local_value is Value.ONE else "0"
             node.decide(Value.from_code(decision))
         return [
-            ((node.index + offset) % (n + 1), {"kind": sent, "value": node.local_value.value})
+            (receiver, {"kind": sent, "value": node.local_value.value})
             for offset, sent in sends
+            for receiver in self._receivers(node.index, offset, n)
         ]
+
+    def _receivers(self, index: int, offset: int, n: int) -> list:
+        return [(index + offset) % (n + 1)]
 
     def on_start(self, node: NodeState, n: int) -> list:
         return self._react(node, "start", node.index, None, n)
 
     def on_message(self, node: NodeState, sender: int, payload: Dict[str, Any], n: int) -> list:
         return self._react(node, payload["kind"], sender, payload["value"], n)
+
+
+class StarTableProtocol(TableProtocol):
+    """``TableProtocol`` whose sends go to the sender itself (offset 0) or
+    to chain 0 (any other offset), declaring chains 1..n symmetric and
+    ``heard`` keyed by chain: no message or record ties two of them."""
+
+    name = "star-table"
+    chain_keyed = ("heard",)
+
+    def symmetric_chains(self, n: int) -> range:
+        return range(1, n + 1)
+
+    def _receivers(self, index: int, offset: int, n: int) -> list:
+        return [index if offset == 0 else 0]
+
+
+class MeshTableProtocol(StarTableProtocol):
+    """``StarTableProtocol`` whose sends at a nonzero offset go to every
+    other chain, so messages tie declared chains to each other."""
+
+    name = "mesh-table"
+
+    def _receivers(self, index: int, offset: int, n: int) -> list:
+        return [index] if offset == 0 else [c for c in range(n + 1) if c != index]
 
 
 _RANK_OF_CODE = {"0": 0, "1": 1, "bot": 2}

@@ -40,7 +40,7 @@ def sphere():
 class TestGF2Matrix:
     def test_entry_and_bounds(self):
         m = GF2Matrix(rows=(0b01, 0b10), n_cols=2)
-        assert m.n_rows == 2
+        assert len(m.rows) == 2
         assert [(m.rows[0] >> j) & 1 for j in range(m.n_cols)] == [1, 0]
         assert [(m.rows[1] >> j) & 1 for j in range(m.n_cols)] == [0, 1]
         assert all(row >> m.n_cols == 0 for row in m.rows)
@@ -68,7 +68,7 @@ class TestBoundaryMatrix:
     def test_single_edge(self):
         a, b = verts(2)
         m = boundary_matrix(cx([a, b]), 1)
-        assert (m.n_rows, m.n_cols) == (2, 1)
+        assert (len(m.rows), m.n_cols) == (2, 1)
         assert list(m.rows) == [0b1, 0b1]
         assert m.row_labels[0].vertices == (a,)
 
@@ -91,7 +91,7 @@ class TestBoundaryMatrix:
                 dk = boundary_matrix(complex_, k)
                 dk_minus = boundary_matrix(complex_, k - 1)
                 product = gf2_product_rows(dk_minus.rows, dk.rows)
-                assert len(product) == dk_minus.n_rows
+                assert len(product) == len(dk_minus.rows)
                 assert not any(product)
 
     def test_entry_means_face_incidence(self, circle):

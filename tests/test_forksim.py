@@ -11,7 +11,6 @@ from cbtopo.forksim import (
     CommitProtocol,
     ExecutionTrace,
     ExhaustiveMode,
-    Message,
     NodeState,
     RandomMode,
     ScheduleAction,
@@ -27,10 +26,16 @@ from cbtopo.simplicial import BlockRef, Simplex, Value, Vertex
 from cbtopo import CbtConfig, build_task
 
 from helpers import (
+    MeshTableProtocol,
+    StarTableProtocol,
     TableProtocol,
     bfs_states,
+    chain_permutations,
     encode_state,
+    orbit_key,
+    orbit_states,
     reachable_states,
+    renamed_encoding,
     unreduced_walk,
 )
 
@@ -162,12 +167,6 @@ class TestMemoizedReactions:
         find_violation(3, 1, Recorded(), mode, inputs=inputs, suspensions=1)
         assert calls
         assert len(set(calls)) == len(calls)
-
-
-class TestMessage:
-    def test_payload_dict(self):
-        m = Message(sender=1, receiver=0, sequence=4, payload=(("kind", "vote"),))
-        assert m.payload_dict() == {"kind": "vote"}
 
 
 class TestRunBounds:
@@ -544,6 +543,8 @@ def _oracle_grid():
             # n=3, t=1 has over a thousand states by depth 5; its coordinator
             # crash is a termination violation from depth 4 on.
             depth = 4 if (n, t) == (3, 1) else 24
+            # All legs ONE: every participant in one orbit class.
+            yield pytest.param(n, t, depth, 1, 0, Value.ONE, id=f"n{n}-t{t}-d{depth}-1@0")
             for position in range(n + 1):
                 for leg in (Value.ZERO, Value.BOTTOM):
                     yield pytest.param(
@@ -561,8 +562,38 @@ def _oracle_grid():
     yield pytest.param(4, 2, 4, 1, 1, Value.ZERO, id="n4-t2-d4-0@1")
 
 
+# 2PC's symmetry, stated here rather than read off ``TwoPhaseCommit``: the
+# participants 1..n with equal inputs are interchangeable, and the
+# coordinator's ``votes`` are keyed by chain.
+_2PC_KEYED = ("votes",)
+
+
+def _2pc_group(inputs):
+    return chain_permutations(inputs, range(1, len(inputs)))
+
+
+def _2pc_orbits(n, t, depth, suspensions, inputs):
+    """The oracle's 2PC orbits, the orbit of a state, and a hunt."""
+    group = _2pc_group(inputs)
+    orbits = orbit_states(
+        Simulation(n, t, TwoPhaseCommit(), inputs), depth, suspensions, group, _2PC_KEYED
+    )
+
+    def orbit_of(sim):
+        return orbit_key(encode_state(sim), group, _2PC_KEYED)
+
+    def hunt(budget=None):
+        return find_violation(
+            n, t, TwoPhaseCommit(), ExhaustiveMode(depth=depth),
+            suspensions=suspensions, inputs=inputs, state_budget=budget,
+        )
+
+    return orbits, orbit_of, hunt
+
+
 class TestExhaustiveAgainstOracle:
-    """``ExhaustiveMode`` against a deep-copying BFS with its own state keys."""
+    """``ExhaustiveMode`` against a deep-copying BFS with its own state keys,
+    quotiented by 2PC's symmetry: the walk checks one state per orbit."""
 
     @pytest.mark.parametrize(
         "n,t,depth,suspensions,position,leg", list(_oracle_grid())
@@ -570,30 +601,27 @@ class TestExhaustiveAgainstOracle:
     def test_same_states_and_verdict(self, n, t, depth, suspensions, position, leg):
         inputs = [Value.ONE] * (n + 1)
         inputs[position] = leg
-        states = reachable_states(
-            Simulation(n, t, TwoPhaseCommit(), inputs), depth, suspensions
-        )
-        violating = {kinds for _, kinds in states.values() if kinds}
-        mode = ExhaustiveMode(depth=depth)
-        # With a budget of the oracle's state count, a clean walk passes
-        # and one state fewer runs out: it checks exactly those states.
-        budget = len(states)
-        trace = find_violation(
-            n, t, TwoPhaseCommit(), mode,
-            suspensions=suspensions, inputs=inputs, state_budget=budget,
-        )
+        orbits, orbit_of, hunt = _2pc_orbits(n, t, depth, suspensions, inputs)
+        violating = {kinds for _, kinds in orbits.values() if kinds}
+        trace = hunt()
         assert (trace is not None) == bool(violating)
-        if trace is None:
-            with pytest.raises(ResourceBound):
-                find_violation(
-                    n, t, TwoPhaseCommit(), mode,
-                    suspensions=suspensions, inputs=inputs, state_budget=budget - 1,
-                )
-        else:
-            events, kinds = states[encode_state(_replayed(trace))]
+        if trace is not None:
+            events, kinds = orbits[orbit_of(_replayed(trace))]
             assert events <= len(trace.events) <= depth
             assert kinds == {v.kind for v in check_trace(trace).violations}
             assert kinds in violating
+        # A budget of the oracle's orbit count passes and one state fewer
+        # runs out: the sweep checks one state of each orbit.
+        _assert_sweep_checks_each_once(hunt, orbits, key=orbit_of)
+
+    def test_all_one_n2_t0_checks_72_orbits(self):
+        """A walk that marks ``seen`` last child first keeps a later sibling
+        with an earlier sibling of its orbit asleep: it checks 40 of these
+        72 orbits and misses the atomicity violation."""
+        orbits, orbit_of, hunt = _2pc_orbits(2, 0, 24, 1, [Value.ONE] * 3)
+        assert hunt() is not None
+        assert len(orbits) == 72
+        _assert_sweep_checks_each_once(hunt, orbits, key=orbit_of)
 
 
 def _trace_identity_grid():
@@ -695,14 +723,15 @@ class TestSleepSetsAgainstOracles:
         _assert_sweep_checks_each_once(hunt, states)
 
 
-def _assert_sweep_checks_each_once(hunt, states):
+def _assert_sweep_checks_each_once(hunt, states, key=encode_state):
     """With a state check that flags nothing, ``hunt(budget)`` sweeps the
-    bound: it checks each of the oracle's ``states`` exactly once, so a
-    budget of their count passes and one fewer runs out."""
+    bound: it checks each of the oracle's ``states`` (by ``key``, or each
+    orbit by ``orbit_key``) exactly once, so a budget of their count
+    passes and one fewer runs out."""
     checked = []
 
     def record(sim):
-        checked.append(encode_state(sim))
+        checked.append(key(sim))
         return False
 
     with pytest.MonkeyPatch.context() as patch:
@@ -739,9 +768,9 @@ class TestStateCheckAgainstChecker:
         self._agree(Simulation(n, t, protocol, inputs), depth, suspensions)
 
 
-def _draw_table_run(data):
+def _draw_table_run(data, protocol=TableProtocol):
     """A small ``TableProtocol`` run: n, t, suspensions, depth, inputs and
-    the protocol, drawn one by one from ``data``."""
+    the protocol (of class ``protocol``), drawn one by one from ``data``."""
     n = data.draw(st.integers(1, 2), label="n")
     t = data.draw(st.integers(0, n // 2), label="t")
     suspensions = data.draw(st.integers(0, 2), label="suspensions")
@@ -750,7 +779,7 @@ def _draw_table_run(data):
         st.lists(st.sampled_from(list(Value)), min_size=n + 1, max_size=n + 1),
         label="inputs",
     )
-    return n, t, suspensions, depth, inputs, TableProtocol(data.draw(_tables(n), label="table"))
+    return n, t, suspensions, depth, inputs, protocol(data.draw(_tables(n), label="table"))
 
 
 @st.composite
@@ -772,6 +801,124 @@ def _tables(draw, n):
             if draw(st.booleans()) or kind == "start" and phase == "init":
                 table[(phase, kind)] = draw(entry)
     return table
+
+
+def _renamed_action(sim, twin, action, perm):
+    """``action`` on ``sim`` renamed by ``perm`` into an action on ``twin``,
+    ``sim`` renamed: the same kind on the renamed chain, or the delivery
+    of the first in-flight message with the renamed ends and payload."""
+    if action.kind != "deliver":
+        return A(action.kind, perm[action.chain])
+    message = sim.in_flight[action.sequence]
+    return A("deliver", sequence=min(
+        seq for seq, m in twin.in_flight.items()
+        if (m.sender, m.receiver, m.payload)
+        == (perm[message.sender], perm[message.receiver], message.payload)
+    ))
+
+
+class TestDeclaredSymmetry:
+    """A protocol's declared symmetry against renamings the test makes
+    itself, and the walk's one state per orbit."""
+
+    @settings(max_examples=60)
+    @given(
+        data=st.data(),
+        n=st.integers(2, 4),
+        t=st.integers(0, 1),
+        legs=st.lists(st.sampled_from(list(Value)), min_size=3, max_size=3),
+        odd=st.integers(1, 4),
+    )
+    def test_2pc_reactions_are_equivariant(self, data, n, t, legs, odd):
+        """Renaming a reachable state by any group element and applying the
+        renamed action gives the renamed child, for every enabled action.
+        The participants share one input but for chain ``odd``, if any."""
+        inputs = [legs[0]] + [legs[1]] * n
+        if odd <= n:
+            inputs[odd] = legs[2]
+        sim = Simulation(n, t, TwoPhaseCommit(), inputs)
+        schedule = []
+        for _ in range(data.draw(st.integers(0, 14), label="events")):
+            actions = sim.enabled(1)
+            if not actions:
+                break
+            schedule.append(data.draw(st.sampled_from(actions)))
+            sim.apply(schedule[-1])
+        for perm in _2pc_group(inputs):
+            replay = Simulation(n, t, TwoPhaseCommit(), inputs)
+            twin = Simulation(n, t, TwoPhaseCommit(), inputs)
+            for action in schedule:
+                twin.apply(_renamed_action(replay, twin, action, perm))
+                replay.apply(action)
+            assert encode_state(twin) == renamed_encoding(encode_state(sim), perm, _2PC_KEYED)
+            for action in sim.enabled(1):
+                child, twin_child = sim.clone(), twin.clone()
+                twin_child.apply(_renamed_action(sim, twin, action, perm))
+                child.apply(action)
+                assert encode_state(twin_child) == renamed_encoding(
+                    encode_state(child), perm, _2PC_KEYED
+                )
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_star_table_walk_checks_each_orbit_once(self, data):
+        self._sweep(*_draw_table_run(data, StarTableProtocol), once=True)
+
+    def test_star_table_signature_reads_fixed_chains_memory(self):
+        """Chain 0's ``heard`` alone tells chains 1 and 2 apart in some
+        state here; a signature without it checks 233 states, not 232."""
+        table = {
+            ("init", "start"): ("b", [(1, "x"), (0, "y")], False, None),
+            ("init", "x"): ("a", [(1, "y")], True, None),
+            ("init", "y"): ("init", [(0, "x"), (2, "x")], True, "1"),
+            ("a", "x"): ("init", [], False, "0"),
+            ("b", "x"): ("b", [(1, "y")], True, "0"),
+            ("b", "y"): ("init", [], False, "own"),
+        }
+        inputs = [Value.ONE, Value.BOTTOM, Value.BOTTOM]
+        assert self._sweep(2, 0, 0, 7, inputs, StarTableProtocol(table), once=True) == 232
+
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_mesh_table_walk_checks_every_orbit(self, data):
+        """Messages between declared chains can leave two keys in one
+        orbit; every orbit is still checked."""
+        self._sweep(*_draw_table_run(data, MeshTableProtocol), once=False)
+
+    @staticmethod
+    def _sweep(n, t, suspensions, depth, inputs, protocol, once):
+        """Check the verdict and the orbits swept against ``orbit_states``;
+        returns the orbit count."""
+        group = chain_permutations(inputs, range(1, n + 1))
+        orbits = orbit_states(
+            Simulation(n, t, protocol, inputs), depth, suspensions, group, ("heard",)
+        )
+
+        def hunt(budget=None):
+            return find_violation(
+                n, t, protocol, ExhaustiveMode(depth=depth), suspensions=suspensions,
+                inputs=inputs, state_budget=budget,
+            )
+
+        def key(sim):
+            return orbit_key(encode_state(sim), group, ("heard",))
+
+        trace = hunt()
+        assert (trace is not None) == any(kinds for _, kinds in orbits.values())
+        if once:
+            _assert_sweep_checks_each_once(hunt, orbits, key=key)
+        else:
+            checked = []
+
+            def record(sim):
+                checked.append(key(sim))
+                return False
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(forksim, "_violates", record)
+                assert hunt() is None
+            assert set(checked) == set(orbits)
+        return len(orbits)
 
 
 def _snapshot(sim):

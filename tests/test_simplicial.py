@@ -250,13 +250,11 @@ class TestComplex:
         assert len(listed) == len(set(listed))
         assert sum(1 for _ in listed) == sum(k.f_vector)
 
-    def test_contains_and_contains_complex(self, abc):
+    def test_contains(self, abc):
         a, b, c = abc
         triangle = cx([a, b, c])
         assert triangle.contains(sx(a, c))
         assert not triangle.contains(sx(a, vtx(3, "0")))
-        assert triangle.contains_complex(cx([a, b]))
-        assert not cx([a, b]).contains_complex(triangle)
 
     def test_impure_complex_detected(self, abc):
         a, b, c = abc
@@ -539,7 +537,6 @@ def _check_family(family, probes):
         for v in frozenset().union(*probes):
             assert k.has_vertex(v) == (v in support)
     for (a, ca), (b, cb) in itertools.product(family, repeat=2):
-        assert a.contains_complex(b) == (cb <= ca)
         assert (a == b) == (ca == cb)
         if ca == cb:
             assert hash(a) == hash(b)
