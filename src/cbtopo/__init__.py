@@ -19,8 +19,6 @@ from .cbt import (
 )
 from .connectivity import (
     BettiReport,
-    GF2Matrix,
-    boundary_matrix,
     connected_components,
     reduced_betti,
 )

@@ -33,7 +33,6 @@ from .forksim import (
     run,
 )
 from .serialize import (
-    complex_to_obj,
     dumps,
     report_to_obj,
     task_from_obj,
@@ -68,11 +67,6 @@ _VALUE_STYLE = {
 }
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -105,10 +99,6 @@ def _task_summary(task: Task) -> str:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        return _usage_error("--n must be at least 1")
-    if args.block_index < 0:
-        return _usage_error("--block-index must be non-negative")
     config = CbtConfig(n=args.n, block_index=args.block_index)
     task = build_colorless_task(config) if args.colorless else build_task(config)
     text = task_to_json(task)
@@ -181,8 +171,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     task = _load_task(args.task)
-    if args.depth < 0:
-        return _usage_error("--N must be non-negative")
     report = search_carried_simplicial_map(
         task, args.t, args.depth, node_budget=args.budget
     )

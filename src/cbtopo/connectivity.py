@@ -1,49 +1,36 @@
-"""Connected components and reduced mod-2 homology of finite complexes.
+"""Connected components and reduced mod-2 Betti numbers of finite complexes.
 
-Boundary matrices are stored as big-integer bitmasks, one integer per row,
-so rank computation is exact Gaussian elimination over GF(2) with
-machine-word XOR underneath.  Both read a complex's simplices as masks on
-its vertex numbering.
+Both read a complex's simplices as masks on its vertex numbering.  The
+Betti numbers come from boundary ranks: each boundary row is a big-integer
+bitmask, so the rank is exact Gaussian elimination over GF(2) with
+machine-word XOR underneath.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from .errors import DimensionOutOfRange
-from .simplicial import Complex, Simplex, _bits
+from .simplicial import Complex, _bits
 
 __all__ = [
-    "GF2Matrix",
-    "boundary_matrix",
     "connected_components",
     "BettiReport",
     "reduced_betti",
 ]
 
 
-@dataclass(frozen=True)
-class GF2Matrix:
-    """A binary matrix; ``rows[i]`` has bit ``j`` set when entry (i, j) is 1."""
-
-    rows: Tuple[int, ...]
-    n_cols: int
-    row_labels: Tuple[Simplex, ...] = field(default=())
-    col_labels: Tuple[Simplex, ...] = field(default=())
-
-    def rank(self) -> int:
-        """Rank over GF(2) by reduction against a pivot basis."""
-        basis: Dict[int, int] = {}
-        for row in self.rows:
-            r = row
-            while r:
-                pivot = r.bit_length() - 1
-                if pivot in basis:
-                    r ^= basis[pivot]
-                else:
-                    basis[pivot] = r
-                    break
-        return len(basis)
+def _rank(rows: list[int]) -> int:
+    """Rank over GF(2) of bit rows, by reduction against a pivot basis."""
+    basis: Dict[int, int] = {}
+    for row in rows:
+        while row:
+            pivot = row.bit_length() - 1
+            if pivot not in basis:
+                basis[pivot] = row
+                break
+            row ^= basis[pivot]
+    return len(basis)
 
 
 def _boundary_rows(complex_: Complex, k: int) -> list[int]:
@@ -57,24 +44,6 @@ def _boundary_rows(complex_: Complex, k: int) -> list[int]:
         for i in _bits(s):
             rows[row_index[s ^ (1 << i)]] |= 1 << j
     return rows
-
-
-def boundary_matrix(complex_: Complex, k: int) -> GF2Matrix:
-    """The mod-2 boundary operator from k-simplices to (k-1)-simplices.
-
-    Rows are indexed by (k-1)-simplices and columns by k-simplices, both in
-    canonical order; entry (i, j) is 1 exactly when row simplex i is a face
-    of column simplex j.
-    """
-    if k < 1 or k > complex_.dimension:
-        raise DimensionOutOfRange(
-            f"boundary matrix defined for 1 <= k <= {complex_.dimension}, got {k}"
-        )
-    rows = _boundary_rows(complex_, k)
-    col_simplices = complex_.simplices_of_dim(k)
-    return GF2Matrix(
-        tuple(rows), len(col_simplices), complex_.simplices_of_dim(k - 1), col_simplices
-    )
 
 
 def connected_components(complex_: Complex) -> Tuple[frozenset, ...]:
@@ -125,10 +94,7 @@ def reduced_betti(complex_: Complex, up_to: int) -> BettiReport:
         raise DimensionOutOfRange(f"betti range must satisfy 0 <= up_to <= {d}, got {up_to}")
     layers = complex_._masks()
     counts = [len(layers.get(k, ())) for k in range(up_to + 2)]
-    ranks: Dict[int, int] = {}
-    for k in range(1, up_to + 2):
-        rows = _boundary_rows(complex_, k) if k <= d else []
-        ranks[k] = GF2Matrix(tuple(rows), counts[k]).rank()
+    ranks = {k: _rank(_boundary_rows(complex_, k)) if k <= d else 0 for k in range(1, up_to + 2)}
     components = counts[0] - ranks[1]
     betti = [components - 1]
     for k in range(1, up_to + 1):

@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 DEFAULT_STATE_BUDGET = 1_000_000
+# Events per random trial: stops a protocol that never quiesces.
+_MAX_RANDOM_EVENTS = 10_000
 
 
 @dataclass
@@ -577,10 +579,6 @@ class Simulation:
         return {seq: self.kernel.message(seq, i) for seq, i in zip(sequences, idents)}
 
     @property
-    def started(self) -> frozenset:
-        return frozenset(c for c in range(self.kernel.n + 1) if self.state[3] >> 3 * c & 1)
-
-    @property
     def events(self) -> Tuple[SimEvent, ...]:
         events, log = [], self.state[6]
         while log is not None:
@@ -821,11 +819,11 @@ class ExhaustiveMode:
 
 @dataclass(frozen=True)
 class RandomMode:
-    """Seeded uniform random schedules, ``trials`` runs to quiescence."""
+    """Seeded uniform random schedules, ``trials`` runs to quiescence or
+    ``_MAX_RANDOM_EVENTS`` events."""
 
     seed: int
     trials: int
-    max_events: int = 10_000
 
 
 def find_violation(
@@ -878,7 +876,7 @@ def find_violation(
         root = Simulation(n, t, protocol, inputs)
         for _ in range(mode.trials):
             sim = root.clone()
-            while sim.event_count < mode.max_events:
+            while sim.event_count < _MAX_RANDOM_EVENTS:
                 actions = sim.enabled(suspensions)
                 if not actions:
                     break

@@ -30,9 +30,6 @@ __all__ = [
     "vertex_to_obj",
     "vertex_from_obj",
     "simplex_to_obj",
-    "simplex_from_obj",
-    "complex_to_obj",
-    "complex_from_obj",
     "task_to_json",
     "task_to_obj",
     "task_from_obj",
@@ -78,21 +75,6 @@ def vertex_from_obj(obj: Dict[str, Any]) -> Vertex:
 
 def simplex_to_obj(simplex: Simplex) -> List[Dict[str, Any]]:
     return [vertex_to_obj(v) for v in simplex]
-
-
-def simplex_from_obj(obj: Sequence[Dict[str, Any]]) -> Simplex:
-    return Simplex(vertex_from_obj(v) for v in obj)
-
-
-def complex_to_obj(complex_: Complex) -> Dict[str, Any]:
-    return {"facets": [simplex_to_obj(f) for f in complex_.facets]}
-
-
-def complex_from_obj(obj: Dict[str, Any]) -> Complex:
-    reader = _TaskReader()
-    facets = reader.complex(obj)
-    space, renumber = reader.numbering()
-    return Complex._of(space, _maximal(map(renumber, facets)))
 
 
 _INDENT = "  "

@@ -390,9 +390,6 @@ class Simplex:
     def sort_key(self) -> tuple:
         return self._key
 
-    def issubset(self, other: "Simplex") -> bool:
-        return self._vertex_set <= other._vertex_set
-
     def __contains__(self, vertex: Any) -> bool:
         return vertex in self._vertex_set
 
@@ -502,9 +499,6 @@ class Complex:
                 return False
             mask |= b
         return _within((mask,), self._facets)
-
-    def has_vertex(self, vertex: Any) -> bool:
-        return bool(self._space.bit.get(vertex, 0) & self._support)
 
     @property
     def f_vector(self) -> Tuple[int, ...]:

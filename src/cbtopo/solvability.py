@@ -10,12 +10,11 @@ reported for depth N alone.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Dict, Tuple
 
-from .connectivity import connected_components, reduced_betti
+from .connectivity import connected_components
 from .errors import NotColored, ResourceBound, check_resilience
 from .simplicial import Simplex, Vertex, _bits, _support, barycentric_subdivide
 from .tasks import Task, colorless_projection, restrict_to_skeleton, verify_monotonic
@@ -27,11 +26,9 @@ __all__ = [
     "search_carried_simplicial_map",
     "decide",
     "DEFAULT_NODE_BUDGET",
-    "NODE_BUDGET_ENV",
 ]
 
 DEFAULT_NODE_BUDGET = 10_000_000
-NODE_BUDGET_ENV = "CBTOPO_NODE_BUDGET"
 
 
 class Verdict(Enum):
@@ -71,23 +68,6 @@ class SolvabilityReport:
             raise ValueError("map verdicts must carry the vertex assignment")
 
 
-def _node_budget(explicit: int | None) -> int:
-    if explicit is not None:
-        if explicit < 1:
-            raise ValueError("node budget must be positive")
-        return explicit
-    raw = os.environ.get(NODE_BUDGET_ENV)
-    if raw is not None:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(f"{NODE_BUDGET_ENV} must be an integer, got {raw!r}") from None
-        if value < 1:
-            raise ValueError(f"{NODE_BUDGET_ENV} must be positive")
-        return value
-    return DEFAULT_NODE_BUDGET
-
-
 def connectivity_obstruction(task: Task, t: int) -> SolvabilityReport:
     """Certify unsolvability from a connected input facing a split output.
 
@@ -104,13 +84,12 @@ def connectivity_obstruction(task: Task, t: int) -> SolvabilityReport:
     restricted = restrict_to_skeleton(task, t)
     input_parts = connected_components(restricted.input)
     output_parts = connected_components(task.output)
-    betti0 = reduced_betti(restricted.input, 0).reduced_betti[0]
     base = dict(
         n=n,
         t=t,
         input_components=len(input_parts),
         output_components=len(output_parts),
-        skeleton_betti0=betti0,
+        skeleton_betti0=len(input_parts) - 1,
     )
     if len(input_parts) != 1:
         return SolvabilityReport(
@@ -179,7 +158,9 @@ def search_carried_simplicial_map(
     check_resilience(n, t, allow_zero=False)
     if depth < 0:
         raise ValueError("subdivision depth must be non-negative")
-    budget = _node_budget(node_budget)
+    budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
+    if budget < 1:
+        raise ValueError("node budget must be positive")
     restricted = restrict_to_skeleton(task, t)
     subdivided, carrier_of = barycentric_subdivide(restricted.input, depth)
     images = restricted._images()
@@ -287,9 +268,7 @@ def search_carried_simplicial_map(
         choice_index[level] += 1
 
 
-def decide(
-    task: Task, t: int, max_depth: int, *, node_budget: int | None = None
-) -> SolvabilityReport:
+def decide(task: Task, t: int, max_depth: int) -> SolvabilityReport:
     """Combine the obstruction with searches at increasing subdivision depth.
 
     Colored tasks are projected to their colorless form first.  The
@@ -311,7 +290,7 @@ def decide(
         return report
     last = report
     for depth in range(max_depth + 1):
-        last = search_carried_simplicial_map(task, t, depth, node_budget=node_budget)
+        last = search_carried_simplicial_map(task, t, depth)
         if last.verdict is Verdict.MAP_FOUND:
             return last
     return last

@@ -130,9 +130,6 @@ class CarrierMap:
             return NotImplemented
         return self._images == other._renumbered(self._in, self._out)
 
-    def domain(self) -> Tuple[Simplex, ...]:
-        return tuple(map(self._in.simplex, self._domain()))
-
     def items(self) -> Iterator[tuple[Simplex, Complex]]:
         for s in self._domain():
             yield self._in.simplex(s), Complex._of(self._out, self._images[s])

@@ -89,20 +89,6 @@ def xor_span_rank(rows: Sequence[int]) -> int:
     return size.bit_length() - 1
 
 
-def gf2_product_rows(left: Sequence[int], right: Sequence[int]) -> list[int]:
-    """Rows of the GF(2) product of two bit-row matrices, entry by entry:
-    bit j of row i is the parity of the k with bit k of ``left[i]`` and
-    bit j of ``right[k]`` both set."""
-    width = max((row.bit_length() for row in right), default=0)
-    return [
-        sum(
-            (sum((a >> k) & (right[k] >> j) & 1 for k in range(len(right))) % 2) << j
-            for j in range(width)
-        )
-        for a in left
-    ]
-
-
 def brute_force_depth0_map(task: Task, t: int) -> Optional[Dict[Any, Vertex]]:
     """Exhaustive product search for an undivided carried simplicial map.
 
@@ -145,6 +131,25 @@ def closure_oracle(facets: Iterable[Iterable[Any]]) -> set[frozenset]:
         for r in range(1, len(facet) + 1)
         for combo in itertools.combinations(list(facet), r)
     }
+
+
+def betti_oracle(facets: Iterable[Iterable[Any]]) -> tuple[int, ...]:
+    """Reduced mod-2 Betti numbers b~_0..b~_d of the complex the facets span,
+    with no ``connectivity`` code: the simplices from ``closure_oracle``, one
+    boundary row per k-simplex over its (k-1)-faces as frozensets, ranks by
+    ``xor_span_rank``, and the augmentation of rank 1 in degree 0."""
+    simplices = closure_oracle(facets)
+    layers = [[s for s in simplices if len(s) == k + 1] for k in range(max(map(len, simplices)))]
+
+    def rank(k: int) -> int:
+        if k == 0:
+            return 1
+        if k == len(layers):
+            return 0
+        index = {face: i for i, face in enumerate(layers[k - 1])}
+        return xor_span_rank([sum(1 << index[s - {v}] for v in s) for s in layers[k]])
+
+    return tuple(len(layer) - rank(k) - rank(k + 1) for k, layer in enumerate(layers))
 
 
 def subdivision_facets_oracle(
@@ -210,7 +215,7 @@ def assignment_is_valid(
     if set(mapping) != set(subdivided.vertices):
         return False
     for u, w in mapping.items():
-        if not restricted.carrier[carrier_of[u]].has_vertex(w):
+        if w not in restricted.carrier[carrier_of[u]].vertex_set:
             return False
     output_facet_sets = [f.vertex_set for f in task.output.facets]
     for facet in subdivided.facets:
@@ -223,7 +228,8 @@ def assignment_is_valid(
 def encode_state(sim: Simulation) -> tuple:
     """Key of a simulator state built field by field, independent of
     ``Simulation.fingerprint``: in-flight messages as a multiset without
-    sequence numbers, started chains and protocol memory as sets."""
+    sequence numbers, started chains (read off the ``step`` events) and
+    protocol memory as sets."""
 
     def frozen(value: Any) -> Any:
         if isinstance(value, dict):
@@ -244,7 +250,8 @@ def encode_state(sim: Simulation) -> tuple:
     flight = Counter(
         (m.sender, m.receiver, frozenset(m.payload)) for m in sim.in_flight.values()
     )
-    return nodes, frozenset(flight.items()), frozenset(sim.started)
+    started = frozenset(e.chain for e in sim.events if e.kind == "step")
+    return nodes, frozenset(flight.items()), started
 
 
 def renamed_encoding(key: tuple, perm: Sequence[int], keyed: Iterable[str]) -> tuple:

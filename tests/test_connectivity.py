@@ -1,19 +1,14 @@
-"""GF(2) boundary algebra, components, and reduced Betti numbers."""
+"""Components and reduced Betti numbers."""
+import itertools
 import random
 
 import pytest
 
-from cbtopo.connectivity import (
-    BettiReport,
-    GF2Matrix,
-    boundary_matrix,
-    connected_components,
-    reduced_betti,
-)
+from cbtopo.connectivity import BettiReport, connected_components, reduced_betti
 from cbtopo.errors import DimensionOutOfRange
 from cbtopo.simplicial import barycentric_subdivide
 
-from helpers import bfs_components, cx, gf2_product_rows, vtx, xor_span_rank
+from helpers import betti_oracle, bfs_components, cx, vtx, xor_span_rank
 
 
 def verts(k):
@@ -30,76 +25,6 @@ def circle():
 def sphere():
     a, b, c, d = verts(4)
     return cx([a, b, c], [a, b, d], [a, c, d], [b, c, d])
-
-
-# ---------------------------------------------------------------------------
-# GF2Matrix
-# ---------------------------------------------------------------------------
-
-
-class TestGF2Matrix:
-    def test_entry_and_bounds(self):
-        m = GF2Matrix(rows=(0b01, 0b10), n_cols=2)
-        assert len(m.rows) == 2
-        assert [(m.rows[0] >> j) & 1 for j in range(m.n_cols)] == [1, 0]
-        assert [(m.rows[1] >> j) & 1 for j in range(m.n_cols)] == [0, 1]
-        assert all(row >> m.n_cols == 0 for row in m.rows)
-
-    def test_rank_simple_cases(self):
-        assert GF2Matrix(rows=(0b1, 0b1), n_cols=1).rank() == 1
-        assert GF2Matrix(rows=(0b11, 0b01, 0b10), n_cols=2).rank() == 2
-        assert GF2Matrix(rows=(0, 0), n_cols=3).rank() == 0
-
-    def test_rank_matches_span_enumeration_oracle(self):
-        rng = random.Random(20260816)
-        for _ in range(40):
-            n_rows = rng.randint(1, 7)
-            n_cols = rng.randint(1, 7)
-            rows = tuple(rng.getrandbits(n_cols) for _ in range(n_rows))
-            assert GF2Matrix(rows=rows, n_cols=n_cols).rank() == xor_span_rank(rows)
-
-
-# ---------------------------------------------------------------------------
-# Boundary matrices
-# ---------------------------------------------------------------------------
-
-
-class TestBoundaryMatrix:
-    def test_single_edge(self):
-        a, b = verts(2)
-        m = boundary_matrix(cx([a, b]), 1)
-        assert (len(m.rows), m.n_cols) == (2, 1)
-        assert list(m.rows) == [0b1, 0b1]
-        assert m.row_labels[0].vertices == (a,)
-
-    def test_labels_are_canonical(self, sphere):
-        m = boundary_matrix(sphere, 2)
-        assert list(m.col_labels) == list(sphere.simplices_of_dim(2))
-        assert list(m.row_labels) == list(sphere.simplices_of_dim(1))
-
-    def test_out_of_range_rejected(self, circle):
-        with pytest.raises(DimensionOutOfRange):
-            boundary_matrix(circle, 0)
-        with pytest.raises(DimensionOutOfRange):
-            boundary_matrix(circle, 2)
-
-    def test_boundary_of_boundary_vanishes(self, sphere):
-        assert gf2_product_rows([0b01, 0b10], [0b11, 0b01]) == [0b11, 0b01]
-        solid = cx(verts(4))
-        for complex_ in (sphere, solid):
-            for k in range(2, complex_.dimension + 1):
-                dk = boundary_matrix(complex_, k)
-                dk_minus = boundary_matrix(complex_, k - 1)
-                product = gf2_product_rows(dk_minus.rows, dk.rows)
-                assert len(product) == len(dk_minus.rows)
-                assert not any(product)
-
-    def test_entry_means_face_incidence(self, circle):
-        m = boundary_matrix(circle, 1)
-        for i, row_simplex in enumerate(m.row_labels):
-            for j, col_simplex in enumerate(m.col_labels):
-                expected = 1 if row_simplex.issubset(col_simplex) else 0
-                assert (m.rows[i] >> j) & 1 == expected
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +124,35 @@ class TestReducedBetti:
                 reduced_betti(sub, min(sub.dimension, 1) if sub.dimension else 0).reduced_betti[: d + 1]
                 == reduced_betti(k, d).reduced_betti
             )
+
+    def test_betti_oracle_on_fixed_cases(self, circle, sphere):
+        assert xor_span_rank([0b11, 0b01, 0b10]) == 2
+        assert betti_oracle(f.vertices for f in circle.facets) == (0, 1)
+        assert betti_oracle(f.vertices for f in sphere.facets) == (0, 0, 1)
+        a, b, c, d = verts(4)
+        assert betti_oracle([[a, b, c, d]]) == (0, 0, 0, 0)
+        assert betti_oracle([[a], [b], [c, d]]) == (2, 0)
+
+    def test_matches_betti_oracle_on_random_complexes(self):
+        # Most of the faces of one size on at most 6 vertices, so cycles
+        # appear in every dimension up to 4 while the ranks stay small
+        # enough for the span oracle, plus a few small facets on 7 vertices.
+        rng = random.Random(20261018)
+        pool = verts(7)
+        for _ in range(150):
+            size = rng.randint(2, 5)
+            support = rng.sample(pool, rng.randint(size + 1, 6))
+            facets = [
+                list(f) for f in itertools.combinations(support, size) if rng.random() < 0.75
+            ]
+            facets += [rng.sample(pool, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+            k = cx(*facets)
+            expected = betti_oracle(facets)
+            assert len(expected) == k.dimension + 1
+            for up_to in range(k.dimension + 1):
+                report = reduced_betti(k, up_to)
+                assert report.reduced_betti == expected[: up_to + 1]
+                assert report.components == expected[0] + 1
 
     def test_report_consistency_enforced(self):
         with pytest.raises(ValueError, match="component count"):

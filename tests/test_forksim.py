@@ -469,6 +469,12 @@ class TestFindViolation:
         assert first == second
         assert first is not None
 
+    def test_random_trial_stops_a_protocol_that_never_quiesces(self):
+        # Every delivery sends the receiver another message to itself.
+        ping = ("ping", ((0, "ping"),), False, None)
+        protocol = TableProtocol({("init", "start"): ping, ("ping", "ping"): ping})
+        assert find_violation(1, 0, protocol, RandomMode(seed=0, trials=1)) is None
+
     def test_random_trials_validated(self):
         with pytest.raises(ValueError):
             find_violation(2, 1, TwoPhaseCommit(), RandomMode(seed=0, trials=0))

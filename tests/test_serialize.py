@@ -15,11 +15,8 @@ from cbtopo.forksim import (
     run,
 )
 from cbtopo.serialize import (
-    complex_from_obj,
-    complex_to_obj,
     dumps,
     report_to_obj,
-    simplex_from_obj,
     simplex_to_obj,
     task_from_obj,
     task_to_json,
@@ -29,7 +26,7 @@ from cbtopo.serialize import (
     vertex_from_obj,
     vertex_to_obj,
 )
-from cbtopo.simplicial import barycentric_subdivide
+from cbtopo.simplicial import Simplex, barycentric_subdivide
 
 from helpers import (
     cx,
@@ -37,6 +34,7 @@ from helpers import (
     identity_task,
     random_induced_image_task,
     random_shared_mask_task,
+    split_vote_task,
     sx,
     task_obj_oracle,
     vtx,
@@ -88,17 +86,18 @@ class TestVertexObjects:
 class TestComplexObjects:
     def test_simplex_round_trip(self):
         s = sx(vtx(0, "1"), vtx(1, "bot"))
-        assert simplex_from_obj(simplex_to_obj(s)) == s
+        assert Simplex(map(vertex_from_obj, simplex_to_obj(s))) == s
 
     def test_complex_round_trip(self):
         c = cx([vtx(0, "1"), vtx(1, "0")], [vtx(2, "bot")])
-        assert complex_from_obj(complex_to_obj(c)) == c
+        task = split_vote_task(c, dict.fromkeys(c.vertices, "1"))
+        assert task_from_obj(task_to_obj(task)).input == c
 
     def test_missing_facets_key(self):
-        with pytest.raises(InvalidTask, match="'facets' list"):
-            complex_from_obj({"simplices": []})
-        with pytest.raises(InvalidTask, match="'facets' list"):
-            complex_from_obj([])
+        obj = task_to_obj(identity_task(cx([vtx(0, "1")])))
+        for complex_obj in ({"simplices": []}, []):
+            with pytest.raises(InvalidTask, match="'facets' list"):
+                task_from_obj({**obj, "input": complex_obj})
 
 
 class TestTaskObjects:

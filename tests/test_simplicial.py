@@ -199,8 +199,8 @@ class TestSimplex:
 
     def test_subset_and_membership(self):
         a, b, c = vtx(0, "0"), vtx(1, "0"), vtx(2, "0")
-        assert sx(a, b).issubset(sx(a, b, c))
-        assert not sx(a, c).issubset(sx(a, b))
+        assert sx(a, b).vertex_set <= sx(a, b, c).vertex_set
+        assert not sx(a, c).vertex_set <= sx(a, b).vertex_set
         assert a in sx(a, b)
         assert c not in sx(a, b)
         assert len(sx(a, b)) == 2
@@ -294,8 +294,8 @@ class TestComplex:
     def test_has_vertex(self, abc):
         a, b, c = abc
         k = cx([a, b])
-        assert k.has_vertex(a)
-        assert not k.has_vertex(c)
+        assert a in k.vertex_set
+        assert c not in k.vertex_set
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +340,7 @@ class TestSubdivision:
             belows = sorted((u.below for u in facet), key=lambda s: s.dim)
             assert [s.dim for s in belows] == [0, 1, 2]
             for small, big in zip(belows, belows[1:]):
-                assert small.issubset(big)
+                assert small.vertex_set <= big.vertex_set
 
     def test_level_one_carriers_are_the_subdivided_simplex(self):
         k = full_simplex_complex(2)
@@ -438,8 +438,8 @@ def test_facets_match_maximal_oracle(family):
 @given(_complexes())
 def test_facets_are_mutually_incomparable(k):
     for s, t in itertools.combinations(k.facets, 2):
-        assert not s.issubset(t)
-        assert not t.issubset(s)
+        assert not s.vertex_set <= t.vertex_set
+        assert not t.vertex_set <= s.vertex_set
 
 
 @settings(max_examples=60)
@@ -534,8 +534,6 @@ def _check_family(family, probes):
         assert {f.vertex_set for f in k.facets} == maximal_facets(closure)
         support = frozenset().union(*closure)
         assert k.vertex_set == support
-        for v in frozenset().union(*probes):
-            assert k.has_vertex(v) == (v in support)
     for (a, ca), (b, cb) in itertools.product(family, repeat=2):
         assert (a == b) == (ca == cb)
         if ca == cb:

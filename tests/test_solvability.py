@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 from cbtopo import CbtConfig, build_task
 from cbtopo.errors import BadResilience, NotColored, ResourceBound, check_resilience
 from cbtopo.solvability import (
-    DEFAULT_NODE_BUDGET,
-    NODE_BUDGET_ENV,
     SolvabilityReport,
     Verdict,
     connectivity_obstruction,
@@ -187,26 +185,6 @@ class TestSearch:
     def test_node_budget_must_be_positive(self, colorless_tasks):
         with pytest.raises(ValueError):
             search_carried_simplicial_map(colorless_tasks[2], 1, 0, node_budget=0)
-
-    def test_env_budget_is_honored(self, colorless_tasks, monkeypatch):
-        monkeypatch.setenv(NODE_BUDGET_ENV, "1")
-        with pytest.raises(ResourceBound):
-            search_carried_simplicial_map(colorless_tasks[2], 1, 1)
-
-    def test_env_budget_validation(self, colorless_tasks, monkeypatch):
-        monkeypatch.setenv(NODE_BUDGET_ENV, "zero")
-        with pytest.raises(ValueError, match="integer"):
-            search_carried_simplicial_map(colorless_tasks[2], 1, 0)
-        monkeypatch.setenv(NODE_BUDGET_ENV, "-3")
-        with pytest.raises(ValueError, match="positive"):
-            search_carried_simplicial_map(colorless_tasks[2], 1, 0)
-
-    def test_explicit_budget_overrides_env(self, colorless_tasks, monkeypatch):
-        monkeypatch.setenv(NODE_BUDGET_ENV, "1")
-        report = search_carried_simplicial_map(
-            colorless_tasks[2], 1, 0, node_budget=DEFAULT_NODE_BUDGET
-        )
-        assert report.verdict is Verdict.NO_MAP_UP_TO_DEPTH
 
     def test_deterministic_across_runs(self, triangle_identity, colorless_tasks):
         first = search_carried_simplicial_map(triangle_identity, 1, 1)
