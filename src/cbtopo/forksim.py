@@ -193,17 +193,20 @@ class CommitProtocol(ABC):
 
     A protocol may declare a symmetry: ``symmetric_chains`` names chains
     it treats alike, and ``chain_keyed`` the memory fields holding dicts
-    keyed by chain index.  A permutation of the declared chains that keeps
-    ``inputs`` renames a state: each record's chain and the keys of its
-    chain-keyed dicts, and each message's sender and receiver.  The
-    exhaustive search then treats a state and its renamings as one, which
-    is sound only if every reaction is equivariant: reacting to the
-    renamed record and event gives the renamed record and the renamed
-    messages, as a multiset.  So a reaction may not single out one
-    declared chain: it may compare indices with its own and with the
-    undeclared ones, or send to every declared chain alike, and payload
-    values may not hold chain indices.  Declaring nothing leaves the
-    trivial group, and every state stands for itself.
+    keyed by chain index.  The declared chains with equal ``inputs`` form
+    a class; a permutation of each class renames a state: each record's
+    chain and the keys of its chain-keyed dicts, and each message's sender
+    and receiver.  The exhaustive search then treats a state and its
+    renamings as one, which is sound only if every reaction is
+    equivariant: reacting to the renamed record and event gives the
+    renamed record and the renamed messages, as a multiset.  So a reaction
+    may not single out one declared chain: it may compare indices with its
+    own and with the undeclared ones, and payload values may not hold
+    chain indices.  Nor may it tie two chains of a class of two or more:
+    such a chain may not message another, nor keep a chain-keyed entry for
+    one, and the search raises ``ValueError`` on a record or message that
+    does.  Declaring nothing leaves the trivial group, and every state
+    stands for itself.
     """
 
     name: str = "abstract"
@@ -395,151 +398,111 @@ class _Kernel:
 class _Symmetry:
     """A kernel's quotient by the protocol's declared symmetry (see
     ``CommitProtocol``): ``classes`` are the declared chains grouped by
-    input, each of two or more; signature parts are numbered in
-    ``_parts``, and renamed ids are kept by permutation number."""
+    input, each of two or more, and every other chain is fixed.  Key
+    parts are numbered in ``_parts``; ``_records`` and ``_messages`` hold
+    what ``canonical`` reads of each record and message id."""
 
     def __init__(self, kernel: _Kernel, classes: List[List[int]]) -> None:
-        self.kernel, self.classes, self.n = kernel, classes, kernel.n
+        self.kernel, self.classes = kernel, classes
         self.keyed = kernel.protocol.chain_keyed
-        self.moving = frozenset(chain for chains in classes for chain in chains)
-        # The fixed chains whose chain-keyed dicts a signature reads.
-        fixed = [chain for chain in range(self.n + 1) if chain not in self.moving]
-        self._keyed_fixed = fixed if self.keyed else []
+        self.declared = frozenset(chain for chains in classes for chain in chains)
+        self.fixed = [chain for chain in range(kernel.n + 1) if chain not in self.declared]
+        self.fixed_flags = sum(7 << 3 * chain for chain in self.fixed)
         self._parts: Dict[tuple, int] = {}
-        self._chain_free: Dict[int, int] = {}  # by record id
-        self._entries: Dict[int, tuple] = {}  # by record id of a fixed chain
-        self._sides: Dict[int, tuple] = {}  # by message id
-        self._perms: Dict[tuple, int] = {}
-        self._renamed_records: Dict[Tuple[int, int], int] = {}
-        self._renamed_messages: Dict[Tuple[int, int], int] = {}
-        self._renamed_flags: Dict[Tuple[int, int], int] = {}
+        self._records: Dict[int, Tuple[int, tuple]] = {}
+        self._messages: Dict[int, Tuple[int, int]] = {}
 
     def canonical(self, records: tuple, idents: tuple, flags: int) -> tuple:
-        """A state's ``fingerprint``: the state renamed by the permutation
-        that ranks each class's chains by signature, the i-th lowest moving
-        to the class's i-th chain (ties keep index order).
+        """A state's ``fingerprint``, equal for two states exactly when a
+        permutation of each class renames one into the other.
 
-        A chain's signature is what the state holds of it, read without
-        its index: its record with its own index blanked, its flag bits,
-        and, as a multiset of parts, what the fixed chains' chain-keyed
-        dicts hold for it and the messages it sends or receives, each
-        marked with the other end's index if that is fixed.  Renamings of
-        one state hold equal signature multisets, so each is ranked into
-        one representative whenever no message or record ties two declared
-        chains to each other, as under 2PC.  Otherwise two keys may share
-        an orbit, but a key is always a renaming of its state, so equal
-        keys never join two orbits."""
-        # Signature lists: the record and flag bits as one int, then parts.
-        chain_free = self._chain_free
-        signature = {}
-        for chain in self.moving:
-            record = records[chain]
-            local = chain_free.get(record)
-            if local is None:
-                local = self._chain_free_part(record)
-            signature[chain] = [local << 3 | flags >> 3 * chain & 7]
-        sides, entries = self._sides, self._entries
-        about = [self._side_parts(ident) if sides.get(ident) is None else sides[ident]
-                 for ident in idents]
-        for chain in self._keyed_fixed:
-            pairs = entries.get(records[chain])
-            about.append(self._entry_parts(records[chain]) if pairs is None else pairs)
-        for pairs in about:
-            for chain, part in pairs:
-                signature[chain].append(part)
-        for held in signature.values():
-            if len(held) > 2:
-                held[1:] = sorted(held[1:])
-        perm = None
-        for chains in self.classes:
-            ranked = sorted(chains, key=signature.__getitem__)
-            if ranked != chains:
-                if perm is None:
-                    perm = list(range(self.n + 1))
-                for old, new in zip(ranked, chains):
-                    perm[old] = new
-        if perm is None:
-            return records, tuple(sorted(idents)), flags
-        perm = tuple(perm)
-        code = self._perms.get(perm)
-        if code is None:
-            code = self._perms[perm] = len(self._perms)
-        kernel = self.kernel
-        renamed = list(records)
-        memo = self._renamed_records
-        for chain, record in enumerate(records):
-            ident = memo.get((record, code))
-            if ident is None:
-                node = self._rekeyed(kernel.records[record], perm)
-                node.chain = BlockRef(perm[chain], node.chain.block)
-                ident = memo[record, code] = kernel.record(node)
-            renamed[perm[chain]] = ident
-        messages = []
-        memo = self._renamed_messages
+        The key holds the fixed chains' records, each read without its
+        chain-keyed entries for declared chains, and their flag bits; the
+        ids of the messages between fixed chains, sorted; and for each
+        class the sorted tuple of its chains' columns.  A column starts
+        with the chain's record, read without its index, and its flag
+        bits, followed, sorted, by what the fixed chains' chain-keyed dicts
+        hold for it and the messages it sends or receives, each marked with
+        the fixed other end.  As no message or record ties two declared
+        chains (``_record`` and ``_message`` refuse one), the columns hold
+        the whole state, so renaming within a class permutes columns and
+        nothing else (Ip & Dill, FMSD 9, 1996)."""
+        memo = self._records
+        columns = {}  # each starts with its chain's record and flag bits
+        for chain in self.declared:
+            part, _ = memo.get(records[chain]) or self._record(records[chain])
+            columns[chain] = [part << 3 | flags >> 3 * chain & 7]
+        fixed = [flags & self.fixed_flags]
+        for chain in self.fixed:
+            part, entries = memo.get(records[chain]) or self._record(records[chain])
+            fixed.append(part)
+            for target, entry in entries:
+                columns[target].append(entry)
+        between_fixed = []
+        memo = self._messages
         for ident in idents:
-            moved = memo.get((ident, code))
-            if moved is None:
-                receiver, sender, payload = kernel.messages[ident]
-                key = (perm[receiver], perm[sender], payload)
-                moved = memo[ident, code] = kernel._intern(kernel.messages, key, key)
-            messages.append(moved)
-        messages.sort()
-        memo = self._renamed_flags
-        moved_flags = memo.get((flags, code))
-        if moved_flags is None:
-            moved_flags = memo[flags, code] = sum(
-                (flags >> 3 * chain & 7) << 3 * target for chain, target in enumerate(perm)
-            )
-        return tuple(renamed), tuple(messages), moved_flags
+            chain, part = memo.get(ident) or self._message(ident)
+            if chain < 0:
+                between_fixed.append(ident)
+            else:
+                columns[chain].append(part)
+        between_fixed.sort()
+        return tuple(fixed), tuple(between_fixed), tuple(
+            tuple(sorted((held[0], *sorted(held[1:])) for held in map(columns.get, chains)))
+            for chains in self.classes
+        )
 
     def _part(self, key: tuple) -> int:
         return self._parts.setdefault(key, len(self._parts))
 
-    def _rekeyed(self, node: NodeState, mapping: Any) -> NodeState:
-        """A copy of ``node`` whose chain-keyed dicts are keyed by ``mapping[key]``."""
-        twin = node.clone()
-        for name in self.keyed:
-            value = twin.memory.get(name)
-            if isinstance(value, dict):
-                twin.memory[name] = {mapping[key]: entry for key, entry in value.items()}
-        return twin
-
-    def _chain_free_part(self, record: int) -> int:
+    def _record(self, record: int) -> Tuple[int, tuple]:
+        """The record's part, and what its chain-keyed dicts hold for each
+        declared chain as ``(chain, part)`` pairs.  A declared chain's
+        record is read without its index, its own key read as -1; it may
+        hold no entry for another declared chain."""
         node = self.kernel.records[record]
-        mapping = list(range(self.n + 1))
-        mapping[node.index] = -1
-        # The fingerprint without its first field, the chain.
-        local = self._part(self._rekeyed(node, mapping).fingerprint()[1:])
-        self._chain_free[record] = local
-        return local
-
-    def _entry_parts(self, record: int) -> tuple:
-        """What this fixed chain's chain-keyed dicts hold for each declared
-        chain, as ``(chain, part)`` pairs."""
-        node = self.kernel.records[record]
-        entries = []
+        index, declared = node.index, self.declared
+        twin, entries = node.clone(), []
         for name in self.keyed:
-            value = node.memory.get(name)
-            if isinstance(value, dict):
-                entries += [(chain, self._part(("entry", node.index, name, entry)))
-                            for chain, entry in value.items() if chain in self.moving]
-        self._entries[record] = entries = tuple(entries)
-        return entries
+            held = twin.memory.get(name)
+            if not isinstance(held, dict):
+                continue
+            for chain in [chain for chain in held if chain in declared]:
+                entry = held.pop(chain)
+                if index not in declared:
+                    entries.append((chain, self._part(("entry", index, name, entry))))
+                elif chain == index:
+                    held[-1] = entry
+                else:
+                    raise ValueError(
+                        f"declared chain {index} keeps a {name!r} entry for declared "
+                        f"chain {chain}; the declared symmetry forbids ties between them"
+                    )
+        # A declared chain's fingerprint without its first field, the chain.
+        self._records[record] = memo = (
+            self._part(twin.fingerprint()[index in declared:]), tuple(entries)
+        )
+        return memo
 
-    def _side_parts(self, message: int) -> tuple:
-        """The message as seen from each declared end, as ``(chain, part)``
-        pairs; the other end is -1 unless fixed."""
+    def _message(self, message: int) -> Tuple[int, int]:
+        """The declared end of the message and its part there, marked with
+        the fixed other end, or -1 and the message id between fixed chains."""
         receiver, sender, payload = self.kernel.messages[message]
-        if receiver == sender:
-            sides = [(receiver, self._part(("self", payload)))]
+        declared = self.declared
+        if receiver in declared:
+            if sender in declared and sender != receiver:
+                raise ValueError(
+                    f"declared chain {sender} messages declared chain {receiver}; "
+                    "the declared symmetry forbids ties between them"
+                )
+            side = ("self", payload) if sender == receiver else ("in", sender, payload)
+            memo = (receiver, self._part(side))
+        elif sender in declared:
+            memo = (sender, self._part(("out", receiver, payload)))
         else:
-            def mark(chain: int) -> int:
-                return -1 if chain in self.moving else chain
-
-            sides = [(receiver, self._part(("in", mark(sender), payload))),
-                     (sender, self._part(("out", mark(receiver), payload)))]
-        self._sides[message] = sides = tuple(pair for pair in sides if pair[0] in self.moving)
-        return sides
+            memo = (-1, message)
+        self._messages[message] = memo
+        return memo
 
 
 class Simulation:
@@ -594,13 +557,12 @@ class Simulation:
         return twin
 
     def fingerprint(self) -> tuple:
-        """Key of the state up to the protocol's declared symmetry: the
-        state renamed by one permutation chosen from the state itself (see
-        ``_Symmetry.canonical``), as its record ids, its in-flight message ids
-        sorted, and its flag mask.  Sequence numbers and the event log are
-        left out.  Without a declared symmetry the permutation is the
-        identity; either way two keys are equal only if their states are
-        renamings of each other."""
+        """Key of the state up to the protocol's declared symmetry: two
+        keys are equal exactly when a permutation of each class renames one
+        state into the other (see ``_Symmetry.canonical``).  Without a
+        declared symmetry it is the record ids, the in-flight message ids
+        sorted, and the flag mask.  Sequence numbers and the event log are
+        left out."""
         records, _, idents, flags = self.state[:4]
         symmetry = self.kernel.symmetry
         if symmetry is None:
@@ -840,9 +802,9 @@ def find_violation(
 
     Exhaustive mode checks every *state* within ``depth`` events, not every
     schedule, depth first in canonical action order (see ``_explore``), and
-    takes states that the protocol's declared symmetry renames into each
-    other (see ``CommitProtocol``) as one: it checks one state of each
-    orbit, the first it reaches.  A state is checked once, on its first
+    takes states that a permutation of each class of the protocol's
+    declared symmetry renames into each other (see ``CommitProtocol``) as
+    one: it checks one state of each orbit, the first it reaches.  A state is checked once, on its first
     visit, by a predicate on its node records that flags exactly what
     ``check_trace`` flags on its trace and treats every chain alike, and
     counts once against ``state_budget``, which so counts orbit
@@ -896,8 +858,8 @@ def _explore(
     Each child is a ``clone`` with one ``apply``.  The cache maps its
     ``fingerprint`` to the fewest events that reached it, not to a sleep
     set, and drops a state reached again on as many events or more.  Equal
-    keys mean states that a declared permutation renames into each other,
-    one orbit; renaming commutes with actions and keeps the root, so a
+    keys mean states that a permutation of each class renames into each
+    other, one orbit; renaming commutes with actions and keeps the root, so a
     renamed run is a run of the same length, and the state check treats
     every chain alike.  So checking one state of each orbit within the
     bound misses no violation, and each is checked.  Let dist(s) be the

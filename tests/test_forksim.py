@@ -623,11 +623,24 @@ class TestExhaustiveAgainstOracle:
     def test_all_one_n2_t0_checks_72_orbits(self):
         """A walk that marks ``seen`` last child first keeps a later sibling
         with an earlier sibling of its orbit asleep: it checks 40 of these
-        72 orbits and misses the atomicity violation."""
+        72 orbits and misses the atomicity violation.  At the sizes the
+        oracle is too slow for, the whole space (one suspension, depth 100)
+        checks the orbit counts of an independent enumeration."""
         orbits, orbit_of, hunt = _2pc_orbits(2, 0, 24, 1, [Value.ONE] * 3)
         assert hunt() is not None
         assert len(orbits) == 72
         _assert_sweep_checks_each_once(hunt, orbits, key=orbit_of)
+        for n, t, count in ((4, 2, 1984), (5, 2, 3133)):
+            checked = []
+
+            def record(sim):
+                checked.append(sim)
+                return False
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(forksim, "_violates", record)
+                assert find_violation(n, t, TwoPhaseCommit(), ExhaustiveMode(depth=100)) is None
+            assert len(checked) == count
 
 
 def _trace_identity_grid():
@@ -868,7 +881,7 @@ class TestDeclaredSymmetry:
     @settings(max_examples=40)
     @given(data=st.data())
     def test_star_table_walk_checks_each_orbit_once(self, data):
-        self._sweep(*_draw_table_run(data, StarTableProtocol), once=True)
+        self._sweep(*_draw_table_run(data, StarTableProtocol))
 
     def test_star_table_signature_reads_fixed_chains_memory(self):
         """Chain 0's ``heard`` alone tells chains 1 and 2 apart in some
@@ -882,19 +895,43 @@ class TestDeclaredSymmetry:
             ("b", "y"): ("init", [], False, "own"),
         }
         inputs = [Value.ONE, Value.BOTTOM, Value.BOTTOM]
-        assert self._sweep(2, 0, 0, 7, inputs, StarTableProtocol(table), once=True) == 232
+        assert self._sweep(2, 0, 0, 7, inputs, StarTableProtocol(table)) == 232
 
-    @settings(max_examples=20)
-    @given(data=st.data())
-    def test_mesh_table_walk_checks_every_orbit(self, data):
-        """Messages between declared chains can leave two keys in one
-        orbit; every orbit is still checked."""
-        self._sweep(*_draw_table_run(data, MeshTableProtocol), once=False)
+    def test_message_between_declared_chains_is_refused(self):
+        """Chain 1's start sends to chain 2, and no sorted column can say
+        which declared chain a message ties it to."""
+        table = {("init", "start"): ("a", [(1, "x")], False, None)}
+        with pytest.raises(ValueError, match="declared chain 1 messages declared chain 2"):
+            find_violation(
+                2, 0, MeshTableProtocol(table), ExhaustiveMode(depth=2), suspensions=0
+            )
+
+    def test_entry_for_another_declared_chain_is_refused(self):
+        """Each participant notes every participant at its start: the
+        reaction is equivariant and sends nothing, but a participant's
+        record names the others."""
+
+        class Roster(CommitProtocol):
+            name = "roster"
+            chain_keyed = ("heard",)
+
+            def symmetric_chains(self, n):
+                return range(1, n + 1)
+
+            def on_start(self, node, n):
+                node.memory["heard"] = {chain: 1 for chain in range(1, n + 1)}
+                return []
+
+            def on_message(self, node, sender, payload, n):
+                return []
+
+        with pytest.raises(ValueError, match="keeps a 'heard' entry for declared chain"):
+            find_violation(2, 0, Roster(), ExhaustiveMode(depth=2), suspensions=0)
 
     @staticmethod
-    def _sweep(n, t, suspensions, depth, inputs, protocol, once):
-        """Check the verdict and the orbits swept against ``orbit_states``;
-        returns the orbit count."""
+    def _sweep(n, t, suspensions, depth, inputs, protocol):
+        """Check the verdict, and that the walk checks each orbit of
+        ``orbit_states`` once; returns the orbit count."""
         group = chain_permutations(inputs, range(1, n + 1))
         orbits = orbit_states(
             Simulation(n, t, protocol, inputs), depth, suspensions, group, ("heard",)
@@ -911,19 +948,7 @@ class TestDeclaredSymmetry:
 
         trace = hunt()
         assert (trace is not None) == any(kinds for _, kinds in orbits.values())
-        if once:
-            _assert_sweep_checks_each_once(hunt, orbits, key=key)
-        else:
-            checked = []
-
-            def record(sim):
-                checked.append(key(sim))
-                return False
-
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(forksim, "_violates", record)
-                assert hunt() is None
-            assert set(checked) == set(orbits)
+        _assert_sweep_checks_each_once(hunt, orbits, key=key)
         return len(orbits)
 
 
