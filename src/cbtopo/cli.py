@@ -7,9 +7,10 @@ exhausted resource budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from typing import Any, Sequence
+from typing import Sequence
 
 from .cbt import CbtConfig, build_colorless_task, build_task
 from .connectivity import connected_components, reduced_betti
@@ -40,7 +41,7 @@ from .serialize import (
     trace_from_jsonl,
     trace_to_jsonl,
 )
-from .simplicial import Value
+from .simplicial import Complex, Value
 from .solvability import (
     Verdict,
     connectivity_obstruction,
@@ -86,15 +87,14 @@ def _load_task(path: str) -> Task:
         raise InvalidTask(f"cannot load task from {path}: {exc}") from None
 
 
+def _shape(c: Complex) -> str:
+    return f"vertices={len(c.vertices)} facets={len(c._facets)} dimension={c.dimension}"
+
+
 def _task_summary(task: Task) -> str:
-    input_, output = task.input, task.output
     return (
-        f"input: vertices={len(input_.vertices)} facets={len(input_.facets)} "
-        f"dimension={input_.dimension}\n"
-        f"output: vertices={len(output.vertices)} facets={len(output.facets)} "
-        f"dimension={output.dimension}\n"
-        f"carrier: entries={len(task.carrier)}\n"
-        f"colored: {str(task.colored).lower()}\n"
+        f"input: {_shape(task.input)}\noutput: {_shape(task.output)}\n"
+        f"carrier: entries={len(task.carrier)}\ncolored: {str(task.colored).lower()}\n"
     )
 
 
@@ -125,15 +125,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     input_, output = task.input, task.output
     in_parts = connected_components(input_)
     out_parts = connected_components(output)
-    print(
-        f"input: vertices={len(input_.vertices)} facets={len(input_.facets)} "
-        f"dimension={input_.dimension} pure={str(input_.is_pure()).lower()} "
-        f"components={len(in_parts)}"
-    )
-    print(
-        f"output: vertices={len(output.vertices)} facets={len(output.facets)} "
-        f"dimension={output.dimension} components={len(out_parts)}"
-    )
+    pure = str(input_.is_pure()).lower()
+    print(f"input: {_shape(input_)} pure={pure} components={len(in_parts)}")
+    print(f"output: {_shape(output)} components={len(out_parts)}")
     for i, part in enumerate(out_parts):
         piece = output.induced_subcomplex(part)
         betti = reduced_betti(piece, piece.dimension)
@@ -308,6 +302,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache  # one parser per process; --protocol reads the live registry
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cbtopo",
@@ -341,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="hunt for protocol violations under suspension")
     p_sim.add_argument("--n", type=int, required=True)
     p_sim.add_argument("--t", type=int, required=True)
-    p_sim.add_argument("--protocol", default="2pc", choices=sorted(PROTOCOLS))
+    p_sim.add_argument("--protocol", default="2pc", choices=PROTOCOLS.keys())
     mode = p_sim.add_mutually_exclusive_group()
     mode.add_argument("--exhaustive", action="store_true", help="check every state within --depth events (default)")
     mode.add_argument("--random", action="store_true", help="sample random schedules")

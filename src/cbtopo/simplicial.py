@@ -15,6 +15,7 @@ public face, built only when a caller asks for them.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -206,15 +207,15 @@ class SubdivisionVertex:
 _sort_key = operator.methodcaller("sort_key")
 
 
-def _byte_bits(offset: int) -> list:
-    """Entry b: the set bits of byte value b, plus ``offset``, ascending."""
+def _subsets(items: Iterable[Any]) -> list:
+    """Entry m: the items at the set bits of m, in order."""
     table = [()]
-    for i in range(offset, offset + 8):
-        table += [bits + (i,) for bits in table]
+    for item in items:
+        table += [subset + (item,) for subset in table]
     return table
 
 
-_BYTE_BITS, _BYTE_BITS_8, _BYTE_BITS_16 = map(_byte_bits, (0, 8, 16))
+_BYTE_BITS, _BYTE_BITS_8, _BYTE_BITS_16 = (_subsets(range(i, i + 8)) for i in (0, 8, 16))
 
 
 def _bits(mask: int) -> Tuple[int, ...]:
@@ -268,10 +269,7 @@ def _within(small: Iterable[int], big: Tuple[int, ...]) -> bool:
 
 def _support(masks: Iterable[int]) -> int:
     """The OR of ``masks``: the vertices they use."""
-    out = 0
-    for m in masks:
-        out |= m
-    return out
+    return functools.reduce(operator.or_, masks, 0)
 
 
 def _closure(facets: Iterable[int]) -> set:
@@ -293,11 +291,9 @@ def _bit_map(targets: Sequence[int]) -> Callable[[int], int]:
     """
     tables = []
     for base in range(0, len(targets), 8):
-        chunk = targets[base:base + 8]
-        table = [0] * (1 << len(chunk))
-        for b in range(1, len(table)):
-            low = b & -b
-            table[b] = table[b ^ low] | chunk[low.bit_length() - 1]
+        table = [0]
+        for target in targets[base:base + 8]:
+            table += [m | target for m in table]
         tables.append(table)
     if len(tables) == 1:
         return tables[0].__getitem__
@@ -564,20 +560,46 @@ def make_complex(facets: Iterable[Iterable[Any]]) -> Complex:
     return Complex(Simplex(f) for f in facets)
 
 
-@dataclass(frozen=True)
 class SubdivisionResult:
     """A subdivided complex plus the carrier of each of its vertices.
 
-    ``carrier_of`` maps every vertex of ``complex`` to the smallest simplex
-    of the original complex whose geometric realization contains it.
+    ``facets`` are sorted tuples of vertex numbers, in canonical order, on a
+    numbering in sort-key order; ``carriers[u]`` masks, on the original
+    numbering, the smallest original simplex containing vertex u.
+    ``complex`` and ``carrier_of`` are built on first access.
     """
 
-    complex: Complex
-    carrier_of: Mapping[Any, Simplex]
+    def __init__(self, original: Complex, levels: list, facets: list, carriers: list) -> None:
+        self._original, self._levels, self.facets, self.carriers = original, levels, facets, carriers
+
+    @functools.cached_property
+    def complex(self) -> Complex:
+        if not self._levels:
+            return self._original
+        space = self._original._space
+        carrier, vertices = functools.cache(space.simplex), space.vertices
+        for level, (faces, carriers) in enumerate(self._levels, 1):
+            vertices = tuple(
+                SubdivisionVertex(Simplex(map(vertices.__getitem__, face)), carrier(c), level)
+                for face, c in zip(faces, carriers)
+            )
+        return Complex._of(_Numbering(vertices), tuple(sum(1 << u for u in f) for f in self.facets))
+
+    @functools.cached_property
+    def carrier_of(self) -> Mapping[Any, Simplex]:
+        if not self._levels:
+            return {v: Simplex([v]) for v in self.complex.vertices}
+        return {u: u.carrier for u in self.complex._space.vertices}
 
     def __iter__(self) -> Iterator[Any]:
-        yield self.complex
-        yield self.carrier_of
+        return iter((self.complex, self.carrier_of))
+
+
+@functools.cache
+def _chains(size: int) -> tuple:
+    """Per ordering of ``size`` local vertices, the local masks of its prefixes."""
+    orders = itertools.permutations([1 << i for i in range(size)])
+    return tuple(tuple(itertools.accumulate(order, operator.or_)) for order in orders)
 
 
 def barycentric_subdivide(complex_: Complex, depth: int) -> SubdivisionResult:
@@ -585,46 +607,31 @@ def barycentric_subdivide(complex_: Complex, depth: int) -> SubdivisionResult:
 
     Each round replaces the complex with its flag complex: one new vertex per
     simplex, and one facet per maximal chain of nested simplices inside each
-    old facet.  Carriers compose across rounds, so the returned mapping always
-    points back into the original complex.  Depth 0 returns the complex
+    old facet.  Carriers compose across rounds, so the returned carriers
+    always point back into the original complex.  Depth 0 returns the complex
     unchanged with each vertex carried by itself.
 
-    A round numbers its new vertices by the masks of the simplices they
-    subdivide, in sort-key order, and builds each chain's facet mask from
-    the chain's prefixes.  A vertex's carrier is the union of the carriers of
-    the vertices below it: in the first round that union is the simplex
-    itself, later it is the top of a nested chain.
+    A round tables each facet's faces by local mask (``_subsets``).  The
+    distinct faces, in sorted tuple order (their sort-key order), are the new
+    vertices, each carried by the union of its vertices' carriers.  An
+    ordering of a facet gives the chain of its prefixes.  No maximality scan
+    is needed: a chain holds its facet, which no other facet contains, and
+    one facet's orderings give distinct chains of one length.
     """
     if depth < 0:
         raise ValueError("subdivision depth must be non-negative")
-    if depth == 0:
-        return SubdivisionResult(complex_, {v: Simplex([v]) for v in complex_.vertices})
-    original = complex_._space
-    space, facets = original, complex_._facets
-    carrier = [1 << i for i in range(len(space.vertices))]
-    carrier_simplex: Dict[int, Simplex] = {}
-    for level in range(1, depth + 1):
-        simplices = sorted(_closure(facets), key=_bits)
-        index = {s: 1 << i for i, s in enumerate(simplices)}
-        vertices = []
-        next_carrier = []
-        for s in simplices:
-            join = 0
-            for i in _bits(s):
-                join |= carrier[i]
-            found = carrier_simplex.get(join)
-            if found is None:
-                found = carrier_simplex[join] = original.simplex(join)
-            vertices.append(SubdivisionVertex(below=space.simplex(s), carrier=found, level=level))
-            next_carrier.append(join)
+    facets = list(map(_bits, complex_._facets))
+    carriers = [1 << i for i in range(len(complex_._space.vertices))]
+    levels = []
+    for _ in range(depth):
+        tables = list(map(_subsets, facets))
+        faces = sorted(set().union(*tables))[1:]
+        index = {face: i for i, face in enumerate(faces)}
+        carriers = [_support(map(carriers.__getitem__, face)) for face in faces]
+        levels.append((faces, carriers))
         chains = []
-        for f in facets:
-            for order in itertools.permutations(_bits(f)):
-                prefix = chain = 0
-                for i in order:
-                    prefix |= 1 << i
-                    chain |= index[prefix]
-                chains.append(chain)
-        space, facets, carrier = _Numbering(vertices), _maximal(chains), next_carrier
-    carrier_of = {u: u.carrier for u in space.vertices}
-    return SubdivisionResult(Complex._of(space, facets), carrier_of)
+        for facet, table in zip(facets, tables):
+            ids = list(map(index.get, table))
+            chains += [tuple(sorted([ids[m] for m in chain])) for chain in _chains(len(facet))]
+        facets = sorted(chains)
+    return SubdivisionResult(complex_, levels, facets, carriers)

@@ -162,33 +162,30 @@ def search_carried_simplicial_map(
     if budget < 1:
         raise ValueError("node budget must be positive")
     restricted = restrict_to_skeleton(task, t)
-    subdivided, carrier_of = barycentric_subdivide(restricted.input, depth)
+    subdivided = barycentric_subdivide(restricted.input, depth)
+    carriers = subdivided.carriers
     images = restricted._images()
-    in_space = restricted.input._space
     output_facets = task.output._facets
     all_facets_mask = (1 << len(output_facets)) - 1
-    # Vertices are bit indices: u of the subdivision, w of the output.
+    # Vertices are numbers: u of the subdivision, w of the output.
     vertex_bit = {
         w: sum(1 << i for i, f in enumerate(output_facets) if f >> w & 1)
         for w in _bits(task.output._support)
     }
+    sub_facets = subdivided.facets
+    incidence: Dict[int, list[int]] = {}
+    for fid, facet in enumerate(sub_facets):
+        for u in facet:
+            incidence.setdefault(u, []).append(fid)
     # Value interchangeability (Freuder, AAAI 1991): one vertex per mask.
-    class_reps: Dict[Simplex, tuple] = {}
-    for carrier in set(carrier_of.values()):
+    class_reps: Dict[int, tuple] = {}
+    for carrier in {carriers[u] for u in incidence}:
         first_of_mask: Dict[int, int] = {}
-        for w in _bits(_support(images[in_space.mask(carrier)])):
+        for w in _bits(_support(images[carrier])):
             first_of_mask.setdefault(vertex_bit[w], w)
         class_reps[carrier] = tuple(first_of_mask.values())
-    sub_vertices = subdivided._space.vertices
-    sub_indices = _bits(subdivided._support)
-    domains = {u: class_reps[carrier_of[sub_vertices[u]]] for u in sub_indices}
-    order = sorted(sub_indices, key=lambda u: (len(domains[u]), u))
-    position = {u: i for i, u in enumerate(order)}
-    sub_facets = subdivided._facets
-    incidence: Dict[int, list[int]] = {u: [] for u in order}
-    for fid, facet in enumerate(sub_facets):
-        for u in _bits(facet):
-            incidence[u].append(fid)
+    domains = {u: class_reps[carriers[u]] for u in incidence}
+    order = sorted(incidence, key=lambda u: (len(domains[u]), u))
 
     candidates = [all_facets_mask] * len(sub_facets)
     chosen: list[Any] = [None] * len(order)
@@ -198,9 +195,10 @@ def search_carried_simplicial_map(
     level = 0
     while True:
         if level == len(order):
+            sub_vertices = subdivided.complex._space.vertices
             out_vertices = task.output._space.vertices
             assignment = tuple(
-                (sub_vertices[u], out_vertices[chosen[position[u]]]) for u in sub_indices
+                (sub_vertices[u], out_vertices[w]) for u, w in sorted(zip(order, chosen))
             )
             return SolvabilityReport(
                 verdict=Verdict.MAP_FOUND,

@@ -166,6 +166,30 @@ def subdivision_facets_oracle(
     }
 
 
+def subdivision_oracle(facets: Iterable[Iterable[Any]], depth: int) -> set[frozenset]:
+    """Facets of ``depth`` rounds of barycentric subdivision, from
+    ``subdivision_facets_oracle`` applied round by round.  Each round's
+    vertices are made here, one per face of ``closure_oracle``, and each is
+    carried by the union of the carriers of the vertices below it, an
+    original vertex carrying itself."""
+
+    def carrier(v: Any) -> frozenset:
+        return v.carrier.vertex_set if isinstance(v, SubdivisionVertex) else frozenset([v])
+
+    facets = maximal_facets(facets)
+    for level in range(1, depth + 1):
+        vertices = [
+            SubdivisionVertex(
+                below=Simplex(face),
+                carrier=Simplex(frozenset().union(*map(carrier, face))),
+                level=level,
+            )
+            for face in closure_oracle(facets)
+        ]
+        facets = subdivision_facets_oracle(facets, vertices)
+    return facets
+
+
 def monotonic_oracle(task: Task) -> set[tuple[Simplex, Simplex]]:
     """Every pair ``(face, coface)`` of an input simplex and one of its proper
     faces whose carrier is not contained in the coface's, with containment

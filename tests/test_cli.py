@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import cbtopo
-from cbtopo.cli import main
+from cbtopo.cli import build_parser, main
 from cbtopo.forksim import PROTOCOLS, TwoPhaseCommit
 from cbtopo.serialize import dumps, task_to_obj
 
@@ -111,7 +111,8 @@ def block7_files(tmp_path_factory):
 
 # sha256 of the stdout of ``analyze`` at every legal t, ``search`` at N = 0
 # and 1, and ``export`` in both formats, on the files of ``block7_files``, as
-# written before complexes were kept as masks.
+# written before complexes were kept as masks; and of the two deeper colorless
+# searches, as written before subdivision ran on index tables.
 @pytest.mark.parametrize(
     "k,colorless,argv,digest",
     [
@@ -139,6 +140,8 @@ def block7_files(tmp_path_factory):
         (3, True, ["export", "--format", "dot", "--which", "output"], "bd701ea4abe371b2ace348cc32fa269c5535d76df7dbb478b20857a97fcad93d"),
         (3, True, ["export", "--format", "json", "--which", "input"], "e8ea5cd419a264e6c2e6813710cf5c6038f97a74462eafbdb384cfc2e5e1700d"),
         (3, True, ["export", "--format", "json", "--which", "output"], "6e643650b1ad6e658ecdc26051182ce40a04e50b7ccd3a1f812cf63c59810fac"),
+        (4, True, ["search", "--t", "2", "--N", "2"], "1a2fa2a1f4dc9a2597fb6a618c255c98a9fcd7e7c4170d6eef51e8c010477b4d"),
+        (3, True, ["search", "--t", "1", "--N", "3"], "4a1e5bb2d1fc111eed02eb9ee885b7fc94cc3ee1f1032e6a6339da3751044f95"),
     ],
 )
 def test_reading_outputs_are_pinned(k, colorless, argv, digest, block7_files, capsys):
@@ -318,6 +321,25 @@ class TestSearch:
         assert code == 0
         assert "map found at depth 0" in out
 
+    # sha256 of ``search`` stdout on the identity task of a triangle, whose
+    # assignment lists subdivision vertices, as written before subdivision
+    # ran on index tables.
+    @pytest.mark.parametrize(
+        "depth,digest",
+        [
+            (1, "0748615c934efd0f05902903a3db8182b52c1985d6c265dd5a1ee2c7bfcf47f3"),
+            (2, "2014ab637a7b7c8ca21d12f7fbda773689c8d671542ff06a9bfe144c1fff28e6"),
+        ],
+    )
+    def test_found_map_output_is_pinned(self, depth, digest, tmp_path, capsys):
+        task = identity_task(cx([vtx(0, "1"), vtx(1, "1"), vtx(2, "1")]))
+        path = tmp_path / "identity.json"
+        path.write_text(dumps(task_to_obj(task)))
+        code, out, err = run_cli(["search", str(path), "--t", "1", "--N", str(depth)], capsys)
+        assert code == 0
+        assert f"map found at depth {depth}" in out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
     def test_non_monotonic_task_no_map_at_depth_only(self, tmp_path, capsys):
         # A map exists at depth 0, so the verdict line must not claim "up to".
         path = tmp_path / "induced.json"
@@ -420,6 +442,9 @@ class TestSimulate:
         renamed = run_cli(argv + ["--protocol", Renamed.name], capsys)
         assert renamed[0] == 0
         assert renamed == run_cli(argv, capsys)
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
 
     def test_unknown_protocol_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

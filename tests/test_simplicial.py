@@ -33,6 +33,7 @@ from helpers import (
     free,
     maximal_facets,
     subdivision_facets_oracle,
+    subdivision_oracle,
     sx,
     vertex_key_oracle,
     vtx,
@@ -386,6 +387,54 @@ class TestSubdivision:
         assert {u.level for u in sub1.vertices} == {1}
         sub2, _ = barycentric_subdivide(full_simplex_complex(1), 2)
         assert {u.level for u in sub2.vertices} == {2}
+
+
+class TestSubdivisionKernel:
+    """The index-table kernel against oracles that rebuild every round from
+    vertex sets."""
+
+    @staticmethod
+    def _random_complexes(rng, top):
+        """Non-pure complexes on five vertices, half of them with a lone
+        sixth vertex."""
+        pool = [vtx(i, "0") for i in range(6)]
+        for _ in range(12):
+            facets = [rng.sample(pool[:5], rng.randint(1, top)) for _ in range(rng.randint(1, 4))]
+            if rng.random() < 0.5:
+                facets.append([pool[5]])
+            yield make_complex(facets)
+
+    @pytest.mark.parametrize("depth,top", [(1, 4), (2, 3), (3, 3)])
+    def test_random_complexes_match_round_by_round_oracle(self, depth, top):
+        rng = random.Random(20261018 + depth)
+        for k in self._random_complexes(rng, top):
+            result = barycentric_subdivide(k, depth)
+            sub, carrier_of = result
+            # Oracle vertices compare by (below, carrier, level), so equal
+            # facets also check every vertex's carrier.
+            assert {f.vertex_set for f in sub.facets} == subdivision_oracle(
+                (f.vertices for f in k.facets), depth
+            )
+            assert set(carrier_of) == set(sub.vertices)
+            for i, u in enumerate(sub.vertices):
+                assert u.level == depth
+                assert carrier_of[u] == u.carrier
+                on_original = {v for j, v in enumerate(k.vertices) if result.carriers[i] >> j & 1}
+                assert on_original == u.carrier.vertex_set
+            assert list(sub.vertices) == sorted(sub.vertices, key=lambda v: v.sort_key())
+            assert list(sub.facets) == sorted(sub.facets, key=lambda f: f.sort_key())
+            assert [tuple(sub.vertices[u] for u in f) for f in result.facets] == [
+                f.vertices for f in sub.facets
+            ]
+
+    def test_lone_vertex_is_its_own_barycenter(self):
+        a, b, c, d = (vtx(i, "0") for i in range(4))
+        sub, carrier_of = barycentric_subdivide(cx([a, b, c], [d]), 2)
+        lone = [f for f in sub.facets if len(f) == 1]
+        assert len(lone) == 1
+        (u,) = lone[0]
+        assert carrier_of[u] == sx(d)
+        assert u.below.vertices[0].below == sx(d)
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,26 @@ class TestSearch:
             assert report.verdict is Verdict.MAP_FOUND
             assert assignment_is_valid(triangle_identity, 1, depth, report.assignment)
 
+    def test_exhausted_search_builds_no_simplex(
+        self, colorless_tasks, triangle_identity, monkeypatch
+    ):
+        # The search reads the subdivision's index tables; objects are built
+        # only to write a found map.
+        made = []
+        init = Simplex.__init__
+
+        def counting(self, vertices):
+            made.append(1)
+            init(self, vertices)
+
+        monkeypatch.setattr(Simplex, "__init__", counting)
+        report = search_carried_simplicial_map(colorless_tasks[2], 1, 2)
+        assert report.verdict is Verdict.NO_MAP_UP_TO_DEPTH
+        assert made == []
+        found = search_carried_simplicial_map(triangle_identity, 1, 1)
+        assert found.verdict is Verdict.MAP_FOUND
+        assert made
+
     def test_identity_depth0_matches_brute_force_oracle(self, triangle_identity):
         assert brute_force_depth0_map(triangle_identity, 1) is not None
 
