@@ -6,7 +6,7 @@ always produce byte-identical text.
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import EmptyInput, InvalidTask, MalformedTrace
 from .forksim import ExecutionTrace, Message, SimEvent, ViolationReport
@@ -80,53 +80,53 @@ def simplex_to_obj(simplex: Simplex) -> List[Dict[str, Any]]:
 _INDENT = "  "
 
 
-def _json_list(items: Sequence[str], depth: int) -> str:
-    """A JSON list at nesting ``depth``, laid out as ``json.dumps(indent=2)``
-    lays it out, from items already encoded at ``depth + 1``."""
-    if not items:
-        return "[]"
+def _brackets(depth: int) -> Tuple[str, str, str]:
+    """How ``json.dumps(indent=2)`` opens, separates and closes a non-empty
+    list at nesting ``depth``."""
     inner = "\n" + _INDENT * (depth + 1)
-    return "[" + inner + ("," + inner).join(items) + "\n" + _INDENT * depth + "]"
-
-
-def _json_object(fields: Sequence[Tuple[str, str]], depth: int) -> str:
-    """A JSON object at nesting ``depth``, laid out like ``_json_list``."""
-    inner = "\n" + _INDENT * (depth + 1)
-    pairs = (f"{json.dumps(key)}: {text}" for key, text in fields)
-    return "{" + inner + ("," + inner).join(pairs) + "\n" + _INDENT * depth + "}"
+    return "[" + inner, "," + inner, "\n" + _INDENT * depth + "]"
 
 
 def task_to_json(task: Task) -> str:
     """The task file: the same text as ``dumps`` of the task object.
 
     A task repeats its few distinct vertices throughout, so each one is
-    encoded once per numbering and nesting depth, from ``vertex_to_obj``,
-    and the pieces are joined around it from the facet masks; a carrier
-    image shared by several entries is encoded once.  This is the one
-    definition of the task format.
+    encoded once per numbering and nesting depth, from ``vertex_to_obj``.
+    Lists and carrier entries are joined around those texts from fixed
+    strings for their depth, and a carrier image shared by several entries
+    is encoded once.  This is the one definition of the task format.
     """
-    encoded: Dict[Tuple[Any, int], List[Optional[str]]] = {}
+    vertex_texts: Dict[Tuple[Any, int], List[str]] = {}
 
-    def simplex(space: Any, mask: int, depth: int) -> str:
-        texts = encoded.get((space, depth))
-        if texts is None:
-            texts = encoded[space, depth] = [None] * len(space.vertices)
-        items = []
-        for i in _bits(mask):
-            text = texts[i]
-            if text is None:
-                text = json.dumps(vertex_to_obj(space.vertices[i]), indent=2)
-                text = texts[i] = text.replace("\n", "\n" + _INDENT * (depth + 1))
-            items.append(text)
-        return _json_list(items, depth)
+    def texts(space: Any, depth: int) -> List[str]:
+        """The text of each vertex of ``space`` as a list item at ``depth``."""
+        found = vertex_texts.get((space, depth))
+        if found is None:
+            pad = "\n" + _INDENT * depth
+            found = vertex_texts[space, depth] = [
+                json.dumps(vertex_to_obj(v), indent=2).replace("\n", pad) for v in space.vertices
+            ]
+        return found
 
     def facets(space: Any, masks: Sequence[int], depth: int) -> str:
-        return _json_list([simplex(space, f, depth + 1) for f in masks], depth)
+        """A list of facet lists at ``depth``."""
+        items = texts(space, depth + 2).__getitem__
+        open_, sep, close = _brackets(depth + 1)
+        outer_open, outer_sep, outer_close = _brackets(depth)
+        return outer_open + outer_sep.join(
+            open_ + sep.join(map(items, _bits(f))) + close for f in masks
+        ) + outer_close
 
     def complex_(c: Complex) -> str:
-        return _json_object((("facets", facets(c._space, c._facets, 2)),), 1)
+        return '{\n    "facets": ' + facets(c._space, c._facets, 2) + "\n  }"
 
     carrier = task.carrier
+    simplex_items = texts(carrier._in, 4).__getitem__
+    # An entry is an object at depth 2 holding a simplex list at depth 3.
+    open_, sep, close = _brackets(3)
+    head = '{\n      "simplex": ' + open_
+    middle = close + ',\n      "image_facets": '
+    tail = "\n    }"
     image_texts: Dict[Tuple[int, ...], str] = {}
     entries = []
     for s in carrier._domain():
@@ -134,16 +134,14 @@ def task_to_json(task: Task) -> str:
         text = image_texts.get(image)
         if text is None:
             text = image_texts[image] = facets(carrier._out, image, 3)
-        entries.append(
-            _json_object((("simplex", simplex(carrier._in, s, 3)), ("image_facets", text)), 2)
-        )
-    fields = (
-        ("input", complex_(task.input)),
-        ("output", complex_(task.output)),
-        ("carrier", _json_list(entries, 1)),
-        ("colored", json.dumps(task.colored)),
+        entries.append(f"{head}{sep.join(map(simplex_items, _bits(s)))}{middle}{text}{tail}")
+    open_, sep, close = _brackets(1)
+    return (
+        '{\n  "input": ' + complex_(task.input)
+        + ',\n  "output": ' + complex_(task.output)
+        + ',\n  "carrier": ' + open_ + sep.join(entries) + close
+        + ',\n  "colored": ' + json.dumps(task.colored) + "\n}\n"
     )
-    return _json_object(fields, 0) + "\n"
 
 
 def task_to_obj(task: Task) -> Dict[str, Any]:
@@ -213,13 +211,25 @@ class _TaskReader:
         return _Numbering(self.vertices[i] for i in order), _bit_map(targets)
 
 
-def task_from_obj(obj: Dict[str, Any]) -> Task:
+def task_from_obj(
+    obj: Dict[str, Any], max_dim: Optional[int] = None
+) -> Union[Task, Tuple[Task, int]]:
     """Read a task object, such as ``json.loads`` of a task file.
 
     Every vertex of the file is numbered in one numbering, which the input,
     the output and the carrier images share.  A malformed object raises
     ``InvalidTask`` (or the ``CbtopoError`` a malformed simplex or complex
     raises), and so does a carrier map that lists one input simplex twice.
+
+    With ``max_dim`` None the whole file is read and checked, and the task
+    is returned.  With a ``max_dim`` of d, a carrier entry whose simplex
+    lists more than d + 1 vertices is skipped unread, so nothing above
+    dimension d is checked; an entry that is not an object, or whose
+    ``simplex`` is not a list, is still malformed.  The result is then the
+    task on the d-skeleton of the input, checked as a task: the carrier is
+    total on the skeleton, lists no other simplex and lands in the output.
+    It is returned with n, the dimension of the file's whole input.  On a
+    valid file the numbering, and so every output, is the same either way.
     """
     reader = _TaskReader()
     try:
@@ -231,10 +241,16 @@ def task_from_obj(obj: Dict[str, Any]) -> Task:
         raise InvalidTask(f"malformed task object: {exc}") from None
     if type(colored) is not bool:
         raise InvalidTask(f"malformed task object: 'colored' must be a boolean, got {colored!r}")
+    size = None if max_dim is None else max_dim + 1
     entries: Dict[int, Tuple[int, ...]] = {}
     for entry in entries_raw:
         try:
-            simplex = reader.simplex(entry["simplex"])
+            objs = entry["simplex"]
+            if type(objs) is not list:
+                raise TypeError(f"'simplex' must be a list, got {objs!r}")
+            if size is not None and len(objs) > size:
+                continue
+            simplex = reader.simplex(objs)
             image = tuple(reader.facets(entry["image_facets"]))
         except (KeyError, TypeError) as exc:
             raise InvalidTask(f"malformed carrier entry: {exc}") from None
@@ -252,12 +268,14 @@ def task_from_obj(obj: Dict[str, Any]) -> Task:
         if facets is None:
             facets = canonical[image] = _maximal(map(renumber, image))
         images[renumber(simplex)] = facets
-    return Task(
-        input=Complex._of(space, _maximal(map(renumber, input_facets))),
+    input_ = Complex._of(space, _maximal(map(renumber, input_facets)))
+    task = Task(
+        input=input_ if max_dim is None else input_.skeleton(max_dim),
         output=Complex._of(space, _maximal(map(renumber, output_facets))),
         carrier=CarrierMap._of(space, space, images),
         colored=colored,
     )
+    return task if max_dim is None else (task, input_.dimension)
 
 
 def report_to_obj(report: SolvabilityReport) -> Dict[str, Any]:

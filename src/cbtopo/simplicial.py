@@ -272,14 +272,38 @@ def _support(masks: Iterable[int]) -> int:
     return functools.reduce(operator.or_, masks, 0)
 
 
-def _closure(facets: Iterable[int]) -> set:
-    """Every non-empty submask of every facet mask."""
-    out: set = set()
-    for f in facets:
-        s = f
-        while s:
-            out.add(s)
-            s = (s - 1) & f
+def _layers(facets: Sequence[int], top: int) -> Dict[int, Tuple[int, ...]]:
+    """The simplex masks of at most ``top`` vertices that the facet masks
+    span, by dimension, each layer in canonical order.
+
+    A simplex grows by one vertex past its last: the candidates are the
+    later vertices that share a facet with each of its own, and a candidate
+    stays when one facet holds all of it, which an AND of per-vertex facet
+    sets (ints over facet positions) tells.  Growing a sorted layer this way
+    keeps the next one sorted, and no simplex above ``top`` is enumerated.
+    """
+    width = _support(facets).bit_length()
+    holds, near = [0] * width, [0] * width
+    for i, f in enumerate(facets):
+        position = 1 << i
+        for v in _bits(f):
+            holds[v] |= position
+            near[v] |= f
+    layer = [(1 << v, holds[v], near[v]) for v in range(width) if holds[v]]
+    out = {}
+    for d in range(top):
+        out[d] = tuple(s for s, _, _ in layer)
+        grown = []
+        if d + 1 < top:
+            for s, held, common in layer:
+                last = s.bit_length()
+                for v in _bits(common >> last << last):
+                    both = held & holds[v]
+                    if both:
+                        grown.append((s | 1 << v, both, common & near[v]))
+        if not grown:
+            break
+        layer = grown
     return out
 
 
@@ -447,10 +471,7 @@ class Complex:
     def _masks(self) -> Dict[int, Tuple[int, ...]]:
         """Every simplex mask by dimension, each layer in canonical order."""
         if self._layers is None:
-            groups: Dict[int, list] = {}
-            for s in _closure(self._facets):
-                groups.setdefault(s.bit_count() - 1, []).append(s)
-            self._layers = {d: tuple(sorted(groups[d], key=_bits)) for d in sorted(groups)}
+            self._layers = _layers(self._facets, self.dimension + 1)
         return self._layers
 
     def _induced(self, mask: int) -> "Complex":
@@ -515,11 +536,15 @@ class Complex:
         if k >= self.dimension:
             return self
         # Every simplex of dimension at most k lies in a k-face or in a
-        # smaller facet, and none of those lies in another.
-        layers = self._masks()
+        # smaller facet, and none of those lies in another.  Only layers up
+        # to k are enumerated, unless the whole complex already has them.
+        if self._layers is None:
+            layers = _layers(self._facets, k + 1)
+        else:
+            layers = {d: layer for d, layer in self._layers.items() if d <= k}
         low = [f for f in self._facets if f.bit_count() <= k]
         skeleton = Complex._of(self._space, tuple(sorted((*layers[k], *low), key=_bits)))
-        skeleton._layers = {d: layer for d, layer in layers.items() if d <= k}
+        skeleton._layers = layers
         return skeleton
 
     def induced_subcomplex(self, vertices: Iterable[Any]) -> "Complex":

@@ -153,24 +153,37 @@ def search_carried_simplicial_map(
     A map at depth k gives one at depth k + 1 only through a monotonic
     carrier map, so an exhausted search claims the smaller depths too
     ("or below" in its note) only when the restricted map is monotonic.
+
+    The search reads only the carrier entries of simplices of dimension at
+    most t.  ``cbtopo search`` therefore loads only those from its file
+    (``task_from_obj`` with a dimension cap), and runs the same search on
+    the task it gets.
     """
     n = task.input.dimension
     check_resilience(n, t, allow_zero=False)
+    return _search(restrict_to_skeleton(task, t), n, t, depth, node_budget)
+
+
+def _search(
+    restricted: Task, n: int, t: int, depth: int, node_budget: int | None
+) -> SolvabilityReport:
+    """``search_carried_simplicial_map`` on the task restricted to the
+    t-skeleton of an input of dimension n, with t already checked."""
     if depth < 0:
         raise ValueError("subdivision depth must be non-negative")
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
     if budget < 1:
         raise ValueError("node budget must be positive")
-    restricted = restrict_to_skeleton(task, t)
     subdivided = barycentric_subdivide(restricted.input, depth)
     carriers = subdivided.carriers
     images = restricted._images()
-    output_facets = task.output._facets
+    output = restricted.output
+    output_facets = output._facets
     all_facets_mask = (1 << len(output_facets)) - 1
     # Vertices are numbers: u of the subdivision, w of the output.
     vertex_bit = {
         w: sum(1 << i for i, f in enumerate(output_facets) if f >> w & 1)
-        for w in _bits(task.output._support)
+        for w in _bits(output._support)
     }
     sub_facets = subdivided.facets
     incidence: Dict[int, list[int]] = {}
@@ -196,7 +209,7 @@ def search_carried_simplicial_map(
     while True:
         if level == len(order):
             sub_vertices = subdivided.complex._space.vertices
-            out_vertices = task.output._space.vertices
+            out_vertices = output._space.vertices
             assignment = tuple(
                 (sub_vertices[u], out_vertices[w]) for u, w in sorted(zip(order, chosen))
             )

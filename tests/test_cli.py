@@ -372,6 +372,123 @@ class TestSearch:
         assert "0 < t < (n+1)/2" in err
 
 
+
+def _entry_of_dim(obj, dim):
+    """The first carrier entry of ``obj`` whose simplex has dimension ``dim``."""
+    return next(e for e in obj["carrier"] if len(e["simplex"]) == dim + 1)
+
+
+def _non_integer_chain(obj, dim):
+    _entry_of_dim(obj, dim)["simplex"][0]["chain"] = 0.5
+
+
+def _image_outside_output(obj, dim):
+    _entry_of_dim(obj, dim)["image_facets"] = [[{"chain": 9, "block": 9, "value": "1"}]]
+
+
+def _duplicated_entry(obj, dim):
+    entry = _entry_of_dim(obj, dim)
+    obj["carrier"].append(json.loads(json.dumps(entry)))
+
+
+def _foreign_simplex(obj, dim):
+    # Two vertices of one chain lie in no simplex of a CBT input; at
+    # dimension 0 a vertex of a chain the task does not have is foreign.
+    entry = _entry_of_dim(obj, dim)
+    first, *rest = entry["simplex"]
+    if rest:
+        other = {**first, "value": "0" if first["value"] != "0" else "1"}
+        simplex = [first, other, *rest[1:]]
+    else:
+        simplex = [{**first, "chain": 9}]
+    obj["carrier"].append({"simplex": simplex, "image_facets": entry["image_facets"]})
+
+
+SPOILERS = [
+    pytest.param(_non_integer_chain, id="non-integer-chain"),
+    pytest.param(_image_outside_output, id="image-outside-output"),
+    pytest.param(_duplicated_entry, id="duplicated-entry"),
+    pytest.param(_foreign_simplex, id="foreign-simplex"),
+]
+
+
+def _spoiled(task_file, tmp_path, spoil, dim):
+    obj = json.loads(task_file.read_text())
+    spoil(obj, dim)
+    path = tmp_path / f"spoiled-{dim}.json"
+    path.write_text(json.dumps(obj, indent=2))
+    return path
+
+
+class TestSearchReadsTheSkeleton:
+    """``search --t t`` reads and checks only the carrier entries of
+    dimension at most t (and always those up to dimension 1); ``analyze``
+    and ``export`` check the whole file."""
+
+    @pytest.mark.parametrize("spoil", SPOILERS)
+    def test_spoiled_above_t_is_not_read_by_search(self, spoil, task_file, tmp_path, capsys):
+        path = _spoiled(task_file, tmp_path, spoil, 2)
+        argv = ["--t", "1", "--N", "1"]
+        clean = run_cli(["search", str(task_file), *argv], capsys)
+        assert clean[0] == 0
+        assert run_cli(["search", str(path), *argv], capsys) == clean
+        for command, options in (("analyze", ["--t", "1"]), ("export", [])):
+            code, out, err = run_cli([command, str(path), *options], capsys)
+            assert (code, out) == (3, ""), command
+            assert "cannot load task" in err
+
+    @pytest.mark.parametrize("dim", [0, 1])
+    @pytest.mark.parametrize("spoil", SPOILERS)
+    def test_spoiled_up_to_t_is_rejected_by_search(self, spoil, dim, task_file, tmp_path, capsys):
+        path = _spoiled(task_file, tmp_path, spoil, dim)
+        code, out, err = run_cli(["search", str(path), "--t", "1", "--N", "1"], capsys)
+        assert (code, out) == (3, "")
+        assert "cannot load task" in err
+
+    @pytest.mark.parametrize("dim", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "replace",
+        [
+            pytest.param(lambda entry: {**entry, "simplex": "x"}, id="simplex-string"),
+            pytest.param(lambda entry: {**entry, "simplex": entry["simplex"][0]},
+                         id="simplex-object"),
+            pytest.param(lambda entry: {**entry, "simplex": None}, id="simplex-null"),
+            pytest.param(lambda entry: entry["simplex"], id="entry-list"),
+            pytest.param(lambda entry: 7, id="entry-int"),
+        ],
+    )
+    def test_entry_without_simplex_list_is_rejected_at_any_dim(
+        self, replace, dim, task_file, tmp_path, capsys
+    ):
+        obj = json.loads(task_file.read_text())
+        carrier = obj["carrier"]
+        index = carrier.index(_entry_of_dim(obj, dim))
+        carrier[index] = replace(carrier[index])
+        path = tmp_path / "entry.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run_cli(["search", str(path), "--t", "1", "--N", "1"], capsys)
+        assert (code, out) == (3, "")
+        assert "cannot load task" in err
+        assert "malformed carrier entry" in err
+
+    @pytest.mark.parametrize("t", ["-1", "0", "2", "5"])
+    def test_bad_resilience_on_a_well_formed_file_exits_usage(self, t, task_file, capsys):
+        code, out, err = run_cli(["search", str(task_file), "--t", t, "--N", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert "0 < t < (n+1)/2" in err
+
+    @pytest.mark.parametrize("t", ["-1", "0", "2", "5"])
+    @pytest.mark.parametrize("dim", [0, 1])
+    @pytest.mark.parametrize("spoil", SPOILERS)
+    def test_malformed_up_to_dim_1_wins_over_bad_resilience(
+        self, spoil, dim, t, task_file, tmp_path, capsys
+    ):
+        path = _spoiled(task_file, tmp_path, spoil, dim)
+        code, out, err = run_cli(["search", str(path), "--t", t, "--N", "1"], capsys)
+        assert (code, out) == (3, "")
+        assert "cannot load task" in err
+
+
 class TestSimulate:
     def test_exhaustive_finds_atomicity_violation(self, capsys):
         code, out, err = run_cli(

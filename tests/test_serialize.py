@@ -29,6 +29,7 @@ from cbtopo.serialize import (
 from cbtopo.simplicial import Simplex, barycentric_subdivide
 
 from helpers import (
+    closure_oracle,
     cx,
     free,
     identity_task,
@@ -135,6 +136,77 @@ class TestTaskObjects:
         obj["carrier"][0]["image_facets"] = [
             [{"chain": 9, "block": 9, "value": "1"}]
         ]
+        with pytest.raises(InvalidTask):
+            task_from_obj(obj)
+
+
+
+def _key(vertex):
+    """A vertex as the (chain, block, value) of its file object."""
+    block = vertex.block
+    return (block and block.chain, block and block.block, vertex.value.value)
+
+
+def _obj_key(obj):
+    return obj["chain"], obj["block"], obj["value"]
+
+
+@pytest.fixture(scope="module")
+def cbt_texts():
+    """The task file of every CBT task at n = 1..4, colored and colorless."""
+    return {
+        (n, colorless): task_to_json(
+            (build_colorless_task if colorless else build_task)(CbtConfig(n=n, block_index=7))
+        )
+        for n in (1, 2, 3, 4)
+        for colorless in (False, True)
+    }
+
+
+class TestRestrictedLoad:
+    """``task_from_obj`` with a dimension cap d against the file read with
+    plain ``json``: the skeleton is ``closure_oracle`` of the input facets
+    cut to at most d + 1 vertices, and the carrier holds exactly the file's
+    entries of at most d + 1 vertices."""
+
+    @pytest.mark.parametrize("colorless", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_cap_matches_the_file(self, n, colorless, cbt_texts):
+        text = cbt_texts[n, colorless]
+        file = json.loads(text)
+        input_facets = [list(map(_obj_key, f)) for f in file["input"]["facets"]]
+        assert max(map(len, input_facets)) == n + 1
+        closure = closure_oracle(input_facets)
+        for dim in range(n + 1):
+            restricted, dimension = task_from_obj(json.loads(text), dim)
+            assert dimension == n
+            assert restricted.colored is file["colored"]
+            skeleton = {frozenset(map(_key, s)) for s in restricted.input.simplices()}
+            assert skeleton == {s for s in closure if len(s) <= dim + 1}
+            assert {
+                frozenset(map(_key, s)): {frozenset(map(_key, f)) for f in image.facets}
+                for s, image in restricted.carrier.items()
+            } == {
+                frozenset(map(_obj_key, e["simplex"])): {
+                    frozenset(map(_obj_key, f)) for f in e["image_facets"]
+                }
+                for e in file["carrier"]
+                if len(e["simplex"]) <= dim + 1
+            }
+            assert {frozenset(map(_key, f)) for f in restricted.output.facets} == {
+                frozenset(map(_obj_key, f)) for f in file["output"]["facets"]
+            }
+
+    def test_entries_above_the_cap_are_not_decoded(self, cbt_tasks):
+        obj = task_to_obj(cbt_tasks[2])
+        for entry in obj["carrier"]:
+            if len(entry["simplex"]) == 3:
+                entry["simplex"][0]["value"] = "neither"
+                del entry["image_facets"]
+        restricted, n = task_from_obj(obj, 1)
+        assert (n, len(restricted.carrier)) == (2, 36)
+        with pytest.raises(InvalidTask):
+            task_from_obj(obj, 2)
         with pytest.raises(InvalidTask):
             task_from_obj(obj)
 
