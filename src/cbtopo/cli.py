@@ -10,6 +10,7 @@ import argparse
 import functools
 import gc
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -207,6 +208,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         mode = ExhaustiveMode(depth=args.depth)
     suspensions = 0 if args.no_suspend else 1
+    if args.trace_out is not None:
+        # Refused before the search, not after it; the file itself is
+        # written only for a violation.
+        folder = os.path.dirname(args.trace_out) or "."
+        if not os.path.isdir(folder):
+            raise FileNotFoundError(f"no directory {folder!r} for --trace-out")
     trace = find_violation(
         args.n,
         args.t,

@@ -398,59 +398,159 @@ class _Kernel:
 class _Symmetry:
     """A kernel's quotient by the protocol's declared symmetry (see
     ``CommitProtocol``): ``classes`` are the declared chains grouped by
-    input, each of two or more, and every other chain is fixed.  Key
-    parts are numbered in ``_parts``; ``_records`` and ``_messages`` hold
-    what ``canonical`` reads of each record and message id."""
+    input, each of two or more, and every other chain is fixed.
+
+    A state's view is ``(columns, between)``: ``between`` holds the ids of
+    the messages between fixed chains, sorted, and ``columns`` first the
+    fixed chains' parts, each of the record read without its chain-keyed
+    entries for declared chains, then each class's chains' column ids, in
+    the order of ``slots`` (a chain's position) and ``spans`` (a class's
+    positions).  A column starts with the chain's record, read without
+    its index, and its flag bits, followed, sorted, by what the fixed
+    chains' chain-keyed dicts hold for it and the messages it sends or
+    receives, each marked with the fixed other end.  Key parts and columns
+    are interned as ints in ``_parts`` and ``_columns``, so two ids are
+    equal exactly when the columns are.  As no message or record ties two
+    declared chains (``_record`` and ``_message`` refuse one), the columns
+    hold the whole state, so renaming within a class permutes columns and
+    nothing else (Ip & Dill, FMSD 9, 1996).  For the same reason an event
+    on a declared chain changes only its own column: its record, its flag
+    bits, the message it takes and those it sends are all read there.  An
+    event on a fixed chain changes its part, ``between``, and the columns
+    its chain-keyed entries and messages name.  ``_records`` and
+    ``_messages`` hold what a view reads of each record and message id,
+    and ``_plans`` what an event on a fixed chain changes.  ``_edits`` maps
+    a declared chain's event, as (column, new record, flag bits, message
+    taken, messages sent), and a change to a column, as (column, parts
+    lost, parts gained), to the new column."""
 
     def __init__(self, kernel: _Kernel, classes: List[List[int]]) -> None:
-        self.kernel, self.classes = kernel, classes
+        self.kernel = kernel
         self.keyed = kernel.protocol.chain_keyed
         self.declared = frozenset(chain for chains in classes for chain in chains)
         self.fixed = [chain for chain in range(kernel.n + 1) if chain not in self.declared]
         self.fixed_flags = sum(7 << 3 * chain for chain in self.fixed)
+        self.width = width = len(self.fixed)
+        self.spans = []
+        for chains in classes:
+            self.spans.append((width, width + len(chains)))
+            width += len(chains)
+        order = self.fixed + [chain for chains in classes for chain in chains]
+        self.slots = [order.index(chain) for chain in range(len(order))]
         self._parts: Dict[tuple, int] = {}
+        self._columns: Dict[tuple, int] = {}
+        self._column_of: List[tuple] = []  # by column id
         self._records: Dict[int, Tuple[int, tuple]] = {}
         self._messages: Dict[int, Tuple[int, int]] = {}
+        self._plans: Dict[tuple, tuple] = {}
+        self._edits: Dict[tuple, int] = {}
 
-    def canonical(self, records: tuple, idents: tuple, flags: int) -> tuple:
-        """A state's ``fingerprint``, equal for two states exactly when a
-        permutation of each class renames one into the other.
-
-        The key holds the fixed chains' records, each read without its
-        chain-keyed entries for declared chains, and their flag bits; the
-        ids of the messages between fixed chains, sorted; and for each
-        class the sorted tuple of its chains' columns.  A column starts
-        with the chain's record, read without its index, and its flag
-        bits, followed, sorted, by what the fixed chains' chain-keyed dicts
-        hold for it and the messages it sends or receives, each marked with
-        the fixed other end.  As no message or record ties two declared
-        chains (``_record`` and ``_message`` refuse one), the columns hold
-        the whole state, so renaming within a class permutes columns and
-        nothing else (Ip & Dill, FMSD 9, 1996)."""
-        memo = self._records
-        columns = {}  # each starts with its chain's record and flag bits
-        for chain in self.declared:
-            part, _ = memo.get(records[chain]) or self._record(records[chain])
-            columns[chain] = [part << 3 | flags >> 3 * chain & 7]
-        fixed = [flags & self.fixed_flags]
+    def start(self, records: tuple) -> tuple:
+        """The view of a root state: ``records``, no message and no flag."""
+        slots = self.slots
+        columns = {chain: [self._record(records[chain])[0] << 3] for chain in self.declared}
+        view = list(records)
         for chain in self.fixed:
-            part, entries = memo.get(records[chain]) or self._record(records[chain])
-            fixed.append(part)
+            view[slots[chain]], entries = self._record(records[chain])
             for target, entry in entries:
                 columns[target].append(entry)
-        between_fixed = []
-        memo = self._messages
-        for ident in idents:
-            chain, part = memo.get(ident) or self._message(ident)
-            if chain < 0:
-                between_fixed.append(ident)
-            else:
-                columns[chain].append(part)
-        between_fixed.sort()
-        return tuple(fixed), tuple(between_fixed), tuple(
-            tuple(sorted((held[0], *sorted(held[1:])) for held in map(columns.get, chains)))
-            for chains in self.classes
-        )
+        for chain, (head, *tail) in columns.items():
+            view[slots[chain]] = self._column(head, tail)
+        return tuple(view), ()
+
+    def key(self, view: tuple, flags: int) -> tuple:
+        """``Simulation.fingerprint`` of a state with this view and flags:
+        each class's column ids are sorted, and a class's size is fixed."""
+        columns, between = view
+        key = [flags & self.fixed_flags, between, columns[:self.width]]
+        for lo, hi in self.spans:
+            key += sorted(columns[lo:hi])
+        return tuple(key)
+
+    def resolve(self, view: tuple) -> tuple:
+        """The view a chain of pending edits ends in (see ``Simulation.apply``)."""
+        pending = []
+        while len(view) > 2:
+            pending.append(view)
+            view = view[0]
+        columns, between = view
+        slots, width, edits = self.slots, self.width, self._edits
+        for _, chain, old, new, removed, sent, flags in reversed(pending):
+            at = slots[chain]
+            if at >= width:  # a declared chain
+                key = (columns[at], new, flags >> 3 * chain & 7, removed, sent)
+                column = edits.get(key)
+                if column is None:
+                    column = self._step(*key)
+                columns = columns[:at] + (column,) + columns[at + 1:]
+                continue
+            plan = self._plans.get((old, new, removed, sent)) or self._plan(old, new, removed, sent)
+            columns = list(columns)
+            columns[at], changes, out, into = plan
+            for at, gone, came in changes:
+                key = (columns[at], gone, came)
+                column = edits.get(key)
+                columns[at] = self._change(*key) if column is None else column
+            columns = tuple(columns)
+            if out or into:
+                between = [*between, *into]
+                for ident in out:
+                    between.remove(ident)
+                between = tuple(sorted(between))
+        return columns, between
+
+    def _column(self, head: int, tail: list) -> int:
+        tail.sort()
+        column = (head, *tail)
+        ident = self._columns.get(column)
+        if ident is None:
+            ident = self._columns[column] = len(self._column_of)
+            self._column_of.append(column)
+        return ident
+
+    def _step(self, column: int, record: int, bits: int, removed: Optional[int],
+              sent: tuple) -> int:
+        """The column after an event on its declared chain."""
+        messages = self._messages
+        _, *tail = self._column_of[column]
+        if removed is not None:
+            tail.remove((messages.get(removed) or self._message(removed))[1])
+        tail += [(messages.get(ident) or self._message(ident))[1] for ident in sent]
+        head = (self._records.get(record) or self._record(record))[0] << 3 | bits
+        ident = self._edits[column, record, bits, removed, sent] = self._column(head, tail)
+        return ident
+
+    def _change(self, column: int, gone: tuple, came: tuple) -> int:
+        """The column after an event on a fixed chain takes parts
+        ``gone`` out of it and puts parts ``came`` in."""
+        head, *tail = self._column_of[column]
+        for held in gone:
+            tail.remove(held)
+        ident = self._edits[column, gone, came] = self._column(head, tail + list(came))
+        return ident
+
+    def _plan(self, old: int, new: int, removed: Optional[int], sent: tuple) -> tuple:
+        """An event on a fixed chain: the new record's part; for each
+        column it changes, its position and the parts it loses and gains;
+        and the messages ``between`` loses and gains."""
+        part, entries = self._records.get(new) or self._record(new)
+        changes: Dict[int, Tuple[list, list]] = {}
+        between: Tuple[list, list] = ([], [])
+        for side, held in enumerate(((self._records.get(old) or self._record(old))[1], entries)):
+            for target, entry in held:
+                changes.setdefault(target, ([], []))[side].append(entry)
+        for side, idents in enumerate(((removed,) if removed is not None else (), sent)):
+            for ident in idents:
+                target, held = self._messages.get(ident) or self._message(ident)
+                if target < 0:
+                    between[side].append(ident)
+                else:
+                    changes.setdefault(target, ([], []))[side].append(held)
+        plan = self._plans[old, new, removed, sent] = (part, tuple(
+            (self.slots[target], tuple(gone), tuple(came))
+            for target, (gone, came) in changes.items() if sorted(gone) != sorted(came)
+        ), *map(tuple, between))
+        return plan
 
     def _part(self, key: tuple) -> int:
         return self._parts.setdefault(key, len(self._parts))
@@ -511,11 +611,15 @@ class Simulation:
     ``state`` is one immutable tuple: each node's record id, the in-flight
     sequence numbers and message ids in send order, a flag mask (bit 3c+k:
     chain c took the action of offset k in ``_KINDS``), the next sequence
-    number, the event count, and the event log as ``(previous, kind, chain,
-    sequence, message id)`` links.  The ids index ``kernel``, shared by a
-    root and its clones, so ``clone`` copies two references and fingerprints
-    compare within one root's clones; ``nodes``, ``events`` and the like are
-    built on demand."""
+    number, the event count, the event log as ``(previous, kind, chain,
+    sequence, message id)`` links, and the view: None without a declared
+    symmetry, else the ``_Symmetry`` view ``(columns, between)`` or, until
+    ``fingerprint`` resolves it, a pending edit ``(previous view, chain,
+    old record id, new record id, message id taken or None, message ids
+    sent, flag mask)``.  The ids index ``kernel``, shared by a root and its
+    clones, so ``clone`` copies two references and fingerprints compare
+    within one root's clones; ``nodes``, ``events`` and the like are built
+    on demand."""
 
     __slots__ = ("kernel", "state")
 
@@ -524,7 +628,9 @@ class Simulation:
             raise ValueError(f"need {n + 1} input values, got {len(inputs)}")
         self.kernel = kernel = _Kernel(n, t, protocol, tuple(inputs))
         nodes = (NodeState(chain=BlockRef(i), local_value=value) for i, value in enumerate(inputs))
-        self.state: tuple = (tuple(map(kernel.record, nodes)), (), (), 0, 0, 0, None)
+        records = tuple(map(kernel.record, nodes))
+        view = None if kernel.symmetry is None else kernel.symmetry.start(records)
+        self.state: tuple = (records, (), (), 0, 0, 0, None, view)
 
     n = property(lambda self: self.kernel.n)
     t = property(lambda self: self.kernel.t)
@@ -559,26 +665,39 @@ class Simulation:
     def fingerprint(self) -> tuple:
         """Key of the state up to the protocol's declared symmetry: two
         keys are equal exactly when a permutation of each class renames one
-        state into the other (see ``_Symmetry.canonical``).  Without a
-        declared symmetry it is the record ids, the in-flight message ids
+        state into the other.  It holds the fixed chains' flag bits, the
+        messages between fixed chains and the fixed chains' parts of the
+        view (see ``_Symmetry``), and for each class its chains' column ids,
+        sorted.  A column id stands for the chain's whole column: its
+        record read without its index, its flag bits, and the chain-keyed
+        entries and messages that tie it to the fixed chains; equal ids mean
+        equal columns.  The view is resolved here, from the parent's, and
+        kept: an event on a declared chain changes its own column only, as
+        nothing ties it to another declared chain.  Without a declared
+        symmetry the key is the record ids, the in-flight message ids
         sorted, and the flag mask.  Sequence numbers and the event log are
         left out."""
-        records, _, idents, flags = self.state[:4]
+        state = self.state
+        records, _, idents, flags, _, _, _, view = state
         symmetry = self.kernel.symmetry
         if symmetry is None:
             return records, tuple(sorted(idents)), flags
-        return symmetry.canonical(records, idents, flags)
+        if len(view) > 2:
+            view = symmetry.resolve(view)
+            self.state = (*state[:7], view)
+        return symmetry.key(view, flags)
 
     def apply(self, action: ScheduleAction) -> None:
         kernel = self.kernel
-        records, sequences, idents, flags, sequence, count, log = self.state
+        records, sequences, idents, flags, sequence, count, log, view = self.state
         kind = action.kind
+        removed = None
         if kind == "deliver":
             seq = action.sequence
             if seq is None or seq not in sequences:
                 raise InvalidSchedule(f"no in-flight message with sequence {seq}")
             at = sequences.index(seq)
-            event = idents[at]
+            removed = event = idents[at]
             chain = kernel.messages[event][0]
             sequences = sequences[:at] + sequences[at + 1:]
             idents = idents[:at] + idents[at + 1:]
@@ -599,15 +718,19 @@ class Simulation:
             log = (log, kind, chain, None, None)
         else:
             raise InvalidSchedule(f"unknown action kind {kind!r}")
+        old = record = records[chain]
+        sent = ()
         if event is not None:
-            record = records[chain]
-            record, sent = kernel.reactions.get((record, event)) or kernel.react(record, event)
+            record, sent = kernel.reactions.get((old, event)) or kernel.react(old, event)
             records = records[:chain] + (record,) + records[chain + 1:]
             if sent:
                 sequences += tuple(range(sequence, sequence + len(sent)))
                 idents += sent
                 sequence += len(sent)
-        self.state = (records, sequences, idents, flags, sequence, count + 1, log)
+        if view is not None:
+            # Resolved by ``fingerprint`` alone: random runs and ``run`` key no state.
+            view = (view, chain, old, record, removed, sent, flags)
+        self.state = (records, sequences, idents, flags, sequence, count + 1, log, view)
 
     def quiescent(self) -> bool:
         """No runnable start step and no message deliverable to a live node."""
@@ -804,12 +927,12 @@ def find_violation(
     schedule, depth first in canonical action order (see ``_explore``), and
     takes states that a permutation of each class of the protocol's
     declared symmetry renames into each other (see ``CommitProtocol``) as
-    one: it checks one state of each orbit, the first it reaches.  A state is checked once, on its first
-    visit, by a predicate on its node records that flags exactly what
-    ``check_trace`` flags on its trace and treats every chain alike, and
-    counts once against ``state_budget``, which so counts orbit
-    representatives; only the state returned becomes an
-    ``ExecutionTrace``.  A cached state is expanded again, not checked
+    one: it checks one state of each orbit, the first it reaches.  A state
+    is checked once, on its first visit, by a predicate on its node
+    records that flags exactly what ``check_trace`` flags on its trace and
+    treats every chain alike, and counts once against ``state_budget``,
+    which so counts orbit representatives; only the state returned becomes
+    an ``ExecutionTrace``.  A cached state is expanded again, not checked
     again, when it is reached on fewer events.  Sleep sets (Godefroid, LNCS
     1032, 1996) skip a transition whose target another order of the same
     commuting actions covers at the same depth.  Actions on different

@@ -546,6 +546,17 @@ class TestSimulate:
         assert lines[-1]["type"] == "verdict"
         assert lines[-1]["ok"] is False
 
+    def test_trace_out_into_a_missing_directory_fails_before_the_search(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "missing" / "trace.jsonl"
+        code, out, err = run_cli(
+            ["simulate", "--n", "2", "--t", "0", "--trace-out", str(path)], capsys
+        )
+        assert (code, out) == (3, "")
+        assert "missing" in err
+        assert not path.parent.exists()
+
     def test_exhaustive_flag_is_the_default(self, capsys):
         argv = ["simulate", "--n", "2", "--t", "1", "--depth", "10"]
         assert run_cli(argv + ["--exhaustive"], capsys) == run_cli(argv, capsys)

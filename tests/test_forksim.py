@@ -952,6 +952,63 @@ class TestDeclaredSymmetry:
         return len(orbits)
 
 
+class TestEditedKey:
+    """``fingerprint``, whose view each event edits from its parent's,
+    against the renaming oracle on long random 2PC runs.  Each run has a
+    twin that takes the same actions renamed by a group member, so that
+    distinct states of one orbit meet."""
+
+    ONE, ZERO, BOT = Value.ONE, Value.ZERO, Value.BOTTOM
+
+    @pytest.mark.parametrize("n,t,inputs", [
+        (3, 1, (ONE, ONE, ONE, ZERO)),  # one class, {1, 2}; chain 3 is fixed
+        (3, 1, (ZERO, ONE, ONE, ONE)),  # one class, {1, 2, 3}
+        (4, 2, (ONE, ZERO, ONE, ZERO, ONE)),  # classes {1, 3} and {2, 4}
+        (4, 1, (ONE, BOT, BOT, ONE, ONE)),  # classes {1, 2} and {3, 4}
+    ])
+    def test_equal_keys_exactly_for_one_orbit(self, n, t, inputs):
+        rng = random.Random(f"{n}-{t}-{inputs}")
+        group = _2pc_group(inputs)
+        root = Simulation(n, t, TwoPhaseCommit(), inputs)
+        states = []
+        for _ in range(150):
+            sim, twin, perm = root.clone(), root.clone(), rng.choice(group)
+            for _ in range(rng.randint(1, 30)):
+                # ``enabled`` leaves out what a crashed receiver would drop.
+                actions = sim.enabled(1) + [
+                    A("deliver", sequence=seq) for seq, message in sim.in_flight.items()
+                    if sim.nodes[message.receiver].crashed
+                ]
+                if not actions:
+                    break
+                action = rng.choice(actions)
+                twin.apply(_renamed_action(sim, twin, action, perm))
+                sim.apply(action)
+                states += [sim.clone(), twin.clone()]
+                # Some views are resolved as the run goes; the twin's and
+                # the clones' wait for several events.
+                if rng.random() < 0.5:
+                    sim.fingerprint()
+        pairs = {
+            (state.fingerprint(), orbit_key(encode_state(state), group, _2PC_KEYED))
+            for state in states
+        }
+        orbits = {orbit for _, orbit in pairs}
+        assert len({key for key, _ in pairs}) == len(orbits) == len(pairs)
+        # Distinct states do share an orbit here, and so a key.
+        assert len(orbits) < len({encode_state(state) for state in states})
+
+    def test_random_mode_never_consults_the_declared_symmetry(self):
+        """Chain 1's start sends to chain 2, which only an orbit key
+        refuses: random runs key no state, the exhaustive walk does."""
+        table = {("init", "start"): ("a", [(1, "x")], False, None)}
+        protocol = MeshTableProtocol(table)
+        trace = find_violation(2, 0, protocol, RandomMode(seed=5, trials=20), suspensions=0)
+        assert trace is not None and trace.events[0].kind == "step"
+        with pytest.raises(ValueError, match="declared chain 1 messages declared chain 2"):
+            find_violation(2, 0, protocol, ExhaustiveMode(depth=2), suspensions=0)
+
+
 def _snapshot(sim):
     return sim.fingerprint(), sim.trace(), copy.deepcopy([vars(node) for node in sim.nodes])
 
