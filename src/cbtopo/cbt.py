@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .simplicial import BlockRef, Complex, Value, Vertex, _Numbering
+from .simplicial import BlockRef, Complex, Value, Vertex, _bits, _Numbering
 from .tasks import CarrierMap, Task, colorless_projection
 
 __all__ = [
@@ -107,12 +107,14 @@ def build_carrier_map(config: CbtConfig) -> CarrierMap:
 
     On masks the commit vertices of a committed simplex are the simplex
     itself, and a leg's abort and commit vertices are its bit shifted down
-    to rank 0 and then up to rank 1.
+    to rank 0 and then up to rank 1.  The output induced on the allowed
+    vertices has as facets the allowed abort vertices and the allowed
+    commit vertices, whichever are not empty: two disjoint masks, neither
+    inside the other.  Each distinct image is built once.
     """
     n = config.n
     space = _numbering(config)
     zero, one, bottom = _legs(n, 0), _legs(n, 1), _legs(n, 2)
-    output = build_output_complex(config)
     images = {}
     by_allowed = {}
     # Every input simplex: each chain absent or at one value, not all absent.
@@ -124,7 +126,8 @@ def build_carrier_map(config: CbtConfig) -> CarrierMap:
             allowed = live | (simplex & bottom) >> 2 | live << 1
         image = by_allowed.get(allowed)
         if image is None:
-            image = by_allowed[allowed] = output._induced(allowed)._facets
+            facets = (m for m in (allowed & zero, allowed & one) if m)
+            image = by_allowed[allowed] = tuple(sorted(facets, key=_bits))
         images[simplex] = image
     return CarrierMap._of(space, space, images)
 

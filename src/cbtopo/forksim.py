@@ -327,6 +327,7 @@ class _Kernel:
     def __init__(self, n: int, t: int, protocol: CommitProtocol, inputs: tuple) -> None:
         self.n, self.t, self.protocol, self.inputs = n, t, protocol, inputs
         self.records: List[NodeState] = []
+        self.fingerprints: List[tuple] = []  # each record's, by id
         self.messages: List[Tuple[int, int, tuple]] = []
         self._ids: Dict[tuple, int] = {}  # record and message keys never collide
         self.reactions: Dict[tuple, Tuple[int, Tuple[int, ...]]] = {}
@@ -354,7 +355,11 @@ class _Kernel:
         return ident
 
     def record(self, node: NodeState) -> int:
-        return self._intern(self.records, node.fingerprint(), node)
+        fingerprint = node.fingerprint()
+        ident = self._intern(self.records, fingerprint, node)
+        if ident == len(self.fingerprints):
+            self.fingerprints.append(fingerprint)
+        return ident
 
     def react(self, record: int, event: Any) -> Tuple[int, Tuple[int, ...]]:
         node = self.records[record].clone()
@@ -559,29 +564,31 @@ class _Symmetry:
         """The record's part, and what its chain-keyed dicts hold for each
         declared chain as ``(chain, part)`` pairs.  A declared chain's
         record is read without its index, its own key read as -1; it may
-        hold no entry for another declared chain."""
-        node = self.kernel.records[record]
-        index, declared = node.index, self.declared
-        twin, entries = node.clone(), []
-        for name in self.keyed:
-            held = twin.memory.get(name)
-            if not isinstance(held, dict):
-                continue
-            for chain in [chain for chain in held if chain in declared]:
-                entry = held.pop(chain)
-                if index not in declared:
-                    entries.append((chain, self._part(("entry", index, name, entry))))
-                elif chain == index:
-                    held[-1] = entry
-                else:
-                    raise ValueError(
-                        f"declared chain {index} keeps a {name!r} entry for declared "
-                        f"chain {chain}; the declared symmetry forbids ties between them"
-                    )
-        # A declared chain's fingerprint without its first field, the chain.
-        self._records[record] = memo = (
-            self._part(twin.fingerprint()[index in declared:]), tuple(entries)
-        )
+        hold no entry for another declared chain.  The part is the
+        fingerprint the kernel interned the record by, so read without
+        those entries and with its chain dropped for a declared chain."""
+        *head, memory = self.kernel.fingerprints[record]
+        index, declared = self.kernel.records[record].index, self.declared
+        kept, entries = [], []
+        for name, (is_dict, value) in memory:
+            if is_dict and name in self.keyed:
+                items = []
+                for chain, entry in value:
+                    if chain not in declared:
+                        items.append((chain, entry))
+                    elif index not in declared:
+                        entries.append((chain, self._part(("entry", index, name, entry))))
+                    elif chain == index:
+                        items.append((-1, entry))
+                    else:
+                        raise ValueError(
+                            f"declared chain {index} keeps a {name!r} entry for declared "
+                            f"chain {chain}; the declared symmetry forbids ties between them"
+                        )
+                value = tuple(sorted(items))
+            kept.append((name, (is_dict, value)))
+        part = (*head[index in declared:], tuple(kept))
+        self._records[record] = memo = (self._part(part), tuple(entries))
         return memo
 
     def _message(self, message: int) -> Tuple[int, int]:

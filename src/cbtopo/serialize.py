@@ -5,6 +5,7 @@ always produce byte-identical text.
 """
 from __future__ import annotations
 
+import functools
 import json
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -80,6 +81,7 @@ def simplex_to_obj(simplex: Simplex) -> List[Dict[str, Any]]:
 _INDENT = "  "
 
 
+@functools.cache
 def _brackets(depth: int) -> Tuple[str, str, str]:
     """How ``json.dumps(indent=2)`` opens, separates and closes a non-empty
     list at nesting ``depth``."""
@@ -87,61 +89,82 @@ def _brackets(depth: int) -> Tuple[str, str, str]:
     return "[" + inner, "," + inner, "\n" + _INDENT * depth + "]"
 
 
+class _Bodies(dict):
+    """The vertex items of a mask joined as a list's body, built on first
+    request from the body of its prefix (the mask without its top bit)."""
+
+    def __init__(self, items: List[str], sep: str) -> None:
+        super().__init__()
+        self.items, self.sep = items, sep
+
+    def __missing__(self, mask: int) -> str:
+        top = mask.bit_length() - 1
+        rest = mask ^ 1 << top
+        body = self[mask] = self[rest] + self.sep + self.items[top] if rest else self.items[top]
+        return body
+
+
 def task_to_json(task: Task) -> str:
     """The task file: the same text as ``dumps`` of the task object.
 
     A task repeats its few distinct vertices throughout, so each one is
-    encoded once per numbering and nesting depth, from ``vertex_to_obj``.
-    Lists and carrier entries are joined around those texts from fixed
-    strings for their depth, and a carrier image shared by several entries
-    is encoded once.  This is the one definition of the task format.
+    encoded once, from ``vertex_to_obj``, and indented for each nesting
+    depth; each simplex or facet list is joined once per numbering and
+    depth, from its prefix's text and its last vertex.  Carrier entries are
+    written in the input's layer order, which is the canonical order, and
+    each distinct image is encoded once, by the carrier's image numbering.
+    Lists and entries are joined around those texts from fixed strings for
+    their depth.  This is the one definition of the task format.
     """
-    vertex_texts: Dict[Tuple[Any, int], List[str]] = {}
+    vertex_texts: Dict[Any, str] = {}
+    bodies: Dict[Tuple[Any, int], _Bodies] = {}
 
-    def texts(space: Any, depth: int) -> List[str]:
-        """The text of each vertex of ``space`` as a list item at ``depth``."""
-        found = vertex_texts.get((space, depth))
+    def lists(space: Any, depth: int) -> _Bodies:
+        """The body of each mask's vertex list on ``space``, items at ``depth``."""
+        found = bodies.get((space, depth))
         if found is None:
+            for v in space.vertices:
+                if v not in vertex_texts:
+                    vertex_texts[v] = json.dumps(vertex_to_obj(v), indent=2)
             pad = "\n" + _INDENT * depth
-            found = vertex_texts[space, depth] = [
-                json.dumps(vertex_to_obj(v), indent=2).replace("\n", pad) for v in space.vertices
-            ]
+            found = bodies[space, depth] = _Bodies(
+                [vertex_texts[v].replace("\n", pad) for v in space.vertices],
+                _brackets(depth - 1)[1],
+            )
         return found
 
     def facets(space: Any, masks: Sequence[int], depth: int) -> str:
         """A list of facet lists at ``depth``."""
-        items = texts(space, depth + 2).__getitem__
-        open_, sep, close = _brackets(depth + 1)
+        body = lists(space, depth + 2)
+        open_, _, close = _brackets(depth + 1)
         outer_open, outer_sep, outer_close = _brackets(depth)
-        return outer_open + outer_sep.join(
-            open_ + sep.join(map(items, _bits(f))) + close for f in masks
-        ) + outer_close
+        return outer_open + outer_sep.join([open_ + body[f] + close for f in masks]) + outer_close
 
     def complex_(c: Complex) -> str:
         return '{\n    "facets": ' + facets(c._space, c._facets, 2) + "\n  }"
 
-    carrier = task.carrier
-    simplex_items = texts(carrier._in, 4).__getitem__
-    # An entry is an object at depth 2 holding a simplex list at depth 3.
-    open_, sep, close = _brackets(3)
+    carrier = task._carrier()
+    ids, distinct = carrier._numbered()
+    image_texts = [facets(carrier._out, image, 3) for image in distinct]
+    # An entry is an object at depth 2 holding a simplex list at depth 3,
+    # as an input facet is a list at depth 3 in the input's facet list.
+    simplex = lists(task.input._space, 4)
+    open_, _, close = _brackets(3)
     head = '{\n      "simplex": ' + open_
     middle = close + ',\n      "image_facets": '
     tail = "\n    }"
-    image_texts: Dict[Tuple[int, ...], str] = {}
-    entries = []
-    for s in carrier._domain():
-        image = carrier._images[s]
-        text = image_texts.get(image)
-        if text is None:
-            text = image_texts[image] = facets(carrier._out, image, 3)
-        entries.append(f"{head}{sep.join(map(simplex_items, _bits(s)))}{middle}{text}{tail}")
     open_, sep, close = _brackets(1)
-    return (
-        '{\n  "input": ' + complex_(task.input)
-        + ',\n  "output": ' + complex_(task.output)
-        + ',\n  "carrier": ' + open_ + sep.join(entries) + close
-        + ',\n  "colored": ' + json.dumps(task.colored) + "\n}\n"
-    )
+    parts = [
+        '{\n  "input": ', complex_(task.input),
+        ',\n  "output": ', complex_(task.output),
+        ',\n  "carrier": ' + open_,
+    ]
+    for layer in task.input._masks().values():
+        for s in layer:
+            parts += (head, simplex[s], middle, image_texts[ids[s]], tail, sep)
+    # The separator after the last entry becomes the close of the list.
+    parts[-1] = close + ',\n  "colored": ' + json.dumps(task.colored) + "\n}\n"
+    return "".join(parts)
 
 
 def task_to_obj(task: Task) -> Dict[str, Any]:

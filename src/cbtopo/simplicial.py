@@ -243,9 +243,12 @@ def _rank(mask: int) -> tuple:
 
 def _maximal(masks: Iterable[int]) -> Tuple[int, ...]:
     """The inclusion-maximal members of a mask family, in canonical order."""
-    family = sorted(set(masks), key=int.bit_count, reverse=True)
-    if not family:
-        raise EmptyInput("a complex needs at least one facet")
+    distinct = set(masks)
+    if len(distinct) < 2:
+        if not distinct:
+            raise EmptyInput("a complex needs at least one facet")
+        return tuple(distinct)
+    family = sorted(distinct, key=int.bit_count, reverse=True)
     # A mask of the largest size is no proper subset of another, so only
     # smaller ones are scanned; a pure family skips the scan.
     top = family[0].bit_count()
@@ -474,9 +477,6 @@ class Complex:
             self._layers = _layers(self._facets, self.dimension + 1)
         return self._layers
 
-    def _induced(self, mask: int) -> "Complex":
-        return Complex._of(self._space, _maximal(f & mask for f in self._facets if f & mask))
-
     @property
     def facets(self) -> Tuple[Simplex, ...]:
         return tuple(map(self._space.simplex, self._facets))
@@ -557,7 +557,8 @@ class Complex:
         if missing:
             shown = ", ".join(sorted(str(v) for v in missing))
             raise UnknownVertex(f"vertices not in complex: {shown}")
-        return self._induced(self._space.mask(wanted))
+        mask = self._space.mask(wanted)
+        return Complex._of(self._space, _maximal(f & mask for f in self._facets if f & mask))
 
     def _facet_vertices(self) -> Tuple[Tuple[Any, ...], ...]:
         space = self._space.vertices

@@ -105,7 +105,7 @@ def connectivity_obstruction(task: Task, t: int) -> SolvabilityReport:
         )
     out_space = task.output._space
     part_masks = [out_space.mask(part) for part in output_parts]
-    images = restricted._images()
+    images = restricted._carrier()._images
     found: list[tuple[int, int]] = []
     for simplex in restricted._simplices():
         support = _support(images[simplex])
@@ -176,7 +176,7 @@ def _search(
         raise ValueError("node budget must be positive")
     subdivided = barycentric_subdivide(restricted.input, depth)
     carriers = subdivided.carriers
-    images = restricted._images()
+    images = restricted._carrier()._images
     output = restricted.output
     output_facets = output._facets
     all_facets_mask = (1 << len(output_facets)) - 1

@@ -43,6 +43,8 @@ __all__ = [
 
 # An input simplex mask mapped to the facet masks of its image.
 Images = Dict[int, Tuple[int, ...]]
+# Each entry's image number, and the distinct images by number.
+Numbered = Tuple[Dict[int, int], List[Tuple[int, ...]]]
 
 
 @dataclass(frozen=True)
@@ -65,11 +67,13 @@ class CarrierMap:
     image's facet masks on another.  A map built from ``Simplex`` and
     ``Complex`` objects numbers their vertices itself; ``validate_for``
     renumbers it onto the input and output complexes, so that the checks
-    compare masks.  Lookups and ``items()`` build the objects on demand, and
-    equality does not depend on the numberings.
+    compare masks.  The work done per image (the checks, the projection,
+    the task writer's texts) is done once per distinct image.  Lookups and
+    ``items()`` build the objects on demand, and equality does not depend
+    on the numberings.
     """
 
-    __slots__ = ("_in", "_out", "_images")
+    __slots__ = ("_in", "_out", "_images", "_numbering")
 
     def __init__(self, entries: Mapping[Simplex, Complex]) -> None:
         entries = dict(entries)
@@ -88,30 +92,36 @@ class CarrierMap:
         carrier._set(in_space, out_space, images)
         return carrier
 
-    def _set(self, in_space: _Numbering, out_space: _Numbering, images: Images) -> None:
+    def _set(
+        self, in_space: _Numbering, out_space: _Numbering, images: Images,
+        numbering: Numbered | None = None,
+    ) -> None:
         self._in = in_space
         self._out = out_space
         self._images = images
+        self._numbering = numbering
 
-    def _renumbered(self, in_space: _Numbering, out_space: _Numbering) -> Images:
-        """The entries on other numberings; a vertex one of them lacks
-        becomes a bit past its end."""
+    def _numbered(self) -> Numbered:
+        """Each entry's image number and the distinct images by number.
+        Equal images share a number, numbered in the entries' order."""
+        if self._numbering is None:
+            number: Dict[Tuple[int, ...], int] = {}
+            ids = {s: number.setdefault(image, len(number)) for s, image in self._images.items()}
+            self._numbering = ids, list(number)
+        return self._numbering
+
+    def _on(self, in_space: _Numbering, out_space: _Numbering) -> "CarrierMap":
+        """The map on other numberings, or itself when it is on them
+        already; a vertex one of them lacks becomes a bit past its end."""
         keys = self._in.to(in_space)
         facets = self._out.to(out_space)
         if keys is None and facets is None:
-            return self._images
-        done: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-        out = {}
-        for s, image in self._images.items():
-            moved = done.get(image)
-            if moved is None:
-                moved = done[image] = image if facets is None else tuple(map(facets, image))
-            out[s if keys is None else keys(s)] = moved
-        return out
-
-    def _domain(self) -> List[int]:
-        """The input masks in canonical (dimension, key) order."""
-        return sorted(self._images, key=_rank)
+            return self
+        ids, distinct = self._numbered()
+        if facets is not None:
+            distinct = [tuple(map(facets, image)) for image in distinct]
+        images = {s if keys is None else keys(s): distinct[k] for s, k in ids.items()}
+        return CarrierMap._of(in_space, out_space, images)
 
     def __getitem__(self, simplex: Simplex) -> Complex:
         return Complex._of(self._out, self._images[self._in.mask(simplex)])
@@ -128,19 +138,22 @@ class CarrierMap:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CarrierMap):
             return NotImplemented
-        return self._images == other._renumbered(self._in, self._out)
+        return self._images == other._on(self._in, self._out)._images
 
     def items(self) -> Iterator[tuple[Simplex, Complex]]:
-        for s in self._domain():
+        for s in sorted(self._images, key=_rank):
             yield self._in.simplex(s), Complex._of(self._out, self._images[s])
 
     def validate_for(self, input_complex: Complex, output_complex: Complex) -> None:
         """Raise InvalidTask unless the map is total and lands in the output.
 
-        On success the map is renumbered onto the two complexes' numberings.
+        Each distinct image is tested against the output once, and a bad
+        one is named by its first entry in the map's own order.  On success
+        the map is renumbered onto the two complexes' numberings.
         """
         in_space, out_space = input_complex._space, output_complex._space
-        images = self._renumbered(in_space, out_space)
+        carrier = self._on(in_space, out_space)
+        images = carrier._images
         expected = set().union(*input_complex._masks().values())
         missing = expected.difference(images)
         if missing:
@@ -151,13 +164,15 @@ class CarrierMap:
             extra = [s for s in self._images if keys(s) not in expected]
             example = self._in.simplex(min(extra, key=_rank))
             raise InvalidTask(f"carrier map entry for foreign simplex {example}")
+        ids, distinct = carrier._numbered()
         output = output_complex._facets
-        for s, image in images.items():
+        for k, image in enumerate(distinct):
             if not _within(image, output):
+                s = next(s for s, number in ids.items() if number == k)
                 raise InvalidTask(
                     f"carrier image of {in_space.simplex(s)} is not a subcomplex of the output"
                 )
-        self._set(in_space, out_space, images)
+        self._set(in_space, out_space, images, carrier._numbering)
 
 
 @dataclass(frozen=True, eq=True)
@@ -199,10 +214,10 @@ class Task:
             object.__setattr__(task, name, value)
         return task
 
-    def _images(self) -> Images:
-        """The carrier entries on the input's and output's numberings, which
-        are the map's own once ``validate_for`` has run on this task."""
-        return self.carrier._renumbered(self.input._space, self.output._space)
+    def _carrier(self) -> CarrierMap:
+        """The carrier on the input's and output's numberings, which is the
+        map itself once ``validate_for`` has run on this task."""
+        return self.carrier._on(self.input._space, self.output._space)
 
     def _simplices(self) -> Iterator[int]:
         """The input simplex masks in canonical (dimension, key) order."""
@@ -219,40 +234,44 @@ def verify_monotonic(task: Task) -> PropertyCheck:
     Every proper face is reached through a chain of codimension-1 faces and
     inclusion is transitive, so only those are compared, each one the
     coface's mask less one bit; a counterexample is a codimension-1 pair
-    ``(face, coface)``.  Images are compared once per distinct pair.
+    ``(face, coface)``.  Cofaces are visited in canonical order and their
+    faces last vertex dropped first (the order of ``Simplex.boundary``), so
+    the counterexample is the first such pair.  Images are compared by
+    number, once per distinct pair: an int bitset per coface image holds
+    the face images found within it.
     """
-    images = task._images()
-    known: Dict[Tuple[int, int], bool] = {}
+    ids, distinct = task._carrier()._numbered()
+    within = [0] * len(distinct)
     for simplex in task._simplices():
-        image = images[simplex]
+        k = ids[simplex]
+        known = within[k]
         bits = _bits(simplex)
-        # Last vertex dropped first: the order of ``Simplex.boundary``.
         for i in reversed(bits if len(bits) > 1 else ()):
-            face = simplex ^ (1 << i)
-            face_image = images[face]
-            pair = id(face_image), id(image)
-            ok = known.get(pair)
-            if ok is None:
-                ok = known[pair] = _within(face_image, image)
-            if ok:
+            face = simplex ^ 1 << i
+            j = ids[face]
+            if known >> j & 1:
                 continue
-            space = task.input._space
-            face_s, simplex_s = space.simplex(face), space.simplex(simplex)
-            return PropertyCheck(
-                name="monotonic",
-                ok=False,
-                counterexample=(face_s, simplex_s),
-                detail=f"carrier of face {face_s} is not contained in carrier of {simplex_s}",
-            )
+            if not _within(distinct[j], distinct[k]):
+                space = task.input._space
+                face_s, simplex_s = space.simplex(face), space.simplex(simplex)
+                return PropertyCheck(
+                    name="monotonic",
+                    ok=False,
+                    counterexample=(face_s, simplex_s),
+                    detail=f"carrier of face {face_s} is not contained in carrier of {simplex_s}",
+                )
+            known = within[k] = known | 1 << j
     return PropertyCheck(name="monotonic", ok=True)
 
 
 def verify_rigid(task: Task) -> PropertyCheck:
-    """Check that every carrier image has the simplex's own dimension."""
-    images = task._images()
+    """Check that every carrier image has the simplex's own dimension,
+    taken once per distinct image."""
+    ids, distinct = task._carrier()._numbered()
+    dims = [max(map(int.bit_count, image)) - 1 for image in distinct]
     for simplex in task._simplices():
         dim = simplex.bit_count() - 1
-        image_dim = max(map(int.bit_count, images[simplex])) - 1
+        image_dim = dims[ids[simplex]]
         if image_dim != dim:
             simplex_s = task.input._space.simplex(simplex)
             return PropertyCheck(
@@ -268,11 +287,12 @@ def verify_name_preserving(task: Task) -> PropertyCheck:
     """Check that carrier images mention exactly the blocks of their simplex.
 
     Blocks are numbered too, and a per-bit table maps a simplex or an
-    image's vertex mask to the mask of the blocks it names.
+    image's vertex mask to the mask of the blocks it names, once per
+    distinct image.
     """
     if not task.colored:
         raise NotColored("name preservation is defined for colored tasks only")
-    images = task._images()
+    ids, distinct = task._carrier()._numbered()
     block_bit: Dict[BlockRef, int] = {}
 
     def names(complex_: Complex) -> Callable[[int], int]:
@@ -283,8 +303,9 @@ def verify_name_preserving(task: Task) -> PropertyCheck:
         ])
 
     names_in, names_out = names(task.input), names(task.output)
+    named = [names_out(_support(image)) for image in distinct]
     for simplex in task._simplices():
-        if names_in(simplex) == names_out(_support(images[simplex])):
+        if names_in(simplex) == named[ids[simplex]]:
             continue
         simplex_s = task.input._space.simplex(simplex)
         blocks = {v.block for v in simplex_s}
@@ -314,7 +335,7 @@ def restrict_to_skeleton(task: Task, t: int) -> Task:
             f"skeleton restriction needs 1 <= t <= {task.input.dimension}, got {t}"
         )
     skeleton = task.input.skeleton(t)
-    images = task._images()
+    images = task._carrier()._images
     entries = {s: image for s, image in images.items() if s.bit_count() <= t + 1}
     carrier = CarrierMap._of(task.input._space, task.output._space, entries)
     return Task._derived(skeleton, task.output, carrier, task.colored)
@@ -324,14 +345,14 @@ def colorless_projection(task: Task) -> Task:
     """Strip block identities from the output side of a colored task.
 
     Output vertices keep only their value, distinct simplices that collapse
-    onto the same projected simplex are merged, and every carrier image is
-    projected vertex-wise, through a per-bit table onto the numbering of the
-    projected vertices.  The input complex is left untouched.  The result is
-    valid by construction and not validated again.
+    onto the same projected simplex are merged, and every distinct carrier
+    image is projected once, vertex-wise, through a per-bit table onto the
+    numbering of the projected vertices.  The input complex is left
+    untouched.  The result is valid by construction and not validated again.
     """
     if not task.colored:
         raise NotColored("task is already colorless")
-    images = task._images()
+    ids, distinct = task._carrier()._numbered()
     output = task.output
     support = output._support
     vertices = output._space.vertices
@@ -340,16 +361,10 @@ def colorless_projection(task: Task) -> Task:
     project = _bit_map([
         space.bit[projected[i]] if i in projected else 0 for i in range(len(vertices))
     ])
-    done: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-    entries = {}
-    for s, image in images.items():
-        moved = done.get(image)
-        if moved is None:
-            moved = done[image] = _maximal(map(project, image))
-        entries[s] = moved
+    moved = [_maximal(map(project, image)) for image in distinct]
     return Task._derived(
         task.input,
         Complex._of(space, _maximal(map(project, output._facets))),
-        CarrierMap._of(task.input._space, space, entries),
+        CarrierMap._of(task.input._space, space, {s: moved[k] for s, k in ids.items()}),
         False,
     )

@@ -617,9 +617,18 @@ def random_induced_image_task(rng) -> Task:
 
 def replace_image(task: Task, simplex: Simplex, image: Complex) -> Task:
     """Copy of ``task`` with one carrier image swapped out."""
+    return replace_images(task, [simplex], image)
+
+
+def replace_images(
+    task: Task, simplices: Sequence[Simplex], image: Complex, shared: bool = True
+) -> Task:
+    """Copy of ``task`` with the carrier images of ``simplices`` swapped for
+    ``image``: that one object, or each an equal complex of its own."""
     entries = {s: img for s, img in task.carrier.items()}
-    assert simplex in entries
-    entries[simplex] = image
+    for simplex in simplices:
+        assert simplex in entries
+        entries[simplex] = image if shared else Complex(image.facets)
     return Task(
         input=task.input,
         output=task.output,

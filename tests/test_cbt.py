@@ -109,11 +109,13 @@ class TestCarrierMap:
     def test_total_over_all_simplices(self, cbt_tasks, n, total):
         assert len(cbt_tasks[n].carrier) == total
 
-    def test_images_accumulate_base_rules_over_faces(self, cbt_tasks):
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_images_accumulate_base_rules_over_faces(self, n):
         """Oracle: the image vertex set is the union of the per-simplex rule
         applied to every face; anything else would let a sub-view widen the
-        verdict set and break monotonicity."""
-        task = cbt_tasks[2]
+        verdict set and break monotonicity.  The closed-form image has the
+        facets, in order, of the output induced on that set."""
+        task = build_task(CbtConfig(n=n))
         for simplex, image in task.carrier.items():
             expected = set()
             for r in range(1, len(simplex) + 1):

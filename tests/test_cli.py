@@ -69,8 +69,10 @@ class TestBuild:
         assert code == 2
         assert err.startswith("error:")
 
-    # sha256 of ``build --n k [--colorless] --block-index 7`` stdout, as the
-    # object-by-object encoder wrote it before the task writer replaced it.
+    # sha256 of ``build --n k [--colorless] --block-index 7`` stdout: for
+    # k <= 4 as the object-by-object encoder wrote it before the task writer
+    # replaced it, for k = 5 as the writer wrote it before it walked the
+    # input's layers and built each simplex's text from its prefix's.
     @pytest.mark.parametrize(
         "n,flags,digest",
         [
@@ -82,6 +84,8 @@ class TestBuild:
             (3, ["--colorless"], "02ee738bbb8a6a06c6a916aef8bfc926a352b5e201a60eb9f97b250610903afa"),
             (4, [], "9881e6b4ede09d3f87724c4ecd0640361ad8883d6bf97937f36ee065df0622c1"),
             (4, ["--colorless"], "9a511fb17a745a74b35706c690b7cc1676ab86d2446eb942e930579fe7db2aa8"),
+            (5, [], "3ecbd95016132168b7270d29ababb39b981bd1d838d142c031dfac1d02f83e84"),
+            (5, ["--colorless"], "2f1e2345d52f482a3b9e8dc760b5574c163f8b0ecf8f14aba241a803fbf32e52"),
         ],
     )
     def test_output_bytes_are_pinned(self, n, flags, digest, capsys):

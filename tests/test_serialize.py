@@ -26,7 +26,8 @@ from cbtopo.serialize import (
     vertex_from_obj,
     vertex_to_obj,
 )
-from cbtopo.simplicial import Simplex, barycentric_subdivide
+from cbtopo.simplicial import Complex, Simplex, barycentric_subdivide
+from cbtopo.tasks import CarrierMap, Task, colorless_projection, restrict_to_skeleton
 
 from helpers import (
     closure_oracle,
@@ -233,6 +234,34 @@ class TestTaskWriter:
 
     def test_identity_task(self):
         self.check(identity_task(cx([vtx(0, "1"), vtx(1, "0"), vtx(2, "1")])))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_derived_cbt_tasks(self, n):
+        # Skeleton inputs and projected images, each of its own tuple.
+        task = build_task(CbtConfig(n=n, block_index=7))
+        projected = colorless_projection(task)
+        self.check(projected)
+        for t in range(1, n):
+            self.check(restrict_to_skeleton(task, t))
+            self.check(restrict_to_skeleton(projected, t))
+
+    @pytest.mark.parametrize("max_dim", [1, 2])
+    def test_task_loaded_under_a_dimension_cap(self, max_dim):
+        obj = task_to_obj(build_task(CbtConfig(n=3, block_index=7)))
+        loaded, n = task_from_obj(obj, max_dim)
+        assert n == 3 and loaded.input.dimension == max_dim
+        self.check(loaded)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equal_images_as_distinct_objects(self, seed):
+        # Every entry's image is a fresh complex on its own numbering, so
+        # equal images reach the writer as distinct objects.
+        for task in (build_task(CbtConfig(n=2, block_index=7)),
+                     random_shared_mask_task(random.Random(seed))):
+            entries = {s: Complex(image.facets) for s, image in task.carrier.items()}
+            assert len({id(image) for image in entries.values()}) == len(entries)
+            self.check(Task(input=task.input, output=task.output,
+                            carrier=CarrierMap(entries), colored=task.colored))
 
     def test_task_to_obj_returns_fresh_objects(self, cbt_tasks):
         first = task_to_obj(cbt_tasks[1])

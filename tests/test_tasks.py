@@ -27,6 +27,7 @@ from helpers import (
     random_induced_image_task,
     random_shared_mask_task,
     replace_image,
+    replace_images,
     rigid_oracle,
     sx,
     vtx,
@@ -225,6 +226,61 @@ class TestVerifyChecks:
         check = verify_name_preserving(broken)
         assert not check.ok
         assert check.counterexample == (vertex,)
+
+    # The image of a mixed edge on chains 0 and 1, which the three mixed
+    # edges there share, spoiled in three ways: its commit vertex of chain 1
+    # dropped (only monotonic fails), cut to one point (every check fails),
+    # or moved to chains 2 and 3 (rigid holds, the other two fail).
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "distinct"])
+    @pytest.mark.parametrize("kept", [
+        [vtx(0, "0"), vtx(1, "0"), vtx(0, "1")],
+        [vtx(0, "0")],
+        [vtx(2, "0"), vtx(3, "0"), vtx(2, "1"), vtx(3, "1")],
+    ], ids=["dropped", "point", "moved"])
+    def test_spoiled_image_first_counterexample(self, cbt_tasks, kept, shared):
+        task = cbt_tasks[3]
+        image = task.carrier[sx(vtx(0, "1"), vtx(1, "0"))]
+        spoiled = task.output.induced_subcomplex(kept)
+        users = [s for s, img in task.carrier.items() if img == image]
+        assert len(users) == 3
+        broken = replace_images(task, users, spoiled, shared)
+
+        def first(simplices):
+            return min(simplices, key=lambda s: (s.dim, s.sort_key()))
+
+        monotonic = verify_monotonic(broken)
+        violations = [(f, c) for f, c in monotonic_oracle(broken) if f.dim == c.dim - 1]
+        assert not monotonic.ok
+        assert monotonic.counterexample == min(
+            violations, key=lambda p: (p[1].dim, p[1].sort_key(), p[0].sort_key())
+        )
+        rigid, flat = verify_rigid(broken), rigid_oracle(broken)
+        assert rigid.ok == (not flat)
+        if flat:
+            assert rigid.counterexample == (first(flat),)
+        names = verify_name_preserving(broken)
+        renamed = {
+            s for s, img in broken.carrier.items()
+            if {v.block for v in img.vertices} != {v.block for v in s}
+        }
+        assert names.ok == (not renamed)
+        if renamed:
+            assert names.counterexample == (first(renamed),)
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "distinct"])
+    def test_image_outside_output_named_by_first_entry(self, cbt_tasks, shared):
+        # Entries listed last simplex first: the message names the first
+        # entry, in the map's own order, whose image leaves the output.
+        task = cbt_tasks[3]
+        image = task.carrier[sx(vtx(0, "1"), vtx(1, "0"))]
+        mixed = cx([vtx(0, "0"), vtx(1, "1")])
+        entries = {}
+        for s, img in reversed(list(task.carrier.items())):
+            entries[s] = img if img != image else mixed if shared else cx([vtx(0, "0"), vtx(1, "1")])
+        named = next(s for s, img in entries.items() if img == mixed)
+        with pytest.raises(InvalidTask) as raised:
+            Task(input=task.input, output=task.output, carrier=CarrierMap(entries), colored=True)
+        assert str(raised.value) == f"carrier image of {named} is not a subcomplex of the output"
 
     def test_name_preserving_needs_colors(self, colorless_tasks):
         with pytest.raises(NotColored):
