@@ -6,14 +6,16 @@ who crashes, and whose branch is suspended by a fork.  A suspension flips
 the node's local value to the suspended marker without any notification, so
 a protocol that already announced a local commit keeps acting on stale
 state.  Runs are fully deterministic given the schedule, and a trace checker
-flags outcomes that the task's carrier rules forbid.
+flags outcomes that the task's rules forbid (see ``_broken``).
 """
 from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import reduce
+from operator import or_
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InvalidSchedule, ResourceBound, check_resilience
 from .simplicial import BlockRef, Value
@@ -328,6 +330,7 @@ class _Kernel:
         self.n, self.t, self.protocol, self.inputs = n, t, protocol, inputs
         self.records: List[NodeState] = []
         self.fingerprints: List[tuple] = []  # each record's, by id
+        self.bits: List[int] = []  # each record's ``_chain_bits``, by id
         self.messages: List[Tuple[int, int, tuple]] = []
         self._ids: Dict[tuple, int] = {}  # record and message keys never collide
         self.reactions: Dict[tuple, Tuple[int, Tuple[int, ...]]] = {}
@@ -359,6 +362,7 @@ class _Kernel:
         ident = self._intern(self.records, fingerprint, node)
         if ident == len(self.fingerprints):
             self.fingerprints.append(fingerprint)
+            self.bits.append(_chain_bits(node.local_value, node.decided, node.crashed))
         return ident
 
     def react(self, record: int, event: Any) -> Tuple[int, Tuple[int, ...]]:
@@ -807,99 +811,86 @@ def run(
     return sim.trace()
 
 
-def check_trace(trace: ExecutionTrace) -> ViolationReport:
-    """Evaluate a trace against the task's carrier rules.
+# A chain's part of the four rules (``_chain_bits``): bit r, a live chain
+# decided the value of rank r; then any chain decided commit, any decided
+# abort, a leg not committed, a leg suspended, a live chain undecided.
+_LIVE = 0b111
+_COMMIT, _ABORT, _UNCOMMITTED, _SUSPENDED, _UNDECIDED = (1 << bit for bit in range(3, 8))
+# The rules, in the order ``check_trace`` reports them (see ``_broken``).
+_AGREEMENT, _SUSPENSION, _VALIDITY, _TERMINATION = 1, 2, 4, 8
 
-    Flags disagreement among live decisions, any commit decision while some
-    leg's realized value is suspended, any abort decision while every leg
-    stayed locally committed, and live undecided nodes once the run is
-    quiescent.
-    """
-    violations: list[Violation] = []
-    live = [i for i in range(trace.n + 1) if i not in trace.crashed]
-    live_decisions = {i: trace.outcome[i] for i in live if trace.outcome[i] is not None}
-    distinct = sorted({v.value for v in live_decisions.values()})
-    if len(distinct) > 1:
-        violations.append(
-            Violation(
-                kind="atomicity",
-                detail=f"live nodes decided differently: {distinct}",
-                chains=tuple(sorted(live_decisions)),
-            )
-        )
-    committed = tuple(
-        i for i in range(trace.n + 1) if trace.outcome[i] is Value.ONE
+
+def _chain_bits(realized: Value, decided: Optional[Value], crashed: bool) -> int:
+    """What one chain, its leg ``realized`` and its decision, tells the
+    rules, as the bits above."""
+    bits = 0 if realized is Value.ONE else _UNCOMMITTED
+    if realized is Value.BOTTOM:
+        bits |= _SUSPENDED
+    if decided is Value.ONE:
+        bits |= _COMMIT
+    elif decided is Value.ZERO:
+        bits |= _ABORT
+    if not crashed:
+        bits |= _UNDECIDED if decided is None else 1 << decided.rank
+    return bits
+
+
+def _broken(bits: int, quiescent: Callable[[], bool]) -> int:
+    """The rules broken by the chains whose ``_chain_bits`` OR to ``bits``:
+    live nodes decided differently (``_AGREEMENT``); some node decided
+    commit while some leg is suspended (``_SUSPENSION``); some node decided
+    abort although every leg stayed committed (``_VALIDITY``); and a live
+    node is undecided once the run is quiescent (``_TERMINATION``), which
+    alone asks ``quiescent``.  Crashed nodes count in the middle two.
+    Against the carrier map of ``cbt.build_carrier_map``: agreement and
+    validity keep the decisions on one of its facets, though the map counts
+    crashed nodes too; the suspension rule is stricter than the map, which
+    allows a commit by a chain whose own leg was not suspended."""
+    live = bits & _LIVE
+    broken = _AGREEMENT if live & live - 1 else 0
+    if bits & _COMMIT and bits & _SUSPENDED:
+        broken |= _SUSPENSION
+    if bits & (_ABORT | _UNCOMMITTED) == _ABORT:
+        broken |= _VALIDITY
+    if bits & _UNDECIDED and quiescent():
+        broken |= _TERMINATION
+    return broken
+
+
+def check_trace(trace: ExecutionTrace) -> ViolationReport:
+    """Evaluate a trace against the task's rules (see ``_broken``), each
+    broken one reported with the chains it names."""
+    chains = range(trace.n + 1)
+    bits = [_chain_bits(trace.realized[i], trace.outcome[i], i in trace.crashed) for i in chains]
+    every = reduce(or_, bits)
+    broken = _broken(every, lambda: trace.quiescent)
+    distinct = sorted(value.value for value in Value if every >> value.rank & 1)
+    deciders, committed, suspended, aborted, undecided = (
+        tuple(i for i in chains if bits[i] & bit)
+        for bit in (_LIVE, _COMMIT, _SUSPENDED, _ABORT, _UNDECIDED)
     )
-    suspended_legs = tuple(
-        i for i in range(trace.n + 1) if trace.realized[i] is Value.BOTTOM
-    )
-    if suspended_legs and committed:
-        violations.append(
-            Violation(
-                kind="atomicity",
-                detail=(
-                    f"chains {list(committed)} decided commit although the suspended "
-                    f"legs {list(suspended_legs)} mandate abort"
-                ),
-                chains=committed + suspended_legs,
-            )
+    return ViolationReport(tuple(
+        Violation(kind, detail, named)
+        for rule, kind, detail, named in (
+            (_AGREEMENT, "atomicity", f"live nodes decided differently: {distinct}", deciders),
+            (_SUSPENSION, "atomicity",
+             f"chains {list(committed)} decided commit although the suspended legs "
+             f"{list(suspended)} mandate abort", committed + suspended),
+            (_VALIDITY, "validity",
+             f"chains {list(aborted)} decided abort although every leg stayed locally committed",
+             aborted),
+            (_TERMINATION, "termination",
+             f"live nodes {list(undecided)} are blocked without a decision", undecided),
         )
-    aborted = tuple(i for i in range(trace.n + 1) if trace.outcome[i] is Value.ZERO)
-    if all(v is Value.ONE for v in trace.realized) and aborted:
-        violations.append(
-            Violation(
-                kind="validity",
-                detail=(
-                    f"chains {list(aborted)} decided abort although every leg "
-                    "stayed locally committed"
-                ),
-                chains=aborted,
-            )
-        )
-    if trace.quiescent:
-        undecided = tuple(i for i in live if trace.outcome[i] is None)
-        if undecided:
-            violations.append(
-                Violation(
-                    kind="termination",
-                    detail=f"live nodes {list(undecided)} are blocked without a decision",
-                    chains=undecided,
-                )
-            )
-    return ViolationReport(tuple(violations))
+        if broken & rule
+    ))
 
 
 def _violates(sim: Simulation) -> bool:
-    """Whether ``check_trace(sim.trace())`` would flag a violation, read off
-    the node records without building the trace.
-
-    The same four rules: live nodes that decided differently, a commit
-    beside a suspended leg, an abort although every leg stayed committed,
-    and, asking ``quiescent`` only then, a live node still undecided.
-    """
-    # Looked up once: this runs on every state the walk checks.
-    one, zero, bottom = Value.ONE, Value.ZERO, Value.BOTTOM
-    live_decision = None
-    committed = aborted = suspended = undecided = False
-    all_one = True
-    for node in map(sim.kernel.records.__getitem__, sim.state[0]):
-        value, decided = node.local_value, node.decided
-        if value is not one:
-            all_one = False
-            suspended = suspended or value is bottom
-        committed = committed or decided is one
-        aborted = aborted or decided is zero
-        if node.crashed:
-            continue
-        if decided is None:
-            undecided = True
-        elif live_decision is None:
-            live_decision = decided
-        elif decided is not live_decision:
-            return True
-    if committed and suspended or aborted and all_one:
-        return True
-    return undecided and sim.quiescent()
+    """Whether ``check_trace(sim.trace())`` would flag a violation: the
+    rules on the bits the kernel keeps for each record, without the trace."""
+    bits = reduce(or_, map(sim.kernel.bits.__getitem__, sim.state[0]))
+    return _broken(bits, sim.quiescent) != 0
 
 
 @dataclass(frozen=True)
@@ -935,17 +926,17 @@ def find_violation(
     takes states that a permutation of each class of the protocol's
     declared symmetry renames into each other (see ``CommitProtocol``) as
     one: it checks one state of each orbit, the first it reaches.  A state
-    is checked once, on its first visit, by a predicate on its node
-    records that flags exactly what ``check_trace`` flags on its trace and
-    treats every chain alike, and counts once against ``state_budget``,
-    which so counts orbit representatives; only the state returned becomes
-    an ``ExecutionTrace``.  A cached state is expanded again, not checked
-    again, when it is reached on fewer events.  Sleep sets (Godefroid, LNCS
-    1032, 1996) skip a transition whose target another order of the same
-    commuting actions covers at the same depth.  Actions on different
-    chains commute (a delivery acts on its receiver and is identified by
-    receiver, sender and payload, not by its sequence number); two crashes,
-    or two suspensions, share a budget and never do.  Random mode runs
+    is checked once, on its first visit, by ``_broken`` on the bits its
+    records were interned with, which flags what ``check_trace`` flags on
+    its trace and treats every chain alike, and counts once against
+    ``state_budget``, which so counts orbit representatives; only the state
+    returned becomes an ``ExecutionTrace``.  A cached state is expanded
+    again, not checked again, when it is reached on fewer events.  Sleep
+    sets (Godefroid, LNCS 1032, 1996) skip a transition whose target
+    another order of the same commuting actions covers at the same depth.
+    Actions on different chains commute (a delivery acts on its receiver
+    and is identified by receiver, sender and payload, not by its sequence
+    number); two crashes, or two suspensions, share a budget and never do.  Random mode runs
     ``trials`` seeded uniform schedules, clones of one root, and checks the
     state each ends in.  Either way one kernel serves the call, so each
     protocol reaction runs once per record and event.  Returns the first

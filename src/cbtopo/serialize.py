@@ -159,9 +159,8 @@ def task_to_json(task: Task) -> str:
         ',\n  "output": ', complex_(task.output),
         ',\n  "carrier": ' + open_,
     ]
-    for layer in task.input._masks().values():
-        for s in layer:
-            parts += (head, simplex[s], middle, image_texts[ids[s]], tail, sep)
+    for s in task._simplices():
+        parts += (head, simplex[s], middle, image_texts[ids[s]], tail, sep)
     # The separator after the last entry becomes the close of the list.
     parts[-1] = close + ',\n  "colored": ' + json.dumps(task.colored) + "\n}\n"
     return "".join(parts)

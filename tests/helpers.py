@@ -417,6 +417,65 @@ def unreduced_walk(
     return None
 
 
+def violations_oracle(
+    outcome: Sequence[Optional[Value]],
+    realized: Sequence[Value],
+    crashed: Iterable[int],
+    quiescent: bool,
+) -> list[tuple]:
+    """The four rules a trace is held to, stated directly, as ``(kind,
+    detail, chains)`` in the order ``check_trace`` reports them: live
+    nodes that decided differently; a commit, by any node, while some leg
+    is suspended; an abort, by any node, although every leg stayed
+    committed; and, once the run is quiescent, a live node undecided."""
+    crashed = set(crashed)
+    chains = range(len(outcome))
+    live = [i for i in chains if i not in crashed]
+    found = []
+    deciders = [i for i in live if outcome[i] is not None]
+    codes = sorted({outcome[i].value for i in deciders})
+    if len(codes) > 1:
+        found.append(("atomicity", f"live nodes decided differently: {codes}", tuple(deciders)))
+    committed = [i for i in chains if outcome[i] == Value.ONE]
+    suspended = [i for i in chains if realized[i] == Value.BOTTOM]
+    if committed and suspended:
+        found.append((
+            "atomicity",
+            f"chains {committed} decided commit although the suspended legs "
+            f"{suspended} mandate abort",
+            tuple(committed + suspended),
+        ))
+    aborted = [i for i in chains if outcome[i] == Value.ZERO]
+    if aborted and all(value == Value.ONE for value in realized):
+        found.append((
+            "validity",
+            f"chains {aborted} decided abort although every leg stayed locally committed",
+            tuple(aborted),
+        ))
+    undecided = [i for i in live if outcome[i] is None]
+    if quiescent and undecided:
+        found.append((
+            "termination",
+            f"live nodes {undecided} are blocked without a decision",
+            tuple(undecided),
+        ))
+    return found
+
+
+def carrier_allows(outcome: Sequence[Optional[Value]], realized: Sequence[Value]) -> bool:
+    """Whether the decided simplex, each deciding chain's (crashed or
+    not) decision, lies in Δ of the realized simplex, for the cross-chain
+    commit task in closed form: when every leg stayed committed Δ holds
+    the commit simplex alone; otherwise the abort simplex and the commit
+    vertices of the chains whose leg was not suspended."""
+    decided = [(i, value) for i, value in enumerate(outcome) if value is not None]
+    if all(value == Value.ONE for value in realized):
+        return all(value == Value.ONE for _, value in decided)
+    return all(value == Value.ZERO for _, value in decided) or all(
+        value == Value.ONE and realized[i] != Value.BOTTOM for i, value in decided
+    )
+
+
 class TableProtocol(CommitProtocol):
     """Deterministic protocol read off a table keyed by phase and event.
 

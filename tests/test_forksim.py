@@ -1,5 +1,6 @@
 """Fork-suspension simulator: schedules, protocol, checker, exploration."""
 import copy
+import itertools
 import random
 
 import pytest
@@ -30,6 +31,7 @@ from helpers import (
     StarTableProtocol,
     TableProtocol,
     bfs_states,
+    carrier_allows,
     chain_permutations,
     encode_state,
     orbit_key,
@@ -37,6 +39,7 @@ from helpers import (
     reachable_states,
     renamed_encoding,
     unreduced_walk,
+    violations_oracle,
 )
 
 
@@ -419,6 +422,36 @@ class TestChecker:
             (None, None, None), (Value.ONE,) * 3, quiescent=False
         )
         assert check_trace(trace).ok
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_report_is_the_stated_rules(self, data):
+        """Kinds, details, chains and order, against ``violations_oracle``;
+        a decision may be the suspended marker, and a crashed node may
+        have decided."""
+        n = data.draw(st.integers(1, 4), label="n")
+        outcome = tuple(data.draw(st.lists(
+            st.sampled_from([None, *Value]), min_size=n + 1, max_size=n + 1
+        ), label="outcome"))
+        realized = tuple(data.draw(st.lists(
+            st.sampled_from(list(Value)), min_size=n + 1, max_size=n + 1
+        ), label="realized"))
+        crashed = data.draw(st.frozensets(st.integers(0, n)), label="crashed")
+        quiescent = data.draw(st.booleans(), label="quiescent")
+        trace = ExecutionTrace(
+            n=n,
+            t=0,
+            protocol="2pc",
+            inputs=realized,
+            events=(),
+            outcome=outcome,
+            realized=realized,
+            crashed=crashed,
+            suspended=frozenset(i for i, v in enumerate(realized) if v is Value.BOTTOM),
+            quiescent=quiescent,
+        )
+        report = [(v.kind, v.detail, v.chains) for v in check_trace(trace).violations]
+        assert report == violations_oracle(outcome, realized, crashed, quiescent)
 
 
 class TestFindViolation:
@@ -1079,3 +1112,54 @@ class TestTaskOracleAgreement:
             assert image.contains(Simplex(decided)), trace
             checked += 1
         assert checked > 20  # the sample really exercised the property
+
+
+class TestCarrierRelation:
+    """``check_trace`` against Δ of the task (``carrier_allows``) on the
+    2PC states the BFS oracle reaches: every state outside Δ is flagged,
+    and on a state inside Δ every violation but termination is the commit
+    beside a suspended leg, the one rule stricter than Δ.  n=2, t=0 covers
+    its whole space; the others stop just past the first commit beside a
+    suspended leg, to stay fast.  The participants are alike, to 2PC, to
+    the rules and to Δ, so their inputs are taken in one order only."""
+
+    @pytest.mark.parametrize(
+        "n,t,depth,suspensions,legs",
+        [
+            pytest.param(2, 0, 12, 2, (Value.ONE, Value.ZERO), id="n2-t0-d12-s2"),
+            pytest.param(2, 1, 6, 1, (Value.ONE, Value.ZERO), id="n2-t1-d6-s1"),
+            pytest.param(3, 1, 8, 1, (Value.ONE,), id="n3-t1-d8-s1-all1"),
+        ],
+    )
+    def test_stricter_than_carrier_only_beside_a_suspended_leg(
+        self, n, t, depth, suspensions, legs
+    ):
+        task = build_task(CbtConfig(n=n))
+        allowed = {}
+        stricter = 0
+        for head in legs:
+            for tail in itertools.combinations_with_replacement(legs, n):
+                sim = Simulation(n, t, TwoPhaseCommit(), (head, *tail))
+                for _, _, state in bfs_states(sim, depth, suspensions):
+                    trace = state.trace()
+                    key = trace.outcome, trace.realized
+                    if key not in allowed:
+                        # The closed form says what the library's Δ says.
+                        allowed[key] = carrier_allows(*key)
+                        decided = [
+                            Vertex(BlockRef(i), v)
+                            for i, v in enumerate(trace.outcome) if v is not None
+                        ]
+                        realized = Simplex(
+                            Vertex(BlockRef(i), v) for i, v in enumerate(trace.realized)
+                        )
+                        image = task.carrier[realized]
+                        assert allowed[key] == (not decided or image.contains(Simplex(decided)))
+                    violations = check_trace(trace).violations
+                    if not allowed[key]:
+                        assert violations, trace
+                        continue
+                    extra = [v for v in violations if v.kind != "termination"]
+                    assert all("mandate abort" in v.detail for v in extra), trace
+                    stricter += bool(extra)
+        assert stricter, "no state shows the stricter rule"

@@ -1,4 +1,5 @@
 """JSON round trips for vertices, complexes, tasks, reports, traces."""
+import itertools
 import json
 import random
 
@@ -212,14 +213,25 @@ class TestRestrictedLoad:
             task_from_obj(obj)
 
 
+def _assert_same_text(got, expected):
+    """``got == expected``; on a mismatch, the first differing line and its
+    number, as the assertion's diff of texts of up to a megabyte would
+    take minutes to build."""
+    if got == expected:
+        return
+    pairs = itertools.zip_longest(got.split("\n"), expected.split("\n"))
+    number, (line, wanted) = next((i, p) for i, p in enumerate(pairs, 1) if p[0] != p[1])
+    pytest.fail(f"texts differ first at line {number}: {line!r} != {wanted!r}", pytrace=False)
+
+
 class TestTaskWriter:
     """``task_to_json`` is ``dumps`` of an independently built task object."""
 
     @staticmethod
     def check(task):
         text = task_to_json(task)
-        assert text == json.dumps(task_obj_oracle(task), indent=2) + "\n"
-        assert dumps(task_to_obj(task)) == text
+        _assert_same_text(text, json.dumps(task_obj_oracle(task), indent=2) + "\n")
+        _assert_same_text(dumps(task_to_obj(task)), text)
 
     @pytest.mark.parametrize("colorless", [False, True])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
