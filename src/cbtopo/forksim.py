@@ -322,9 +322,10 @@ class _Kernel:
     ``records`` (read-only) and ``messages`` (``(receiver, sender, payload)``)
     by id, and memos.  ``reactions`` maps a record id and an event ("step",
     "crash", "suspend" or a message id) to the new record id and the ids of
-    the messages sent.  Others hold what ``Simulation._enabled`` lists.
-    ``symmetry`` is None unless the protocol declares chains alike with
-    equal inputs."""
+    the messages sent.  ``enabled`` lists a state's options and ``advance``
+    takes one: the one transition of ``Simulation.apply``, the exhaustive
+    walk and random trials.  ``symmetry`` is None unless the protocol
+    declares chains alike with equal inputs."""
 
     def __init__(self, n: int, t: int, protocol: CommitProtocol, inputs: tuple) -> None:
         self.n, self.t, self.protocol, self.inputs = n, t, protocol, inputs
@@ -334,14 +335,10 @@ class _Kernel:
         self.messages: List[Tuple[int, int, tuple]] = []
         self._ids: Dict[tuple, int] = {}  # record and message keys never collide
         self.reactions: Dict[tuple, Tuple[int, Tuple[int, ...]]] = {}
-        # ``Simulation._enabled``'s entry for each step, suspend and crash.
-        self.options = [
-            (ScheduleAction(kind=kind, chain=c), c, 3 * c + offset)
-            for c in range(n + 1)
-            for kind, (offset, _) in _KINDS.items()
-        ]
+        # The option of each step, suspend and crash, by identity.
+        self.options = [(kind, c, 3 * c + offset, None)
+                        for c in range(n + 1) for kind, (offset, _) in _KINDS.items()]
         self._local: Dict[tuple, tuple] = {}
-        self.deliveries: Dict[int, ScheduleAction] = {}  # by sequence number
         self.step_bits = sum(1 << (3 * chain) for chain in range(n + 1))
         self.suspend_bits, self.crash_bits = self.step_bits << 1, self.step_bits << 2
         by_input: Dict[Value, List[int]] = {}
@@ -349,6 +346,8 @@ class _Kernel:
             by_input.setdefault(inputs[chain], []).append(chain)
         classes = [chains for chains in by_input.values() if len(chains) > 1]
         self.symmetry = _Symmetry(self, classes) if classes else None
+        # ``Simulation.fingerprint`` of a state whose view is resolved.
+        self.key = self.symmetry.key if classes else lambda s: (s[0], tuple(sorted(s[2])), s[3])
 
     def _intern(self, table: list, key: tuple, value: Any) -> int:
         ident = self._ids.get(key)
@@ -385,8 +384,13 @@ class _Kernel:
         reaction = self.reactions[record, event] = (self.record(node), tuple(messages))
         return reaction
 
-    def local(self, flags: int, max_suspensions: int) -> Tuple[list, list]:
-        """The steps, and the suspends then crashes, enabled under ``flags``."""
+    def enabled(self, state: tuple, max_suspensions: int) -> list:
+        """The options of ``state`` in canonical order: steps, deliveries,
+        suspends, crashes.  An option is ``(kind, chain acted on, identity,
+        place)``: the identity is a flag bit, or for a delivery 3(n+1) plus
+        its message id (not its sequence), and a delivery's place is its
+        index in flight, None for the others."""
+        _, _, idents, flags = state[:4]
         local = self._local.get((flags, max_suspensions))
         if local is None:
             # ``options[i]`` has flag bit i; a crash blocks a step too.
@@ -397,7 +401,48 @@ class _Kernel:
                 [o for o in self.options[1::3] if suspend and not flags >> o[2] & 1]
                 + [o for o in self.options[2::3] if crash and not flags >> o[2] & 1],
             )
-        return local
+        steps, others = local
+        if not idents:
+            return steps + others
+        options = steps.copy()
+        base, messages = 3 * self.n + 3, self.messages
+        for at, ident in enumerate(idents):
+            receiver = messages[ident][0]
+            if not flags >> (3 * receiver + 2) & 1:
+                options.append(("deliver", receiver, base + ident, at))
+        return options + others
+
+    def advance(self, state: tuple, option: tuple, edit: Callable = lambda *edit: edit) -> tuple:
+        """The state after ``option`` (see ``enabled``), unchecked; a
+        delivery to a crashed receiver drops the message.  ``edit`` gets
+        the view and the event as ``_Symmetry.edit`` does; by default the
+        edit is left pending for ``Simulation.fingerprint``."""
+        records, sequences, idents, flags, sequence, count, log, view = state
+        kind, chain, identity, at = option
+        removed = None
+        if at is None:
+            flags |= 1 << identity
+            event = kind
+            log = (log, kind, chain, None, None)
+        else:
+            removed = event = idents[at]
+            log = (log, kind, chain, sequences[at], event)
+            sequences = sequences[:at] + sequences[at + 1:]
+            idents = idents[:at] + idents[at + 1:]
+            if flags >> (3 * chain + 2) & 1:
+                event = None
+        old = record = records[chain]
+        sent = ()
+        if event is not None:
+            record, sent = self.reactions.get((old, event)) or self.react(old, event)
+            records = records[:chain] + (record,) + records[chain + 1:]
+            if sent:
+                sequences += tuple(range(sequence, sequence + len(sent)))
+                idents += sent
+                sequence += len(sent)
+        if view is not None:
+            view = edit(view, chain, old, record, removed, sent, flags)
+        return records, sequences, idents, flags, sequence, count + 1, log, view
 
     def message(self, sequence: int, ident: int) -> Message:
         receiver, sender, payload = self.messages[ident]
@@ -467,46 +512,51 @@ class _Symmetry:
             view[slots[chain]] = self._column(head, tail)
         return tuple(view), ()
 
-    def key(self, view: tuple, flags: int) -> tuple:
-        """``Simulation.fingerprint`` of a state with this view and flags:
+    def key(self, state: tuple) -> tuple:
+        """``Simulation.fingerprint`` of a state whose view is resolved:
         each class's column ids are sorted, and a class's size is fixed."""
-        columns, between = view
+        flags, (columns, between) = state[3], state[7]
         key = [flags & self.fixed_flags, between, columns[:self.width]]
         for lo, hi in self.spans:
             key += sorted(columns[lo:hi])
         return tuple(key)
 
     def resolve(self, view: tuple) -> tuple:
-        """The view a chain of pending edits ends in (see ``Simulation.apply``)."""
+        """The view a chain of pending edits ends in (see ``_Kernel.advance``)."""
         pending = []
         while len(view) > 2:
             pending.append(view)
             view = view[0]
+        for _, *event in reversed(pending):
+            view = self.edit(view, *event)
+        return view
+
+    def edit(self, view: tuple, chain: int, old: int, new: int, removed: Optional[int],
+             sent: tuple, flags: int) -> tuple:
+        """The view after an event on ``chain``: its record id went from
+        ``old`` to ``new``, it took message ``removed`` (or None) and sent
+        ``sent``, and ``flags`` is the new flag mask."""
         columns, between = view
-        slots, width, edits = self.slots, self.width, self._edits
-        for _, chain, old, new, removed, sent, flags in reversed(pending):
-            at = slots[chain]
-            if at >= width:  # a declared chain
-                key = (columns[at], new, flags >> 3 * chain & 7, removed, sent)
-                column = edits.get(key)
-                if column is None:
-                    column = self._step(*key)
-                columns = columns[:at] + (column,) + columns[at + 1:]
-                continue
-            plan = self._plans.get((old, new, removed, sent)) or self._plan(old, new, removed, sent)
-            columns = list(columns)
-            columns[at], changes, out, into = plan
-            for at, gone, came in changes:
-                key = (columns[at], gone, came)
-                column = edits.get(key)
-                columns[at] = self._change(*key) if column is None else column
-            columns = tuple(columns)
-            if out or into:
-                between = [*between, *into]
-                for ident in out:
-                    between.remove(ident)
-                between = tuple(sorted(between))
-        return columns, between
+        at = self.slots[chain]
+        if at >= self.width:  # a declared chain
+            key = (columns[at], new, flags >> 3 * chain & 7, removed, sent)
+            column = self._edits.get(key)
+            if column is None:
+                column = self._step(*key)
+            return columns[:at] + (column,) + columns[at + 1:], between
+        plan = self._plans.get((old, new, removed, sent)) or self._plan(old, new, removed, sent)
+        columns = list(columns)
+        columns[at], changes, out, into = plan
+        for at, gone, came in changes:
+            key = (columns[at], gone, came)
+            column = self._edits.get(key)
+            columns[at] = self._change(*key) if column is None else column
+        if out or into:
+            between = [*between, *into]
+            for ident in out:
+                between.remove(ident)
+            between = tuple(sorted(between))
+        return tuple(columns), between
 
     def _column(self, head: int, tail: list) -> int:
         tail.sort()
@@ -628,9 +678,10 @@ class Simulation:
     ``fingerprint`` resolves it, a pending edit ``(previous view, chain,
     old record id, new record id, message id taken or None, message ids
     sent, flag mask)``.  The ids index ``kernel``, shared by a root and its
-    clones, so ``clone`` copies two references and fingerprints compare
-    within one root's clones; ``nodes``, ``events`` and the like are built
-    on demand."""
+    clones, and fingerprints compare within one root's clones.  ``apply``
+    checks an action and takes it by ``_Kernel.advance``, which the
+    exhaustive walk and random trials call on bare state tuples.
+    ``nodes``, ``events`` and the like are built on demand."""
 
     __slots__ = ("kernel", "state")
 
@@ -667,11 +718,15 @@ class Simulation:
             events.append(SimEvent(kind=kind, chain=chain, message=message))
         return tuple(reversed(events))
 
+    @staticmethod
+    def _of(kernel: _Kernel, state: tuple) -> "Simulation":
+        """A ``Simulation`` at ``state``, which ``kernel``'s ids index."""
+        sim = Simulation.__new__(Simulation)
+        sim.kernel, sim.state = kernel, state
+        return sim
+
     def clone(self) -> "Simulation":
-        twin = Simulation.__new__(Simulation)
-        twin.kernel = self.kernel
-        twin.state = self.state
-        return twin
+        return self._of(self.kernel, self.state)
 
     def fingerprint(self) -> tuple:
         """Key of the state up to the protocol's declared symmetry: two
@@ -688,33 +743,23 @@ class Simulation:
         symmetry the key is the record ids, the in-flight message ids
         sorted, and the flag mask.  Sequence numbers and the event log are
         left out."""
-        state = self.state
-        records, _, idents, flags, _, _, _, view = state
-        symmetry = self.kernel.symmetry
-        if symmetry is None:
-            return records, tuple(sorted(idents)), flags
-        if len(view) > 2:
-            view = symmetry.resolve(view)
-            self.state = (*state[:7], view)
-        return symmetry.key(view, flags)
+        state, kernel = self.state, self.kernel
+        view = state[7]
+        if view is not None and len(view) > 2:
+            self.state = state = (*state[:7], kernel.symmetry.resolve(view))
+        return kernel.key(state)
 
     def apply(self, action: ScheduleAction) -> None:
         kernel = self.kernel
-        records, sequences, idents, flags, sequence, count, log, view = self.state
+        _, sequences, idents, flags = self.state[:4]
         kind = action.kind
-        removed = None
         if kind == "deliver":
             seq = action.sequence
             if seq is None or seq not in sequences:
                 raise InvalidSchedule(f"no in-flight message with sequence {seq}")
             at = sequences.index(seq)
-            removed = event = idents[at]
-            chain = kernel.messages[event][0]
-            sequences = sequences[:at] + sequences[at + 1:]
-            idents = idents[:at] + idents[at + 1:]
-            log = (log, kind, chain, seq, event)
-            if flags >> (3 * chain + 2) & 1:
-                event = None  # a crashed receiver drops it
+            ident = idents[at]
+            option = (kind, kernel.messages[ident][0], 3 * kernel.n + 3 + ident, at)
         elif kind in _KINDS:
             chain = _check_chain(action.chain, kernel.n)
             offset, again = _KINDS[kind]
@@ -724,24 +769,10 @@ class Simulation:
                 raise InvalidSchedule(f"chain {chain} {again}")
             if kind == "crash" and (flags & kernel.crash_bits).bit_count() >= kernel.t:
                 raise InvalidSchedule(f"crash budget t={kernel.t} exhausted")
-            flags |= 1 << (3 * chain + offset)
-            event = kind
-            log = (log, kind, chain, None, None)
+            option = kernel.options[3 * chain + offset]
         else:
             raise InvalidSchedule(f"unknown action kind {kind!r}")
-        old = record = records[chain]
-        sent = ()
-        if event is not None:
-            record, sent = kernel.reactions.get((old, event)) or kernel.react(old, event)
-            records = records[:chain] + (record,) + records[chain + 1:]
-            if sent:
-                sequences += tuple(range(sequence, sequence + len(sent)))
-                idents += sent
-                sequence += len(sent)
-        if view is not None:
-            # Resolved by ``fingerprint`` alone: random runs and ``run`` key no state.
-            view = (view, chain, old, record, removed, sent, flags)
-        self.state = (records, sequences, idents, flags, sequence, count + 1, log, view)
+        self.state = kernel.advance(self.state, option)
 
     def quiescent(self) -> bool:
         """No runnable start step and no message deliverable to a live node."""
@@ -754,24 +785,12 @@ class Simulation:
 
     def enabled(self, max_suspensions: int) -> List[ScheduleAction]:
         """Applicable actions in canonical order: steps, delivers, suspends, crashes."""
-        return [action for action, _, _ in self._enabled(max_suspensions)]
-
-    def _enabled(self, max_suspensions: int) -> List[Tuple[ScheduleAction, int, int]]:
-        """``enabled`` as ``(action, chain acted on, identity)``: a flag bit,
-        or for a delivery 3(n+1) plus its message id (not its sequence)."""
-        kernel = self.kernel
-        _, sequences, idents, flags = self.state[:4]
-        steps, others = kernel.local(flags, max_suspensions)
-        options = list(steps)
-        base, deliveries, messages = 3 * kernel.n + 3, kernel.deliveries, kernel.messages
-        for seq, ident in zip(sequences, idents):
-            receiver = messages[ident][0]
-            if not flags >> (3 * receiver + 2) & 1:
-                action = deliveries.get(seq)
-                if action is None:
-                    action = deliveries[seq] = ScheduleAction(kind="deliver", sequence=seq)
-                options.append((action, receiver, base + ident))
-        return options + others
+        sequences = self.state[1]
+        return [
+            ScheduleAction(kind=kind, chain=chain) if at is None
+            else ScheduleAction(kind=kind, sequence=sequences[at])
+            for kind, chain, _, at in self.kernel.enabled(self.state, max_suspensions)
+        ]
 
     def trace(self) -> ExecutionTrace:
         nodes = self.nodes
@@ -936,11 +955,12 @@ def find_violation(
     another order of the same commuting actions covers at the same depth.
     Actions on different chains commute (a delivery acts on its receiver
     and is identified by receiver, sender and payload, not by its sequence
-    number); two crashes, or two suspensions, share a budget and never do.  Random mode runs
-    ``trials`` seeded uniform schedules, clones of one root, and checks the
-    state each ends in.  Either way one kernel serves the call, so each
-    protocol reaction runs once per record and event.  Returns the first
-    violating trace, or None when the bound is reached without one.
+    number); two crashes, or two suspensions, share a budget and never do.
+    Random mode runs ``trials`` seeded uniform schedules, each advancing a
+    state tuple from the root's, and checks the state each ends in.  Either
+    way one kernel serves the call, so each protocol reaction runs once per
+    record and event.  Returns the first violating trace, or None when the
+    bound is reached without one.
     """
     check_resilience(n, t, allow_zero=True)
     if inputs is None:
@@ -957,13 +977,17 @@ def find_violation(
             raise ValueError("need at least one trial")
         rng = random.Random(mode.seed)
         root = Simulation(n, t, protocol, inputs)
+        kernel = root.kernel
+        # ``kernel.enabled`` lists as many options as ``enabled`` lists
+        # actions, in the same order, so the draws are ``enabled``'s.
         for _ in range(mode.trials):
-            sim = root.clone()
-            while sim.event_count < _MAX_RANDOM_EVENTS:
-                actions = sim.enabled(suspensions)
-                if not actions:
+            state = root.state
+            while state[5] < _MAX_RANDOM_EVENTS:
+                options = kernel.enabled(state, suspensions)
+                if not options:
                     break
-                sim.apply(rng.choice(actions))
+                state = kernel.advance(state, rng.choice(options))
+            sim = Simulation._of(kernel, state)
             if _violates(sim):
                 return sim.trace()
         return None
@@ -976,11 +1000,13 @@ def _explore(
     """``find_violation``'s exhaustive walk: state caching plus sleep sets,
     quotiented by the protocol's declared symmetry.
 
-    Each child is a ``clone`` with one ``apply``.  The cache maps its
-    ``fingerprint`` to the fewest events that reached it, not to a sleep
-    set, and drops a state reached again on as many events or more.  Equal
-    keys mean states that a permutation of each class renames into each
-    other, one orbit; renaming commutes with actions and keeps the root, so a
+    Each child is a state tuple that ``_Kernel.advance`` makes from its
+    parent's, its view edited at once; a state is wrapped in a
+    ``Simulation`` only to be checked.  The cache maps its ``fingerprint``
+    to the fewest events that reached it, not to a sleep set, and drops a
+    state reached again on as many events or more.  Equal keys mean
+    states that a permutation of each class renames into each other, one
+    orbit; renaming commutes with actions and keeps the root, so a
     renamed run is a run of the same length, and the state check treats
     every chain alike.  So checking one state of each orbit within the
     bound misses no violation, and each is checked.  Let dist(s) be the
@@ -1013,19 +1039,21 @@ def _explore(
     fewer actions asleep (Godefroid, LNCS 1032, 1996, section 5) would only
     walk again orbits the walk reaches anyway.
     """
-    # Action identity i (see ``Simulation._enabled``) owns bit 1 << i, and
+    # Option identity i (see ``_Kernel.enabled``) owns bit 1 << i, and
     # ``acts_on[c]`` holds the bits of the actions on chain c met so far.
     # ``shared[i]``: the bits a suspend or crash shares a budget with.
     kernel = root.kernel
+    enabled, advance, key = kernel.enabled, kernel.advance, kernel.key
+    edit = getattr(kernel.symmetry, "edit", None)  # unused without a view
     acts_on = [0b111 << (3 * chain) for chain in range(root.n + 1)]
     shared = [(0, kernel.suspend_bits, kernel.crash_bits)[i % 3] for i in range(len(acts_on) * 3)]
     base = len(shared)
     seen = {root.fingerprint(): 0}
-    # Stack entries: state, sleep set, first visit.
-    stack = [(root, 0, True)]
+    # Stack entries: state tuple, its view resolved; sleep set; first visit.
+    stack = [(root.state, 0, True)]
     explored = 0
     while stack:
-        sim, sleep, first = stack.pop()
+        state, sleep, first = stack.pop()
         if first:
             explored += 1
             if explored > budget:
@@ -1033,9 +1061,10 @@ def _explore(
                     f"schedule exploration exceeded the state budget of {budget}",
                     explored=explored,
                 )
+            sim = Simulation._of(kernel, state)
             if _violates(sim):
                 return sim.trace()
-        events = sim.event_count + 1
+        events = state[5] + 1
         if events > depth:
             continue
         # Taken actions join the sleep sets of later siblings they commute
@@ -1043,17 +1072,17 @@ def _explore(
         # Children are marked in ``seen`` first to last, so of two siblings
         # in one orbit the first is kept (step 2 of the docstring).
         kept = []
-        for action, chain, identity in sim._enabled(suspensions):
+        for option in enabled(state, suspensions):
+            _, chain, identity, _ = option
             bit = 1 << identity
             if bit & sleep:
                 continue
             acts_on[chain] |= bit
-            child = sim.clone()
-            child.apply(action)
-            state = child.fingerprint()
-            known = seen.get(state)
+            child = advance(state, option, edit)
+            child_key = key(child)
+            known = seen.get(child_key)
             if known is None or known > events:
-                seen[state] = events
+                seen[child_key] = events
                 # Children on the depth bound are never expanded: no sleep set.
                 child_sleep = 0
                 if events < depth:

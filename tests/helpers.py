@@ -6,6 +6,8 @@ genuine cross-check rather than a tautology.
 """
 from __future__ import annotations
 
+import copy
+import dataclasses
 import itertools
 from collections import Counter, deque
 from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
@@ -13,8 +15,9 @@ from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Sequence, T
 from cbtopo.forksim import (
     CommitProtocol,
     ExecutionTrace,
+    Message,
     NodeState,
-    ScheduleAction,
+    SimEvent,
     Simulation,
     check_trace,
 )
@@ -249,32 +252,31 @@ def assignment_is_valid(
     return True
 
 
-def encode_state(sim: Simulation) -> tuple:
+def _frozen(value: dict) -> frozenset:
+    """A dict as the set of its items, each dict value frozen alike."""
+    return frozenset([
+        (key, _frozen(item) if isinstance(item, dict) else item) for key, item in value.items()
+    ])
+
+
+def encode_state(sim: Simulation | OracleState) -> tuple:
     """Key of a simulator state built field by field, independent of
     ``Simulation.fingerprint``: in-flight messages as a multiset without
     sequence numbers, started chains (read off the ``step`` events) and
     protocol memory as sets."""
-
-    def frozen(value: Any) -> Any:
-        if isinstance(value, dict):
-            return frozenset((k, frozen(v)) for k, v in value.items())
-        return value
-
-    nodes = tuple(
+    nodes = tuple([
         (
             node.phase,
             node.local_value.value,
             None if node.decided is None else node.decided.value,
             node.crashed,
             node.suspended,
-            frozen(node.memory),
+            _frozen(node.memory),
         )
         for node in sim.nodes
-    )
-    flight = Counter(
-        (m.sender, m.receiver, frozenset(m.payload)) for m in sim.in_flight.values()
-    )
-    started = frozenset(e.chain for e in sim.events if e.kind == "step")
+    ])
+    flight = Counter([(m.sender, m.receiver, frozenset(m.payload)) for m in sim.in_flight.values()])
+    started = frozenset([e.chain for e in sim.events if e.kind == "step"])
     return nodes, frozenset(flight.items()), started
 
 
@@ -340,39 +342,103 @@ def orbit_states(
     return orbits
 
 
+class OracleState:
+    """A simulator state as ``bfs_states`` keeps it, apart from the
+    library's kernel, records and memos: per-chain ``NodeState`` copies,
+    the in-flight messages by sequence number, the events so far and the
+    next sequence number.  It offers what ``encode_state`` and
+    ``check_trace(state.trace())`` read of a ``Simulation``; the rules
+    for which actions are enabled and what each does are stated here."""
+
+    def __init__(self, run: tuple, nodes: tuple, in_flight: dict, events: tuple, sent: int):
+        self.run = run  # (n, t, protocol, inputs)
+        self.nodes, self.in_flight, self.events, self.sent = nodes, in_flight, events, sent
+
+    def _started(self) -> set:
+        return {event.chain for event in self.events if event.kind == "step"}
+
+    def enabled(self, suspensions: int) -> list:
+        """Steps of chains neither started nor crashed, deliveries to live
+        chains, then suspends and crashes while their budgets last."""
+        _, t, _, _ = self.run
+        nodes, started = self.nodes, self._started()
+        suspend = sum(node.suspended for node in nodes) < suspensions
+        crash = sum(node.crashed for node in nodes) < t
+        chains = range(len(nodes))
+        return (
+            [SimEvent("step", c) for c in chains if c not in started and not nodes[c].crashed]
+            + [SimEvent("deliver", m.receiver, m) for m in self.in_flight.values()
+               if not nodes[m.receiver].crashed]
+            + [SimEvent("suspend", c) for c in chains if suspend and not nodes[c].suspended]
+            + [SimEvent("crash", c) for c in chains if crash and not nodes[c].crashed]
+        )
+
+    def child(self, event: SimEvent) -> "OracleState":
+        """The state after ``event``: one reaction on a copy of the chain's node."""
+        n, _, protocol, _ = self.run
+        chain, in_flight = event.chain, dict(self.in_flight)
+        node = dataclasses.replace(self.nodes[chain], memory=copy.deepcopy(self.nodes[chain].memory))
+        sends: list = []
+        if event.kind == "step":
+            sends = protocol.on_start(node, n)
+        elif event.kind == "deliver":
+            message = in_flight.pop(event.message.sequence)
+            sends = protocol.on_message(node, message.sender, dict(message.payload), n)
+        elif event.kind == "crash":
+            node.crashed = True
+        else:
+            node.suspended, node.local_value = True, Value.BOTTOM
+        sent = self.sent
+        for receiver, payload in sends:
+            assert 0 <= receiver <= n, receiver
+            in_flight[sent] = Message(chain, receiver, sent, tuple(sorted(payload.items())))
+            sent += 1
+        nodes = (*self.nodes[:chain], node, *self.nodes[chain + 1:])
+        return OracleState(self.run, nodes, in_flight, (*self.events, event), sent)
+
+    def trace(self) -> ExecutionTrace:
+        """The run so far; quiescent once every chain started or crashed
+        and every in-flight message goes to a crashed chain."""
+        n, t, protocol, inputs = self.run
+        nodes, started = self.nodes, self._started()
+        return ExecutionTrace(
+            n=n, t=t, protocol=protocol.name, inputs=inputs, events=self.events,
+            outcome=tuple(node.decided for node in nodes),
+            realized=tuple(node.local_value for node in nodes),
+            crashed=frozenset(c for c, node in enumerate(nodes) if node.crashed),
+            suspended=frozenset(c for c, node in enumerate(nodes) if node.suspended),
+            quiescent=all(c in started or node.crashed for c, node in enumerate(nodes))
+            and all(nodes[m.receiver].crashed for m in self.in_flight.values()),
+        )
+
+
 def bfs_states(
     sim: Simulation, depth: int, suspensions: int
-) -> Iterator[Tuple[tuple, int, Simulation]]:
-    """Every state within ``depth`` events of ``sim``, once each, by naive BFS.
-
-    Each child is a fresh ``Simulation`` that runs ``sim``'s schedule, its
-    parent's actions and one more, so no state shares records or memoized
-    reactions with another, nor with a walk under test.  Yields
+) -> Iterator[Tuple[tuple, int, OracleState]]:
+    """Every state within ``depth`` events of the root ``sim``, once each,
+    by naive BFS over ``OracleState``: each child is one reaction on a copy
+    of its parent, and only ``sim``'s parameters are read, so no state
+    shares records or memoized reactions with a walk under test.  Yields
     ``encode_state`` of each state, the fewest events that reach it and the
     state itself.
     """
-
-    def replayed(schedule: Tuple[ScheduleAction, ...]) -> Simulation:
-        state = Simulation(sim.n, sim.t, sim.protocol, sim.inputs)
-        for action in schedule:
-            state.apply(action)
-        return state
-
-    key = encode_state(sim)
+    assert sim.event_count == 0, "bfs_states starts from a root"
+    nodes = tuple(NodeState(chain=BlockRef(c), local_value=v) for c, v in enumerate(sim.inputs))
+    root = OracleState((sim.n, sim.t, sim.protocol, tuple(sim.inputs)), nodes, {}, (), 0)
+    key = encode_state(root)
     seen = {key}
-    yield key, 0, sim
-    frontier = [(sim, sim.trace().schedule())]
+    yield key, 0, root
+    frontier = [root]
     for events in range(1, depth + 1):
         next_frontier = []
-        for parent, schedule in frontier:
-            for action in parent.enabled(suspensions):
-                child_schedule = schedule + (action,)
-                child = replayed(child_schedule)
+        for parent in frontier:
+            for event in parent.enabled(suspensions):
+                child = parent.child(event)
                 key = encode_state(child)
                 if key not in seen:
                     seen.add(key)
                     yield key, events, child
-                    next_frontier.append((child, child_schedule))
+                    next_frontier.append(child)
         frontier = next_frontier
 
 
@@ -403,7 +469,7 @@ def unreduced_walk(
         trace = state.trace()
         if check_trace(trace).violations:
             return trace
-        events = len(state.events) + 1
+        events = state.event_count + 1
         if events > depth:
             continue
         for action in reversed(state.enabled(suspensions)):

@@ -587,7 +587,10 @@ class TestSimulate:
 # sha256 of ``simulate`` stdout and of its ``--trace-out`` bytes (None: no
 # file, the run found no violation) at n = 2..5, every legal t, with and
 # without ``--no-suspend``, plus one random run per n, as written while each
-# simulator state still owned mutable node records.
+# simulator state still owned mutable node records.  The random runs with
+# seeds 31 (n=4), 13 and 2 (n=5) first violate in their third, third and
+# second trial, so their pins depend on every draw of the earlier trials;
+# they were taken while random trials still advanced ``Simulation`` clones.
 @pytest.mark.parametrize(
     "argv,stdout_digest,trace_digest",
     [
@@ -677,6 +680,11 @@ class TestSimulate:
             "03a97994eae4d292cd36ed84215b8acefb21c4572fceaa6aa4cd78debde39bbb",
         ),
         (
+            ["--n", "4", "--t", "2", "--random", "--seed", "31", "--trials", "60"],
+            "bf852e5446d651b2167c15293438bf652abbd65a8b37caeeb5de589a78cc8f04",
+            "bc554d6e9ef6ebe1216d11b8715e91498007f6972fde08af46a440c4be8370d6",
+        ),
+        (
             ["--n", "5", "--t", "0"],
             "36f6af73a20b174c072c0d059f69a1024c7483f0cdee3fef6b8d5c82eab261c6",
             "d2388c62d3c58439717b640971b44c8b0c3b4fab44e22d490ee60e930a410a03",
@@ -710,6 +718,16 @@ class TestSimulate:
             ["--n", "5", "--t", "2", "--random", "--seed", "5", "--trials", "60"],
             "6bc41229742397bd38501463f195ad561fb31bd4c9c2165d255ee546cbf9c44b",
             "abfc5b230a2cd909d6281b1090e96028a2c3751d1ccd6faa8ae40d234d081d13",
+        ),
+        (
+            ["--n", "5", "--t", "1", "--random", "--seed", "13", "--trials", "60"],
+            "2d570dc80e354fabe57e6a3ad220d0c07e3f6e869c955286cec8b070864aa198",
+            "f8f86cd52dbd73e7a3c393d54de63f5e0dd5c73b776b3ea058eb5c8c65f6095c",
+        ),
+        (
+            ["--n", "5", "--t", "2", "--random", "--seed", "2", "--trials", "60"],
+            "e77334d87bdc2455c9af79a17805b2e9c5347e8a34de3843de3f47d7ee1d88a7",
+            "2463d6521b19d8ad6035d37b356965c34ff0008aceb4b86a29c38fe40779988d",
         ),
     ],
 )

@@ -172,6 +172,44 @@ class TestMemoizedReactions:
         assert len(set(calls)) == len(calls)
 
 
+class TestOneTransition:
+    """The exhaustive walk and random trials advance bare states: neither
+    clones nor applies per child or per event, and a ``Simulation`` wraps a
+    state only to check it."""
+
+    @pytest.mark.parametrize(
+        "mode,checks",
+        [(ExhaustiveMode(depth=24), None), (RandomMode(seed=3, trials=50), 50)],
+        ids=["exhaustive", "random"],
+    )
+    def test_no_clone_or_apply_per_child(self, mode, checks):
+        calls = {"clone": 0, "apply": 0}
+        events = []
+
+        def counted(name):
+            method = getattr(Simulation, name)
+
+            def wrapper(self, *args):
+                calls[name] += 1
+                return method(self, *args)
+
+            return wrapper
+
+        def record(sim):
+            events.append(sim.event_count)
+            return False
+
+        with pytest.MonkeyPatch.context() as patch:
+            for name in calls:
+                patch.setattr(Simulation, name, counted(name))
+            patch.setattr(forksim, "_violates", record)
+            assert find_violation(4, 1, TwoPhaseCommit(), mode) is None
+        assert calls == {"clone": 0, "apply": 0}
+        # The sweep, or the trials, took hundreds of events.
+        assert sum(events) > 300
+        assert checks is None or len(events) == checks
+
+
 class TestRunBounds:
     def test_n_must_allow_two_chains(self):
         with pytest.raises(BadResilience):
@@ -797,13 +835,16 @@ def _assert_sweep_checks_each_once(hunt, states, key=encode_state):
 
 class TestStateCheckAgainstChecker:
     """The walk's state check says what ``check_trace`` says of the state's
-    trace, on every state the deep-copying BFS reaches."""
+    trace, on every state the deep-copying BFS reaches, replayed into a
+    ``Simulation``."""
 
     @staticmethod
     def _agree(sim, depth, suspensions):
         for _, _, state in bfs_states(sim, depth, suspensions):
-            expected = bool(check_trace(state.trace()).violations)
-            assert forksim._violates(state) == expected, encode_state(state)
+            trace = state.trace()
+            expected = bool(check_trace(trace).violations)
+            replayed = _replayed(trace, sim.protocol)
+            assert forksim._violates(replayed) == expected, encode_state(state)
 
     @pytest.mark.parametrize(
         "n,t,depth,suspensions,position,leg", list(_oracle_grid())
