@@ -83,8 +83,9 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _parse(text: str):
     """``json.loads`` with the collector off.  The parse builds no reference
-    cycles, so a collection during it only rescans what it has built; on a
-    large task file that is a quarter to a third of the parse."""
+    cycles, so a collection during it only rescans what it has built; on
+    the 1.2 MB n=4 task file that is about 5 % of the parse (Python 3.11,
+    4-7 % in small and in grown heaps)."""
     collecting = gc.isenabled()
     gc.disable()
     try:

@@ -324,8 +324,10 @@ class _Kernel:
     "crash", "suspend" or a message id) to the new record id and the ids of
     the messages sent.  ``enabled`` lists a state's options and ``advance``
     takes one: the one transition of ``Simulation.apply``, the exhaustive
-    walk and random trials.  ``symmetry`` is None unless the protocol
-    declares chains alike with equal inputs."""
+    walk and random trials.  ``symmetry`` is the quotient by the
+    protocol's declared symmetry, with no class when it declares no two
+    chains alike with equal inputs.  ``message`` builds each ``Message``
+    a read asks for once."""
 
     def __init__(self, n: int, t: int, protocol: CommitProtocol, inputs: tuple) -> None:
         self.n, self.t, self.protocol, self.inputs = n, t, protocol, inputs
@@ -333,6 +335,7 @@ class _Kernel:
         self.fingerprints: List[tuple] = []  # each record's, by id
         self.bits: List[int] = []  # each record's ``_chain_bits``, by id
         self.messages: List[Tuple[int, int, tuple]] = []
+        self._read: Dict[Tuple[int, int], Message] = {}  # by sequence and message id
         self._ids: Dict[tuple, int] = {}  # record and message keys never collide
         self.reactions: Dict[tuple, Tuple[int, Tuple[int, ...]]] = {}
         # The option of each step, suspend and crash, by identity.
@@ -344,10 +347,7 @@ class _Kernel:
         by_input: Dict[Value, List[int]] = {}
         for chain in sorted(set(protocol.symmetric_chains(n))):
             by_input.setdefault(inputs[chain], []).append(chain)
-        classes = [chains for chains in by_input.values() if len(chains) > 1]
-        self.symmetry = _Symmetry(self, classes) if classes else None
-        # ``Simulation.fingerprint`` of a state whose view is resolved.
-        self.key = self.symmetry.key if classes else lambda s: (s[0], tuple(sorted(s[2])), s[3])
+        self.symmetry = _Symmetry(self, [chains for chains in by_input.values() if len(chains) > 1])
 
     def _intern(self, table: list, key: tuple, value: Any) -> int:
         ident = self._ids.get(key)
@@ -412,11 +412,11 @@ class _Kernel:
                 options.append(("deliver", receiver, base + ident, at))
         return options + others
 
-    def advance(self, state: tuple, option: tuple, edit: Callable = lambda *edit: edit) -> tuple:
+    def advance(self, state: tuple, option: tuple) -> tuple:
         """The state after ``option`` (see ``enabled``), unchecked; a
-        delivery to a crashed receiver drops the message.  ``edit`` gets
-        the view and the event as ``_Symmetry.edit`` does; by default the
-        edit is left pending for ``Simulation.fingerprint``."""
+        delivery to a crashed receiver drops the message.  A state with a
+        view, the exhaustive walk's, passes it to its child edited by
+        ``_Symmetry.edit``; one without, None."""
         records, sequences, idents, flags, sequence, count, log, view = state
         kind, chain, identity, at = option
         removed = None
@@ -441,18 +441,23 @@ class _Kernel:
                 idents += sent
                 sequence += len(sent)
         if view is not None:
-            view = edit(view, chain, old, record, removed, sent, flags)
+            view = self.symmetry.edit(view, chain, old, record, removed, sent, flags)
         return records, sequences, idents, flags, sequence, count + 1, log, view
 
     def message(self, sequence: int, ident: int) -> Message:
-        receiver, sender, payload = self.messages[ident]
-        return Message(sender=sender, receiver=receiver, sequence=sequence, payload=payload)
+        message = self._read.get((sequence, ident))
+        if message is None:
+            receiver, sender, payload = self.messages[ident]
+            message = self._read[sequence, ident] = Message(sender, receiver, sequence, payload)
+        return message
 
 
 class _Symmetry:
     """A kernel's quotient by the protocol's declared symmetry (see
     ``CommitProtocol``): ``classes`` are the declared chains grouped by
-    input, each of two or more, and every other chain is fixed.
+    input, each of two or more, and every other chain is fixed.  With no
+    class, a part is a record's whole fingerprint and ``between`` holds
+    every message in flight, so ``key`` equates only equal states.
 
     A state's view is ``(columns, between)``: ``between`` holds the ids of
     the messages between fixed chains, sorted, and ``columns`` first the
@@ -499,37 +504,36 @@ class _Symmetry:
         self._plans: Dict[tuple, tuple] = {}
         self._edits: Dict[tuple, int] = {}
 
-    def start(self, records: tuple) -> tuple:
-        """The view of a root state: ``records``, no message and no flag."""
-        slots = self.slots
-        columns = {chain: [self._record(records[chain])[0] << 3] for chain in self.declared}
+    def view(self, state: tuple) -> tuple:
+        """The view of ``state``, read off its records, flags and in-flight
+        messages (``_message`` holds one between fixed chains as its id);
+        ``edit`` keeps the exhaustive walk's views equal to it."""
+        records, _, idents, flags = state[:4]
+        slots, read, messages = self.slots, self._records, self._messages
+        parts = [read.get(record) or self._record(record) for record in records]
+        columns = {chain: [parts[chain][0] << 3 | flags >> 3 * chain & 7] for chain in self.declared}
         view = list(records)
         for chain in self.fixed:
-            view[slots[chain]], entries = self._record(records[chain])
+            view[slots[chain]], entries = parts[chain]
             for target, entry in entries:
                 columns[target].append(entry)
+        between = []
+        for ident in idents:
+            target, held = messages.get(ident) or self._message(ident)
+            (between if target < 0 else columns[target]).append(held)
         for chain, (head, *tail) in columns.items():
             view[slots[chain]] = self._column(head, tail)
-        return tuple(view), ()
+        return tuple(view), tuple(sorted(between))
 
-    def key(self, state: tuple) -> tuple:
-        """``Simulation.fingerprint`` of a state whose view is resolved:
-        each class's column ids are sorted, and a class's size is fixed."""
-        flags, (columns, between) = state[3], state[7]
+    def key(self, flags: int, view: tuple) -> tuple:
+        """``Simulation.fingerprint`` of a state with flag mask ``flags``
+        and view ``view``: each class's column ids are sorted, and a
+        class's size is fixed."""
+        columns, between = view
         key = [flags & self.fixed_flags, between, columns[:self.width]]
         for lo, hi in self.spans:
             key += sorted(columns[lo:hi])
         return tuple(key)
-
-    def resolve(self, view: tuple) -> tuple:
-        """The view a chain of pending edits ends in (see ``_Kernel.advance``)."""
-        pending = []
-        while len(view) > 2:
-            pending.append(view)
-            view = view[0]
-        for _, *event in reversed(pending):
-            view = self.edit(view, *event)
-        return view
 
     def edit(self, view: tuple, chain: int, old: int, new: int, removed: Optional[int],
              sent: tuple, flags: int) -> tuple:
@@ -673,15 +677,13 @@ class Simulation:
     sequence numbers and message ids in send order, a flag mask (bit 3c+k:
     chain c took the action of offset k in ``_KINDS``), the next sequence
     number, the event count, the event log as ``(previous, kind, chain,
-    sequence, message id)`` links, and the view: None without a declared
-    symmetry, else the ``_Symmetry`` view ``(columns, between)`` or, until
-    ``fingerprint`` resolves it, a pending edit ``(previous view, chain,
-    old record id, new record id, message id taken or None, message ids
-    sent, flag mask)``.  The ids index ``kernel``, shared by a root and its
-    clones, and fingerprints compare within one root's clones.  ``apply``
-    checks an action and takes it by ``_Kernel.advance``, which the
-    exhaustive walk and random trials call on bare state tuples.
-    ``nodes``, ``events`` and the like are built on demand."""
+    sequence, message id)`` links, and the view: the ``_Symmetry`` view
+    ``(columns, between)`` in the exhaustive walk's states, None in every
+    other.  The ids index ``kernel``, shared by a root and its clones, and
+    fingerprints compare within one root's clones.  ``apply`` checks an
+    action and takes it by ``_Kernel.advance``, which the exhaustive walk
+    and random trials call on bare state tuples.  ``nodes``, ``events``
+    and the like are built on demand."""
 
     __slots__ = ("kernel", "state")
 
@@ -690,9 +692,7 @@ class Simulation:
             raise ValueError(f"need {n + 1} input values, got {len(inputs)}")
         self.kernel = kernel = _Kernel(n, t, protocol, tuple(inputs))
         nodes = (NodeState(chain=BlockRef(i), local_value=value) for i, value in enumerate(inputs))
-        records = tuple(map(kernel.record, nodes))
-        view = None if kernel.symmetry is None else kernel.symmetry.start(records)
-        self.state: tuple = (records, (), (), 0, 0, 0, None, view)
+        self.state: tuple = (tuple(map(kernel.record, nodes)), (), (), 0, 0, 0, None, None)
 
     n = property(lambda self: self.kernel.n)
     t = property(lambda self: self.kernel.t)
@@ -737,17 +737,13 @@ class Simulation:
         sorted.  A column id stands for the chain's whole column: its
         record read without its index, its flag bits, and the chain-keyed
         entries and messages that tie it to the fixed chains; equal ids mean
-        equal columns.  The view is resolved here, from the parent's, and
-        kept: an event on a declared chain changes its own column only, as
-        nothing ties it to another declared chain.  Without a declared
-        symmetry the key is the record ids, the in-flight message ids
-        sorted, and the flag mask.  Sequence numbers and the event log are
-        left out."""
-        state, kernel = self.state, self.kernel
-        view = state[7]
-        if view is not None and len(view) > 2:
-            self.state = state = (*state[:7], kernel.symmetry.resolve(view))
-        return kernel.key(state)
+        equal columns.  With no class the key is the flag mask, the
+        in-flight message ids sorted and each record's part, so it names
+        the state alone.  Sequence numbers and the event log are left out.
+        The view is read off the state by ``_Symmetry.view``; the state is
+        left as it was."""
+        symmetry, state = self.kernel.symmetry, self.state
+        return symmetry.key(state[3], symmetry.view(state))
 
     def apply(self, action: ScheduleAction) -> None:
         kernel = self.kernel
@@ -944,12 +940,12 @@ def find_violation(
     schedule, depth first in canonical action order (see ``_explore``), and
     takes states that a permutation of each class of the protocol's
     declared symmetry renames into each other (see ``CommitProtocol``) as
-    one: it checks one state of each orbit, the first it reaches.  A state
-    is checked once, on its first visit, by ``_broken`` on the bits its
-    records were interned with, which flags what ``check_trace`` flags on
-    its trace and treats every chain alike, and counts once against
-    ``state_budget``, which so counts orbit representatives; only the state
-    returned becomes an ``ExecutionTrace``.  A cached state is expanded
+    one: it checks one state of each orbit, the first it reaches (with no
+    class, each state).  A state is checked once, on its first visit, by
+    ``_broken`` on the bits its records were interned with, which flags
+    what ``check_trace`` flags on its trace and treats every chain alike,
+    and counts once against ``state_budget``, which so counts orbit
+    representatives; only the state returned becomes an ``ExecutionTrace``.  A cached state is expanded
     again, not checked again, when it is reached on fewer events.  Sleep
     sets (Godefroid, LNCS 1032, 1996) skip a transition whose target
     another order of the same commuting actions covers at the same depth.
@@ -957,10 +953,10 @@ def find_violation(
     and is identified by receiver, sender and payload, not by its sequence
     number); two crashes, or two suspensions, share a budget and never do.
     Random mode runs ``trials`` seeded uniform schedules, each advancing a
-    state tuple from the root's, and checks the state each ends in.  Either
-    way one kernel serves the call, so each protocol reaction runs once per
-    record and event.  Returns the first violating trace, or None when the
-    bound is reached without one.
+    state tuple from the root's with no view, and checks the state each
+    ends in, keying none.  Either way one kernel serves the call, so each
+    protocol reaction runs once per record and event.  Returns the first
+    violating trace, or None when the bound is reached without one.
     """
     check_resilience(n, t, allow_zero=True)
     if inputs is None:
@@ -1000,10 +996,11 @@ def _explore(
     """``find_violation``'s exhaustive walk: state caching plus sleep sets,
     quotiented by the protocol's declared symmetry.
 
-    Each child is a state tuple that ``_Kernel.advance`` makes from its
-    parent's, its view edited at once; a state is wrapped in a
-    ``Simulation`` only to be checked.  The cache maps its ``fingerprint``
-    to the fewest events that reached it, not to a sleep set, and drops a
+    The root's view is read by ``_Symmetry.view``, and each child is a
+    state tuple that ``_Kernel.advance`` makes from its parent's, its view
+    edited from the parent's; a state is wrapped in a ``Simulation`` only
+    to be checked.  The cache maps a state's key, its ``fingerprint``, to
+    the fewest events that reached it, not to a sleep set, and drops a
     state reached again on as many events or more.  Equal keys mean
     states that a permutation of each class renames into each other, one
     orbit; renaming commutes with actions and keeps the root, so a
@@ -1042,15 +1039,15 @@ def _explore(
     # Option identity i (see ``_Kernel.enabled``) owns bit 1 << i, and
     # ``acts_on[c]`` holds the bits of the actions on chain c met so far.
     # ``shared[i]``: the bits a suspend or crash shares a budget with.
-    kernel = root.kernel
-    enabled, advance, key = kernel.enabled, kernel.advance, kernel.key
-    edit = getattr(kernel.symmetry, "edit", None)  # unused without a view
+    kernel, state = root.kernel, root.state
+    enabled, advance, key = kernel.enabled, kernel.advance, kernel.symmetry.key
     acts_on = [0b111 << (3 * chain) for chain in range(root.n + 1)]
     shared = [(0, kernel.suspend_bits, kernel.crash_bits)[i % 3] for i in range(len(acts_on) * 3)]
     base = len(shared)
-    seen = {root.fingerprint(): 0}
-    # Stack entries: state tuple, its view resolved; sleep set; first visit.
-    stack = [(root.state, 0, True)]
+    state = (*state[:7], kernel.symmetry.view(state))
+    seen = {key(state[3], state[7]): 0}
+    # Stack entries: state tuple with its view; sleep set; first visit.
+    stack = [(state, 0, True)]
     explored = 0
     while stack:
         state, sleep, first = stack.pop()
@@ -1078,8 +1075,8 @@ def _explore(
             if bit & sleep:
                 continue
             acts_on[chain] |= bit
-            child = advance(state, option, edit)
-            child_key = key(child)
+            child = advance(state, option)
+            child_key = key(child[3], child[7])
             known = seen.get(child_key)
             if known is None or known > events:
                 seen[child_key] = events

@@ -1,0 +1,47 @@
+"""The benchmark's traced run finds every library function it wraps.
+
+``perfbench/spans.py`` wraps the functions and methods named in its
+``SPANS`` and ``COUNTED`` tables, and a traced run stops when one is
+missing.  Installing and restoring its recorder here makes a refactor that
+moves or renames one of them fail the test suite instead.
+"""
+import importlib
+import types
+from pathlib import Path
+
+SPANS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def _load_spans() -> types.ModuleType:
+    """``perfbench/spans.py`` as a module, read from source: no bytecode is
+    written beside it and ``sys.modules`` is left alone."""
+    module = types.ModuleType("perfbench_spans")
+    module.__file__ = str(SPANS_PY)
+    exec(compile(SPANS_PY.read_text(encoding="utf-8"), str(SPANS_PY), "exec"), vars(module))
+    return module
+
+
+def _target(module_name: str, attr: str):
+    owner = importlib.import_module(module_name)
+    owner_name, _, attr_name = attr.rpartition(".")
+    if owner_name:
+        owner = getattr(owner, owner_name)
+    return vars(owner)[attr_name]
+
+
+def test_every_span_and_counted_target_is_found():
+    spans = _load_spans()
+    targets = spans.SPANS + spans.COUNTED
+    for _, module_name, _ in targets:
+        importlib.import_module(module_name)
+    before = [_target(module_name, attr) for _, module_name, attr in targets]
+    recorder = spans.Recorder()
+    try:
+        recorder.install()
+        assert all(
+            _target(module_name, attr) is not original
+            for (_, module_name, attr), original in zip(targets, before)
+        )
+    finally:
+        recorder.restore()
+    assert [_target(module_name, attr) for _, module_name, attr in targets] == before

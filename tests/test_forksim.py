@@ -395,6 +395,26 @@ class TestTraceReplay:
         assert run(2, 1, TwoPhaseCommit(), trace.schedule()) == trace
 
 
+class TestMessages:
+    def test_each_message_is_built_once(self):
+        """``in_flight``, ``events`` and ``trace`` hand out one ``Message``
+        object per delivery, however often they are read."""
+        sim = Simulation(2, 1, TwoPhaseCommit(), [Value.ONE] * 3)
+        for action in FAILURE_FREE[:4]:
+            sim.apply(action)
+        in_flight = sim.in_flight
+        assert in_flight and all(
+            sim.in_flight[seq] is message for seq, message in in_flight.items()
+        )
+        delivered = [event.message for event in sim.events if event.message is not None]
+        assert delivered and all(
+            a is b for a, b in zip(delivered, (e.message for e in sim.trace().events if e.message))
+        )
+        twin = sim.clone()
+        twin.apply(A("deliver", sequence=min(in_flight)))
+        assert twin.events[-1].message is in_flight[min(in_flight)]
+
+
 class TestChecker:
     def synthetic(self, outcome, realized, crashed=(), quiescent=True):
         return ExecutionTrace(
@@ -1027,10 +1047,10 @@ class TestDeclaredSymmetry:
 
 
 class TestEditedKey:
-    """``fingerprint``, whose view each event edits from its parent's,
-    against the renaming oracle on long random 2PC runs.  Each run has a
-    twin that takes the same actions renamed by a group member, so that
-    distinct states of one orbit meet."""
+    """``fingerprint``, whose view is read off the state, against the
+    renaming oracle on long random 2PC runs.  Each run has a twin that
+    takes the same actions renamed by a group member, so that distinct
+    states of one orbit meet."""
 
     ONE, ZERO, BOT = Value.ONE, Value.ZERO, Value.BOTTOM
 
@@ -1059,8 +1079,8 @@ class TestEditedKey:
                 twin.apply(_renamed_action(sim, twin, action, perm))
                 sim.apply(action)
                 states += [sim.clone(), twin.clone()]
-                # Some views are resolved as the run goes; the twin's and
-                # the clones' wait for several events.
+                # Keying a state reads its view and leaves the state as it
+                # was, so keying some states as the run goes changes nothing.
                 if rng.random() < 0.5:
                     sim.fingerprint()
         pairs = {
@@ -1081,6 +1101,91 @@ class TestEditedKey:
         assert trace is not None and trace.events[0].kind == "step"
         with pytest.raises(ValueError, match="declared chain 1 messages declared chain 2"):
             find_violation(2, 0, protocol, ExhaustiveMode(depth=2), suspensions=0)
+
+
+class TestOneView:
+    """Only the exhaustive walk's states carry a view, and it is the view
+    ``_Symmetry.view`` reads off the state itself; every other state carries
+    None, and keying it leaves it as it was."""
+
+    ONE, ZERO, BOT = Value.ONE, Value.ZERO, Value.BOTTOM
+
+    @staticmethod
+    def _checked(n, t, suspensions, depth, inputs, protocol):
+        """Each state the walk checks, with its kernel, over a full sweep."""
+        checked = []
+
+        def record(sim):
+            checked.append((sim.kernel, sim.state))
+            return False
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(forksim, "_violates", record)
+            assert find_violation(
+                n, t, protocol, ExhaustiveMode(depth=depth), suspensions=suspensions,
+                inputs=inputs,
+            ) is None
+        assert checked
+        for kernel, state in checked:
+            assert state[7] is not None
+            assert kernel.symmetry.view(state) == state[7]
+        return checked
+
+    @pytest.mark.parametrize("n,t,inputs,classes", [
+        (3, 1, (ONE, ONE, ONE, ONE), 1),  # class {1, 2, 3}
+        (3, 1, (ONE, ONE, ONE, ZERO), 1),  # class {1, 2}; chain 3 is fixed
+        (4, 2, (ONE, ONE, ONE, ONE, ONE), 1),  # class {1, 2, 3, 4}
+        (4, 2, (ONE, ZERO, ONE, ZERO, ONE), 2),  # classes {1, 3} and {2, 4}
+        (2, 1, (ONE, ONE, BOT), 0),  # no class: every chain is fixed
+    ])
+    def test_2pc_walk_carries_the_view_of_each_state(self, n, t, inputs, classes):
+        checked = self._checked(n, t, 1, 24, inputs, TwoPhaseCommit())
+        assert len(checked[0][0].symmetry.spans) == classes
+        assert len(checked) > 50
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_star_table_walk_carries_the_view_of_each_state(self, data):
+        self._checked(*_draw_table_run(data, StarTableProtocol))
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_undeclared_table_walk_carries_the_view_of_each_state(self, data):
+        checked = self._checked(*_draw_table_run(data))
+        assert checked[0][0].symmetry.spans == []
+
+    def test_states_outside_the_walk_carry_no_view(self):
+        views = []
+        advance = forksim._Kernel.advance
+
+        def recorded(kernel, state, option):
+            child = advance(kernel, state, option)
+            views.append(child[7])
+            return child
+
+        inputs = [self.ONE, self.ONE, self.ONE, self.ZERO]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(forksim._Kernel, "advance", recorded)
+            sim = Simulation(3, 1, TwoPhaseCommit(), inputs)
+            assert sim.state[7] is None
+            run(2, 1, TwoPhaseCommit(), SUSPEND_AFTER_VOTE)
+            # With a ZERO leg and no crash, 2PC aborts in every run.
+            assert find_violation(
+                3, 0, TwoPhaseCommit(), RandomMode(seed=3, trials=20), inputs=inputs
+            ) is None
+            assert len(views) > 100 and set(views) == {None}
+            find_violation(3, 1, TwoPhaseCommit(), ExhaustiveMode(depth=4), inputs=inputs)
+            assert None not in views[-10:]
+
+    def test_fingerprint_leaves_the_state_alone(self):
+        rng = random.Random(11)
+        sim = Simulation(4, 1, TwoPhaseCommit(), [self.ONE] * 5)
+        while sim.enabled(1):
+            sim.apply(rng.choice(sim.enabled(1)))
+            state = sim.state
+            key = sim.fingerprint()
+            assert sim.state is state and state[7] is None
+            assert sim.clone().fingerprint() == key
 
 
 def _snapshot(sim):
