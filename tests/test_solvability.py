@@ -1,4 +1,5 @@
 """Obstruction certificates and the carried simplicial map search."""
+import hashlib
 import random
 
 import pytest
@@ -261,6 +262,33 @@ class TestSearch:
                 assert claims_below == (not monotonic_oracle(restrict_to_skeleton(task, 1)))
                 if claims_below:
                     assert brute_force_depth0_map(task, 1) is None
+
+    def test_outputs_are_pinned(self, cbt_tasks, colorless_tasks):
+        # sha256 over one line per case: the verdict, node count, note and
+        # assignment, or ("budget", explored) for a search cut off by its
+        # budget.  The grid is CBT at n = 2, 3, colored then colorless, and
+        # the shared-mask then the induced-image tasks at seeds 0-39, each at
+        # t = 1 and depths 0-2; shared-mask seed 35 at depth 2 backtracks
+        # through 186,575 nodes.
+        tasks = [cases[n] for n in (2, 3) for cases in (cbt_tasks, colorless_tasks)]
+        tasks += [
+            build(random.Random(seed))
+            for build in (random_shared_mask_task, random_induced_image_task)
+            for seed in range(40)
+        ]
+        lines = []
+        for task in tasks:
+            for depth in (0, 1, 2):
+                try:
+                    r = search_carried_simplicial_map(task, 1, depth)
+                    outcome = (r.verdict, r.nodes_explored, r.note, r.assignment)
+                except ResourceBound as exc:
+                    outcome = ("budget", exc.explored)
+                lines.append(repr(outcome))
+        assert len(lines) == 252
+        assert hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest() == (
+            "7b36c72ddde23008923467896541c96fe46f143bc7db9337b527af3b95fb405f"
+        )
 
 
 class TestDecide:
