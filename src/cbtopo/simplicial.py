@@ -20,7 +20,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Dict, Iterable, Iterator, Mapping, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, Sequence, Tuple
 
 from .errors import DimensionOutOfRange, EmptyInput, MalformedSimplex, UnknownVertex
 
@@ -592,7 +592,9 @@ class SubdivisionResult:
     ``facets`` are sorted tuples of vertex numbers, in canonical order, on a
     numbering in sort-key order; ``carriers[u]`` masks, on the original
     numbering, the smallest original simplex containing vertex u.
-    ``complex`` and ``carrier_of`` are built on first access.
+    ``complex`` is built on first access.  At depth 1 or more its vertices
+    are ``SubdivisionVertex`` objects that hold their carrier as ``carrier``;
+    at depth 0 it is the original complex, each vertex carried by itself.
     """
 
     def __init__(self, original: Complex, levels: list, facets: list, carriers: list) -> None:
@@ -610,15 +612,6 @@ class SubdivisionResult:
                 for face, c in zip(faces, carriers)
             )
         return Complex._of(_Numbering(vertices), tuple(sum(1 << u for u in f) for f in self.facets))
-
-    @functools.cached_property
-    def carrier_of(self) -> Mapping[Any, Simplex]:
-        if not self._levels:
-            return {v: Simplex([v]) for v in self.complex.vertices}
-        return {u: u.carrier for u in self.complex._space.vertices}
-
-    def __iter__(self) -> Iterator[Any]:
-        return iter((self.complex, self.carrier_of))
 
 
 @functools.cache

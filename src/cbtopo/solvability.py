@@ -168,7 +168,14 @@ def _search(
     restricted: Task, n: int, t: int, depth: int, node_budget: int | None
 ) -> SolvabilityReport:
     """``search_carried_simplicial_map`` on the task restricted to the
-    t-skeleton of an input of dimension n, with t already checked."""
+    t-skeleton of an input of dimension n, with t already checked.
+
+    Each subdivided facet keeps a mask of the output facets that could
+    still hold its image.  Every narrowing of a mask goes onto one trail as
+    (facet id, old mask), and every placed vertex onto ``placed`` as (value
+    index, trail length before it).  Each step first unwinds the trail to
+    the current mark, the one place where masks are restored.
+    """
     if depth < 0:
         raise ValueError("subdivision depth must be non-negative")
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
@@ -201,17 +208,19 @@ def _search(
     order = sorted(incidence, key=lambda u: (len(domains[u]), u))
 
     candidates = [all_facets_mask] * len(sub_facets)
-    chosen: list[Any] = [None] * len(order)
-    choice_index = [0] * len(order)
-    undo_stack: list[list[tuple[int, int]]] = [[] for _ in order]
-    nodes = 0
-    level = 0
+    trail: list[tuple[int, int]] = []  # (facet id, old mask) per narrowing
+    placed: list[tuple[int, int]] = []  # (value index, trail mark) per vertex
+    mark = index = nodes = 0
     while True:
-        if level == len(order):
+        while len(trail) > mark:
+            fid, old = trail.pop()
+            candidates[fid] = old
+        if len(placed) == len(order):
             sub_vertices = subdivided.complex._space.vertices
             out_vertices = output._space.vertices
             assignment = tuple(
-                (sub_vertices[u], out_vertices[w]) for u, w in sorted(zip(order, chosen))
+                (sub_vertices[u], out_vertices[domains[u][i]])
+                for u, (i, _) in sorted(zip(order, placed))
             )
             return SolvabilityReport(
                 verdict=Verdict.MAP_FOUND,
@@ -222,61 +231,43 @@ def _search(
                 nodes_explored=nodes,
                 note=f"carried simplicial map found at subdivision depth {depth}",
             )
-        u = order[level]
-        domain = domains[u]
-        placed = False
-        while choice_index[level] < len(domain):
-            w = domain[choice_index[level]]
-            nodes += 1
-            if nodes > budget:
-                raise ResourceBound(
-                    f"carried-map search exceeded the node budget of {budget}",
-                    explored=nodes,
+        u = order[len(placed)]
+        if index == len(domains[u]):
+            if not placed:
+                note = f"no carried simplicial map exists at subdivision depth {depth}"
+                if verify_monotonic(restricted).ok:
+                    note += " or below"
+                else:
+                    note += "; the carrier map is not monotonic, so smaller depths are not covered"
+                return SolvabilityReport(
+                    verdict=Verdict.NO_MAP_UP_TO_DEPTH,
+                    n=n,
+                    t=t,
+                    depth=depth,
+                    nodes_explored=nodes,
+                    note=note,
                 )
-            w_mask = vertex_bit[w]
-            undo: list[tuple[int, int]] = []
-            feasible = True
-            for fid in incidence[u]:
-                new_mask = candidates[fid] & w_mask
-                if new_mask == 0:
-                    feasible = False
-                    break
-                if new_mask != candidates[fid]:
-                    undo.append((fid, candidates[fid]))
-                    candidates[fid] = new_mask
-            if feasible:
-                chosen[level] = w
-                undo_stack[level] = undo
-                placed = True
-                break
-            for fid, old in undo:
-                candidates[fid] = old
-            choice_index[level] += 1
-        if placed:
-            level += 1
-            if level < len(order):
-                choice_index[level] = 0
+            index, mark = placed.pop()
+            index += 1
             continue
-        level -= 1
-        if level < 0:
-            note = f"no carried simplicial map exists at subdivision depth {depth}"
-            if verify_monotonic(restricted).ok:
-                note += " or below"
-            else:
-                note += "; the carrier map is not monotonic, so smaller depths are not covered"
-            return SolvabilityReport(
-                verdict=Verdict.NO_MAP_UP_TO_DEPTH,
-                n=n,
-                t=t,
-                depth=depth,
-                nodes_explored=nodes,
-                note=note,
+        nodes += 1
+        if nodes > budget:
+            raise ResourceBound(
+                f"carried-map search exceeded the node budget of {budget}",
+                explored=nodes,
             )
-        for fid, old in undo_stack[level]:
-            candidates[fid] = old
-        undo_stack[level] = []
-        chosen[level] = None
-        choice_index[level] += 1
+        w_mask = vertex_bit[domains[u][index]]
+        for fid in incidence[u]:
+            new_mask = candidates[fid] & w_mask
+            if new_mask == 0:
+                index += 1
+                break
+            if new_mask != candidates[fid]:
+                trail.append((fid, candidates[fid]))
+                candidates[fid] = new_mask
+        else:
+            placed.append((index, mark))
+            mark, index = len(trail), 0
 
 
 def decide(task: Task, t: int, max_depth: int) -> SolvabilityReport:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import itertools
+import math
 from collections import Counter, deque
 from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
@@ -56,13 +57,19 @@ def cx(*facets: Iterable[Any]) -> Complex:
 # ---------------------------------------------------------------------------
 
 
-def bfs_components(complex_: Complex) -> list[frozenset]:
-    """Connected components via BFS over the 1-skeleton, no union-find."""
+def _adjacency(complex_: Complex) -> Dict[Any, set]:
+    """The neighbours of each vertex in the 1-skeleton."""
     adjacency: Dict[Any, set] = {v: set() for v in complex_.vertices}
     for edge in complex_.simplices_of_dim(1):
         u, v = edge.vertices
         adjacency[u].add(v)
         adjacency[v].add(u)
+    return adjacency
+
+
+def bfs_components(complex_: Complex) -> list[frozenset]:
+    """Connected components via BFS over the 1-skeleton, no union-find."""
+    adjacency = _adjacency(complex_)
     seen: set = set()
     parts: list[frozenset] = []
     for start in complex_.vertices:
@@ -116,6 +123,50 @@ def brute_force_depth0_map(task: Task, t: int) -> Optional[Dict[Any, Vertex]]:
         ):
             return assign
     return None
+
+
+def edge_distances(complex_: Complex) -> Dict[Any, Dict[Any, int]]:
+    """Hop distance between every pair of connected vertices, by BFS over
+    the 1-skeleton; vertices in different components are left out."""
+    adjacency = _adjacency(complex_)
+    distances: Dict[Any, Dict[Any, int]] = {}
+    for start in complex_.vertices:
+        hops = distances[start] = {start: 0}
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for w in adjacency[u] - hops.keys():
+                hops[w] = hops[u] + 1
+                queue.append(w)
+    return distances
+
+
+def t1_map_exists(task: Task, depth: int) -> bool:
+    """Exact answer, at t = 1, to whether a carried simplicial map exists
+    from the ``depth``-fold subdivision of the input's 1-skeleton.
+
+    Subdividing an input edge uv ``depth`` times gives a path of 2**depth
+    edges whose inner vertices are carried by uv, so a map exists exactly
+    when every input vertex v can take an f(v) among the vertices of Δ(v)
+    such that, for every edge uv, f(u) and f(v) lie within 2**depth edges
+    of each other in the 1-skeleton of Δ(uv).  The distance is infinite when
+    either is not a vertex of Δ(uv).  The f(v) are enumerated as a product.
+    """
+    restricted = restrict_to_skeleton(task, 1)
+    vertices = restricted.input.vertices
+    reach = {
+        edge.vertices: edge_distances(restricted.carrier[edge])
+        for edge in restricted.input.simplices_of_dim(1)
+    }
+    domains = [restricted.carrier[Simplex([v])].vertices for v in vertices]
+    for choice in itertools.product(*domains):
+        f = dict(zip(vertices, choice))
+        if all(
+            distances.get(f[u], {}).get(f[v], math.inf) <= 2**depth
+            for (u, v), distances in reach.items()
+        ):
+            return True
+    return False
 
 
 def maximal_facets(facets: Iterable[Iterable[Any]]) -> set[frozenset]:
@@ -237,12 +288,13 @@ def assignment_is_valid(
 ) -> bool:
     """Re-verify a reported carried simplicial map from scratch."""
     restricted = restrict_to_skeleton(task, t)
-    subdivided, carrier_of = barycentric_subdivide(restricted.input, depth)
+    subdivided = barycentric_subdivide(restricted.input, depth).complex
     mapping = dict(assignment)
     if set(mapping) != set(subdivided.vertices):
         return False
     for u, w in mapping.items():
-        if w not in restricted.carrier[carrier_of[u]].vertex_set:
+        carrier = u.carrier if depth else Simplex([u])
+        if w not in restricted.carrier[carrier].vertex_set:
             return False
     output_facet_sets = [f.vertex_set for f in task.output.facets]
     for facet in subdivided.facets:

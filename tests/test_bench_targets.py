@@ -1,15 +1,21 @@
-"""The benchmark's traced run finds every library function it wraps.
+"""The benchmark still runs against the library.
 
 ``perfbench/spans.py`` wraps the functions and methods named in its
 ``SPANS`` and ``COUNTED`` tables, and a traced run stops when one is
 missing.  Installing and restoring its recorder here makes a refactor that
-moves or renames one of them fail the test suite instead.
+moves or renames one of them fail the test suite instead.  The benchmark's
+own unit tests run here too, since they call the library through its CLI
+and re-check the verdicts it prints.
 """
 import importlib
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
-SPANS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS_PY = ROOT / "perfbench" / "spans.py"
 
 
 def _load_spans() -> types.ModuleType:
@@ -45,3 +51,16 @@ def test_every_span_and_counted_target_is_found():
     finally:
         recorder.restore()
     assert [_target(module_name, attr) for _, module_name, attr in targets] == before
+
+
+def test_perfbench_unit_tests_pass():
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "-m", "unittest", "discover", "-s", "perfbench"],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert done.returncode == 0, done.stderr[-4000:]

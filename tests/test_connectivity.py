@@ -118,7 +118,7 @@ class TestReducedBetti:
         a, b = verts(2)
         cases = [circle, cx([a, b]), cx([a], [b])]
         for k in cases:
-            sub, _ = barycentric_subdivide(k, depth)
+            sub = barycentric_subdivide(k, depth).complex
             d = min(k.dimension, 1)
             assert (
                 reduced_betti(sub, min(sub.dimension, 1) if sub.dimension else 0).reduced_betti[: d + 1]

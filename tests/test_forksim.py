@@ -443,6 +443,29 @@ class TestChecker:
         )
         kinds = [v.kind for v in check_trace(trace).violations]
         assert "atomicity" not in kinds
+        # Δ counts the crashed chain's decision, so the run is outside it.
+        assert not carrier_allows(trace.outcome, trace.realized)
+
+    def test_crashed_chain_gap_is_reached_by_a_run(self):
+        # Agreement leaves crashed chains out, but Δ counts them: chain 1
+        # decides abort, crashes, and the live chains commit.
+        class SplitStart(CommitProtocol):
+            name = "split-start"
+
+            def on_start(self, node, n):
+                node.decide(Value.ZERO if node.index == 1 else Value.ONE)
+                return []
+
+            def on_message(self, node, sender, payload, n):
+                return []
+
+        schedule = [A("step", 0), A("step", 1), A("crash", 1), A("step", 2)]
+        inputs = (Value.ONE, Value.ZERO, Value.ONE)
+        trace = run(2, 1, SplitStart(), schedule, inputs=inputs)
+        assert trace.outcome == (Value.ONE, Value.ZERO, Value.ONE)
+        assert trace.crashed == {1}
+        assert check_trace(trace).violations == ()
+        assert not carrier_allows(trace.outcome, trace.realized)
 
     def test_commit_against_suspension(self):
         trace = self.synthetic(

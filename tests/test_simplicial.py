@@ -312,10 +312,10 @@ class TestSubdivision:
     def test_depth_zero_is_identity_with_singleton_carriers(self, abc):
         a, b, c = abc
         k = cx([a, b, c])
-        sub, carrier_of = barycentric_subdivide(k, 0)
-        assert sub is k
-        assert carrier_of[a] == sx(a)
-        assert set(carrier_of) == set(k.vertices)
+        result = barycentric_subdivide(k, 0)
+        assert result.complex is k
+        on_original = [{v for j, v in enumerate(k.vertices) if m >> j & 1} for m in result.carriers]
+        assert on_original == [{v} for v in k.vertices]
 
     def test_negative_depth_rejected(self, abc):
         a, b, c = abc
@@ -325,18 +325,18 @@ class TestSubdivision:
     @pytest.mark.parametrize("l", [1, 2, 3])
     def test_one_round_facet_count_is_factorial(self, l):
         k = full_simplex_complex(l)
-        sub, _ = barycentric_subdivide(k, 1)
+        sub = barycentric_subdivide(k, 1).complex
         assert len(sub.facets) == math.factorial(l + 1)
         # one barycenter per original simplex
         assert len(sub.vertices) == 2 ** (l + 1) - 1
 
     def test_one_round_of_triangle_f_vector(self):
-        sub, _ = barycentric_subdivide(full_simplex_complex(2), 1)
+        sub = barycentric_subdivide(full_simplex_complex(2), 1).complex
         assert sub.f_vector == (7, 12, 6)
         assert sub.euler_characteristic == 1
 
     def test_facets_are_nested_chains(self):
-        sub, _ = barycentric_subdivide(full_simplex_complex(2), 1)
+        sub = barycentric_subdivide(full_simplex_complex(2), 1).complex
         for facet in sub.facets:
             belows = sorted((u.below for u in facet), key=lambda s: s.dim)
             assert [s.dim for s in belows] == [0, 1, 2]
@@ -345,22 +345,22 @@ class TestSubdivision:
 
     def test_level_one_carriers_are_the_subdivided_simplex(self):
         k = full_simplex_complex(2)
-        sub, carrier_of = barycentric_subdivide(k, 1)
-        for u in sub.vertices:
+        result = barycentric_subdivide(k, 1)
+        for u, mask in zip(result.complex.vertices, result.carriers):
             assert u.carrier == u.below
-            assert carrier_of[u] == u.carrier
+            assert {v for j, v in enumerate(k.vertices) if mask >> j & 1} == u.carrier.vertex_set
             assert k.contains(u.carrier)
 
     def test_level_two_carriers_join_their_chain(self):
         k = full_simplex_complex(2)
-        sub, carrier_of = barycentric_subdivide(k, 2)
+        sub = barycentric_subdivide(k, 2).complex
         for u in sub.vertices:
             assert u.level == 2
             expected = set()
             for w in u.below:
                 expected |= w.carrier.vertex_set
-            assert carrier_of[u].vertex_set == expected
-            assert k.contains(carrier_of[u])
+            assert u.carrier.vertex_set == expected
+            assert k.contains(u.carrier)
 
     @pytest.mark.parametrize("depth", [1, 2])
     def test_euler_and_components_preserved(self, depth):
@@ -372,20 +372,20 @@ class TestSubdivision:
             cx([a, b, c], [c, d]),       # triangle with a whisker
         ]
         for k in samples:
-            sub, _ = barycentric_subdivide(k, depth)
+            sub = barycentric_subdivide(k, depth).complex
             assert sub.euler_characteristic == k.euler_characteristic
             assert len(bfs_components(sub)) == len(bfs_components(k))
 
     def test_depth_two_counts_compound(self):
         # each round multiplies facet count by (dim+1)! for a pure complex
         k = full_simplex_complex(2)
-        sub, _ = barycentric_subdivide(k, 2)
+        sub = barycentric_subdivide(k, 2).complex
         assert len(sub.facets) == 6 * 6
 
     def test_subdivision_vertices_know_their_level(self):
-        sub1, _ = barycentric_subdivide(full_simplex_complex(1), 1)
+        sub1 = barycentric_subdivide(full_simplex_complex(1), 1).complex
         assert {u.level for u in sub1.vertices} == {1}
-        sub2, _ = barycentric_subdivide(full_simplex_complex(1), 2)
+        sub2 = barycentric_subdivide(full_simplex_complex(1), 2).complex
         assert {u.level for u in sub2.vertices} == {2}
 
 
@@ -409,16 +409,15 @@ class TestSubdivisionKernel:
         rng = random.Random(20261018 + depth)
         for k in self._random_complexes(rng, top):
             result = barycentric_subdivide(k, depth)
-            sub, carrier_of = result
+            sub = result.complex
             # Oracle vertices compare by (below, carrier, level), so equal
             # facets also check every vertex's carrier.
             assert {f.vertex_set for f in sub.facets} == subdivision_oracle(
                 (f.vertices for f in k.facets), depth
             )
-            assert set(carrier_of) == set(sub.vertices)
+            assert len(result.carriers) == len(sub.vertices)
             for i, u in enumerate(sub.vertices):
                 assert u.level == depth
-                assert carrier_of[u] == u.carrier
                 on_original = {v for j, v in enumerate(k.vertices) if result.carriers[i] >> j & 1}
                 assert on_original == u.carrier.vertex_set
             assert list(sub.vertices) == sorted(sub.vertices, key=lambda v: v.sort_key())
@@ -429,11 +428,11 @@ class TestSubdivisionKernel:
 
     def test_lone_vertex_is_its_own_barycenter(self):
         a, b, c, d = (vtx(i, "0") for i in range(4))
-        sub, carrier_of = barycentric_subdivide(cx([a, b, c], [d]), 2)
+        sub = barycentric_subdivide(cx([a, b, c], [d]), 2).complex
         lone = [f for f in sub.facets if len(f) == 1]
         assert len(lone) == 1
         (u,) = lone[0]
-        assert carrier_of[u] == sx(d)
+        assert u.carrier == sx(d)
         assert u.below.vertices[0].below == sx(d)
 
 
@@ -538,11 +537,11 @@ def test_euler_matches_direct_enumeration(k):
 @settings(max_examples=40)
 @given(_complexes())
 def test_subdivision_preserves_euler_and_components(k):
-    sub, carrier_of = barycentric_subdivide(k, 1)
+    sub = barycentric_subdivide(k, 1).complex
     assert sub.euler_characteristic == k.euler_characteristic
     assert len(bfs_components(sub)) == len(bfs_components(k))
     for u in sub.vertices:
-        assert k.contains(carrier_of[u])
+        assert k.contains(u.carrier)
 
 
 def test_random_complexes_share_counts_with_oracle():
@@ -619,7 +618,7 @@ def test_shared_and_separate_numberings_match_oracle(k, data):
 @settings(max_examples=30)
 @given(_complexes(), st.data())
 def test_subdivision_complexes_match_oracle(k, data):
-    sub, _ = barycentric_subdivide(k, 1)
+    sub = barycentric_subdivide(k, 1).complex
     closure = closure_oracle(subdivision_facets_oracle((f.vertices for f in k.facets), sub.vertices))
     wanted = data.draw(st.sets(st.sampled_from(sub.vertices), min_size=1))
     d = data.draw(st.integers(min_value=0, max_value=sub.dimension))

@@ -29,6 +29,7 @@ from helpers import (
     random_shared_mask_task,
     split_vote_task,
     sx,
+    t1_map_exists,
     vtx,
 )
 
@@ -241,6 +242,22 @@ class TestSearch:
         # The carrier map is monotonic, so a map at depth 0 persists at depth 1.
         if shallow.verdict is Verdict.MAP_FOUND:
             assert deep.verdict is Verdict.MAP_FOUND
+
+    def test_shared_mask_tasks_agree_with_exact_t1_oracle(self):
+        # Shared-mask images are induced and the carrier map is monotonic, so
+        # the search's rule, each subdivided facet inside an output simplex,
+        # is exact there.  Seed 99 at depth 2 backtracks past the budget.
+        over_budget = []
+        for seed in range(150):
+            task = random_shared_mask_task(random.Random(seed))
+            for depth in (0, 1, 2):
+                try:
+                    report = search_carried_simplicial_map(task, 1, depth, node_budget=200_000)
+                except ResourceBound:
+                    over_budget.append((seed, depth))
+                    continue
+                assert (report.verdict is Verdict.MAP_FOUND) == t1_map_exists(task, depth)
+        assert over_budget in ([], [(99, 2)])
 
     def test_non_monotonic_task_claims_its_depth_alone(self):
         # A map exists at depth 0 but none at depth 1, so "or below" is false.
