@@ -1,5 +1,6 @@
 """Fork-suspension simulator: schedules, protocol, checker, exploration."""
 import copy
+import hashlib
 import itertools
 import random
 
@@ -597,6 +598,33 @@ class TestFindViolation:
         with pytest.raises(TypeError):
             find_violation(2, 1, TwoPhaseCommit(), mode="exhaustive")
 
+    def test_outputs_are_pinned(self):
+        # sha256 over one line per case, the trace and its report: 2PC at
+        # n = 2..5 and every legal t, all legs ONE or one ZERO or BOTTOM leg
+        # at each position, 0 or 1 suspensions, exhaustive at depth 24 and
+        # random seeds 0-2 with 60 trials each: 832 cases.
+        lines = []
+        for n in (2, 3, 4, 5):
+            for t in range((n + 2) // 2):
+                legs = [(Value.ONE, 0)] + [
+                    (leg, p) for p in range(n + 1) for leg in (Value.ZERO, Value.BOTTOM)
+                ]
+                for suspensions, (leg, position) in itertools.product((0, 1), legs):
+                    inputs = [Value.ONE] * (n + 1)
+                    inputs[position] = leg
+                    modes = [ExhaustiveMode(depth=24)]
+                    modes += [RandomMode(seed=seed, trials=60) for seed in range(3)]
+                    for mode in modes:
+                        trace = find_violation(
+                            n, t, TwoPhaseCommit(), mode, suspensions=suspensions, inputs=inputs
+                        )
+                        report = None if trace is None else check_trace(trace)
+                        lines.append(repr((trace, report)))
+        assert len(lines) == 832
+        assert hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest() == (
+            "30ee09048a73b6d72082f873782abde0c72242e6e3d8521bad7332e3a6f3e56d"
+        )
+
 
 class DetourProtocol(CommitProtocol):
     """Two chains whose handshake state S is reached on three events, or on
@@ -744,7 +772,9 @@ class TestExhaustiveAgainstOracle:
         assert hunt() is not None
         assert len(orbits) == 72
         _assert_sweep_checks_each_once(hunt, orbits, key=orbit_of)
-        for n, t, count in ((4, 2, 1984), (5, 2, 3133)):
+        for n, t, count in (
+            (3, 1, 537), (4, 2, 1984), (5, 2, 3133), (6, 2, 4542), (7, 3, 11353)
+        ):
             checked = []
 
             def record(sim):
