@@ -472,9 +472,10 @@ class _Symmetry:
     equal exactly when the columns are.  As no message or record ties two
     declared chains (``_record`` and ``_message`` refuse one), the columns
     hold the whole state, so renaming within a class permutes columns and
-    nothing else (Ip & Dill, FMSD 9, 1996).  For the same reason an event
-    on a declared chain changes only its own column: its record, its flag
-    bits, the message it takes and those it sends are all read there.  An
+    nothing else (Ip & Dill, FMSD 9, 1996): swapping two chains of a class
+    with equal column ids fixes the view (``twin``).  For the same reason an
+    event on a declared chain changes only its own column: its record, its
+    flag bits, the message it takes and those it sends are all read there.  An
     event on a fixed chain changes its part, ``between``, and the columns
     its chain-keyed entries and messages name.  ``_records`` and
     ``_messages`` hold what a view reads of each record and message id,
@@ -490,9 +491,10 @@ class _Symmetry:
         self.fixed = [chain for chain in range(kernel.n + 1) if chain not in self.declared]
         self.fixed_flags = sum(7 << 3 * chain for chain in self.fixed)
         self.width = width = len(self.fixed)
-        self.spans = []
+        self.spans, self._class = [], {}  # a declared chain's class: its span's start
         for chains in classes:
             self.spans.append((width, width + len(chains)))
+            self._class.update(dict.fromkeys(chains, width))
             width += len(chains)
         order = self.fixed + [chain for chains in classes for chain in chains]
         self.slots = [order.index(chain) for chain in range(len(order))]
@@ -534,6 +536,22 @@ class _Symmetry:
         for lo, hi in self.spans:
             key += sorted(columns[lo:hi])
         return tuple(key)
+
+    def twin(self, state: tuple, option: tuple) -> Optional[tuple]:
+        """The twin key of ``option`` at ``state``, a state with a view, or
+        None for one on no declared chain: the chain's class, a tag for a
+        step, suspend or crash, its offset or the message's part at its
+        declared end, and the chain's column id.  The swap of two chains of
+        a class with equal columns maps an option to its twin and fixes the
+        view, so twins' children are one orbit."""
+        _, chain, identity, at = option
+        if at is None:
+            what = identity % 3
+        else:
+            ident = state[2][at]
+            chain, what = self._messages.get(ident) or self._message(ident)
+        cls = self._class.get(chain)
+        return None if cls is None else (cls, at is None, what, state[7][0][self.slots[chain]])
 
     def edit(self, view: tuple, chain: int, old: int, new: int, removed: Optional[int],
              sent: tuple, flags: int) -> tuple:
@@ -941,12 +959,14 @@ def find_violation(
     takes states that a permutation of each class of the protocol's
     declared symmetry renames into each other (see ``CommitProtocol``) as
     one: it checks one state of each orbit, the first it reaches (with no
-    class, each state).  A state is checked once, on its first visit, by
-    ``_broken`` on the bits its records were interned with, which flags
-    what ``check_trace`` flags on its trace and treats every chain alike,
-    and counts once against ``state_budget``, which so counts orbit
-    representatives; only the state returned becomes an ``ExecutionTrace``.  A cached state is expanded
-    again, not checked again, when it is reached on fewer events.  Sleep
+    class, each state), and of options alike on chains of one class that
+    read alike it takes the first.  A state is checked once, on its first
+    visit, by ``_broken`` on the bits its records were interned with, which
+    flags what ``check_trace`` flags on its trace and treats every chain
+    alike, and counts once against ``state_budget``, which so counts orbit
+    representatives; only the state returned becomes an ``ExecutionTrace``.
+    A cached state is expanded again, not checked again, when it is reached
+    on fewer events.  Sleep
     sets (Godefroid, LNCS 1032, 1996) skip a transition whose target
     another order of the same commuting actions covers at the same depth.
     Actions on different chains commute (a delivery acts on its receiver
@@ -1019,7 +1039,12 @@ def _explore(
        before those of c's later siblings start.  Siblings are marked first
        to last so that the earlier one wins: a later sibling kept for both
        would carry the earlier one's action asleep, and the orbit it
-       stands for would lose the runs that start with that action.
+       stands for would lose the runs that start with that action.  A
+       twin of an option advanced at E (``_Symmetry.twin``) is dropped so
+       unadvanced: swapping its chain and the other's, of one class with
+       equal columns, fixes E's view, so as reactions are equivariant the
+       two children are one orbit (Ip & Dill, and Emerson & Sistla, both
+       FMSD 9, 1996).
     3. By induction on finishing time: for a dist-entry E at x and a path
        a.w from x that stays shortest and within the bound, a renaming of
        x.a.w gets a dist-entry.  If a is taken at E, recurse into E's
@@ -1041,6 +1066,7 @@ def _explore(
     # ``shared[i]``: the bits a suspend or crash shares a budget with.
     kernel, state = root.kernel, root.state
     enabled, advance, key = kernel.enabled, kernel.advance, kernel.symmetry.key
+    twin_of = kernel.symmetry.twin
     acts_on = [0b111 << (3 * chain) for chain in range(root.n + 1)]
     shared = [(0, kernel.suspend_bits, kernel.crash_bits)[i % 3] for i in range(len(acts_on) * 3)]
     base = len(shared)
@@ -1065,16 +1091,22 @@ def _explore(
         if events > depth:
             continue
         # Taken actions join the sleep sets of later siblings they commute
-        # with; an identity already taken here (a twin message) is skipped.
+        # with; an identity already taken here (a duplicate message) is
+        # skipped, and a twin of an advanced option is taken unadvanced.
         # Children are marked in ``seen`` first to last, so of two siblings
         # in one orbit the first is kept (step 2 of the docstring).
-        kept = []
+        kept, taken = [], set()
         for option in enabled(state, suspensions):
             _, chain, identity, _ = option
             bit = 1 << identity
             if bit & sleep:
                 continue
             acts_on[chain] |= bit
+            sleep |= bit
+            twin = twin_of(state, option)
+            if twin is not None and twin in taken:
+                continue
+            taken.add(twin)
             child = advance(state, option)
             child_key = key(child[3], child[7])
             known = seen.get(child_key)
@@ -1086,7 +1118,6 @@ def _explore(
                     conflicts = acts_on[chain] | (shared[identity] if identity < base else 0)
                     child_sleep = sleep & ~conflicts
                 kept.append((child, child_sleep, known is None))
-            sleep |= bit
         # Pushed last to first, so a child is expanded only after the
         # subtrees of the siblings in its sleep set.
         kept.reverse()

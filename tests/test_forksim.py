@@ -1241,6 +1241,138 @@ class TestOneView:
             assert sim.clone().fingerprint() == key
 
 
+class TestTwins:
+    """The walk advances one option of each set of twins (``_Symmetry.twin``):
+    options alike on chains of one class with equal columns."""
+
+    ONE, ZERO = Value.ONE, Value.ZERO
+
+    @staticmethod
+    def _twins_have_one_orbit(n, t, suspensions, depth, inputs, protocol):
+        """Over a full sweep, at each expanded state: the walk advances the
+        options it keys by ``twin`` (the ones not asleep) but those whose
+        twin key an advanced one shares, and options that share a twin key
+        have children with one key.  Returns how many sets of two or more
+        options shared one."""
+        expanded = []  # kernel, state, options keyed with their keys, options advanced
+
+        def expand(kernel, state, max_suspensions):
+            expanded.append((kernel, state, [], []))
+            return enabled(kernel, state, max_suspensions)
+
+        def twin(symmetry, state, option):
+            key = twin_of(symmetry, state, option)
+            assert state is expanded[-1][1]
+            expanded[-1][2].append((key, option))
+            return key
+
+        def recorded(kernel, state, option):
+            assert state is expanded[-1][1]
+            expanded[-1][3].append(option)
+            return advance(kernel, state, option)
+
+        enabled, twin_of = forksim._Kernel.enabled, forksim._Symmetry.twin
+        advance = forksim._Kernel.advance
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(forksim, "_violates", lambda sim: False)
+            patch.setattr(forksim._Kernel, "enabled", expand)
+            patch.setattr(forksim._Kernel, "advance", recorded)
+            patch.setattr(forksim._Symmetry, "twin", twin)
+            assert find_violation(
+                n, t, protocol, ExhaustiveMode(depth=depth), suspensions=suspensions,
+                inputs=inputs,
+            ) is None
+        sets = 0
+        for kernel, state, keyed, advanced in expanded:
+            by_key = {}
+            for key, option in keyed:
+                by_key.setdefault(key, []).append(option)
+            assert advanced == [
+                option for key, option in keyed if key is None or by_key[key][0] is option
+            ]
+            for key, options in by_key.items():
+                if key is not None and len(options) > 1:
+                    sets += 1
+                    children = [advance(kernel, state, option) for option in options]
+                    assert len({kernel.symmetry.key(c[3], c[7]) for c in children}) == 1
+        # With a class, the root's start steps on it are twins; with none,
+        # no option has a twin key.
+        spans = expanded[0][0].symmetry.spans
+        assert (sets > 0) == bool(spans)
+        assert spans or all(key is None for _, _, keyed, _ in expanded for key, _ in keyed)
+        return sets
+
+    @pytest.mark.parametrize(
+        "n,t,depth,suspensions,position,leg", list(_trace_identity_grid())
+    )
+    def test_2pc_twins_have_one_orbit(self, n, t, depth, suspensions, position, leg):
+        inputs = [Value.ONE] * (n + 1)
+        inputs[position] = leg
+        self._twins_have_one_orbit(n, t, suspensions, depth, inputs, TwoPhaseCommit())
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_star_table_twins_have_one_orbit(self, data):
+        n, t, suspensions, depth, inputs, protocol = _draw_table_run(data, StarTableProtocol)
+        self._twins_have_one_orbit(n, t, suspensions, depth, inputs, protocol)
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_undeclared_table_has_no_twins(self, data):
+        assert self._twins_have_one_orbit(*_draw_table_run(data)) == 0
+
+    def test_all_one_n5_root_takes_one_participant_step(self):
+        """The five participants' start steps at the root are twins, as are
+        their suspensions: the root advances chain 0's and chain 1's."""
+        taken = []
+        advance = forksim._Kernel.advance
+
+        def recorded(kernel, state, option):
+            taken.append(option[:2])
+            return advance(kernel, state, option)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(forksim._Kernel, "advance", recorded)
+            assert find_violation(5, 0, TwoPhaseCommit(), ExhaustiveMode(depth=1)) is None
+        assert taken == [("step", 0), ("step", 1), ("suspend", 0), ("suspend", 1)]
+
+    @staticmethod
+    def _assert_not_twins(sim, options):
+        """``options`` at ``sim``'s state, with its view: their twin keys
+        differ, and so do their children's keys.  Returns the state."""
+        kernel, symmetry = sim.kernel, sim.kernel.symmetry
+        state = (*sim.state[:7], symmetry.view(sim.state))
+        assert len({symmetry.twin(state, option) for option in options}) == len(options)
+        children = [kernel.advance(state, option) for option in options]
+        assert len({symmetry.key(c[3], c[7]) for c in children}) == len(options)
+        return state
+
+    def test_equal_columns_in_two_classes_are_not_twins(self):
+        """Chains 1 and 3, of the classes {1, 2} and {3, 4}, read alike once
+        both are suspended, but a start step on one or the other reaches
+        two orbits."""
+        sim = Simulation(4, 0, TwoPhaseCommit(), [self.ONE] * 3 + [self.ZERO] * 2)
+        sim.apply(A("suspend", 1))
+        sim.apply(A("suspend", 3))
+        steps = [sim.kernel.options[3 * chain] for chain in (1, 3)]
+        columns = self._assert_not_twins(sim, steps)[7][0]
+        slots = sim.kernel.symmetry.slots
+        assert columns[slots[1]] == columns[slots[3]]
+
+    def test_a_local_action_is_never_a_delivery_twin(self):
+        """Each participant's start step sends it a message, the first
+        message part interned: its id is 2, a crash's offset, yet crashing
+        a participant and delivering its message are not twins."""
+        table = {("init", "start"): ("init", [(0, "x")], False, None)}
+        sim = Simulation(2, 1, StarTableProtocol(table), [self.ONE] * 3)
+        sim.apply(A("step", 1))
+        sim.apply(A("step", 2))
+        deliver, crash = [o for o in sim.kernel.enabled(sim.state, 0) if o[1] == 1]
+        assert (deliver[0], crash[0]) == ("deliver", "crash")
+        state = self._assert_not_twins(sim, [deliver, crash])
+        assert sim.kernel.symmetry._messages[state[2][deliver[3]]] == (1, crash[2] % 3)
+
+
 def _snapshot(sim):
     return sim.fingerprint(), sim.trace(), copy.deepcopy([vars(node) for node in sim.nodes])
 
