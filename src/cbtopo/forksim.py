@@ -324,10 +324,10 @@ class _Kernel:
     "crash", "suspend" or a message id) to the new record id and the ids of
     the messages sent.  ``enabled`` lists a state's options and ``advance``
     takes one: the one transition of ``Simulation.apply``, the exhaustive
-    walk and random trials.  ``symmetry`` is the quotient by the
-    protocol's declared symmetry, with no class when it declares no two
-    chains alike with equal inputs.  ``message`` builds each ``Message``
-    a read asks for once."""
+    walk and random trials; ``quiescent`` asks it of a state.
+    ``symmetry`` is the quotient by the protocol's declared symmetry, with
+    no class when it declares no two chains alike with equal inputs.
+    ``message`` builds each ``Message`` a read asks for once."""
 
     def __init__(self, n: int, t: int, protocol: CommitProtocol, inputs: tuple) -> None:
         self.n, self.t, self.protocol, self.inputs = n, t, protocol, inputs
@@ -444,6 +444,15 @@ class _Kernel:
             view = self.symmetry.edit(view, chain, old, record, removed, sent, flags)
         return records, sequences, idents, flags, sequence, count + 1, log, view
 
+    def quiescent(self, state: tuple) -> bool:
+        """No runnable start step in ``state`` and no message deliverable
+        to a live node."""
+        _, _, idents, flags = state[:4]
+        steps = self.step_bits  # every chain started or crashed
+        return (flags | flags >> 2) & steps == steps and all(
+            flags >> (3 * self.messages[i][0] + 2) & 1 for i in idents
+        )
+
     def message(self, sequence: int, ident: int) -> Message:
         message = self._read.get((sequence, ident))
         if message is None:
@@ -455,48 +464,47 @@ class _Kernel:
 class _Symmetry:
     """A kernel's quotient by the protocol's declared symmetry (see
     ``CommitProtocol``): ``classes`` are the declared chains grouped by
-    input, each of two or more, and every other chain is fixed.  With no
-    class, a part is a record's whole fingerprint and ``between`` holds
-    every message in flight, so ``key`` equates only equal states.
+    input, each of two or more, and every other chain is fixed.
 
-    A state's view is ``(columns, between)``: ``between`` holds the ids of
-    the messages between fixed chains, sorted, and ``columns`` first the
-    fixed chains' parts, each of the record read without its chain-keyed
-    entries for declared chains, then each class's chains' column ids, in
-    the order of ``slots`` (a chain's position) and ``spans`` (a class's
-    positions).  A column starts with the chain's record, read without
-    its index, and its flag bits, followed, sorted, by what the fixed
-    chains' chain-keyed dicts hold for it and the messages it sends or
-    receives, each marked with the fixed other end.  Key parts and columns
-    are interned as ints in ``_parts`` and ``_columns``, so two ids are
-    equal exactly when the columns are.  As no message or record ties two
-    declared chains (``_record`` and ``_message`` refuse one), the columns
-    hold the whole state, so renaming within a class permutes columns and
-    nothing else (Ip & Dill, FMSD 9, 1996): swapping two chains of a class
-    with equal column ids fixes the view (``twin``).  For the same reason an
-    event on a declared chain changes only its own column: its record, its
-    flag bits, the message it takes and those it sends are all read there.  An
-    event on a fixed chain changes its part, ``between``, and the columns
-    its chain-keyed entries and messages name.  ``_records`` and
+    A state's view is one column id per chain, in the order of ``slots``
+    (a chain's position): the fixed chains first, then each class's chains
+    at the positions of its ``spans`` entry.  A column starts with its
+    head, the chain's record part shifted left by three bits and ORed
+    with its flag bits, followed, sorted, by the parts the chain holds
+    apart from its record: for a declared chain, what the fixed chains'
+    chain-keyed dicts hold for it and the messages it sends or receives,
+    each marked with the fixed other end; for a fixed chain, the messages
+    it receives from fixed chains, each marked with the sender.  Parts
+    and columns are interned as ints in ``_parts`` and ``_columns``, so
+    two ids are equal exactly when the columns are.  ``key`` leaves the
+    fixed chains' columns in place and sorts each class's: a fixed chain
+    is a column that is never sorted, and with no class the key names the
+    state alone.
+
+    As no message or record ties two declared chains (``_record`` and
+    ``_message`` refuse one), the columns hold the whole state, so
+    renaming within a class permutes its columns and nothing else (Ip &
+    Dill, FMSD 9, 1996): swapping two chains of a class with equal column
+    ids fixes the view (``twin``).  An event changes the acting chain's
+    column, and those its chain-keyed entries and messages name; on a
+    declared chain, that is its own column alone.  ``_records`` and
     ``_messages`` hold what a view reads of each record and message id,
-    and ``_plans`` what an event on a fixed chain changes.  ``_edits`` maps
-    a declared chain's event, as (column, new record, flag bits, message
-    taken, messages sent), and a change to a column, as (column, parts
-    lost, parts gained), to the new column."""
+    ``_plans`` what an event changes, and ``_edits`` maps a change to a
+    column, as (column, new head or None, parts lost, parts gained), to
+    the new column."""
 
     def __init__(self, kernel: _Kernel, classes: List[List[int]]) -> None:
         self.kernel = kernel
         self.keyed = kernel.protocol.chain_keyed
         self.declared = frozenset(chain for chains in classes for chain in chains)
-        self.fixed = [chain for chain in range(kernel.n + 1) if chain not in self.declared]
-        self.fixed_flags = sum(7 << 3 * chain for chain in self.fixed)
-        self.width = width = len(self.fixed)
+        fixed = [chain for chain in range(kernel.n + 1) if chain not in self.declared]
+        self.width = width = len(fixed)
         self.spans, self._class = [], {}  # a declared chain's class: its span's start
         for chains in classes:
             self.spans.append((width, width + len(chains)))
             self._class.update(dict.fromkeys(chains, width))
             width += len(chains)
-        order = self.fixed + [chain for chains in classes for chain in chains]
+        order = fixed + [chain for chains in classes for chain in chains]
         self.slots = [order.index(chain) for chain in range(len(order))]
         self._parts: Dict[tuple, int] = {}
         self._columns: Dict[tuple, int] = {}
@@ -508,33 +516,29 @@ class _Symmetry:
 
     def view(self, state: tuple) -> tuple:
         """The view of ``state``, read off its records, flags and in-flight
-        messages (``_message`` holds one between fixed chains as its id);
-        ``edit`` keeps the exhaustive walk's views equal to it."""
+        messages; ``edit`` keeps the exhaustive walk's views equal to it."""
         records, _, idents, flags = state[:4]
-        slots, read, messages = self.slots, self._records, self._messages
+        read, messages = self._records, self._messages
         parts = [read.get(record) or self._record(record) for record in records]
-        columns = {chain: [parts[chain][0] << 3 | flags >> 3 * chain & 7] for chain in self.declared}
-        view = list(records)
-        for chain in self.fixed:
-            view[slots[chain]], entries = parts[chain]
+        columns = [[part << 3 | flags >> 3 * chain & 7] for chain, (part, _) in enumerate(parts)]
+        for _, entries in parts:
             for target, entry in entries:
                 columns[target].append(entry)
-        between = []
         for ident in idents:
             target, held = messages.get(ident) or self._message(ident)
-            (between if target < 0 else columns[target]).append(held)
-        for chain, (head, *tail) in columns.items():
-            view[slots[chain]] = self._column(head, tail)
-        return tuple(view), tuple(sorted(between))
+            columns[target].append(held)
+        view = list(records)
+        for chain, (head, *tail) in enumerate(columns):
+            view[self.slots[chain]] = self._column(head, tail)
+        return tuple(view)
 
-    def key(self, flags: int, view: tuple) -> tuple:
-        """``Simulation.fingerprint`` of a state with flag mask ``flags``
-        and view ``view``: each class's column ids are sorted, and a
-        class's size is fixed."""
-        columns, between = view
-        key = [flags & self.fixed_flags, between, columns[:self.width]]
+    def key(self, view: tuple) -> tuple:
+        """``Simulation.fingerprint`` of a state with view ``view``: the
+        fixed chains' column ids as they stand, then each class's, sorted,
+        as a class's size is fixed."""
+        key = list(view[:self.width])
         for lo, hi in self.spans:
-            key += sorted(columns[lo:hi])
+            key += sorted(view[lo:hi])
         return tuple(key)
 
     def twin(self, state: tuple, option: tuple) -> Optional[tuple]:
@@ -551,34 +555,21 @@ class _Symmetry:
             ident = state[2][at]
             chain, what = self._messages.get(ident) or self._message(ident)
         cls = self._class.get(chain)
-        return None if cls is None else (cls, at is None, what, state[7][0][self.slots[chain]])
+        return None if cls is None else (cls, at is None, what, state[7][self.slots[chain]])
 
     def edit(self, view: tuple, chain: int, old: int, new: int, removed: Optional[int],
              sent: tuple, flags: int) -> tuple:
         """The view after an event on ``chain``: its record id went from
         ``old`` to ``new``, it took message ``removed`` (or None) and sent
         ``sent``, and ``flags`` is the new flag mask."""
-        columns, between = view
-        at = self.slots[chain]
-        if at >= self.width:  # a declared chain
-            key = (columns[at], new, flags >> 3 * chain & 7, removed, sent)
+        key = (old, new, flags >> 3 * chain & 7, removed, sent)
+        plan = self._plans.get(key) or self._plan(*key)
+        view = list(view)
+        for at, head, gone, came in plan:
+            key = (view[at], head, gone, came)
             column = self._edits.get(key)
-            if column is None:
-                column = self._step(*key)
-            return columns[:at] + (column,) + columns[at + 1:], between
-        plan = self._plans.get((old, new, removed, sent)) or self._plan(old, new, removed, sent)
-        columns = list(columns)
-        columns[at], changes, out, into = plan
-        for at, gone, came in changes:
-            key = (columns[at], gone, came)
-            column = self._edits.get(key)
-            columns[at] = self._change(*key) if column is None else column
-        if out or into:
-            between = [*between, *into]
-            for ident in out:
-                between.remove(ident)
-            between = tuple(sorted(between))
-        return tuple(columns), between
+            view[at] = self._change(*key) if column is None else column
+        return tuple(view)
 
     def _column(self, head: int, tail: list) -> int:
         tail.sort()
@@ -589,48 +580,39 @@ class _Symmetry:
             self._column_of.append(column)
         return ident
 
-    def _step(self, column: int, record: int, bits: int, removed: Optional[int],
-              sent: tuple) -> int:
-        """The column after an event on its declared chain."""
-        messages = self._messages
-        _, *tail = self._column_of[column]
-        if removed is not None:
-            tail.remove((messages.get(removed) or self._message(removed))[1])
-        tail += [(messages.get(ident) or self._message(ident))[1] for ident in sent]
-        head = (self._records.get(record) or self._record(record))[0] << 3 | bits
-        ident = self._edits[column, record, bits, removed, sent] = self._column(head, tail)
-        return ident
-
-    def _change(self, column: int, gone: tuple, came: tuple) -> int:
-        """The column after an event on a fixed chain takes parts
-        ``gone`` out of it and puts parts ``came`` in."""
-        head, *tail = self._column_of[column]
+    def _change(self, column: int, head: Optional[int], gone: tuple, came: tuple) -> int:
+        """The column with head ``head`` (None keeps its own) that takes
+        parts ``gone`` out of ``column`` and puts parts ``came`` in."""
+        kept, *tail = self._column_of[column]
         for held in gone:
             tail.remove(held)
-        ident = self._edits[column, gone, came] = self._column(head, tail + list(came))
+        tail += came
+        ident = self._edits[column, head, gone, came] = self._column(
+            kept if head is None else head, tail
+        )
         return ident
 
-    def _plan(self, old: int, new: int, removed: Optional[int], sent: tuple) -> tuple:
-        """An event on a fixed chain: the new record's part; for each
-        column it changes, its position and the parts it loses and gains;
-        and the messages ``between`` loses and gains."""
+    def _plan(self, old: int, new: int, bits: int, removed: Optional[int], sent: tuple) -> tuple:
+        """An event that takes a chain's record from ``old`` to ``new``
+        and leaves it flag bits ``bits``: for the acting chain and each
+        other column it changes, its position, its new head (None for
+        another column) and the parts it loses and gains."""
+        chain = self.kernel.records[new].index
         part, entries = self._records.get(new) or self._record(new)
-        changes: Dict[int, Tuple[list, list]] = {}
-        between: Tuple[list, list] = ([], [])
+        changes: Dict[int, Tuple[list, list]] = {chain: ([], [])}
         for side, held in enumerate(((self._records.get(old) or self._record(old))[1], entries)):
             for target, entry in held:
                 changes.setdefault(target, ([], []))[side].append(entry)
         for side, idents in enumerate(((removed,) if removed is not None else (), sent)):
             for ident in idents:
                 target, held = self._messages.get(ident) or self._message(ident)
-                if target < 0:
-                    between[side].append(ident)
-                else:
-                    changes.setdefault(target, ([], []))[side].append(held)
-        plan = self._plans[old, new, removed, sent] = (part, tuple(
-            (self.slots[target], tuple(gone), tuple(came))
-            for target, (gone, came) in changes.items() if sorted(gone) != sorted(came)
-        ), *map(tuple, between))
+                changes.setdefault(target, ([], []))[side].append(held)
+        plan = self._plans[old, new, bits, removed, sent] = tuple(
+            (self.slots[target], part << 3 | bits if target == chain else None,
+             tuple(gone), tuple(came))
+            for target, (gone, came) in changes.items()
+            if target == chain or sorted(gone) != sorted(came)
+        )
         return plan
 
     def _part(self, key: tuple) -> int:
@@ -668,22 +650,20 @@ class _Symmetry:
         return memo
 
     def _message(self, message: int) -> Tuple[int, int]:
-        """The declared end of the message and its part there, marked with
-        the fixed other end, or -1 and the message id between fixed chains."""
+        """The chain whose column holds the message, and its part there:
+        the declared sender's, marked with the fixed receiver, or else the
+        receiver's, marked with the sender unless it sends to itself."""
         receiver, sender, payload = self.kernel.messages[message]
-        declared = self.declared
-        if receiver in declared:
-            if sender in declared and sender != receiver:
+        if sender in self.declared and sender != receiver:
+            if receiver in self.declared:
                 raise ValueError(
                     f"declared chain {sender} messages declared chain {receiver}; "
                     "the declared symmetry forbids ties between them"
                 )
-            side = ("self", payload) if sender == receiver else ("in", sender, payload)
-            memo = (receiver, self._part(side))
-        elif sender in declared:
             memo = (sender, self._part(("out", receiver, payload)))
         else:
-            memo = (-1, message)
+            side = ("self", payload) if sender == receiver else ("in", sender, payload)
+            memo = (receiver, self._part(side))
         self._messages[message] = memo
         return memo
 
@@ -695,10 +675,10 @@ class Simulation:
     sequence numbers and message ids in send order, a flag mask (bit 3c+k:
     chain c took the action of offset k in ``_KINDS``), the next sequence
     number, the event count, the event log as ``(previous, kind, chain,
-    sequence, message id)`` links, and the view: the ``_Symmetry`` view
-    ``(columns, between)`` in the exhaustive walk's states, None in every
-    other.  The ids index ``kernel``, shared by a root and its clones, and
-    fingerprints compare within one root's clones.  ``apply`` checks an
+    sequence, message id)`` links, and the view: the ``_Symmetry`` view,
+    one column id per chain, in the exhaustive walk's states, None in
+    every other.  The ids index ``kernel``, shared by a root and its
+    clones, and fingerprints compare within one root's clones.  ``apply`` checks an
     action and takes it by ``_Kernel.advance``, which the exhaustive walk
     and random trials call on bare state tuples.  ``nodes``, ``events``
     and the like are built on demand."""
@@ -749,19 +729,17 @@ class Simulation:
     def fingerprint(self) -> tuple:
         """Key of the state up to the protocol's declared symmetry: two
         keys are equal exactly when a permutation of each class renames one
-        state into the other.  It holds the fixed chains' flag bits, the
-        messages between fixed chains and the fixed chains' parts of the
-        view (see ``_Symmetry``), and for each class its chains' column ids,
-        sorted.  A column id stands for the chain's whole column: its
-        record read without its index, its flag bits, and the chain-keyed
-        entries and messages that tie it to the fixed chains; equal ids mean
-        equal columns.  With no class the key is the flag mask, the
-        in-flight message ids sorted and each record's part, so it names
-        the state alone.  Sequence numbers and the event log are left out.
-        The view is read off the state by ``_Symmetry.view``; the state is
-        left as it was."""
-        symmetry, state = self.kernel.symmetry, self.state
-        return symmetry.key(state[3], symmetry.view(state))
+        state into the other.  It holds the fixed chains' column ids in
+        chain order, then for each class its chains' column ids, sorted
+        (see ``_Symmetry``).  A column id stands for the chain's whole
+        column: its record, read without its index on a declared chain,
+        its flag bits, and the chain-keyed entries and messages that belong
+        to it; equal ids mean equal columns.  With no class every column is
+        fixed, so the key names the state alone.  Sequence numbers and the
+        event log are left out.  The view is read off the state by
+        ``_Symmetry.view``; the state is left as it was."""
+        symmetry = self.kernel.symmetry
+        return symmetry.key(symmetry.view(self.state))
 
     def apply(self, action: ScheduleAction) -> None:
         kernel = self.kernel
@@ -790,12 +768,7 @@ class Simulation:
 
     def quiescent(self) -> bool:
         """No runnable start step and no message deliverable to a live node."""
-        _, _, idents, flags = self.state[:4]
-        kernel = self.kernel
-        steps = kernel.step_bits  # every chain started or crashed
-        return (flags | flags >> 2) & steps == steps and all(
-            flags >> (3 * kernel.messages[i][0] + 2) & 1 for i in idents
-        )
+        return self.kernel.quiescent(self.state)
 
     def enabled(self, max_suspensions: int) -> List[ScheduleAction]:
         """Applicable actions in canonical order: steps, delivers, suspends, crashes."""
@@ -919,11 +892,12 @@ def check_trace(trace: ExecutionTrace) -> ViolationReport:
     ))
 
 
-def _violates(sim: Simulation) -> bool:
-    """Whether ``check_trace(sim.trace())`` would flag a violation: the
-    rules on the bits the kernel keeps for each record, without the trace."""
-    bits = reduce(or_, map(sim.kernel.bits.__getitem__, sim.state[0]))
-    return _broken(bits, sim.quiescent) != 0
+def _violates(kernel: _Kernel, state: tuple) -> bool:
+    """Whether ``check_trace`` would flag the trace of ``state``, which
+    ``kernel``'s ids index: the rules on the bits the kernel keeps for
+    each record, without the trace."""
+    bits = reduce(or_, map(kernel.bits.__getitem__, state[0]))
+    return _broken(bits, lambda: kernel.quiescent(state)) != 0
 
 
 @dataclass(frozen=True)
@@ -954,6 +928,7 @@ def find_violation(
 ) -> Optional[ExecutionTrace]:
     """Search schedules for a trace that the checker rejects.
 
+    A run suspends at most ``suspensions`` chains, a non-negative int.
     Exhaustive mode checks every *state* within ``depth`` events, not every
     schedule, depth first in canonical action order (see ``_explore``), and
     takes states that a permutation of each class of the protocol's
@@ -981,6 +956,8 @@ def find_violation(
     check_resilience(n, t, allow_zero=True)
     if inputs is None:
         inputs = [Value.ONE] * (n + 1)
+    if type(suspensions) is not int or suspensions < 0:
+        raise ValueError(f"suspensions must be a non-negative int, got {suspensions!r}")
     budget = state_budget if state_budget is not None else DEFAULT_STATE_BUDGET
     if budget < 1:
         raise ValueError("state budget must be positive")
@@ -1003,9 +980,8 @@ def find_violation(
                 if not options:
                     break
                 state = kernel.advance(state, rng.choice(options))
-            sim = Simulation._of(kernel, state)
-            if _violates(sim):
-                return sim.trace()
+            if _violates(kernel, state):
+                return Simulation._of(kernel, state).trace()
         return None
     raise TypeError(f"unsupported mode {mode!r}")
 
@@ -1018,11 +994,11 @@ def _explore(
 
     The root's view is read by ``_Symmetry.view``, and each child is a
     state tuple that ``_Kernel.advance`` makes from its parent's, its view
-    edited from the parent's; a state is wrapped in a ``Simulation`` only
-    to be checked.  The cache maps a state's key, its ``fingerprint``, to
-    the fewest events that reached it, not to a sleep set, and drops a
-    state reached again on as many events or more.  Equal keys mean
-    states that a permutation of each class renames into each other, one
+    edited from the parent's; only the violating state it returns is
+    wrapped in a ``Simulation``.  The cache maps a state's key, its
+    ``fingerprint``, to the fewest events that reached it, not to a sleep
+    set, and drops a state reached again on as many events or more.
+    Equal keys mean states that a permutation of each class renames into each other, one
     orbit; renaming commutes with actions and keeps the root, so a
     renamed run is a run of the same length, and the state check treats
     every chain alike.  So checking one state of each orbit within the
@@ -1071,7 +1047,7 @@ def _explore(
     shared = [(0, kernel.suspend_bits, kernel.crash_bits)[i % 3] for i in range(len(acts_on) * 3)]
     base = len(shared)
     state = (*state[:7], kernel.symmetry.view(state))
-    seen = {key(state[3], state[7]): 0}
+    seen = {key(state[7]): 0}
     # Stack entries: state tuple with its view; sleep set; first visit.
     stack = [(state, 0, True)]
     explored = 0
@@ -1084,9 +1060,8 @@ def _explore(
                     f"schedule exploration exceeded the state budget of {budget}",
                     explored=explored,
                 )
-            sim = Simulation._of(kernel, state)
-            if _violates(sim):
-                return sim.trace()
+            if _violates(kernel, state):
+                return Simulation._of(kernel, state).trace()
         events = state[5] + 1
         if events > depth:
             continue
@@ -1108,7 +1083,7 @@ def _explore(
                 continue
             taken.add(twin)
             child = advance(state, option)
-            child_key = key(child[3], child[7])
+            child_key = key(child[7])
             known = seen.get(child_key)
             if known is None or known > events:
                 seen[child_key] = events

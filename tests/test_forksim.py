@@ -175,8 +175,8 @@ class TestMemoizedReactions:
 
 class TestOneTransition:
     """The exhaustive walk and random trials advance bare states: neither
-    clones nor applies per child or per event, and a ``Simulation`` wraps a
-    state only to check it."""
+    clones nor applies per child or per event, and the state check takes
+    the bare state."""
 
     @pytest.mark.parametrize(
         "mode,checks",
@@ -196,8 +196,8 @@ class TestOneTransition:
 
             return wrapper
 
-        def record(sim):
-            events.append(sim.event_count)
+        def record(kernel, state):
+            events.append(Simulation._of(kernel, state).event_count)
             return False
 
         with pytest.MonkeyPatch.context() as patch:
@@ -594,6 +594,16 @@ class TestFindViolation:
         with pytest.raises(ValueError):
             find_violation(2, 1, TwoPhaseCommit(), RandomMode(seed=0, trials=0))
 
+    @pytest.mark.parametrize("suspensions", [-1, 1.5, True, None, "1"])
+    @pytest.mark.parametrize(
+        "mode", [ExhaustiveMode(depth=4), RandomMode(seed=0, trials=1)],
+        ids=["exhaustive", "random"],
+    )
+    def test_suspensions_validated(self, mode, suspensions):
+        """-1 would run as 0 and 1.5 would allow two suspensions."""
+        with pytest.raises(ValueError, match="suspensions must be a non-negative int"):
+            find_violation(2, 1, TwoPhaseCommit(), mode, suspensions=suspensions)
+
     def test_unsupported_mode_rejected(self):
         with pytest.raises(TypeError):
             find_violation(2, 1, TwoPhaseCommit(), mode="exhaustive")
@@ -777,8 +787,8 @@ class TestExhaustiveAgainstOracle:
         ):
             checked = []
 
-            def record(sim):
-                checked.append(sim)
+            def record(kernel, state):
+                checked.append(state)
                 return False
 
             with pytest.MonkeyPatch.context() as patch:
@@ -893,8 +903,8 @@ def _assert_sweep_checks_each_once(hunt, states, key=encode_state):
     passes and one fewer runs out."""
     checked = []
 
-    def record(sim):
-        checked.append(key(sim))
+    def record(kernel, state):
+        checked.append(key(Simulation._of(kernel, state)))
         return False
 
     with pytest.MonkeyPatch.context() as patch:
@@ -917,7 +927,9 @@ class TestStateCheckAgainstChecker:
             trace = state.trace()
             expected = bool(check_trace(trace).violations)
             replayed = _replayed(trace, sim.protocol)
-            assert forksim._violates(replayed) == expected, encode_state(state)
+            assert forksim._violates(replayed.kernel, replayed.state) == expected, (
+                encode_state(state)
+            )
 
     @pytest.mark.parametrize(
         "n,t,depth,suspensions,position,leg", list(_oracle_grid())
@@ -1168,8 +1180,8 @@ class TestOneView:
         """Each state the walk checks, with its kernel, over a full sweep."""
         checked = []
 
-        def record(sim):
-            checked.append((sim.kernel, sim.state))
+        def record(kernel, state):
+            checked.append((kernel, state))
             return False
 
         with pytest.MonkeyPatch.context() as patch:
@@ -1274,7 +1286,7 @@ class TestTwins:
         enabled, twin_of = forksim._Kernel.enabled, forksim._Symmetry.twin
         advance = forksim._Kernel.advance
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(forksim, "_violates", lambda sim: False)
+            patch.setattr(forksim, "_violates", lambda kernel, state: False)
             patch.setattr(forksim._Kernel, "enabled", expand)
             patch.setattr(forksim._Kernel, "advance", recorded)
             patch.setattr(forksim._Symmetry, "twin", twin)
@@ -1294,7 +1306,7 @@ class TestTwins:
                 if key is not None and len(options) > 1:
                     sets += 1
                     children = [advance(kernel, state, option) for option in options]
-                    assert len({kernel.symmetry.key(c[3], c[7]) for c in children}) == 1
+                    assert len({kernel.symmetry.key(c[7]) for c in children}) == 1
         # With a class, the root's start steps on it are twins; with none,
         # no option has a twin key.
         spans = expanded[0][0].symmetry.spans
@@ -1344,7 +1356,7 @@ class TestTwins:
         state = (*sim.state[:7], symmetry.view(sim.state))
         assert len({symmetry.twin(state, option) for option in options}) == len(options)
         children = [kernel.advance(state, option) for option in options]
-        assert len({symmetry.key(c[3], c[7]) for c in children}) == len(options)
+        assert len({symmetry.key(c[7]) for c in children}) == len(options)
         return state
 
     def test_equal_columns_in_two_classes_are_not_twins(self):
@@ -1355,7 +1367,7 @@ class TestTwins:
         sim.apply(A("suspend", 1))
         sim.apply(A("suspend", 3))
         steps = [sim.kernel.options[3 * chain] for chain in (1, 3)]
-        columns = self._assert_not_twins(sim, steps)[7][0]
+        columns = self._assert_not_twins(sim, steps)[7]
         slots = sim.kernel.symmetry.slots
         assert columns[slots[1]] == columns[slots[3]]
 
