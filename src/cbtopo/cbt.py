@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from .errors import _require_int
 from .simplicial import BlockRef, Complex, Value, Vertex, _bits, _Numbering
 from .tasks import CarrierMap, Task, colorless_projection
 
@@ -35,10 +36,8 @@ class CbtConfig:
     block_index: int = 0
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("the task needs at least two chains (n >= 1)")
-        if self.block_index < 0:
-            raise ValueError("block index must be non-negative")
+        _require_int(self.n, 1, "the task needs at least two chains, so n")
+        _require_int(self.block_index, 0, "block index")
 
     def block(self, chain: int) -> BlockRef:
         return BlockRef(chain=chain, block=self.block_index)
@@ -110,12 +109,14 @@ def build_carrier_map(config: CbtConfig) -> CarrierMap:
     to rank 0 and then up to rank 1.  The output induced on the allowed
     vertices has as facets the allowed abort vertices and the allowed
     commit vertices, whichever are not empty: two disjoint masks, neither
-    inside the other.  Each distinct image is built once.
+    inside the other.  The allowed vertices are the union of the image's
+    facets, so each distinct image is built and numbered once, by them.
     """
     n = config.n
     space = _numbering(config)
     zero, one, bottom = _legs(n, 0), _legs(n, 1), _legs(n, 2)
-    images = {}
+    ids = {}
+    images = []
     by_allowed = {}
     # Every input simplex: each chain absent or at one value, not all absent.
     for simplex in _per_chain(n, (None, 0, 1, 2))[1:]:
@@ -124,12 +125,13 @@ def build_carrier_map(config: CbtConfig) -> CarrierMap:
         else:
             live = simplex & zero | (simplex & one) >> 1
             allowed = live | (simplex & bottom) >> 2 | live << 1
-        image = by_allowed.get(allowed)
-        if image is None:
+        k = by_allowed.get(allowed)
+        if k is None:
             facets = (m for m in (allowed & zero, allowed & one) if m)
-            image = by_allowed[allowed] = tuple(sorted(facets, key=_bits))
-        images[simplex] = image
-    return CarrierMap._of(space, space, images)
+            k = by_allowed[allowed] = len(images)
+            images.append(tuple(sorted(facets, key=_bits)))
+        ids[simplex] = k
+    return CarrierMap._of(space, space, ids, images)
 
 
 def build_task(config: CbtConfig) -> Task:

@@ -42,6 +42,7 @@ from .serialize import (
     task_to_json,
     trace_from_jsonl,
     trace_to_jsonl,
+    vertex_to_obj,
 )
 from .simplicial import Complex, Value
 # ``cmd_search`` runs ``_search`` on the skeleton it loads; the public search
@@ -312,15 +313,7 @@ def cmd_export(args: argparse.Namespace) -> int:
         text = "\n".join(lines) + "\n"
     else:
         obj = {
-            "nodes": [
-                {
-                    "id": str(v),
-                    "chain": v.block.chain if v.block else None,
-                    "block": v.block.block if v.block else None,
-                    "value": v.value.value,
-                }
-                for v in vertices
-            ],
+            "nodes": [{"id": str(v), **vertex_to_obj(v)} for v in vertices],
             "edges": [[str(e.vertices[0]), str(e.vertices[1])] for e in edges],
         }
         text = dumps(obj)

@@ -34,13 +34,23 @@ class BadResilience(CbtopoError):
     """The resilience parameter falls outside the admissible range."""
 
 
+def _require_int(value: object, least: int, what: str) -> None:
+    """Raise ValueError unless ``value`` is an ``int``, never a ``bool``,
+    of at least ``least``, 0 or 1; ``what`` names it in the message."""
+    if type(value) is not int or value < least:
+        kind = "positive" if least else "non-negative"
+        raise ValueError(f"{what} must be a {kind} int, got {value!r}")
+
+
 def check_resilience(n: int, t: int, *, allow_zero: bool) -> None:
-    """Require n+1 >= 2 chains and a crash bound t with 2t < n+1.
+    """Require ints n and t, n+1 >= 2 chains and a crash bound t with 2t < n+1.
 
     A majority of chains must survive, matching the quorum a commit
     decision needs.  The obstruction needs at least one crash (0 < t); the
     simulator also runs crash-free (``allow_zero``, 0 <= t).
     """
+    if type(n) is not int or type(t) is not int:
+        raise BadResilience(f"n and t must be ints, got n={n!r} and t={t!r}")
     if n < 1:
         raise BadResilience(f"need at least two chains, got n={n}")
     if t < (0 if allow_zero else 1) or 2 * t >= n + 1:

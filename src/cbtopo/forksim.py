@@ -17,7 +17,7 @@ from functools import reduce
 from operator import or_
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import InvalidSchedule, ResourceBound, check_resilience
+from .errors import InvalidSchedule, ResourceBound, _require_int, check_resilience
 from .simplicial import BlockRef, Value
 
 __all__ = [
@@ -928,7 +928,8 @@ def find_violation(
 ) -> Optional[ExecutionTrace]:
     """Search schedules for a trace that the checker rejects.
 
-    A run suspends at most ``suspensions`` chains, a non-negative int.
+    A run suspends at most ``suspensions`` chains, a non-negative int;
+    ``depth``, ``trials`` and ``state_budget`` are positive ints.
     Exhaustive mode checks every *state* within ``depth`` events, not every
     schedule, depth first in canonical action order (see ``_explore``), and
     takes states that a permutation of each class of the protocol's
@@ -956,18 +957,14 @@ def find_violation(
     check_resilience(n, t, allow_zero=True)
     if inputs is None:
         inputs = [Value.ONE] * (n + 1)
-    if type(suspensions) is not int or suspensions < 0:
-        raise ValueError(f"suspensions must be a non-negative int, got {suspensions!r}")
+    _require_int(suspensions, 0, "suspensions")
     budget = state_budget if state_budget is not None else DEFAULT_STATE_BUDGET
-    if budget < 1:
-        raise ValueError("state budget must be positive")
+    _require_int(budget, 1, "state budget")
     if isinstance(mode, ExhaustiveMode):
-        if mode.depth < 1:
-            raise ValueError("exploration depth must be positive")
+        _require_int(mode.depth, 1, "exploration depth")
         return _explore(Simulation(n, t, protocol, inputs), mode.depth, suspensions, budget)
     if isinstance(mode, RandomMode):
-        if mode.trials < 1:
-            raise ValueError("need at least one trial")
+        _require_int(mode.trials, 1, "trial count")
         rng = random.Random(mode.seed)
         root = Simulation(n, t, protocol, inputs)
         kernel = root.kernel

@@ -18,7 +18,6 @@ from .simplicial import (
     SubdivisionVertex,
     Value,
     Vertex,
-    _bit_map,
     _bits,
     _maximal,
     _Numbering,
@@ -143,9 +142,9 @@ def task_to_json(task: Task) -> str:
     def complex_(c: Complex) -> str:
         return '{\n    "facets": ' + facets(c._space, c._facets, 2) + "\n  }"
 
-    carrier = task._carrier()
-    ids, distinct = carrier._numbered()
-    image_texts = [facets(carrier._out, image, 3) for image in distinct]
+    carrier = task.carrier
+    ids = carrier._ids
+    image_texts = [facets(carrier._out, image, 3) for image in carrier._images]
     # An entry is an object at depth 2 holding a simplex list at depth 3,
     # as an input facet is a list at depth 3 in the input's facet list.
     simplex = lists(task.input._space, 4)
@@ -226,11 +225,8 @@ class _TaskReader:
     def numbering(self) -> Tuple[_Numbering, Callable[[int], int]]:
         """The canonical numbering of every vertex read, and the map from
         first-seen masks onto it."""
-        order = sorted(range(len(self.vertices)), key=lambda i: self.vertices[i].sort_key())
-        targets = [0] * len(order)
-        for rank, i in enumerate(order):
-            targets[i] = 1 << rank
-        return _Numbering(self.vertices[i] for i in order), _bit_map(targets)
+        space = _Numbering.of(self.vertices)
+        return space, _Numbering(self.vertices).to(space) or (lambda mask: mask)
 
 
 def task_from_obj(
@@ -283,18 +279,19 @@ def task_from_obj(
             )
         entries[simplex] = image
     space, renumber = reader.numbering()
-    images = {}
-    canonical: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+    ids = {}
+    number: Dict[Tuple[int, ...], int] = {}  # each distinct image's number
+    canonical: Dict[Tuple[int, ...], int] = {}  # the number of each image as read
     for simplex, image in entries.items():
-        facets = canonical.get(image)
-        if facets is None:
-            facets = canonical[image] = _maximal(map(renumber, image))
-        images[renumber(simplex)] = facets
+        k = canonical.get(image)
+        if k is None:
+            k = canonical[image] = number.setdefault(_maximal(map(renumber, image)), len(number))
+        ids[renumber(simplex)] = k
     input_ = Complex._of(space, _maximal(map(renumber, input_facets)))
     task = Task(
         input=input_ if max_dim is None else input_.skeleton(max_dim),
         output=Complex._of(space, _maximal(map(renumber, output_facets))),
-        carrier=CarrierMap._of(space, space, images),
+        carrier=CarrierMap._of(space, space, ids, list(number)),
         colored=colored,
     )
     return task if max_dim is None else (task, input_.dimension)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Dict, Iterable, Iterator, Sequence, Tuple
 
-from .errors import DimensionOutOfRange, EmptyInput, MalformedSimplex, UnknownVertex
+from .errors import DimensionOutOfRange, EmptyInput, MalformedSimplex, UnknownVertex, _require_int
 
 __all__ = [
     "Value",
@@ -637,8 +637,7 @@ def barycentric_subdivide(complex_: Complex, depth: int) -> SubdivisionResult:
     is needed: a chain holds its facet, which no other facet contains, and
     one facet's orderings give distinct chains of one length.
     """
-    if depth < 0:
-        raise ValueError("subdivision depth must be non-negative")
+    _require_int(depth, 0, "subdivision depth")
     facets = list(map(_bits, complex_._facets))
     carriers = [1 << i for i in range(len(complex_._space.vertices))]
     levels = []

@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Any, Dict, Tuple
 
 from .connectivity import connected_components
-from .errors import NotColored, ResourceBound, check_resilience
+from .errors import NotColored, ResourceBound, _require_int, check_resilience
 from .simplicial import Simplex, Vertex, _bits, _support, barycentric_subdivide
 from .tasks import Task, colorless_projection, restrict_to_skeleton, verify_monotonic
 
@@ -105,10 +105,10 @@ def connectivity_obstruction(task: Task, t: int) -> SolvabilityReport:
         )
     out_space = task.output._space
     part_masks = [out_space.mask(part) for part in output_parts]
-    images = restricted._carrier()._images
+    image = restricted.carrier._image
     found: list[tuple[int, int]] = []
     for simplex in restricted._simplices():
-        support = _support(images[simplex])
+        support = _support(image(simplex))
         touched = [c for c, part in enumerate(part_masks) if support & part]
         if len(touched) == 1 and all(c != touched[0] for c, _ in found):
             found.append((touched[0], simplex))
@@ -176,14 +176,12 @@ def _search(
     index, trail length before it).  Each step first unwinds the trail to
     the current mark, the one place where masks are restored.
     """
-    if depth < 0:
-        raise ValueError("subdivision depth must be non-negative")
+    _require_int(depth, 0, "subdivision depth")
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
-    if budget < 1:
-        raise ValueError("node budget must be positive")
+    _require_int(budget, 1, "node budget")
     subdivided = barycentric_subdivide(restricted.input, depth)
     carriers = subdivided.carriers
-    images = restricted._carrier()._images
+    image = restricted.carrier._image
     output = restricted.output
     output_facets = output._facets
     all_facets_mask = (1 << len(output_facets)) - 1
@@ -201,7 +199,7 @@ def _search(
     class_reps: Dict[int, tuple] = {}
     for carrier in {carriers[u] for u in incidence}:
         first_of_mask: Dict[int, int] = {}
-        for w in _bits(_support(images[carrier])):
+        for w in _bits(_support(image(carrier))):
             first_of_mask.setdefault(vertex_bit[w], w)
         class_reps[carrier] = tuple(first_of_mask.values())
     domains = {u: class_reps[carriers[u]] for u in incidence}
@@ -283,8 +281,7 @@ def decide(task: Task, t: int, max_depth: int) -> SolvabilityReport:
     depth costs no subdivision beyond it, where one search at ``max_depth``
     would subdivide the whole skeleton ``max_depth`` times first.
     """
-    if max_depth < 0:
-        raise ValueError("maximum depth must be non-negative")
+    _require_int(max_depth, 0, "maximum depth")
     if task.colored:
         task = colorless_projection(task)
     report = connectivity_obstruction(task, t)

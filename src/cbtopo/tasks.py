@@ -4,9 +4,10 @@ A carrier map assigns to every simplex of the input complex a subcomplex of
 the output complex: the outputs permitted when exactly that set of
 observations occurs.  The checks in this module verify the structural
 properties a well-formed carrier map is expected to have and report a
-concrete counterexample when one fails.  They run on masks: an input simplex
-is a mask on the input complex's numbering and its image is a tuple of facet
-masks on the output's, and ``Simplex`` objects are built only for a
+concrete counterexample when one fails.  They run on masks: a task's carrier
+map is one table on the task's numberings, an image number for each input
+simplex mask and each distinct image as a tuple of facet masks on the
+output's numbering, and ``Simplex`` objects are built only for a
 counterexample.
 """
 from __future__ import annotations
@@ -41,11 +42,6 @@ __all__ = [
     "colorless_projection",
 ]
 
-# An input simplex mask mapped to the facet masks of its image.
-Images = Dict[int, Tuple[int, ...]]
-# Each entry's image number, and the distinct images by number.
-Numbered = Tuple[Dict[int, int], List[Tuple[int, ...]]]
-
 
 @dataclass(frozen=True)
 class PropertyCheck:
@@ -63,52 +59,44 @@ class PropertyCheck:
 class CarrierMap:
     """A total assignment of output subcomplexes to input simplices.
 
-    Entries are keyed by input simplex masks on one numbering and hold the
-    image's facet masks on another.  A map built from ``Simplex`` and
-    ``Complex`` objects numbers their vertices itself; ``validate_for``
-    renumbers it onto the input and output complexes, so that the checks
-    compare masks.  The work done per image (the checks, the projection,
-    the task writer's texts) is done once per distinct image.  Lookups and
-    ``items()`` build the objects on demand, and equality does not depend
-    on the numberings.
+    A map is one numbered table: ``_ids`` maps each input simplex mask, on
+    the numbering ``_in``, to an image number, and ``_images`` lists the
+    images by number as tuples of facet masks on the numbering ``_out``,
+    equal images under one number.  Whatever is done per image (the checks,
+    the projection, the task writer's texts) is so done once per number.
+    A map built from ``Simplex`` and ``Complex`` objects numbers their
+    vertices itself; ``validate_for`` returns it renumbered onto a task's
+    complexes, and a ``Task`` keeps that map.  No method changes a map
+    once it is built.  Lookups and ``items()`` build the objects on demand,
+    and equality does not depend on the numberings.
     """
 
-    __slots__ = ("_in", "_out", "_images", "_numbering")
+    __slots__ = ("_in", "_out", "_ids", "_images")
 
     def __init__(self, entries: Mapping[Simplex, Complex]) -> None:
         entries = dict(entries)
         in_space = _Numbering.of(v for s in entries for v in s)
         out_space = _Numbering.of(v for image in entries.values() for v in image.vertices)
-        images = {}
+        number: Dict[Tuple[int, ...], int] = {}
+        ids = {}
         for s, image in entries.items():
             renumber = image._space.to(out_space)
-            facets = image._facets
-            images[in_space.mask(s)] = facets if renumber is None else tuple(map(renumber, facets))
-        self._set(in_space, out_space, images)
+            facets = image._facets if renumber is None else tuple(map(renumber, image._facets))
+            ids[in_space.mask(s)] = number.setdefault(facets, len(number))
+        self._in, self._out, self._ids, self._images = in_space, out_space, ids, list(number)
 
     @classmethod
-    def _of(cls, in_space: _Numbering, out_space: _Numbering, images: Images) -> "CarrierMap":
+    def _of(
+        cls, in_space: _Numbering, out_space: _Numbering,
+        ids: Dict[int, int], images: List[Tuple[int, ...]],
+    ) -> "CarrierMap":
         carrier = object.__new__(cls)
-        carrier._set(in_space, out_space, images)
+        carrier._in, carrier._out, carrier._ids, carrier._images = in_space, out_space, ids, images
         return carrier
 
-    def _set(
-        self, in_space: _Numbering, out_space: _Numbering, images: Images,
-        numbering: Numbered | None = None,
-    ) -> None:
-        self._in = in_space
-        self._out = out_space
-        self._images = images
-        self._numbering = numbering
-
-    def _numbered(self) -> Numbered:
-        """Each entry's image number and the distinct images by number.
-        Equal images share a number, numbered in the entries' order."""
-        if self._numbering is None:
-            number: Dict[Tuple[int, ...], int] = {}
-            ids = {s: number.setdefault(image, len(number)) for s, image in self._images.items()}
-            self._numbering = ids, list(number)
-        return self._numbering
+    def _image(self, simplex: int) -> Tuple[int, ...]:
+        """The facet masks of the image of the input simplex mask ``simplex``."""
+        return self._images[self._ids[simplex]]
 
     def _on(self, in_space: _Numbering, out_space: _Numbering) -> "CarrierMap":
         """The map on other numberings, or itself when it is on them
@@ -117,62 +105,67 @@ class CarrierMap:
         facets = self._out.to(out_space)
         if keys is None and facets is None:
             return self
-        ids, distinct = self._numbered()
+        ids = self._ids if keys is None else {keys(s): k for s, k in self._ids.items()}
+        images = self._images
         if facets is not None:
-            distinct = [tuple(map(facets, image)) for image in distinct]
-        images = {s if keys is None else keys(s): distinct[k] for s, k in ids.items()}
-        return CarrierMap._of(in_space, out_space, images)
+            images = [tuple(map(facets, image)) for image in images]
+        return CarrierMap._of(in_space, out_space, ids, images)
 
     def __getitem__(self, simplex: Simplex) -> Complex:
-        return Complex._of(self._out, self._images[self._in.mask(simplex)])
+        return Complex._of(self._out, self._image(self._in.mask(simplex)))
 
     def __contains__(self, simplex: Simplex) -> bool:
         try:
-            return self._in.mask(simplex) in self._images
+            return self._in.mask(simplex) in self._ids
         except KeyError:
             return False
 
     def __len__(self) -> int:
-        return len(self._images)
+        return len(self._ids)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CarrierMap):
             return NotImplemented
-        return self._images == other._on(self._in, self._out)._images
+        other = other._on(self._in, self._out)
+        return self._ids.keys() == other._ids.keys() and all(
+            self._images[k] == other._image(s) for s, k in self._ids.items()
+        )
 
     def items(self) -> Iterator[tuple[Simplex, Complex]]:
-        for s in sorted(self._images, key=_rank):
-            yield self._in.simplex(s), Complex._of(self._out, self._images[s])
+        for s in sorted(self._ids, key=_rank):
+            yield self._in.simplex(s), Complex._of(self._out, self._image(s))
 
-    def validate_for(self, input_complex: Complex, output_complex: Complex) -> None:
-        """Raise InvalidTask unless the map is total and lands in the output.
+    def validate_for(self, input_complex: Complex, output_complex: Complex) -> "CarrierMap":
+        """The map on the two complexes' numberings, or InvalidTask unless
+        it is total on the input and lands in the output.
 
-        Each distinct image is tested against the output once, and a bad
-        one is named by its first entry in the map's own order.  On success
-        the map is renumbered onto the two complexes' numberings.
+        The map itself is returned when it is on those numberings already,
+        and it is never changed.  Each image is tested against the output
+        once, and a bad one is named by the first entry, in the map's own
+        order, that has it.
         """
         in_space, out_space = input_complex._space, output_complex._space
         carrier = self._on(in_space, out_space)
-        images = carrier._images
+        ids = carrier._ids
         expected = set().union(*input_complex._masks().values())
-        missing = expected.difference(images)
+        missing = expected.difference(ids)
         if missing:
             example = in_space.simplex(min(missing, key=_rank))
             raise InvalidTask(f"carrier map has no entry for input simplex {example}")
-        if len(self._images) != len(expected):
+        if len(self._ids) != len(expected):
             keys = self._in.to(in_space) or (lambda s: s)
-            extra = [s for s in self._images if keys(s) not in expected]
+            extra = [s for s in self._ids if keys(s) not in expected]
             example = self._in.simplex(min(extra, key=_rank))
             raise InvalidTask(f"carrier map entry for foreign simplex {example}")
-        ids, distinct = carrier._numbered()
         output = output_complex._facets
-        for k, image in enumerate(distinct):
-            if not _within(image, output):
-                s = next(s for s, number in ids.items() if number == k)
-                raise InvalidTask(
-                    f"carrier image of {in_space.simplex(s)} is not a subcomplex of the output"
-                )
-        self._set(in_space, out_space, images, carrier._numbering)
+        bad = {k for k, image in enumerate(carrier._images) if not _within(image, output)}
+        if bad:
+            for s, k in ids.items():
+                if k in bad:
+                    raise InvalidTask(
+                        f"carrier image of {in_space.simplex(s)} is not a subcomplex of the output"
+                    )
+        return carrier
 
 
 @dataclass(frozen=True, eq=True)
@@ -181,7 +174,9 @@ class Task:
 
     ``colored`` distinguishes the two vertex conventions: colored tasks label
     every vertex with a block identity on both sides, colorless tasks strip
-    the identities from output vertices.
+    the identities from output vertices.  The task keeps the map
+    ``validate_for`` returns, so ``carrier`` is on the input's and the
+    output's numberings.
     """
 
     input: Complex
@@ -190,7 +185,7 @@ class Task:
     colored: bool
 
     def __post_init__(self) -> None:
-        self.carrier.validate_for(self.input, self.output)
+        object.__setattr__(self, "carrier", self.carrier.validate_for(self.input, self.output))
         for v in self.output.vertices:
             if isinstance(v, Vertex) and v.value is Value.BOTTOM:
                 raise InvalidTask("output vertices must not carry the suspended value")
@@ -214,11 +209,6 @@ class Task:
             object.__setattr__(task, name, value)
         return task
 
-    def _carrier(self) -> CarrierMap:
-        """The carrier on the input's and output's numberings, which is the
-        map itself once ``validate_for`` has run on this task."""
-        return self.carrier._on(self.input._space, self.output._space)
-
     def _simplices(self) -> Iterator[int]:
         """The input simplex masks in canonical (dimension, key) order."""
         for layer in self.input._masks().values():
@@ -240,7 +230,7 @@ def verify_monotonic(task: Task) -> PropertyCheck:
     number, once per distinct pair: an int bitset per coface image holds
     the face images found within it.
     """
-    ids, distinct = task._carrier()._numbered()
+    ids, distinct = task.carrier._ids, task.carrier._images
     within = [0] * len(distinct)
     for simplex in task._simplices():
         k = ids[simplex]
@@ -267,7 +257,7 @@ def verify_monotonic(task: Task) -> PropertyCheck:
 def verify_rigid(task: Task) -> PropertyCheck:
     """Check that every carrier image has the simplex's own dimension,
     taken once per distinct image."""
-    ids, distinct = task._carrier()._numbered()
+    ids, distinct = task.carrier._ids, task.carrier._images
     dims = [max(map(int.bit_count, image)) - 1 for image in distinct]
     for simplex in task._simplices():
         dim = simplex.bit_count() - 1
@@ -292,7 +282,7 @@ def verify_name_preserving(task: Task) -> PropertyCheck:
     """
     if not task.colored:
         raise NotColored("name preservation is defined for colored tasks only")
-    ids, distinct = task._carrier()._numbered()
+    ids, distinct = task.carrier._ids, task.carrier._images
     block_bit: Dict[BlockRef, int] = {}
 
     def names(complex_: Complex) -> Callable[[int], int]:
@@ -327,18 +317,18 @@ def restrict_to_skeleton(task: Task, t: int) -> Task:
     """The same task with the input cut down to its t-skeleton.
 
     The skeleton shares the input's numbering and the restricted map keeps
-    the entries of at most t + 1 vertices, so the result is valid by
-    construction and not validated again.
+    the entries of at most t + 1 vertices and shares the image list, so the
+    result is valid by construction and not validated again.
     """
     if t < 1 or t > task.input.dimension:
         raise BadResilience(
             f"skeleton restriction needs 1 <= t <= {task.input.dimension}, got {t}"
         )
     skeleton = task.input.skeleton(t)
-    images = task._carrier()._images
-    entries = {s: image for s, image in images.items() if s.bit_count() <= t + 1}
-    carrier = CarrierMap._of(task.input._space, task.output._space, entries)
-    return Task._derived(skeleton, task.output, carrier, task.colored)
+    carrier = task.carrier
+    ids = {s: k for s, k in carrier._ids.items() if s.bit_count() <= t + 1}
+    restricted = CarrierMap._of(carrier._in, carrier._out, ids, carrier._images)
+    return Task._derived(skeleton, task.output, restricted, task.colored)
 
 
 def colorless_projection(task: Task) -> Task:
@@ -347,12 +337,13 @@ def colorless_projection(task: Task) -> Task:
     Output vertices keep only their value, distinct simplices that collapse
     onto the same projected simplex are merged, and every distinct carrier
     image is projected once, vertex-wise, through a per-bit table onto the
-    numbering of the projected vertices.  The input complex is left
+    numbering of the projected vertices; images that project alike share a
+    number.  The input complex is left
     untouched.  The result is valid by construction and not validated again.
     """
     if not task.colored:
         raise NotColored("task is already colorless")
-    ids, distinct = task._carrier()._numbered()
+    ids, distinct = task.carrier._ids, task.carrier._images
     output = task.output
     support = output._support
     vertices = output._space.vertices
@@ -361,10 +352,12 @@ def colorless_projection(task: Task) -> Task:
     project = _bit_map([
         space.bit[projected[i]] if i in projected else 0 for i in range(len(vertices))
     ])
-    moved = [_maximal(map(project, image)) for image in distinct]
+    number: Dict[Tuple[int, ...], int] = {}
+    moved = [number.setdefault(_maximal(map(project, image)), len(number)) for image in distinct]
+    ids = {s: moved[k] for s, k in ids.items()}
     return Task._derived(
         task.input,
         Complex._of(space, _maximal(map(project, output._facets))),
-        CarrierMap._of(task.input._space, space, {s: moved[k] for s, k in ids.items()}),
+        CarrierMap._of(task.input._space, space, ids, list(number)),
         False,
     )

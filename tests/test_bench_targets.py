@@ -53,6 +53,44 @@ def test_every_span_and_counted_target_is_found():
     assert [_target(module_name, attr) for _, module_name, attr in targets] == before
 
 
+# Run in a fresh interpreter with ``perfbench`` on the path: import the
+# package as a traced run does, through ``run.import_cbtopo`` alone, then
+# install the recorder (``MissingTarget`` names any layer those imports do
+# not load) and restore it.
+_TRACED_RUN_IMPORTS = """
+import functools, sys
+sys.path.insert(0, sys.argv[1])
+import run, spans
+run.import_cbtopo()
+targets = spans.SPANS + spans.COUNTED
+def target(module_name, attr):
+    return functools.reduce(getattr, attr.split("."), sys.modules[module_name])
+recorder = spans.Recorder()
+recorder.install()
+wrapped = [target(module_name, attr) for _, module_name, attr in targets]
+recorder.restore()
+restored = [target(module_name, attr) for _, module_name, attr in targets]
+assert all(hasattr(fn, "__wrapped__") for fn in wrapped), "a target was not wrapped"
+assert not any(hasattr(fn, "__wrapped__") for fn in restored), "a target was not restored"
+"""
+
+
+def test_recorder_installs_on_what_a_traced_run_imports():
+    """``test_every_span_and_counted_target_is_found`` imports every target
+    module first; a traced run imports only ``cbtopo`` and ``cbtopo.cli``,
+    so a module they stop importing fails here, not in the traced run."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "-c", _TRACED_RUN_IMPORTS, str(ROOT / "perfbench")],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr[-4000:]
+
+
 def test_perfbench_unit_tests_pass():
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run(

@@ -964,6 +964,27 @@ class TestExport:
         assert "wrote input 1-skeleton: 9 nodes, 27 edges" in out
         assert path.read_text().startswith("graph task_input {")
 
+    # sha256 of ``export`` stdout on the n=2 files of ``block7_files``, as
+    # written when each JSON node spelled out its vertex's fields itself.
+    @pytest.mark.parametrize(
+        "colorless,fmt,which,digest",
+        [
+            (False, "dot", "input", "3286304986ef7c4e990c765b04c8047ffe834a88ce6359dd529360e936da8b5d"),
+            (False, "dot", "output", "4cd05a57b7ec8ab16efb15b95fea770da1340847ab57fff8185e38731310f270"),
+            (False, "json", "input", "08a89573f8798424a536e44a68167b1c4782f73be7bc6d3a5a4bd6e68c2bc1d5"),
+            (False, "json", "output", "0a1580de7498ee9696fcecc9126de2caa0bccdaba1b0657edc374325f7512c78"),
+            (True, "dot", "input", "3286304986ef7c4e990c765b04c8047ffe834a88ce6359dd529360e936da8b5d"),
+            (True, "dot", "output", "bd701ea4abe371b2ace348cc32fa269c5535d76df7dbb478b20857a97fcad93d"),
+            (True, "json", "input", "08a89573f8798424a536e44a68167b1c4782f73be7bc6d3a5a4bd6e68c2bc1d5"),
+            (True, "json", "output", "6e643650b1ad6e658ecdc26051182ce40a04e50b7ccd3a1f812cf63c59810fac"),
+        ],
+    )
+    def test_output_bytes_are_pinned(self, colorless, fmt, which, digest, block7_files, capsys):
+        argv = ["export", str(block7_files[2, colorless]), "--format", fmt, "--which", which]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
     def test_byte_determinism(self, task_file, capsys):
         argv = ["export", str(task_file), "--format", "json", "--which", "output"]
         first = run_cli(argv, capsys)

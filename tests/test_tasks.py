@@ -4,7 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cbtopo import CbtConfig, build_colorless_task, build_task
 from cbtopo.errors import BadResilience, InvalidTask, NotColored
+from cbtopo.serialize import task_from_obj, task_to_obj
 from cbtopo.simplicial import Complex, Simplex, Value, Vertex
 from cbtopo.tasks import (
     CarrierMap,
@@ -114,6 +116,83 @@ class TestCarrierMap:
                 carrier=CarrierMap(entries),
                 colored=True,
             )
+
+
+def wide_triangle_task():
+    """The identity task on a triangle whose input and output lie on
+    numberings with one vertex they do not use, bit 0 on both, so a
+    carrier map built from objects numbers its vertices otherwise."""
+    spare = vtx(0, "0")
+    triangle = [vtx(1, "1"), vtx(2, "1"), vtx(3, "1")]
+    inp = cx([spare], triangle).induced_subcomplex(triangle)
+    entries = {s: Complex([s]) for s in inp.simplices()}
+    return Task(input=inp, output=cx([spare], triangle), carrier=CarrierMap(entries), colored=True)
+
+
+def reordered_task():
+    """``build_task`` at n=1 read back from a file that lists the facets
+    of every two-facet image in reverse, so equal images are read in two
+    orders."""
+    obj = task_to_obj(build_task(CbtConfig(n=1, block_index=7)))
+    for i, entry in enumerate(obj["carrier"]):
+        if i % 2:
+            entry["image_facets"].reverse()
+    return task_from_obj(obj)
+
+
+class TestCarrierTable:
+    def test_validate_for_returns_the_map_on_the_complexes_numberings(self):
+        task = wide_triangle_task()
+        carrier = CarrierMap(dict(task.carrier.items()))
+        assert not carrier._in.same(task.input._space)
+        assert not carrier._out.same(task.output._space)
+        fields = [getattr(carrier, name) for name in CarrierMap.__slots__]
+        copies = dict(carrier._ids), list(carrier._images)
+        validated = carrier.validate_for(task.input, task.output)
+        assert isinstance(validated, CarrierMap)
+        assert validated._in.same(task.input._space)
+        assert validated._out.same(task.output._space)
+        assert set(validated._ids) == {task.input._space.mask(s) for s in task.input.simplices()}
+        assert validated == carrier
+        assert validated.validate_for(task.input, task.output) is validated
+        # The receiver is left as it was.
+        assert all(
+            getattr(carrier, name) is value for name, value in zip(CarrierMap.__slots__, fields)
+        )
+        assert (carrier._ids, carrier._images) == copies
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            wide_triangle_task,
+            lambda: build_task(CbtConfig(n=2, block_index=7)),
+            lambda: build_colorless_task(CbtConfig(n=2, block_index=7)),
+            lambda: task_from_obj(task_to_obj(build_task(CbtConfig(n=2)))),
+            lambda: task_from_obj(task_to_obj(build_task(CbtConfig(n=3))), 1)[0],
+            reordered_task,
+            lambda: restrict_to_skeleton(build_task(CbtConfig(n=3)), 1),
+            lambda: colorless_projection(build_task(CbtConfig(n=2))),
+            lambda: colorless_projection(wide_triangle_task()),
+        ],
+        ids=[
+            "Task", "build_task", "build_colorless_task", "task_from_obj",
+            "task_from_obj-max_dim", "task_from_obj-reordered", "restrict_to_skeleton",
+            "colorless_projection", "colorless_projection-wide",
+        ],
+    )
+    def test_carrier_is_one_table_on_the_task_numberings(self, make):
+        task = make()
+        carrier = task.carrier
+        assert carrier._in.same(task.input._space)
+        assert carrier._out.same(task.output._space)
+        # One number per distinct image.
+        assert len(set(carrier._images)) == len(carrier._images)
+        assert set(carrier._ids) == set(task._simplices())
+        assert set(carrier._ids.values()) <= set(range(len(carrier._images)))
+
+    def test_restriction_shares_the_image_list(self, cbt_tasks):
+        restricted = restrict_to_skeleton(cbt_tasks[2], 1)
+        assert restricted.carrier._images is cbt_tasks[2].carrier._images
 
 
 class TestTaskValidation:
