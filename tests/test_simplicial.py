@@ -1,5 +1,6 @@
 """Core complex machinery: vertices, simplices, complexes, subdivision."""
 import copy
+import hashlib
 import itertools
 import math
 import pickle
@@ -9,6 +10,7 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cbtopo.cbt import CbtConfig, build_input_complex
 from cbtopo.errors import (
     DimensionOutOfRange,
     EmptyInput,
@@ -404,7 +406,7 @@ class TestSubdivisionKernel:
                 facets.append([pool[5]])
             yield make_complex(facets)
 
-    @pytest.mark.parametrize("depth,top", [(1, 4), (2, 3), (3, 3)])
+    @pytest.mark.parametrize("depth,top", [(1, 4), (2, 3), (2, 4), (3, 3)])
     def test_random_complexes_match_round_by_round_oracle(self, depth, top):
         rng = random.Random(20261018 + depth)
         for k in self._random_complexes(rng, top):
@@ -425,6 +427,29 @@ class TestSubdivisionKernel:
             assert [tuple(sub.vertices[u] for u in f) for f in result.facets] == [
                 f.vertices for f in sub.facets
             ]
+
+    def test_numbering_is_pinned(self):
+        # sha256 over one repr((facets, carriers)) line per case: the CBT
+        # input's t-skeleton at (n, t) = (2, 1), (3, 1), (4, 1), (4, 2),
+        # (5, 2), each at depths 0-2, then the random complexes of the test
+        # above at its (depth, top) pairs.  It pins the exact vertex
+        # numbering and facet order past the six vertices that test reads.
+        cases = [
+            (build_input_complex(CbtConfig(n=n)).skeleton(t), depth)
+            for n, t in ((2, 1), (3, 1), (4, 1), (4, 2), (5, 2))
+            for depth in (0, 1, 2)
+        ]
+        for depth, top in ((1, 4), (2, 3), (2, 4), (3, 3)):
+            rng = random.Random(20261018 + depth)
+            cases += [(k, depth) for k in self._random_complexes(rng, top)]
+        lines = []
+        for k, depth in cases:
+            result = barycentric_subdivide(k, depth)
+            lines.append(repr((result.facets, result.carriers)))
+        assert len(lines) == 63
+        assert hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest() == (
+            "0b45ee7c84492a12fc4886675c299455bd731e274b98ed7dc58d934891a2bc3c"
+        )
 
     def test_lone_vertex_is_its_own_barycenter(self):
         a, b, c, d = (vtx(i, "0") for i in range(4))
