@@ -593,8 +593,11 @@ class SubdivisionResult:
     numbering in sort-key order; ``carriers[u]`` masks, on the original
     numbering, the smallest original simplex containing vertex u.
     ``complex`` is built on first access.  At depth 1 or more its vertices
-    are ``SubdivisionVertex`` objects that hold their carrier as ``carrier``;
-    at depth 0 it is the original complex, each vertex carried by itself.
+    are ``SubdivisionVertex`` objects that hold their carrier as ``carrier``,
+    and every vertex lies in some facet.  At depth 0 it is the original
+    complex, each vertex carried by itself, and ``carriers`` has one entry
+    per vertex of the original numbering, which may number vertices that lie
+    in no facet: a task's input numbering also holds its output vertices.
     """
 
     def __init__(self, original: Complex, levels: list, facets: list, carriers: list) -> None:
@@ -615,10 +618,24 @@ class SubdivisionResult:
 
 
 @functools.cache
-def _chains(size: int) -> tuple:
-    """Per ordering of ``size`` local vertices, the local masks of its prefixes."""
-    orders = itertools.permutations([1 << i for i in range(size)])
-    return tuple(tuple(itertools.accumulate(order, operator.or_)) for order in orders)
+def _plan(size: int) -> tuple:
+    """The faces and chains of a facet of ``size`` vertices, on positions.
+
+    ``faces`` lists the non-empty position tuples by size, each size in
+    ``combinations`` order.  A chain is one ordering's prefixes, in tuple
+    order, and the chains are sorted; column p of ``chains`` holds the index
+    in ``faces`` of every chain's p-th prefix.  A facet's vertex numbers
+    ascend with their positions, so tuple order on positions is tuple order
+    on numbers: each chain's face numbers ascend, and one facet's chains
+    come out in sorted order.
+    """
+    faces = [c for j in range(1, size + 1) for c in itertools.combinations(range(size), j)]
+    where = {face: q for q, face in enumerate(faces)}
+    chains = sorted(
+        sorted(tuple(sorted(order[:j])) for j in range(1, size + 1))
+        for order in itertools.permutations(range(size))
+    )
+    return faces, tuple(tuple(map(where.__getitem__, column)) for column in zip(*chains))
 
 
 def barycentric_subdivide(complex_: Complex, depth: int) -> SubdivisionResult:
@@ -628,28 +645,47 @@ def barycentric_subdivide(complex_: Complex, depth: int) -> SubdivisionResult:
     simplex, and one facet per maximal chain of nested simplices inside each
     old facet.  Carriers compose across rounds, so the returned carriers
     always point back into the original complex.  Depth 0 returns the complex
-    unchanged with each vertex carried by itself.
+    unchanged with each vertex of its numbering carried by itself.
 
-    A round tables each facet's faces by local mask (``_subsets``).  The
-    distinct faces, in sorted tuple order (their sort-key order), are the new
-    vertices, each carried by the union of its vertices' carriers.  An
-    ordering of a facet gives the chain of its prefixes.  No maximality scan
-    is needed: a chain holds its facet, which no other facet contains, and
-    one facet's orderings give distinct chains of one length.
+    A round works on whole groups of facets of one size k, each kept as k
+    columns of vertex numbers (column p holds every facet's p-th vertex),
+    with the size's ``_plan``.  A face of the plan, read off a group, is a
+    zip of its positions' columns.  The distinct faces, in sorted tuple
+    order (their sort-key order), are the new vertices, and their carriers
+    are ORed column by column.  Column p of the new group takes, facet by
+    facet, the face numbers of every chain's p-th prefix, so each old
+    facet's k! chains come out in a row and already sorted, with no
+    per-facet table and no per-chain sort.  No maximality scan is needed: a chain holds its facet,
+    which no other facet contains, and one facet's orderings give distinct
+    chains of one length.  The facets are sorted once, after the last round.
     """
     _require_int(depth, 0, "subdivision depth")
-    facets = list(map(_bits, complex_._facets))
     carriers = [1 << i for i in range(len(complex_._space.vertices))]
+    by_size: Dict[int, list] = {}
+    for facet in map(_bits, complex_._facets):
+        by_size.setdefault(len(facet), []).append(facet)
+    groups = [list(zip(*facets)) for facets in by_size.values()]
     levels = []
     for _ in range(depth):
-        tables = list(map(_subsets, facets))
-        faces = sorted(set().union(*tables))[1:]
-        index = {face: i for i, face in enumerate(faces)}
-        carriers = [_support(map(carriers.__getitem__, face)) for face in faces]
+        distinct: set = set()
+        for columns in groups:
+            for face in _plan(len(columns))[0]:
+                distinct.update(zip(*map(columns.__getitem__, face)))
+        faces = sorted(distinct)
+        number = dict(zip(faces, range(len(faces)))).__getitem__
+        # A shorter face is padded with the index of a zero carrier.
+        padded = carriers + [0]
+        by_position = itertools.zip_longest(*faces, fillvalue=len(carriers))
+        carriers = list(map(padded.__getitem__, next(by_position)))
+        for column in by_position:
+            carriers = list(map(operator.or_, carriers, map(padded.__getitem__, column)))
         levels.append((faces, carriers))
-        chains = []
-        for facet, table in zip(facets, tables):
-            ids = list(map(index.get, table))
-            chains += [tuple(sorted([ids[m] for m in chain])) for chain in _chains(len(facet))]
-        facets = sorted(chains)
+        subdivided = []
+        for columns in groups:
+            plan_faces, chains = _plan(len(columns))
+            ids = [list(map(number, zip(*map(columns.__getitem__, face)))) for face in plan_faces]
+            by_chain = [zip(*map(ids.__getitem__, column)) for column in chains]
+            subdivided.append([list(itertools.chain.from_iterable(z)) for z in by_chain])
+        groups = subdivided
+    facets = sorted(itertools.chain.from_iterable(zip(*columns) for columns in groups))
     return SubdivisionResult(complex_, levels, facets, carriers)

@@ -148,7 +148,9 @@ def search_carried_simplicial_map(
     keeps one vertex per such class, the first in the carrier's canonical
     order; verdicts do not depend on this and any map found is valid.
     Vertices are processed smallest domain first; each attempted value class
-    counts as one node against the node budget.
+    counts as one node against the node budget.  The subdivision is built in
+    full before the search starts, so the budget bounds the backtracking
+    alone, and the depth alone sets the subdivision's time and memory.
 
     A map at depth k gives one at depth k + 1 only through a monotonic
     carrier map, so an exhausted search claims the smaller depths too
@@ -175,6 +177,12 @@ def _search(
     (facet id, old mask), and every placed vertex onto ``placed`` as (value
     index, trail length before it).  Each step first unwinds the trail to
     the current mark, the one place where masks are restored.
+
+    The facet incidence and the domains are lists indexed by vertex
+    number.  Only vertices that lie in some subdivided facet get a
+    domain and a place in the order: at depth 0 the numbering may hold
+    others, such as a task file's output vertices.  The order is a stable
+    sort on domain size, so ties stay in vertex order.
     """
     _require_int(depth, 0, "subdivision depth")
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
@@ -191,19 +199,20 @@ def _search(
         for w in _bits(output._support)
     }
     sub_facets = subdivided.facets
-    incidence: Dict[int, list[int]] = {}
+    incidence: list[list[int]] = [[] for _ in carriers]
     for fid, facet in enumerate(sub_facets):
         for u in facet:
-            incidence.setdefault(u, []).append(fid)
+            incidence[u].append(fid)
+    used = [u for u, fids in enumerate(incidence) if fids]
     # Value interchangeability (Freuder, AAAI 1991): one vertex per mask.
     class_reps: Dict[int, tuple] = {}
-    for carrier in {carriers[u] for u in incidence}:
+    for carrier in {carriers[u] for u in used}:
         first_of_mask: Dict[int, int] = {}
         for w in _bits(_support(image(carrier))):
             first_of_mask.setdefault(vertex_bit[w], w)
         class_reps[carrier] = tuple(first_of_mask.values())
-    domains = {u: class_reps[carriers[u]] for u in incidence}
-    order = sorted(incidence, key=lambda u: (len(domains[u]), u))
+    domains = [class_reps[c] if fids else None for c, fids in zip(carriers, incidence)]
+    order = sorted(used, key=lambda u: len(domains[u]))
 
     candidates = [all_facets_mask] * len(sub_facets)
     trail: list[tuple[int, int]] = []  # (facet id, old mask) per narrowing
