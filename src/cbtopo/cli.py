@@ -82,26 +82,12 @@ def _write_text(path: str | None, text: str) -> None:
             handle.write(text)
 
 
-def _parse(text: str):
-    """``json.loads`` with the collector off.  The parse builds no reference
-    cycles, so a collection during it only rescans what it has built; on
-    the 1.2 MB n=4 task file that is about 5 % of the parse (Python 3.11,
-    4-7 % in small and in grown heaps)."""
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        return json.loads(text)
-    finally:
-        if collecting:
-            gc.enable()
-
-
 def _load_task(path: str, max_dim: int | None = None) -> Task | tuple[Task, int]:
     """``task_from_obj`` of the file at ``path``, with ``max_dim`` as its cap."""
     with open(path, "rb") as handle:
         text = handle.read().decode("utf-8")
     try:
-        return task_from_obj(_parse(text), max_dim)
+        return task_from_obj(json.loads(text), max_dim)
     except RecursionError:
         raise InvalidTask(f"cannot load task from {path}: JSON nested too deeply") from None
     except CbtopoError as exc:
@@ -388,6 +374,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Each command runs with the cyclic collector paused, and the caller's
+    # state comes back in the ``finally``.  A collection pass walks every
+    # object the command holds (the parsed task file, a subdivision, the
+    # search's incidence lists) and frees next to nothing, because no
+    # command builds cyclic garbage that grows with its input: ``analyze``
+    # leaves none, ``search`` and ``export`` the encoder closures of their
+    # one ``json.dumps(indent=2)``, ``build`` one such set per distinct
+    # vertex, and ``simulate`` and ``replay`` one ``_Kernel``/``_Symmetry``
+    # pair per run, alive until the command ends anyway.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except ResourceBound as exc:
@@ -403,6 +400,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, CbtopoError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """End-to-end checks of the cbtopo command line."""
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -304,6 +305,45 @@ def test_non_boolean_colored_exits_io(colored, task_file, tmp_path, capsys):
     assert (code, out) == (3, "")
     assert "cannot load task" in err
     assert "'colored' must be a boolean" in err
+
+
+def _first_vertex_entry(obj):
+    return next(e for e in obj["carrier"] if len(e["simplex"]) == 1)
+
+
+def _repeat_first_vertex(simplex):
+    simplex.append(dict(simplex[0]))
+
+
+@pytest.mark.parametrize(
+    "command,options", [("analyze", ["--t", "1"]), ("search", ["--t", "1", "--N", "0"])]
+)
+@pytest.mark.parametrize(
+    "spoil,fault",
+    [
+        pytest.param(lambda obj: obj["input"].update(facets=[]),
+                     "a complex needs at least one facet", id="no-input-facets"),
+        pytest.param(lambda obj: _first_vertex_entry(obj).update(image_facets=[]),
+                     "a complex needs at least one facet", id="no-image-facets"),
+        pytest.param(lambda obj: _first_vertex_entry(obj).update(simplex=[]),
+                     "a simplex needs at least one vertex", id="empty-simplex"),
+        pytest.param(lambda obj: _repeat_first_vertex(_first_vertex_entry(obj)["simplex"]),
+                     "repeated vertex in simplex", id="repeated-in-simplex"),
+        pytest.param(lambda obj: _repeat_first_vertex(obj["output"]["facets"][0]),
+                     "repeated vertex in simplex", id="repeated-in-facet"),
+    ],
+)
+def test_empty_or_repeating_simplex_exits_io(
+    spoil, fault, command, options, task_file, tmp_path, capsys
+):
+    obj = json.loads(task_file.read_text())
+    spoil(obj)
+    path = tmp_path / "spoiled.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli([command, str(path), *options], capsys)
+    assert (code, out) == (3, "")
+    assert "cannot load task" in err
+    assert fault in err
 
 
 class TestSearch:
@@ -1002,3 +1042,68 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
         assert excinfo.value.code == 2
+
+
+class TestCollector:
+    """``main`` runs each command with the cyclic collector paused and gives
+    the caller back the collector state it had."""
+
+    @pytest.fixture
+    def collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["build", "--n", "1"], 0),
+            (["analyze", "{task}", "--t", "2"], 2),
+            (["analyze", "{missing}", "--t", "1"], 3),
+            (["analyze", "{identity}", "--t", "1"], 4),
+            (["search", "{task}", "--t", "1", "--N", "1", "--budget", "1"], 5),
+        ],
+    )
+    def test_state_comes_back_on_every_exit(
+        self, argv, code, collecting, collector, task_file, tmp_path, capsys
+    ):
+        identity = tmp_path / "identity.json"
+        task = identity_task(cx([vtx(0, "1"), vtx(1, "1"), vtx(2, "1")]))
+        identity.write_text(dumps(task_to_obj(task)))
+        names = {"task": task_file, "missing": tmp_path / "missing.json", "identity": identity}
+        (gc.enable if collecting else gc.disable)()
+        assert run_cli([arg.format(**names) for arg in argv], capsys)[0] == code
+        assert gc.isenabled() is collecting
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_state_comes_back_past_an_escaping_exception(self, collecting, collector, monkeypatch):
+        seen = []
+
+        def fail(config):
+            seen.append(gc.isenabled())
+            raise RuntimeError("fail")
+
+        monkeypatch.setattr("cbtopo.cli.build_task", fail)
+        (gc.enable if collecting else gc.disable)()
+        with pytest.raises(RuntimeError, match="fail"):
+            main(["build", "--n", "1"])
+        assert seen == [False]
+        assert gc.isenabled() is collecting
+
+    @pytest.mark.parametrize("argv", [["analyze", "--t", "1"], ["search", "--t", "1", "--N", "1"]])
+    def test_cyclic_garbage_does_not_grow_with_the_task(self, argv, collector, block7_files, capsys):
+        def garbage(k):
+            gc.disable()
+            gc.collect()
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            try:
+                code, _, _ = run_cli([argv[0], str(block7_files[k, False]), *argv[1:]], capsys)
+                assert code == 0
+                gc.collect()
+                return len(gc.garbage)
+            finally:
+                gc.set_debug(0)
+                gc.garbage.clear()
+
+        assert garbage(2) == garbage(3)

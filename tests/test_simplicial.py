@@ -162,6 +162,12 @@ class TestVertex:
         assert not free("0").colored
         assert str(free("0")) == "*=0"
 
+    def test_block_and_value_types_are_checked(self):
+        with pytest.raises(TypeError, match="vertex value must be a Value"):
+            Vertex(BlockRef(0), 1)
+        with pytest.raises(TypeError, match="vertex block must be a BlockRef or None"):
+            Vertex((0, 0), Value.ZERO)
+
     def test_sort_groups_colorless_before_colored_before_subdivision(self):
         colorless = free("1")
         colored = vtx(0, "0")
@@ -186,6 +192,7 @@ class TestSimplex:
         assert sx(c, a, b) == sx(a, b, c)
         assert sx(c, a, b).vertices == (a, b, c)
         assert hash(sx(c, b, a)) == hash(sx(a, b, c))
+        assert (sx(a, b) == (a, b)) is False
 
     def test_empty_rejected(self):
         with pytest.raises(MalformedSimplex, match="at least one vertex"):
@@ -293,6 +300,7 @@ class TestComplex:
         assert cx([a, b], [b, c]) == cx([b, c], [a, b])
         assert hash(cx([a, b], [b, c])) == hash(cx([b, c], [a, b]))
         assert cx([a, b]) != cx([b, c])
+        assert (cx([a, b]) == sx(a, b)) is False
 
     def test_has_vertex(self, abc):
         a, b, c = abc

@@ -322,6 +322,26 @@ class TestDecide:
         report = decide(constant_carrier_task(), 1, max_depth=0)
         assert report.verdict is Verdict.MAP_FOUND
 
+    def test_exhausted_depths_return_the_last_search(self):
+        # A triangle and an isolated vertex: the input 1-skeleton is not
+        # connected, so the obstruction is inconclusive.  The subdivided
+        # edge v0v1 runs from one isolated output point to the other, so no
+        # depth has a map.
+        u, v, w, x = (vtx(chain, "0") for chain in range(4))
+        zero, one = free("0"), free("1")
+        inp = cx([u, v, w], [x])
+        output = cx([zero], [one])
+        points = {u: zero, v: one, w: zero, x: zero}
+        entries = {
+            s: cx([points[s.vertices[0]]]) if s.dim == 0 else output for s in inp.simplices()
+        }
+        task = Task(input=inp, output=output, carrier=CarrierMap(entries), colored=False)
+        assert connectivity_obstruction(task, 1).note == "input skeleton is not connected"
+        assert not any(t1_map_exists(task, depth) for depth in range(3))
+        report = decide(task, 1, max_depth=2)
+        assert report.verdict is Verdict.NO_MAP_UP_TO_DEPTH
+        assert report == search_carried_simplicial_map(task, 1, 2)
+
     def test_negative_max_depth_rejected(self, colorless_tasks):
         with pytest.raises(ValueError):
             decide(colorless_tasks[2], 1, max_depth=-1)

@@ -67,6 +67,7 @@ class TestCarrierMap:
         s = triangle_task.input.facets[0]
         assert carrier[s] == Complex([s])
         assert s in carrier
+        assert sx(vtx(0, "0"), vtx(9, "0")) not in carrier
         assert len(carrier) == 7
 
     def test_domain_and_items_in_canonical_order(self, triangle_task):
@@ -80,6 +81,7 @@ class TestCarrierMap:
         assert same == triangle_task.carrier
         smaller = CarrierMap({s: img for s, img in list(triangle_task.carrier.items())[:3]})
         assert smaller != triangle_task.carrier
+        assert (triangle_task.carrier == triangle_task.input) is False
 
     def test_missing_entry_rejected(self, triangle_task):
         entries = dict(triangle_task.carrier.items())
