@@ -38,7 +38,7 @@ from .forksim import (
 from .serialize import (
     dumps,
     report_to_obj,
-    task_from_obj,
+    task_from_json,
     task_to_json,
     trace_from_jsonl,
     trace_to_jsonl,
@@ -83,11 +83,11 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _load_task(path: str, max_dim: int | None = None) -> Task | tuple[Task, int]:
-    """``task_from_obj`` of the file at ``path``, with ``max_dim`` as its cap."""
+    """``task_from_json`` of the file at ``path``, with ``max_dim`` as its cap."""
     with open(path, "rb") as handle:
         text = handle.read().decode("utf-8")
     try:
-        return task_from_obj(json.loads(text), max_dim)
+        return task_from_json(text, max_dim)
     except RecursionError:
         raise InvalidTask(f"cannot load task from {path}: JSON nested too deeply") from None
     except CbtopoError as exc:
@@ -378,11 +378,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     # state comes back in the ``finally``.  A collection pass walks every
     # object the command holds (the parsed task file, a subdivision, the
     # search's incidence lists) and frees next to nothing, because no
-    # command builds cyclic garbage that grows with its input: ``analyze``
-    # leaves none, ``search`` and ``export`` the encoder closures of their
-    # one ``json.dumps(indent=2)``, ``build`` one such set per distinct
-    # vertex, and ``simulate`` and ``replay`` one ``_Kernel``/``_Symmetry``
-    # pair per run, alive until the command ends anyway.
+    # command builds cyclic garbage that grows with its input: the only
+    # cycles are the encoder closures of each ``json.dumps(indent=2)``, and
+    # a command makes at most two such calls.  ``build``'s task writer
+    # encodes every vertex in one; ``analyze`` leaves those of the writer
+    # that checks the file it read, ``search`` those of its report,
+    # ``export`` both, and ``simulate`` and ``replay`` none.
     collecting = gc.isenabled()
     gc.disable()
     try:

@@ -494,7 +494,10 @@ class _Symmetry:
     the new column."""
 
     def __init__(self, kernel: _Kernel, classes: List[List[int]]) -> None:
-        self.kernel = kernel
+        # The kernel's tables, not the kernel, which holds this object:
+        # a reference back would make each run's pair a reference cycle.
+        self.records, self.fingerprints = kernel.records, kernel.fingerprints
+        self.messages = kernel.messages
         self.keyed = kernel.protocol.chain_keyed
         self.declared = frozenset(chain for chains in classes for chain in chains)
         fixed = [chain for chain in range(kernel.n + 1) if chain not in self.declared]
@@ -597,7 +600,7 @@ class _Symmetry:
         and leaves it flag bits ``bits``: for the acting chain and each
         other column it changes, its position, its new head (None for
         another column) and the parts it loses and gains."""
-        chain = self.kernel.records[new].index
+        chain = self.records[new].index
         part, entries = self._records.get(new) or self._record(new)
         changes: Dict[int, Tuple[list, list]] = {chain: ([], [])}
         for side, held in enumerate(((self._records.get(old) or self._record(old))[1], entries)):
@@ -625,8 +628,8 @@ class _Symmetry:
         hold no entry for another declared chain.  The part is the
         fingerprint the kernel interned the record by, so read without
         those entries and with its chain dropped for a declared chain."""
-        *head, memory = self.kernel.fingerprints[record]
-        index, declared = self.kernel.records[record].index, self.declared
+        *head, memory = self.fingerprints[record]
+        index, declared = self.records[record].index, self.declared
         kept, entries = [], []
         for name, (is_dict, value) in memory:
             if is_dict and name in self.keyed:
@@ -653,7 +656,7 @@ class _Symmetry:
         """The chain whose column holds the message, and its part there:
         the declared sender's, marked with the fixed receiver, or else the
         receiver's, marked with the sender unless it sends to itself."""
-        receiver, sender, payload = self.kernel.messages[message]
+        receiver, sender, payload = self.messages[message]
         if sender in self.declared and sender != receiver:
             if receiver in self.declared:
                 raise ValueError(

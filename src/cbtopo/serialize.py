@@ -1,7 +1,10 @@
 """Deterministic JSON forms for complexes, tasks, reports, and traces.
 
 Every serializer walks its object in canonical order, so equal objects
-always produce byte-identical text.
+always produce byte-identical text.  ``task_from_json`` reads a task file
+by the writer's own layout when it can: it relies on ``task_to_json``
+writing the carrier entries in the input's canonical simplex order, and
+keeps what it read only when that task writes back to the same bytes.
 """
 from __future__ import annotations
 
@@ -9,7 +12,7 @@ import functools
 import json
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .errors import EmptyInput, InvalidTask, MalformedTrace
+from .errors import CbtopoError, EmptyInput, InvalidTask, MalformedTrace
 from .forksim import ExecutionTrace, Message, SimEvent, ViolationReport
 from .simplicial import (
     BlockRef,
@@ -32,6 +35,7 @@ __all__ = [
     "simplex_to_obj",
     "task_to_json",
     "task_to_obj",
+    "task_from_json",
     "task_from_obj",
     "report_to_obj",
     "trace_to_jsonl",
@@ -79,6 +83,21 @@ def simplex_to_obj(simplex: Simplex) -> List[Dict[str, Any]]:
 
 _INDENT = "  "
 
+# The fixed texts of a task file, which the writer joins around its lists
+# and the layout reader splits the file on: the top level's opening and
+# keys, and its close; a complex's key and close; and a carrier entry's
+# opening, image key and close.
+_INPUT = '{\n  "input": '
+_OUTPUT = ',\n  "output": '
+_CARRIER = ',\n  "carrier": '
+_COLORED = ',\n  "colored": '
+_END = "\n}\n"
+_FACETS = '{\n    "facets": '
+_COMPLEX_END = "\n  }"
+_SIMPLEX = '{\n      "simplex": '
+_IMAGE = ',\n      "image_facets": '
+_ENTRY_END = "\n    }"
+
 
 @functools.cache
 def _brackets(depth: int) -> Tuple[str, str, str]:
@@ -86,6 +105,21 @@ def _brackets(depth: int) -> Tuple[str, str, str]:
     list at nesting ``depth``."""
     inner = "\n" + _INDENT * (depth + 1)
     return "[" + inner, "," + inner, "\n" + _INDENT * depth + "]"
+
+
+def _vertex_texts(vertices: Sequence[Any]) -> List[str]:
+    """``json.dumps(vertex_to_obj(v), indent=2)`` of each vertex, from one
+    call for all of them: each call of the pretty encoder leaves its
+    closures behind as cyclic garbage.
+
+    The list's text holds each vertex's text one indent in, and every line
+    inside an item is indented further, so the items are parted exactly by
+    the lines that close one object and open the next at that indent."""
+    inner = "\n" + _INDENT
+    text = json.dumps([vertex_to_obj(v) for v in vertices], indent=2)
+    # Drop the list's "[" and "]" and the first item's "{" and last one's "}".
+    items = text[len("[" + inner + "{"):-len(inner + "}\n]")].split(inner + "}," + inner + "{")
+    return ["{" + item.replace(inner, "\n") + "\n}" for item in items]
 
 
 class _Bodies(dict):
@@ -113,18 +147,20 @@ def task_to_json(task: Task) -> str:
     written in the input's layer order, which is the canonical order, and
     each distinct image is encoded once, by the carrier's image numbering.
     Lists and entries are joined around those texts from fixed strings for
-    their depth.  This is the one definition of the task format.
+    their depth.  This is the one definition of the task format, and
+    ``task_from_json`` relies on its entry order: it reads entry k of a
+    file as the k-th input simplex in canonical order.
     """
-    vertex_texts: Dict[Any, str] = {}
+    carrier = task.carrier
+    spaces = (task.input._space, task.output._space, carrier._out)
+    vertices = list(dict.fromkeys(v for space in spaces for v in space.vertices))
+    vertex_texts = dict(zip(vertices, _vertex_texts(vertices)))
     bodies: Dict[Tuple[Any, int], _Bodies] = {}
 
     def lists(space: Any, depth: int) -> _Bodies:
         """The body of each mask's vertex list on ``space``, items at ``depth``."""
         found = bodies.get((space, depth))
         if found is None:
-            for v in space.vertices:
-                if v not in vertex_texts:
-                    vertex_texts[v] = json.dumps(vertex_to_obj(v), indent=2)
             pad = "\n" + _INDENT * depth
             found = bodies[space, depth] = _Bodies(
                 [vertex_texts[v].replace("\n", pad) for v in space.vertices],
@@ -140,34 +176,79 @@ def task_to_json(task: Task) -> str:
         return outer_open + outer_sep.join([open_ + body[f] + close for f in masks]) + outer_close
 
     def complex_(c: Complex) -> str:
-        return '{\n    "facets": ' + facets(c._space, c._facets, 2) + "\n  }"
+        return _FACETS + facets(c._space, c._facets, 2) + _COMPLEX_END
 
-    carrier = task.carrier
     ids = carrier._ids
     image_texts = [facets(carrier._out, image, 3) for image in carrier._images]
     # An entry is an object at depth 2 holding a simplex list at depth 3,
     # as an input facet is a list at depth 3 in the input's facet list.
     simplex = lists(task.input._space, 4)
     open_, _, close = _brackets(3)
-    head = '{\n      "simplex": ' + open_
-    middle = close + ',\n      "image_facets": '
-    tail = "\n    }"
+    head = _SIMPLEX + open_
+    middle = close + _IMAGE
     open_, sep, close = _brackets(1)
     parts = [
-        '{\n  "input": ', complex_(task.input),
-        ',\n  "output": ', complex_(task.output),
-        ',\n  "carrier": ' + open_,
+        _INPUT, complex_(task.input),
+        _OUTPUT, complex_(task.output),
+        _CARRIER + open_,
     ]
     for s in task._simplices():
-        parts += (head, simplex[s], middle, image_texts[ids[s]], tail, sep)
+        parts += (head, simplex[s], middle, image_texts[ids[s]], _ENTRY_END, sep)
     # The separator after the last entry becomes the close of the list.
-    parts[-1] = close + ',\n  "colored": ' + json.dumps(task.colored) + "\n}\n"
+    parts[-1] = close + _COLORED + json.dumps(task.colored) + _END
     return "".join(parts)
 
 
 def task_to_obj(task: Task) -> Dict[str, Any]:
     """The task as fresh JSON objects, read back from ``task_to_json``."""
     return json.loads(task_to_json(task))
+
+
+def task_from_json(text: str, max_dim: Optional[int] = None) -> Union[Task, Tuple[Task, int]]:
+    """Read a task file's text: the result, or the error, of
+    ``task_from_obj(json.loads(text), max_dim)``.
+
+    A full read (``max_dim`` None) first takes the text to be in the
+    writer's layout: it decodes the input's and the output's facets and
+    each distinct image text once, takes entry k's simplex to be the k-th
+    input simplex in canonical order (``task_to_json``'s entry order),
+    builds and validates the task, and returns it only when
+    ``task_to_json`` of it is ``text`` itself.  As the writer is the one
+    definition of the format, that task is the one the general reader
+    returns.  Any other text, a capped read, and any text on which the
+    layout read fails in any way go to the general reader.
+    """
+    if max_dim is None:
+        try:
+            task = _task_from_layout(text)
+        except (CbtopoError, LookupError, TypeError, ValueError, RecursionError):
+            task = None
+        if task is not None and task_to_json(task) == text:
+            return task
+    return task_from_obj(json.loads(text), max_dim)
+
+
+def _task_from_layout(text: str) -> Task:
+    """The task of ``text`` read by the writer's layout, not yet checked
+    against it.  A text in another layout raises, or gives a task whose
+    text differs."""
+    if not text.startswith(_INPUT):
+        raise ValueError("not in the task writer's layout")
+    output_at = text.index(_OUTPUT)
+    carrier_at = text.index(_CARRIER, output_at)
+    colored_at = text.rindex(_COLORED, carrier_at)
+    colored = {"true": True, "false": False}[text[colored_at + len(_COLORED):-len(_END)]]
+    reader = _TaskReader()
+    input_facets = reader.complex(json.loads(text[len(_INPUT):output_at]))
+    output_facets = reader.complex(json.loads(text[output_at + len(_OUTPUT):carrier_at]))
+    # Each piece after the first opens with an entry's image text.
+    texts: Dict[str, int] = {}
+    entries = [
+        texts.setdefault(piece[:piece.index(_ENTRY_END)], len(texts))
+        for piece in text[carrier_at:colored_at].split(_IMAGE)[1:]
+    ]
+    images = [tuple(reader.facets(json.loads(image))) for image in texts]
+    return _task(reader, input_facets, output_facets, images, entries, colored)
 
 
 class _TaskReader:
@@ -260,7 +341,8 @@ def task_from_obj(
     if type(colored) is not bool:
         raise InvalidTask(f"malformed task object: 'colored' must be a boolean, got {colored!r}")
     size = None if max_dim is None else max_dim + 1
-    entries: Dict[int, Tuple[int, ...]] = {}
+    entries: Dict[int, int] = {}
+    images: Dict[Tuple[int, ...], int] = {}  # the index of each image as read
     for entry in entries_raw:
         try:
             objs = entry["simplex"]
@@ -277,24 +359,44 @@ def task_from_obj(
                 f"carrier map lists input simplex "
                 f"{Simplex(reader.vertices[i] for i in _bits(simplex))} twice"
             )
-        entries[simplex] = image
+        entries[simplex] = images.setdefault(image, len(images))
+    task = _task(reader, input_facets, output_facets, list(images), entries, colored, max_dim)
+    return task if max_dim is None else (task, max(map(int.bit_count, input_facets)) - 1)
+
+
+def _task(
+    reader: _TaskReader,
+    input_facets: List[int],
+    output_facets: List[int],
+    images: List[Tuple[int, ...]],
+    entries: Union[Dict[int, int], List[int]],
+    colored: bool,
+    max_dim: Optional[int] = None,
+) -> Task:
+    """The task of what ``reader`` read, validated as a task.
+
+    ``images`` lists the distinct images as read, first seen first, and
+    ``entries`` gives each carrier entry's index in it: keyed by the
+    entry's simplex mask as read, or listed in the input's canonical
+    simplex order.  Images are numbered in the order listed, so both forms
+    number a file's images alike.  With ``max_dim`` the input is cut to
+    its ``max_dim``-skeleton.
+    """
     space, renumber = reader.numbering()
-    ids = {}
     number: Dict[Tuple[int, ...], int] = {}  # each distinct image's number
-    canonical: Dict[Tuple[int, ...], int] = {}  # the number of each image as read
-    for simplex, image in entries.items():
-        k = canonical.get(image)
-        if k is None:
-            k = canonical[image] = number.setdefault(_maximal(map(renumber, image)), len(number))
-        ids[renumber(simplex)] = k
+    moved = [number.setdefault(_maximal(map(renumber, image)), len(number)) for image in images]
     input_ = Complex._of(space, _maximal(map(renumber, input_facets)))
-    task = Task(
+    if isinstance(entries, list):
+        simplices = (s for layer in input_._masks().values() for s in layer)
+        ids = dict(zip(simplices, map(moved.__getitem__, entries), strict=True))
+    else:
+        ids = {renumber(s): moved[k] for s, k in entries.items()}
+    return Task(
         input=input_ if max_dim is None else input_.skeleton(max_dim),
         output=Complex._of(space, _maximal(map(renumber, output_facets))),
         carrier=CarrierMap._of(space, space, ids, list(number)),
         colored=colored,
     )
-    return task if max_dim is None else (task, input_.dimension)
 
 
 def report_to_obj(report: SolvabilityReport) -> Dict[str, Any]:

@@ -338,8 +338,9 @@ def colorless_projection(task: Task) -> Task:
     onto the same projected simplex are merged, and every distinct carrier
     image is projected once, vertex-wise, through a per-bit table onto the
     numbering of the projected vertices; images that project alike share a
-    number.  The input complex is left
-    untouched.  The result is valid by construction and not validated again.
+    number, and each distinct projected tuple is cut to its maximal facets
+    once.  The input complex is left untouched.  The result is valid by
+    construction and not validated again.
     """
     if not task.colored:
         raise NotColored("task is already colorless")
@@ -353,7 +354,16 @@ def colorless_projection(task: Task) -> Task:
         space.bit[projected[i]] if i in projected else 0 for i in range(len(vertices))
     ])
     number: Dict[Tuple[int, ...], int] = {}
-    moved = [number.setdefault(_maximal(map(project, image)), len(number)) for image in distinct]
+    # Many images project onto one vertex-wise tuple, which is cut to its
+    # maximal facets once.
+    by_projection: Dict[Tuple[int, ...], int] = {}
+    moved = []
+    for image in distinct:
+        projected = tuple(map(project, image))
+        k = by_projection.get(projected)
+        if k is None:
+            k = by_projection[projected] = number.setdefault(_maximal(projected), len(number))
+        moved.append(k)
     ids = {s: moved[k] for s, k in ids.items()}
     return Task._derived(
         task.input,

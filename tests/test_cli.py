@@ -174,6 +174,21 @@ class TestAnalyze:
         assert "claims: CONFIRMED (2/2)" in out
         assert "rigid" not in out
 
+    @pytest.mark.parametrize("colorless", [False, True])
+    def test_build_files_are_read_by_their_layout(
+        self, colorless, block7_files, monkeypatch, capsys
+    ):
+        # The general reader is made to fail wherever it is bound, so the
+        # check passes only on the layout read of the file ``build`` wrote.
+        def refuse(*args):
+            raise AssertionError("the general reader was called")
+
+        expected = run_cli(["analyze", str(block7_files[3, colorless]), "--t", "1"], capsys)
+        monkeypatch.setattr("cbtopo.serialize.task_from_obj", refuse)
+        monkeypatch.setattr("cbtopo.cli.task_from_obj", refuse, raising=False)
+        got = run_cli(["analyze", str(block7_files[3, colorless]), "--t", "1"], capsys)
+        assert got == expected and got[0] == 0
+
     def test_component_acyclicity_reported(self, task_file, capsys):
         _, out, _ = run_cli(["analyze", str(task_file), "--t", "1"], capsys)
         assert "output component 0: reduced_betti=[0, 0, 0]" in out
@@ -1091,19 +1106,60 @@ class TestCollector:
         assert seen == [False]
         assert gc.isenabled() is collecting
 
-    @pytest.mark.parametrize("argv", [["analyze", "--t", "1"], ["search", "--t", "1", "--N", "1"]])
-    def test_cyclic_garbage_does_not_grow_with_the_task(self, argv, collector, block7_files, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "{task}", "--t", "1"],
+            ["search", "{task}", "--t", "1", "--N", "1"],
+            ["build", "--n", "{k}", "--out", "{out}"],
+            ["export", "{task}", "--format", "json"],
+            ["simulate", "--n", "{k}", "--t", "1", "--trace-out", "{out}"],
+            ["replay", "{trace}"],
+        ],
+    )
+    def test_cyclic_garbage_does_not_grow_with_the_task(
+        self, argv, collector, block7_files, tmp_path, capsys
+    ):
         def garbage(k):
-            gc.disable()
-            gc.collect()
-            gc.set_debug(gc.DEBUG_SAVEALL)
-            try:
-                code, _, _ = run_cli([argv[0], str(block7_files[k, False]), *argv[1:]], capsys)
-                assert code == 0
-                gc.collect()
-                return len(gc.garbage)
-            finally:
-                gc.set_debug(0)
-                gc.garbage.clear()
+            names = {
+                "k": k,
+                "task": block7_files[k, False],
+                "out": tmp_path / f"out-{k}",
+                "trace": self.trace(k, tmp_path, capsys),
+            }
+            return self.garbage([arg.format(**names) for arg in argv], capsys)
 
         assert garbage(2) == garbage(3)
+
+    @pytest.mark.parametrize("command", ["simulate", "replay"])
+    def test_simulator_commands_leave_no_cyclic_garbage(self, command, collector, tmp_path, capsys):
+        trace = self.trace(3, tmp_path, capsys)
+        argv = {
+            "simulate": ["simulate", "--n", "3", "--t", "1", "--trace-out", str(tmp_path / "out")],
+            "replay": ["replay", str(trace)],
+        }[command]
+        assert self.garbage(argv, capsys) == 0
+
+    @staticmethod
+    def trace(k, tmp_path, capsys):
+        """The trace file of the violation ``simulate --n k --t 1`` finds."""
+        path = tmp_path / f"trace-{k}.jsonl"
+        if not path.exists():
+            argv = ["simulate", "--n", str(k), "--t", "1", "--trace-out", str(path)]
+            assert run_cli(argv, capsys)[0] == 0
+        return path
+
+    @staticmethod
+    def garbage(argv, capsys):
+        """The objects in reference cycles that ``main(argv)`` leaves."""
+        gc.disable()
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            code, _, _ = run_cli(argv, capsys)
+            assert code == 0
+            gc.collect()
+            return len(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()

@@ -16,9 +16,11 @@ from cbtopo.forksim import (
     run,
 )
 from cbtopo.serialize import (
+    _task_from_layout,
     dumps,
     report_to_obj,
     simplex_to_obj,
+    task_from_json,
     task_from_obj,
     task_to_json,
     task_to_obj,
@@ -279,6 +281,155 @@ class TestTaskWriter:
         first = task_to_obj(cbt_tasks[1])
         first["input"]["facets"][0][0]["value"] = "bot"
         assert task_to_obj(cbt_tasks[1])["input"]["facets"][0][0]["value"] != "bot"
+
+
+def _general(text, max_dim=None):
+    return task_from_obj(json.loads(text), max_dim)
+
+
+def _outcome(read, text):
+    """What ``read(text)`` gives: the task, or its error's type and message."""
+    try:
+        return read(text)
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome compared
+        return type(exc), str(exc)
+
+
+def _assert_same_read(got, expected):
+    """Two reads of one file agree: the same numbering, id table and image
+    list, both in order, the same facets and the same ``colored``."""
+    assert isinstance(got, Task) and isinstance(expected, Task)
+    for a, b in ((got.input, expected.input), (got.output, expected.output)):
+        assert a._space.vertices == b._space.vertices
+        assert a._facets == b._facets
+    assert list(got.carrier._ids.items()) == list(expected.carrier._ids.items())
+    assert got.carrier._images == expected.carrier._images
+    assert got.colored is expected.colored
+
+
+def _edited(edit):
+    """A perturbation of a task file that edits its object and writes it
+    back in the writer's own indentation."""
+
+    def perturb(text):
+        obj = json.loads(text)
+        edit(obj)
+        return dumps(obj)
+
+    return perturb
+
+
+def _swap_entries(obj):
+    # Two entries of one dimension whose images differ.
+    carrier = obj["carrier"]
+    i, j = next(
+        (i, j) for i, j in itertools.combinations(range(len(carrier)), 2)
+        if len(carrier[i]["simplex"]) == len(carrier[j]["simplex"])
+        and carrier[i]["image_facets"] != carrier[j]["image_facets"]
+    )
+    carrier[i], carrier[j] = carrier[j], carrier[i]
+
+
+def _reverse_image(obj):
+    next(e for e in obj["carrier"] if len(e["image_facets"]) > 1)["image_facets"].reverse()
+
+
+def _add_face(obj):
+    facets = obj["input"]["facets"]
+    assert len(facets[0]) > 1
+    facets.append(facets[0][:1])
+
+
+_PERTURBATIONS = {
+    "compact": lambda text: json.dumps(json.loads(text)),
+    "entries-swapped": _edited(_swap_entries),
+    "image-reversed": _edited(_reverse_image),
+    "non-maximal-facet": _edited(_add_face),
+    "extra-key": _edited(lambda obj: obj.update(note="hand edited")),
+    "duplicated-entry": _edited(lambda obj: obj["carrier"].append(obj["carrier"][0])),
+    "vertex-in-one-image": _edited(
+        lambda obj: obj["carrier"][-1]["image_facets"].append(
+            [{"chain": 9, "block": 7, "value": "1"}]
+        )
+    ),
+    "final-newline-dropped": lambda text: text[:-1],
+    "simplex-not-a-list": _edited(lambda obj: obj["carrier"][-1].update(simplex=5)),
+}
+
+
+class TestTaskFromJson:
+    """``task_from_json`` reads a file the writer wrote by its layout, and
+    any other text as ``task_from_obj(json.loads(text))`` does."""
+
+    @staticmethod
+    def layout_read(text, monkeypatch):
+        """``task_from_json(text)`` with the general reader made to fail,
+        so a task can only come from the layout read."""
+
+        def refuse(*args):
+            raise AssertionError("the general reader was called")
+
+        with monkeypatch.context() as patch:
+            patch.setattr("cbtopo.serialize.task_from_obj", refuse)
+            return task_from_json(text)
+
+    @pytest.mark.parametrize("colorless", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_cbt_files(self, n, colorless, cbt_texts, monkeypatch):
+        text = cbt_texts[n, colorless]
+        _assert_same_read(self.layout_read(text, monkeypatch), _general(text))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_tasks(self, seed, monkeypatch):
+        for build in (random_shared_mask_task, random_induced_image_task):
+            text = task_to_json(build(random.Random(seed)))
+            _assert_same_read(self.layout_read(text, monkeypatch), _general(text))
+
+    def test_toy_tasks(self, monkeypatch):
+        line = cx([vtx(0, "0"), vtx(1, "1")], [vtx(1, "1"), vtx(2, "0")])
+        for task in (identity_task(cx([vtx(0, "1"), vtx(1, "0"), vtx(2, "1")])),
+                     split_vote_task(line, {vtx(0, "0"): "0", vtx(1, "1"): "1", vtx(2, "0"): "0"})):
+            text = task_to_json(task)
+            _assert_same_read(self.layout_read(text, monkeypatch), _general(text))
+
+    @pytest.mark.parametrize("name", list(_PERTURBATIONS))
+    @pytest.mark.parametrize("colorless", [False, True])
+    def test_perturbed_texts_read_as_the_general_reader_reads_them(
+        self, name, colorless, cbt_texts
+    ):
+        text = _PERTURBATIONS[name](cbt_texts[2, colorless])
+        assert text != cbt_texts[2, colorless]
+        got, expected = _outcome(task_from_json, text), _outcome(_general, text)
+        if isinstance(expected, Task):
+            _assert_same_read(got, expected)
+        else:
+            assert got == expected
+
+    def test_swapped_entries_fail_only_the_byte_comparison(self, cbt_texts):
+        # Read by the layout, the swapped entries carry each other's
+        # images, and the task is still valid: only its text tells.
+        text = _PERTURBATIONS["entries-swapped"](cbt_texts[2, False])
+        misread = _task_from_layout(text)
+        assert misread != _general(text)
+        assert task_to_json(misread) != text
+        assert task_from_json(text) == _general(text)
+
+    @pytest.mark.parametrize("max_dim", [0, 1, 2])
+    def test_capped_reads_take_the_general_reader(self, max_dim, cbt_texts, monkeypatch):
+        calls = []
+        general = task_from_obj
+
+        def counted(*args):
+            calls.append(args[1:])
+            return general(*args)
+
+        monkeypatch.setattr("cbtopo.serialize.task_from_obj", counted)
+        text = cbt_texts[2, False]
+        restricted, n = task_from_json(text, max_dim)
+        assert calls == [(max_dim,)]
+        expected, m = general(json.loads(text), max_dim)
+        assert n == m == 2
+        _assert_same_read(restricted, expected)
 
 
 class TestReportObjects:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from cbtopo import CbtConfig, build_colorless_task, build_task
 from cbtopo.errors import BadResilience, InvalidTask, NotColored
 from cbtopo.serialize import task_from_obj, task_to_obj
-from cbtopo.simplicial import Complex, Simplex, Value, Vertex
+from cbtopo.simplicial import Complex, Simplex, Value, Vertex, _bits, _maximal, _Numbering
 from cbtopo.tasks import (
     CarrierMap,
     PropertyCheck,
@@ -425,6 +425,39 @@ class TestColorlessProjection:
     def test_projecting_twice_rejected(self, colorless_tasks):
         with pytest.raises(NotColored, match="already colorless"):
             colorless_projection(colorless_tasks[1])
+
+    @staticmethod
+    def check_tables(task):
+        """The projection's tables are those of the definition that cuts
+        every distinct image to its maximal facets on its own: the same
+        output numbering and facets, ids and image list, in order."""
+        projected = colorless_projection(task)
+        output = task.output
+        vertices = output._space.vertices
+        free_of = {i: Vertex(None, vertices[i].value) for i in _bits(output._support)}
+        space = _Numbering.of(free_of.values())
+
+        def project(mask):
+            return space.mask(free_of[i] for i in _bits(mask))
+
+        number = {}
+        moved = [number.setdefault(_maximal(map(project, image)), len(number))
+                 for image in task.carrier._images]
+        assert projected.output._space.vertices == space.vertices
+        assert projected.output._facets == _maximal(map(project, output._facets))
+        assert list(projected.carrier._ids.items()) == [
+            (s, moved[k]) for s, k in task.carrier._ids.items()
+        ]
+        assert projected.carrier._images == list(number)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_tables_on_cbt_tasks(self, n):
+        self.check_tables(build_task(CbtConfig(n=n, block_index=7)))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_tables_on_random_tasks(self, seed):
+        self.check_tables(random_shared_mask_task(random.Random(seed)))
+        self.check_tables(random_induced_image_task(random.Random(seed)))
 
 
 @settings(max_examples=80)
