@@ -291,7 +291,7 @@ def _outcome(read, text):
     """What ``read(text)`` gives: the task, or its error's type and message."""
     try:
         return read(text)
-    except Exception as exc:  # noqa: BLE001 - the error is the outcome compared
+    except Exception as exc:
         return type(exc), str(exc)
 
 
