@@ -45,14 +45,7 @@ from .serialize import (
     vertex_to_obj,
 )
 from .simplicial import Complex, Value
-# ``cmd_search`` runs ``_search`` on the skeleton it loads; the public search
-# stays bound here too, where perfbench's span recorder looks for it.
-from .solvability import (
-    Verdict,
-    _search,
-    connectivity_obstruction,
-    search_carried_simplicial_map,  # noqa: F401
-)
+from .solvability import Verdict, connectivity_obstruction, search_carried_simplicial_map
 from .tasks import (
     Task,
     colorless_projection,
@@ -82,12 +75,12 @@ def _write_text(path: str | None, text: str) -> None:
             handle.write(text)
 
 
-def _load_task(path: str, max_dim: int | None = None) -> Task | tuple[Task, int]:
-    """``task_from_json`` of the file at ``path``, with ``max_dim`` as its cap."""
+def _load_task(path: str) -> Task:
+    """``task_from_json`` of the file at ``path``."""
     with open(path, "rb") as handle:
         text = handle.read().decode("utf-8")
     try:
-        return task_from_json(text, max_dim)
+        return task_from_json(text)
     except RecursionError:
         raise InvalidTask(f"cannot load task from {path}: JSON nested too deeply") from None
     except CbtopoError as exc:
@@ -171,12 +164,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    # The carrier entries up to dimension max(t, 1) are read before --t is
-    # checked, so a file malformed at dimension 1 or below exits 3 whatever
-    # --t is (README, exit codes).
-    restricted, n = _load_task(args.task, max(args.t, 1))
-    check_resilience(n, args.t, allow_zero=False)
-    report = _search(restricted, n, args.t, args.depth, args.budget)
+    report = search_carried_simplicial_map(
+        _load_task(args.task), args.t, args.depth, node_budget=args.budget
+    )
     sys.stdout.write(dumps(report_to_obj(report)))
     if report.verdict is Verdict.MAP_FOUND:
         print(f"map found at depth {args.depth} after {report.nodes_explored} nodes")
@@ -202,6 +192,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         folder = os.path.dirname(args.trace_out) or "."
         if not os.path.isdir(folder):
             raise FileNotFoundError(f"no directory {folder!r} for --trace-out")
+        if os.path.isdir(args.trace_out):
+            raise IsADirectoryError(f"--trace-out {args.trace_out!r} is a directory")
     trace = find_violation(
         args.n,
         args.t,

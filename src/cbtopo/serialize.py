@@ -204,50 +204,53 @@ def task_to_obj(task: Task) -> Dict[str, Any]:
     return json.loads(task_to_json(task))
 
 
-def task_from_json(text: str, max_dim: Optional[int] = None) -> Union[Task, Tuple[Task, int]]:
+def task_from_json(text: str) -> Task:
     """Read a task file's text: the result, or the error, of
-    ``task_from_obj(json.loads(text), max_dim)``.
+    ``task_from_obj(json.loads(text))``.
 
-    A full read (``max_dim`` None) first takes the text to be in the
-    writer's layout: it decodes the input's and the output's facets and
-    each distinct image text once, takes entry k's simplex to be the k-th
-    input simplex in canonical order (``task_to_json``'s entry order),
-    builds and validates the task, and returns it only when
-    ``task_to_json`` of it is ``text`` itself.  As the writer is the one
-    definition of the format, that task is the one the general reader
-    returns.  Any other text, a capped read, and any text on which the
-    layout read fails in any way go to the general reader.
+    The text is first taken to be in the writer's layout: the input's and
+    the output's facets and each distinct image text are decoded once,
+    entry k's simplex is taken to be the k-th input simplex in canonical
+    order (``task_to_json``'s entry order), and the task so built and
+    validated is returned only when ``task_to_json`` of it is ``text``
+    itself.  As the writer is the one definition of the format, that task
+    is the one the general reader returns.  Any other text, and any text
+    on which the layout read fails in any way, go to the general reader.
     """
-    if max_dim is None:
-        try:
-            task = _task_from_layout(text)
-        except (CbtopoError, LookupError, TypeError, ValueError, RecursionError):
-            task = None
-        if task is not None and task_to_json(task) == text:
-            return task
-    return task_from_obj(json.loads(text), max_dim)
+    try:
+        task = _task_from_layout(text)
+    except (CbtopoError, LookupError, TypeError, ValueError, RecursionError):
+        task = None
+    if task is not None and task_to_json(task) == text:
+        return task
+    return task_from_obj(json.loads(text))
 
 
 def _task_from_layout(text: str) -> Task:
     """The task of ``text`` read by the writer's layout, not yet checked
     against it.  A text in another layout raises, or gives a task whose
-    text differs."""
+    text differs.
+
+    Both complexes and every distinct image text are decoded by one
+    ``json.loads`` of their texts joined as one list."""
     if not text.startswith(_INPUT):
         raise ValueError("not in the task writer's layout")
     output_at = text.index(_OUTPUT)
     carrier_at = text.index(_CARRIER, output_at)
     colored_at = text.rindex(_COLORED, carrier_at)
     colored = {"true": True, "false": False}[text[colored_at + len(_COLORED):-len(_END)]]
-    reader = _TaskReader()
-    input_facets = reader.complex(json.loads(text[len(_INPUT):output_at]))
-    output_facets = reader.complex(json.loads(text[output_at + len(_OUTPUT):carrier_at]))
     # Each piece after the first opens with an entry's image text.
     texts: Dict[str, int] = {}
     entries = [
         texts.setdefault(piece[:piece.index(_ENTRY_END)], len(texts))
         for piece in text[carrier_at:colored_at].split(_IMAGE)[1:]
     ]
-    images = [tuple(reader.facets(json.loads(image))) for image in texts]
+    pieces = [text[len(_INPUT):output_at], text[output_at + len(_OUTPUT):carrier_at], *texts]
+    input_obj, output_obj, *image_objs = json.loads("[" + ",".join(pieces) + "]")
+    reader = _TaskReader()
+    input_facets = reader.complex(input_obj)
+    output_facets = reader.complex(output_obj)
+    images = [tuple(reader.facets(image)) for image in image_objs]
     return _task(reader, input_facets, output_facets, images, entries, colored)
 
 
@@ -310,25 +313,14 @@ class _TaskReader:
         return space, _Numbering(self.vertices).to(space) or (lambda mask: mask)
 
 
-def task_from_obj(
-    obj: Dict[str, Any], max_dim: Optional[int] = None
-) -> Union[Task, Tuple[Task, int]]:
+def task_from_obj(obj: Dict[str, Any]) -> Task:
     """Read a task object, such as ``json.loads`` of a task file.
 
     Every vertex of the file is numbered in one numbering, which the input,
-    the output and the carrier images share.  A malformed object raises
-    ``InvalidTask`` (or the ``CbtopoError`` a malformed simplex or complex
-    raises), and so does a carrier map that lists one input simplex twice.
-
-    With ``max_dim`` None the whole file is read and checked, and the task
-    is returned.  With a ``max_dim`` of d, a carrier entry whose simplex
-    lists more than d + 1 vertices is skipped unread, so nothing above
-    dimension d is checked; an entry that is not an object, or whose
-    ``simplex`` is not a list, is still malformed.  The result is then the
-    task on the d-skeleton of the input, checked as a task: the carrier is
-    total on the skeleton, lists no other simplex and lands in the output.
-    It is returned with n, the dimension of the file's whole input.  On a
-    valid file the numbering, and so every output, is the same either way.
+    the output and the carrier images share.  The whole object is read and
+    checked: a malformed object raises ``InvalidTask`` (or the
+    ``CbtopoError`` a malformed simplex or complex raises), and so does a
+    carrier map that lists one input simplex twice.
     """
     reader = _TaskReader()
     try:
@@ -340,7 +332,6 @@ def task_from_obj(
         raise InvalidTask(f"malformed task object: {exc}") from None
     if type(colored) is not bool:
         raise InvalidTask(f"malformed task object: 'colored' must be a boolean, got {colored!r}")
-    size = None if max_dim is None else max_dim + 1
     entries: Dict[int, int] = {}
     images: Dict[Tuple[int, ...], int] = {}  # the index of each image as read
     for entry in entries_raw:
@@ -348,8 +339,6 @@ def task_from_obj(
             objs = entry["simplex"]
             if type(objs) is not list:
                 raise TypeError(f"'simplex' must be a list, got {objs!r}")
-            if size is not None and len(objs) > size:
-                continue
             simplex = reader.simplex(objs)
             image = tuple(reader.facets(entry["image_facets"]))
         except (KeyError, TypeError) as exc:
@@ -360,8 +349,7 @@ def task_from_obj(
                 f"{Simplex(reader.vertices[i] for i in _bits(simplex))} twice"
             )
         entries[simplex] = images.setdefault(image, len(images))
-    task = _task(reader, input_facets, output_facets, list(images), entries, colored, max_dim)
-    return task if max_dim is None else (task, max(map(int.bit_count, input_facets)) - 1)
+    return _task(reader, input_facets, output_facets, list(images), entries, colored)
 
 
 def _task(
@@ -371,7 +359,6 @@ def _task(
     images: List[Tuple[int, ...]],
     entries: Union[Dict[int, int], List[int]],
     colored: bool,
-    max_dim: Optional[int] = None,
 ) -> Task:
     """The task of what ``reader`` read, validated as a task.
 
@@ -379,8 +366,7 @@ def _task(
     ``entries`` gives each carrier entry's index in it: keyed by the
     entry's simplex mask as read, or listed in the input's canonical
     simplex order.  Images are numbered in the order listed, so both forms
-    number a file's images alike.  With ``max_dim`` the input is cut to
-    its ``max_dim``-skeleton.
+    number a file's images alike.
     """
     space, renumber = reader.numbering()
     number: Dict[Tuple[int, ...], int] = {}  # each distinct image's number
@@ -392,7 +378,7 @@ def _task(
     else:
         ids = {renumber(s): moved[k] for s, k in entries.items()}
     return Task(
-        input=input_ if max_dim is None else input_.skeleton(max_dim),
+        input=input_,
         output=Complex._of(space, _maximal(map(renumber, output_facets))),
         carrier=CarrierMap._of(space, space, ids, list(number)),
         colored=colored,

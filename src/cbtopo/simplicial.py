@@ -275,15 +275,15 @@ def _support(masks: Iterable[int]) -> int:
     return functools.reduce(operator.or_, masks, 0)
 
 
-def _layers(facets: Sequence[int], top: int) -> Dict[int, Tuple[int, ...]]:
-    """The simplex masks of at most ``top`` vertices that the facet masks
-    span, by dimension, each layer in canonical order.
+def _layers(facets: Sequence[int]) -> Dict[int, Tuple[int, ...]]:
+    """The simplex masks that the facet masks span, by dimension, each
+    layer in canonical order.
 
     A simplex grows by one vertex past its last: the candidates are the
     later vertices that share a facet with each of its own, and a candidate
     stays when one facet holds all of it, which an AND of per-vertex facet
     sets (ints over facet positions) tells.  Growing a sorted layer this way
-    keeps the next one sorted, and no simplex above ``top`` is enumerated.
+    keeps the next one sorted.
     """
     width = _support(facets).bit_length()
     holds, near = [0] * width, [0] * width
@@ -294,18 +294,15 @@ def _layers(facets: Sequence[int], top: int) -> Dict[int, Tuple[int, ...]]:
             near[v] |= f
     layer = [(1 << v, holds[v], near[v]) for v in range(width) if holds[v]]
     out = {}
-    for d in range(top):
-        out[d] = tuple(s for s, _, _ in layer)
+    while layer:
+        out[len(out)] = tuple(s for s, _, _ in layer)
         grown = []
-        if d + 1 < top:
-            for s, held, common in layer:
-                last = s.bit_length()
-                for v in _bits(common >> last << last):
-                    both = held & holds[v]
-                    if both:
-                        grown.append((s | 1 << v, both, common & near[v]))
-        if not grown:
-            break
+        for s, held, common in layer:
+            last = s.bit_length()
+            for v in _bits(common >> last << last):
+                both = held & holds[v]
+                if both:
+                    grown.append((s | 1 << v, both, common & near[v]))
         layer = grown
     return out
 
@@ -474,7 +471,7 @@ class Complex:
     def _masks(self) -> Dict[int, Tuple[int, ...]]:
         """Every simplex mask by dimension, each layer in canonical order."""
         if self._layers is None:
-            self._layers = _layers(self._facets, self.dimension + 1)
+            self._layers = _layers(self._facets)
         return self._layers
 
     @property
@@ -536,12 +533,8 @@ class Complex:
         if k >= self.dimension:
             return self
         # Every simplex of dimension at most k lies in a k-face or in a
-        # smaller facet, and none of those lies in another.  Only layers up
-        # to k are enumerated, unless the whole complex already has them.
-        if self._layers is None:
-            layers = _layers(self._facets, k + 1)
-        else:
-            layers = {d: layer for d, layer in self._layers.items() if d <= k}
+        # smaller facet, and none of those lies in another.
+        layers = {d: layer for d, layer in self._masks().items() if d <= k}
         low = [f for f in self._facets if f.bit_count() <= k]
         skeleton = Complex._of(self._space, tuple(sorted((*layers[k], *low), key=_bits)))
         skeleton._layers = layers

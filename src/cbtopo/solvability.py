@@ -156,22 +156,6 @@ def search_carried_simplicial_map(
     carrier map, so an exhausted search claims the smaller depths too
     ("or below" in its note) only when the restricted map is monotonic.
 
-    The search reads only the carrier entries of simplices of dimension at
-    most t.  ``cbtopo search`` therefore loads only those from its file
-    (``task_from_obj`` with a dimension cap), and runs the same search on
-    the task it gets.
-    """
-    n = task.input.dimension
-    check_resilience(n, t, allow_zero=False)
-    return _search(restrict_to_skeleton(task, t), n, t, depth, node_budget)
-
-
-def _search(
-    restricted: Task, n: int, t: int, depth: int, node_budget: int | None
-) -> SolvabilityReport:
-    """``search_carried_simplicial_map`` on the task restricted to the
-    t-skeleton of an input of dimension n, with t already checked.
-
     Each subdivided facet keeps a mask of the output facets that could
     still hold its image.  Every narrowing of a mask goes onto one trail as
     (facet id, old mask), and every placed vertex onto ``placed`` as (value
@@ -184,9 +168,12 @@ def _search(
     others, such as a task file's output vertices.  The order is a stable
     sort on domain size, so ties stay in vertex order.
     """
+    n = task.input.dimension
+    check_resilience(n, t, allow_zero=False)
     _require_int(depth, 0, "subdivision depth")
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
     _require_int(budget, 1, "node budget")
+    restricted = restrict_to_skeleton(task, t)
     subdivided = barycentric_subdivide(restricted.input, depth)
     carriers = subdivided.carriers
     image = restricted.carrier._image

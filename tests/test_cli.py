@@ -479,30 +479,36 @@ def _spoiled(task_file, tmp_path, spoil, dim):
     return path
 
 
-class TestSearchReadsTheSkeleton:
-    """``search --t t`` reads and checks only the carrier entries of
-    dimension at most t (and always those up to dimension 1); ``analyze``
-    and ``export`` check the whole file."""
+class TestSearchReadsTheWholeFile:
+    """``search``, like ``analyze`` and ``export``, reads and checks every
+    carrier entry of its file, whatever the entry's dimension and ``--t``."""
 
+    @pytest.mark.parametrize("dim", [0, 1, 2])
     @pytest.mark.parametrize("spoil", SPOILERS)
-    def test_spoiled_above_t_is_not_read_by_search(self, spoil, task_file, tmp_path, capsys):
-        path = _spoiled(task_file, tmp_path, spoil, 2)
-        argv = ["--t", "1", "--N", "1"]
-        clean = run_cli(["search", str(task_file), *argv], capsys)
-        assert clean[0] == 0
-        assert run_cli(["search", str(path), *argv], capsys) == clean
-        for command, options in (("analyze", ["--t", "1"]), ("export", [])):
+    def test_spoiled_at_any_dim_is_rejected_by_every_reader(
+        self, spoil, dim, task_file, tmp_path, capsys
+    ):
+        path = _spoiled(task_file, tmp_path, spoil, dim)
+        for command, options in (
+            ("search", ["--t", "1", "--N", "1"]), ("analyze", ["--t", "1"]), ("export", [])
+        ):
             code, out, err = run_cli([command, str(path), *options], capsys)
             assert (code, out) == (3, ""), command
             assert "cannot load task" in err
 
-    @pytest.mark.parametrize("dim", [0, 1])
-    @pytest.mark.parametrize("spoil", SPOILERS)
-    def test_spoiled_up_to_t_is_rejected_by_search(self, spoil, dim, task_file, tmp_path, capsys):
-        path = _spoiled(task_file, tmp_path, spoil, dim)
-        code, out, err = run_cli(["search", str(path), "--t", "1", "--N", "1"], capsys)
-        assert (code, out) == (3, "")
-        assert "cannot load task" in err
+    def test_search_runs_the_public_search(self, task_file, monkeypatch, capsys):
+        # The name a caller, such as a span recorder, wraps to see each search.
+        calls = []
+        search = cbtopo.cli.search_carried_simplicial_map
+
+        def counted(task, *args, **options):
+            calls.append((args, options))
+            return search(task, *args, **options)
+
+        monkeypatch.setattr("cbtopo.cli.search_carried_simplicial_map", counted)
+        argv = ["search", str(task_file), "--t", "1", "--N", "1", "--budget", "900"]
+        assert run_cli(argv, capsys)[0] == 0
+        assert calls == [((1, 1), {"node_budget": 900})]
 
     @pytest.mark.parametrize("dim", [0, 1, 2])
     @pytest.mark.parametrize(
@@ -537,9 +543,9 @@ class TestSearchReadsTheSkeleton:
         assert "0 < t < (n+1)/2" in err
 
     @pytest.mark.parametrize("t", ["-1", "0", "2", "5"])
-    @pytest.mark.parametrize("dim", [0, 1])
+    @pytest.mark.parametrize("dim", [0, 1, 2])
     @pytest.mark.parametrize("spoil", SPOILERS)
-    def test_malformed_up_to_dim_1_wins_over_bad_resilience(
+    def test_malformed_at_any_dim_wins_over_bad_resilience(
         self, spoil, dim, t, task_file, tmp_path, capsys
     ):
         path = _spoiled(task_file, tmp_path, spoil, dim)
@@ -615,6 +621,13 @@ class TestSimulate:
         assert (code, out) == (3, "")
         assert "missing" in err
         assert not path.parent.exists()
+
+    def test_trace_out_onto_a_directory_fails_before_the_search(self, tmp_path, capsys):
+        code, out, err = run_cli(
+            ["simulate", "--n", "2", "--t", "1", "--trace-out", str(tmp_path)], capsys
+        )
+        assert (code, out) == (3, "")
+        assert "is a directory" in err
 
     def test_exhaustive_flag_is_the_default(self, capsys):
         argv = ["simulate", "--n", "2", "--t", "1", "--depth", "10"]

@@ -1,0 +1,43 @@
+"""A lint of the package's modules: every import is used, and no lint
+warning is silenced."""
+import ast
+import io
+import tokenize
+from pathlib import Path
+
+import pytest
+
+MODULES = sorted(
+    path for path in (Path(__file__).parent.parent / "src" / "cbtopo").glob("*.py")
+    if path.name != "__init__.py"
+)
+
+
+def _imported(tree):
+    """The name each import binds, with its line."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [f"{name} (line {line})" for name, line in _imported(tree) if name not in used]
+    assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_lint_warning_is_silenced(path):
+    with path.open("rb") as handle:
+        silenced = [
+            f"line {token.start[0]}: {token.string}"
+            for token in tokenize.tokenize(handle.readline)
+            if token.type == tokenize.COMMENT and "noqa" in token.string.lower()
+        ]
+    assert not silenced, f"{path.name} silences a lint warning: {'; '.join(silenced)}"

@@ -167,23 +167,24 @@ def cbt_texts():
     }
 
 
-class TestRestrictedLoad:
-    """``task_from_obj`` with a dimension cap d against the file read with
+class TestSkeletonOfARead:
+    """``restrict_to_skeleton`` of a read file against the file read with
     plain ``json``: the skeleton is ``closure_oracle`` of the input facets
     cut to at most d + 1 vertices, and the carrier holds exactly the file's
     entries of at most d + 1 vertices."""
 
     @pytest.mark.parametrize("colorless", [False, True])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_every_cap_matches_the_file(self, n, colorless, cbt_texts):
+    def test_every_skeleton_matches_the_file(self, n, colorless, cbt_texts):
         text = cbt_texts[n, colorless]
         file = json.loads(text)
         input_facets = [list(map(_obj_key, f)) for f in file["input"]["facets"]]
         assert max(map(len, input_facets)) == n + 1
         closure = closure_oracle(input_facets)
-        for dim in range(n + 1):
-            restricted, dimension = task_from_obj(json.loads(text), dim)
-            assert dimension == n
+        task = task_from_json(text)
+        assert task.input.dimension == n
+        for dim in range(1, n + 1):
+            restricted = restrict_to_skeleton(task, dim)
             assert restricted.colored is file["colored"]
             skeleton = {frozenset(map(_key, s)) for s in restricted.input.simplices()}
             assert skeleton == {s for s in closure if len(s) <= dim + 1}
@@ -200,19 +201,6 @@ class TestRestrictedLoad:
             assert {frozenset(map(_key, f)) for f in restricted.output.facets} == {
                 frozenset(map(_obj_key, f)) for f in file["output"]["facets"]
             }
-
-    def test_entries_above_the_cap_are_not_decoded(self, cbt_tasks):
-        obj = task_to_obj(cbt_tasks[2])
-        for entry in obj["carrier"]:
-            if len(entry["simplex"]) == 3:
-                entry["simplex"][0]["value"] = "neither"
-                del entry["image_facets"]
-        restricted, n = task_from_obj(obj, 1)
-        assert (n, len(restricted.carrier)) == (2, 36)
-        with pytest.raises(InvalidTask):
-            task_from_obj(obj, 2)
-        with pytest.raises(InvalidTask):
-            task_from_obj(obj)
 
 
 def _assert_same_text(got, expected):
@@ -259,13 +247,6 @@ class TestTaskWriter:
             self.check(restrict_to_skeleton(task, t))
             self.check(restrict_to_skeleton(projected, t))
 
-    @pytest.mark.parametrize("max_dim", [1, 2])
-    def test_task_loaded_under_a_dimension_cap(self, max_dim):
-        obj = task_to_obj(build_task(CbtConfig(n=3, block_index=7)))
-        loaded, n = task_from_obj(obj, max_dim)
-        assert n == 3 and loaded.input.dimension == max_dim
-        self.check(loaded)
-
     @pytest.mark.parametrize("seed", range(3))
     def test_equal_images_as_distinct_objects(self, seed):
         # Every entry's image is a fresh complex on its own numbering, so
@@ -283,8 +264,8 @@ class TestTaskWriter:
         assert task_to_obj(cbt_tasks[1])["input"]["facets"][0][0]["value"] != "bot"
 
 
-def _general(text, max_dim=None):
-    return task_from_obj(json.loads(text), max_dim)
+def _general(text):
+    return task_from_obj(json.loads(text))
 
 
 def _outcome(read, text):
@@ -413,23 +394,6 @@ class TestTaskFromJson:
         assert misread != _general(text)
         assert task_to_json(misread) != text
         assert task_from_json(text) == _general(text)
-
-    @pytest.mark.parametrize("max_dim", [0, 1, 2])
-    def test_capped_reads_take_the_general_reader(self, max_dim, cbt_texts, monkeypatch):
-        calls = []
-        general = task_from_obj
-
-        def counted(*args):
-            calls.append(args[1:])
-            return general(*args)
-
-        monkeypatch.setattr("cbtopo.serialize.task_from_obj", counted)
-        text = cbt_texts[2, False]
-        restricted, n = task_from_json(text, max_dim)
-        assert calls == [(max_dim,)]
-        expected, m = general(json.loads(text), max_dim)
-        assert n == m == 2
-        _assert_same_read(restricted, expected)
 
 
 class TestReportObjects:

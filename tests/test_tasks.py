@@ -170,7 +170,6 @@ class TestCarrierTable:
             lambda: build_task(CbtConfig(n=2, block_index=7)),
             lambda: build_colorless_task(CbtConfig(n=2, block_index=7)),
             lambda: task_from_obj(task_to_obj(build_task(CbtConfig(n=2)))),
-            lambda: task_from_obj(task_to_obj(build_task(CbtConfig(n=3))), 1)[0],
             reordered_task,
             lambda: restrict_to_skeleton(build_task(CbtConfig(n=3)), 1),
             lambda: colorless_projection(build_task(CbtConfig(n=2))),
@@ -178,7 +177,7 @@ class TestCarrierTable:
         ],
         ids=[
             "Task", "build_task", "build_colorless_task", "task_from_obj",
-            "task_from_obj-max_dim", "task_from_obj-reordered", "restrict_to_skeleton",
+            "task_from_obj-reordered", "restrict_to_skeleton",
             "colorless_projection", "colorless_projection-wide",
         ],
     )
