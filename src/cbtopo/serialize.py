@@ -2,9 +2,10 @@
 
 Every serializer walks its object in canonical order, so equal objects
 always produce byte-identical text.  ``task_from_json`` reads a task file
-by the writer's own layout when it can: it relies on ``task_to_json``
-writing the carrier entries in the input's canonical simplex order, and
-keeps what it read only when that task writes back to the same bytes.
+by the writer's own layout when it can: it cuts the text at the writer's
+separators, decodes each distinct vertex text once, takes the carrier
+entries to be in the input's canonical simplex order, and keeps what it
+read only when that task writes back to the same bytes.
 """
 from __future__ import annotations
 
@@ -209,13 +210,14 @@ def task_from_json(text: str) -> Task:
     ``task_from_obj(json.loads(text))``.
 
     The text is first taken to be in the writer's layout: the input's and
-    the output's facets and each distinct image text are decoded once,
-    entry k's simplex is taken to be the k-th input simplex in canonical
-    order (``task_to_json``'s entry order), and the task so built and
-    validated is returned only when ``task_to_json`` of it is ``text``
-    itself.  As the writer is the one definition of the format, that task
-    is the one the general reader returns.  Any other text, and any text
-    on which the layout read fails in any way, go to the general reader.
+    the output's facet lists and each distinct image text are cut at the
+    writer's separators, each distinct vertex text is decoded once, entry
+    k's simplex is taken to be the k-th input simplex in canonical order
+    (``task_to_json``'s entry order), and the task so built and validated
+    is returned only when ``task_to_json`` of it is ``text`` itself.  As
+    the writer is the one definition of the format, that task is the one
+    the general reader returns.  Any other text, and any text on which the
+    layout read fails in any way, go to the general reader.
     """
     try:
         task = _task_from_layout(text)
@@ -227,56 +229,52 @@ def task_from_json(text: str) -> Task:
 
 
 def _task_from_layout(text: str) -> Task:
-    """The task of ``text`` read by the writer's layout, not yet checked
-    against it.  A text in another layout raises, or gives a task whose
-    text differs.
-
-    Both complexes and every distinct image text are decoded by one
-    ``json.loads`` of their texts joined as one list."""
+    """The task of ``text`` read by the writer's layout, each facet list by
+    ``_TaskReader.layout``, not yet checked against it.  A text in another
+    layout raises, or gives a task whose text differs."""
     if not text.startswith(_INPUT):
         raise ValueError("not in the task writer's layout")
     output_at = text.index(_OUTPUT)
     carrier_at = text.index(_CARRIER, output_at)
     colored_at = text.rindex(_COLORED, carrier_at)
     colored = {"true": True, "false": False}[text[colored_at + len(_COLORED):-len(_END)]]
-    # Each piece after the first opens with an entry's image text.
+    # Each piece after the first opens with an entry's image text, and what
+    # follows the image's end is indented deeper, to the next entry's simplex.
     texts: Dict[str, int] = {}
     entries = [
-        texts.setdefault(piece[:piece.index(_ENTRY_END)], len(texts))
+        texts.setdefault(piece[:piece.rindex(_ENTRY_END)], len(texts))
         for piece in text[carrier_at:colored_at].split(_IMAGE)[1:]
     ]
-    pieces = [text[len(_INPUT):output_at], text[output_at + len(_OUTPUT):carrier_at], *texts]
-    input_obj, output_obj, *image_objs = json.loads("[" + ",".join(pieces) + "]")
     reader = _TaskReader()
-    input_facets = reader.complex(input_obj)
-    output_facets = reader.complex(output_obj)
-    images = [tuple(reader.facets(image)) for image in image_objs]
+    start, end = len(_FACETS), -len(_COMPLEX_END)
+    input_facets = reader.layout(text[len(_INPUT) + start:output_at + end], 2)
+    output_facets = reader.layout(text[output_at + len(_OUTPUT) + start:carrier_at + end], 2)
+    images = [tuple(reader.layout(image, 3)) for image in texts]
     return _task(reader, input_facets, output_facets, images, entries, colored)
 
 
 class _TaskReader:
     """Decodes the vertex objects of one task file, or one complex, into masks.
 
-    Each distinct vertex object is decoded once and numbered in the order
-    it is first seen; ``numbering`` then gives the canonical numbering and
-    the map onto it.  Two objects share a number only when their chain,
-    block and value are equal and of the same types, so ``true`` is never
-    read as a cached chain 1.
+    Each distinct vertex object, or in the writer's layout each distinct
+    vertex text, is decoded once and numbered in the order it is first
+    seen; ``numbering`` then gives the canonical numbering and the map onto
+    it.  Two objects share a number only when their chain, block and value
+    are equal and of the same types, so ``true`` is never read as a cached
+    chain 1.
     """
 
     def __init__(self) -> None:
         self.bit_of: Dict[tuple, int] = {}
+        self.bit_of_text: Dict[str, int] = {}
         self.vertices: List[Vertex] = []
 
     def bit(self, obj: Any) -> int:
         """The bit of a vertex object not read before, or the
         ``InvalidTask`` of a malformed one."""
-        vertex = vertex_from_obj(obj)
-        chain, block = obj["chain"], obj["block"]
-        bit = self.bit_of[type(chain), chain, type(block), block, obj["value"]] = (
-            1 << len(self.vertices)
-        )
-        self.vertices.append(vertex)
+        self.vertices.append(vertex_from_obj(obj))
+        key = type(obj["chain"]), obj["chain"], type(obj["block"]), obj["block"], obj["value"]
+        bit = self.bit_of[key] = 1 << len(self.vertices) - 1
         return bit
 
     def simplex(self, objs: Sequence[Any]) -> int:
@@ -292,6 +290,26 @@ class _TaskReader:
             # Empty, or a vertex repeated: the constructor names the fault.
             Simplex(vertex_from_obj(obj) for obj in objs)
         return mask
+
+    def layout(self, text: str, depth: int) -> List[int]:
+        """The facet masks of a facet list as ``task_to_json`` writes it at
+        ``depth``, cut where a vertex list closes and the next opens, and
+        its items where a separator meets an opening brace: a JSON string
+        holds no raw newline, so in the writer's text these cuts fall only
+        between items.  Each distinct item text is decoded once."""
+        outer_open, outer_sep, outer_close = _brackets(depth)
+        open_, sep, close = _brackets(depth + 1)
+        bits, masks = self.bit_of_text, []
+        body = text[len(outer_open + open_ + "{"):-len(close + outer_close)]
+        for facet in body.split(close + outer_sep + open_ + "{"):
+            mask = 0
+            for item in facet.split(sep + "{"):
+                bit = bits.get(item)
+                if bit is None:
+                    bit = bits[item] = self.simplex([json.loads("{" + item)])
+                mask |= bit
+            masks.append(mask)
+        return masks
 
     def facets(self, objs: Sequence[Any]) -> List[int]:
         masks = [self.simplex(f) for f in objs]
@@ -386,15 +404,11 @@ def _task(
 
 
 def report_to_obj(report: SolvabilityReport) -> Dict[str, Any]:
-    witnesses = None
-    if report.witnesses is not None:
-        witnesses = [simplex_to_obj(s) for s in report.witnesses]
-    assignment = None
-    if report.assignment is not None:
-        assignment = [
-            {"from": vertex_to_obj(u), "to": vertex_to_obj(w)}
-            for u, w in report.assignment
-        ]
+    witnesses, assignment = report.witnesses, report.assignment
+    if witnesses is not None:
+        witnesses = [simplex_to_obj(s) for s in witnesses]
+    if assignment is not None:
+        assignment = [{"from": vertex_to_obj(u), "to": vertex_to_obj(w)} for u, w in assignment]
     return {
         "verdict": report.verdict.value,
         "parameters": {"n": report.n, "t": report.t, "depth": report.depth},
@@ -433,48 +447,31 @@ def _event_to_obj(event: SimEvent) -> Dict[str, Any]:
 
 def trace_to_jsonl(trace: ExecutionTrace, report: ViolationReport | None = None) -> str:
     """One JSON object per line: metadata, events, outcome, optional verdict."""
-    lines = [
-        json.dumps(
-            {
-                "type": "meta",
-                "n": trace.n,
-                "t": trace.t,
-                "protocol": trace.protocol,
-                "inputs": [v.value for v in trace.inputs],
-            },
-            separators=(",", ":"),
-        )
+    records = [
+        {
+            "type": "meta",
+            "n": trace.n,
+            "t": trace.t,
+            "protocol": trace.protocol,
+            "inputs": [v.value for v in trace.inputs],
+        },
+        *map(_event_to_obj, trace.events),
+        {
+            "type": "outcome",
+            "decided": [v.value if v else None for v in trace.outcome],
+            "realized": [v.value for v in trace.realized],
+            "crashed": sorted(trace.crashed),
+            "suspended": sorted(trace.suspended),
+            "quiescent": trace.quiescent,
+        },
     ]
-    for event in trace.events:
-        lines.append(json.dumps(_event_to_obj(event), separators=(",", ":")))
-    lines.append(
-        json.dumps(
-            {
-                "type": "outcome",
-                "decided": [v.value if v else None for v in trace.outcome],
-                "realized": [v.value for v in trace.realized],
-                "crashed": sorted(trace.crashed),
-                "suspended": sorted(trace.suspended),
-                "quiescent": trace.quiescent,
-            },
-            separators=(",", ":"),
-        )
-    )
     if report is not None:
-        lines.append(
-            json.dumps(
-                {
-                    "type": "verdict",
-                    "ok": report.ok,
-                    "violations": [
-                        {"kind": v.kind, "detail": v.detail, "chains": list(v.chains)}
-                        for v in report.violations
-                    ],
-                },
-                separators=(",", ":"),
-            )
-        )
-    return "\n".join(lines) + "\n"
+        violations = [
+            {"kind": v.kind, "detail": v.detail, "chains": list(v.chains)}
+            for v in report.violations
+        ]
+        records.append({"type": "verdict", "ok": report.ok, "violations": violations})
+    return "".join(json.dumps(record, separators=(",", ":")) + "\n" for record in records)
 
 
 def _int_field(obj: Dict[str, Any], key: str) -> int:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from cbtopo import CbtConfig, build_colorless_task, build_task, decide
+from cbtopo import CbtConfig, build_colorless_task, build_task, decide, serialize
 from cbtopo.errors import InvalidTask, MalformedTrace
 from cbtopo.forksim import (
     RandomMode,
@@ -321,6 +321,31 @@ def _add_face(obj):
     facets.append(facets[0][:1])
 
 
+def _first_vertex(edit):
+    """A perturbation that rewrites the text of the file's first vertex
+    object, an input vertex, and leaves every other byte as written."""
+
+    def perturb(text):
+        start = text.index("{", len('{\n  "input": {'))
+        end = text.index("}", start) + 1
+        return text[:start] + edit(text[start:end]) + text[end:]
+
+    return perturb
+
+
+def _reorder_keys(vertex_text):
+    vertex = json.loads(vertex_text)
+    return json.dumps({key: vertex[key] for key in reversed(vertex)}, indent=2).replace(
+        "\n", "\n" + " " * 8
+    )
+
+
+def _escape_a_value(text):
+    # The same vertex in other text: "1" written with a JSON escape.
+    assert '"value": "1"' in text
+    return text.replace('"value": "1"', '"value": "\\u0031"', 1)
+
+
 _PERTURBATIONS = {
     "compact": lambda text: json.dumps(json.loads(text)),
     "entries-swapped": _edited(_swap_entries),
@@ -335,6 +360,13 @@ _PERTURBATIONS = {
     ),
     "final-newline-dropped": lambda text: text[:-1],
     "simplex-not-a-list": _edited(lambda obj: obj["carrier"][-1].update(simplex=5)),
+    "vertex-keys-reordered": _first_vertex(_reorder_keys),
+    "vertex-without-inner-spaces": _first_vertex(lambda vertex: vertex.replace('": ', '":')),
+    "vertex-repeated-in-input-facet": _edited(
+        lambda obj: obj["input"]["facets"][0].append(obj["input"]["facets"][0][0])
+    ),
+    "value-escaped": _escape_a_value,
+    "block-a-string": _edited(lambda obj: obj["input"]["facets"][0][0].update(block="0")),
 }
 
 
@@ -385,6 +417,29 @@ class TestTaskFromJson:
             _assert_same_read(got, expected)
         else:
             assert got == expected
+
+    def test_each_vertex_text_is_decoded_once_as_one_object(self, cbt_texts, monkeypatch):
+        text = cbt_texts[3, False]
+        loads, decode = json.loads, serialize.vertex_from_obj
+        loaded, decoded = [], []
+
+        def counted_loads(s, *args, **kwargs):
+            loaded.append(s)
+            return loads(s, *args, **kwargs)
+
+        def counted_decode(obj):
+            decoded.append(obj)
+            return decode(obj)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(json, "loads", counted_loads)
+            patch.setattr(serialize, "vertex_from_obj", counted_decode)
+            task = self.layout_read(text, monkeypatch)
+        _assert_same_read(task, _general(text))
+        for s in loaded:
+            assert list(loads(s)) == ["chain", "block", "value"]
+        assert len(loaded) == len(set(loaded))
+        assert 0 < len(decoded) <= len(loaded)
 
     def test_swapped_entries_fail_only_the_byte_comparison(self, cbt_texts):
         # Read by the layout, the swapped entries carry each other's
