@@ -3,9 +3,8 @@
 Every serializer walks its object in canonical order, so equal objects
 always produce byte-identical text.  ``task_from_json`` reads a task file
 by the writer's own layout when it can: it cuts the text at the writer's
-separators, decodes each distinct vertex text once, takes the carrier
-entries to be in the input's canonical simplex order, and keeps what it
-read only when that task writes back to the same bytes.
+separators, decodes each distinct vertex text once, and keeps what it read
+only when that task writes back to the same bytes.
 """
 from __future__ import annotations
 
@@ -256,12 +255,11 @@ def _task_from_layout(text: str) -> Task:
 class _TaskReader:
     """Decodes the vertex objects of one task file, or one complex, into masks.
 
-    Each distinct vertex object, or in the writer's layout each distinct
-    vertex text, is decoded once and numbered in the order it is first
-    seen; ``numbering`` then gives the canonical numbering and the map onto
-    it.  Two objects share a number only when their chain, block and value
-    are equal and of the same types, so ``true`` is never read as a cached
-    chain 1.
+    Each distinct vertex object is decoded once and numbered in the order
+    it is first seen; ``numbering`` then gives the canonical numbering and
+    the map onto it.  Two objects share a number only when their chain,
+    block and value are equal and of the same types, so ``true`` is never
+    read as a cached chain 1.
     """
 
     def __init__(self) -> None:
@@ -272,9 +270,12 @@ class _TaskReader:
     def bit(self, obj: Any) -> int:
         """The bit of a vertex object not read before, or the
         ``InvalidTask`` of a malformed one."""
-        self.vertices.append(vertex_from_obj(obj))
-        key = type(obj["chain"]), obj["chain"], type(obj["block"]), obj["block"], obj["value"]
-        bit = self.bit_of[key] = 1 << len(self.vertices) - 1
+        vertex = vertex_from_obj(obj)
+        chain, block = obj["chain"], obj["block"]
+        bit = self.bit_of[type(chain), chain, type(block), block, obj["value"]] = (
+            1 << len(self.vertices)
+        )
+        self.vertices.append(vertex)
         return bit
 
     def simplex(self, objs: Sequence[Any]) -> int:
@@ -292,11 +293,9 @@ class _TaskReader:
         return mask
 
     def layout(self, text: str, depth: int) -> List[int]:
-        """The facet masks of a facet list as ``task_to_json`` writes it at
-        ``depth``, cut where a vertex list closes and the next opens, and
-        its items where a separator meets an opening brace: a JSON string
-        holds no raw newline, so in the writer's text these cuts fall only
-        between items.  Each distinct item text is decoded once."""
+        """The facet masks of a facet list that ``task_to_json`` wrote at
+        ``depth``, cut at the writer's separators (a JSON string holds no raw
+        newline, so only between items); each distinct item text decoded once."""
         outer_open, outer_sep, outer_close = _brackets(depth)
         open_, sep, close = _brackets(depth + 1)
         bits, masks = self.bit_of_text, []
@@ -304,10 +303,9 @@ class _TaskReader:
         for facet in body.split(close + outer_sep + open_ + "{"):
             mask = 0
             for item in facet.split(sep + "{"):
-                bit = bits.get(item)
-                if bit is None:
-                    bit = bits[item] = self.simplex([json.loads("{" + item)])
-                mask |= bit
+                if item not in bits:
+                    bits[item] = self.simplex([json.loads("{" + item)])
+                mask |= bits[item]
             masks.append(mask)
         return masks
 
@@ -404,11 +402,15 @@ def _task(
 
 
 def report_to_obj(report: SolvabilityReport) -> Dict[str, Any]:
-    witnesses, assignment = report.witnesses, report.assignment
-    if witnesses is not None:
-        witnesses = [simplex_to_obj(s) for s in witnesses]
-    if assignment is not None:
-        assignment = [{"from": vertex_to_obj(u), "to": vertex_to_obj(w)} for u, w in assignment]
+    witnesses = None
+    if report.witnesses is not None:
+        witnesses = [simplex_to_obj(s) for s in report.witnesses]
+    assignment = None
+    if report.assignment is not None:
+        assignment = [
+            {"from": vertex_to_obj(u), "to": vertex_to_obj(w)}
+            for u, w in report.assignment
+        ]
     return {
         "verdict": report.verdict.value,
         "parameters": {"n": report.n, "t": report.t, "depth": report.depth},
@@ -447,31 +449,48 @@ def _event_to_obj(event: SimEvent) -> Dict[str, Any]:
 
 def trace_to_jsonl(trace: ExecutionTrace, report: ViolationReport | None = None) -> str:
     """One JSON object per line: metadata, events, outcome, optional verdict."""
-    records = [
-        {
-            "type": "meta",
-            "n": trace.n,
-            "t": trace.t,
-            "protocol": trace.protocol,
-            "inputs": [v.value for v in trace.inputs],
-        },
-        *map(_event_to_obj, trace.events),
-        {
-            "type": "outcome",
-            "decided": [v.value if v else None for v in trace.outcome],
-            "realized": [v.value for v in trace.realized],
-            "crashed": sorted(trace.crashed),
-            "suspended": sorted(trace.suspended),
-            "quiescent": trace.quiescent,
-        },
+    lines = [
+        json.dumps(
+            {
+                "type": "meta",
+                "n": trace.n,
+                "t": trace.t,
+                "protocol": trace.protocol,
+                "inputs": [v.value for v in trace.inputs],
+            },
+            separators=(",", ":"),
+        )
     ]
+    for event in trace.events:
+        lines.append(json.dumps(_event_to_obj(event), separators=(",", ":")))
+    lines.append(
+        json.dumps(
+            {
+                "type": "outcome",
+                "decided": [v.value if v else None for v in trace.outcome],
+                "realized": [v.value for v in trace.realized],
+                "crashed": sorted(trace.crashed),
+                "suspended": sorted(trace.suspended),
+                "quiescent": trace.quiescent,
+            },
+            separators=(",", ":"),
+        )
+    )
     if report is not None:
-        violations = [
-            {"kind": v.kind, "detail": v.detail, "chains": list(v.chains)}
-            for v in report.violations
-        ]
-        records.append({"type": "verdict", "ok": report.ok, "violations": violations})
-    return "".join(json.dumps(record, separators=(",", ":")) + "\n" for record in records)
+        lines.append(
+            json.dumps(
+                {
+                    "type": "verdict",
+                    "ok": report.ok,
+                    "violations": [
+                        {"kind": v.kind, "detail": v.detail, "chains": list(v.chains)}
+                        for v in report.violations
+                    ],
+                },
+                separators=(",", ":"),
+            )
+        )
+    return "\n".join(lines) + "\n"
 
 
 def _int_field(obj: Dict[str, Any], key: str) -> int:

@@ -244,13 +244,10 @@ def _rank(mask: int) -> tuple:
 def _maximal(masks: Iterable[int]) -> Tuple[int, ...]:
     """The inclusion-maximal members of a mask family, in canonical order."""
     distinct = set(masks)
-    if len(distinct) < 3:
+    if len(distinct) < 2:
         if not distinct:
             raise EmptyInput("a complex needs at least one facet")
-        a, b = min(distinct), max(distinct)
-        if a | b == b:  # a proper submask is the smaller number
-            return (b,)
-        return (a, b) if _bits(a) < _bits(b) else (b, a)
+        return tuple(distinct)
     family = sorted(distinct, key=int.bit_count, reverse=True)
     # A mask of the largest size is no proper subset of another, so only
     # smaller ones are scanned; a pure family skips the scan.

@@ -24,7 +24,6 @@ from cbtopo.simplicial import (
     SubdivisionVertex,
     Value,
     Vertex,
-    _maximal,
     barycentric_subdivide,
     make_complex,
 )
@@ -514,23 +513,6 @@ def test_facets_match_maximal_oracle(family):
     facets = make_complex(family).facets
     assert {f.vertex_set for f in facets} == maximal_facets(family)
     assert list(facets) == sorted(facets, key=lambda f: f.sort_key())
-
-
-def test_maximal_of_two_masks_matches_the_oracle():
-    """Every ordered pair of non-empty 4-bit masks: equal, nested,
-    overlapping and disjoint, as vertex sets and in canonical order."""
-
-    def vertices(mask):
-        return [i for i in range(4) if mask >> i & 1]
-
-    kinds = set()
-    for a, b in itertools.product(range(1, 16), repeat=2):
-        got = _maximal([a, b])
-        assert {frozenset(vertices(m)) for m in got} == maximal_facets([vertices(a), vertices(b)])
-        assert list(got) == sorted(set(got), key=vertices)
-        kinds.add("equal" if a == b else "nested" if a | b in (a, b) else
-                  "overlapping" if a & b else "disjoint")
-    assert kinds == {"equal", "nested", "overlapping", "disjoint"}
 
 
 @settings(max_examples=60)
