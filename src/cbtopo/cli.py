@@ -369,13 +369,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     # Each command runs with the cyclic collector paused, and the caller's
     # state comes back in the ``finally``.  A collection pass walks every
     # object the command holds (the parsed task file, a subdivision, the
-    # search's incidence lists) and frees next to nothing, because no
-    # command builds cyclic garbage that grows with its input: the only
-    # cycles are the encoder closures of each ``json.dumps(indent=2)``, and
-    # a command makes at most two such calls.  ``build``'s task writer
-    # encodes every vertex in one; ``analyze`` leaves those of the writer
-    # that checks the file it read, ``search`` those of its report,
-    # ``export`` both, and ``simulate`` and ``replay`` none.
+    # search's incidence lists) and frees nothing: no command leaves
+    # cyclic garbage.
     collecting = gc.isenabled()
     gc.disable()
     try:

@@ -1,7 +1,11 @@
 """Deterministic JSON forms for complexes, tasks, reports, and traces.
 
 Every serializer walks its object in canonical order, so equal objects
-always produce byte-identical text.  ``task_from_json`` reads a task file
+always produce byte-identical text.  Pretty text comes from one encoder,
+``dumps``: it writes plain JSON values (dicts with ``str`` keys, lists,
+``str``, ``int``, ``bool`` and ``None``) byte for byte as
+``json.dumps(obj, indent=2) + "\n"`` does, in one direct pass, and raises
+``TypeError`` on anything else.  ``task_from_json`` reads a task file
 by the writer's own layout when it can: it cuts the text at the writer's
 separators, decodes each distinct vertex text once, and keeps what it read
 only when that task writes back to the same bytes.
@@ -10,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import CbtopoError, EmptyInput, InvalidTask, MalformedTrace
@@ -44,8 +49,67 @@ __all__ = [
 
 
 def dumps(obj: Any) -> str:
-    """Pretty JSON with a trailing newline; stable for equal inputs."""
-    return json.dumps(obj, indent=2) + "\n"
+    """``json.dumps(obj, indent=2) + "\n"``, byte for byte, for a plain JSON
+    value: a dict with ``str`` keys, a list, a ``str``, an ``int``, a
+    ``bool`` or ``None``, nested to any depth.  Anything else, a float, a
+    tuple, a non-``str`` key or a subclass of one of those types included,
+    raises ``TypeError`` naming its type.  The text is appended to one list
+    and joined once, so no encoder objects are left behind."""
+    parts: List[str] = []
+    _encode(obj, parts, "\n")
+    parts.append("\n")
+    return "".join(parts)
+
+
+_INDENT = "  "
+_LITERALS = {None: "null", True: "true", False: "false"}
+# The text of each scalar type, by exact type: a subclass is not in it.
+_SCALARS: Dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: _LITERALS.__getitem__,
+    type(None): _LITERALS.__getitem__,
+}
+
+
+def _encode(obj: Any, parts: List[str], pad: str) -> None:
+    """Append ``dumps``'s text of ``obj``, less the final newline, to
+    ``parts``, with ``pad`` (a newline and the indent of ``obj``) opening
+    each of its lines after the first."""
+    kind = type(obj)
+    if kind is dict and obj:
+        inner = pad + _INDENT
+        sep, after = "{" + inner, "," + inner
+        for key, value in obj.items():
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            scalar = _SCALARS.get(type(value))
+            if scalar is None:
+                parts.append(sep + encode_basestring_ascii(key) + ": ")
+                _encode(value, parts, inner)
+            else:
+                parts.append(sep + encode_basestring_ascii(key) + ": " + scalar(value))
+            sep = after
+        parts.append(pad + "}")
+    elif kind is list and obj:
+        inner = pad + _INDENT
+        sep, after = "[" + inner, "," + inner
+        for value in obj:
+            scalar = _SCALARS.get(type(value))
+            if scalar is None:
+                parts.append(sep)
+                _encode(value, parts, inner)
+            else:
+                parts.append(sep + scalar(value))
+            sep = after
+        parts.append(pad + "]")
+    elif kind is dict or kind is list:
+        parts.append("{}" if kind is dict else "[]")
+    else:
+        scalar = _SCALARS.get(kind)
+        if scalar is None:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        parts.append(scalar(obj))
 
 
 def vertex_to_obj(vertex: Any) -> Dict[str, Any]:
@@ -81,8 +145,6 @@ def simplex_to_obj(simplex: Simplex) -> List[Dict[str, Any]]:
     return [vertex_to_obj(v) for v in simplex]
 
 
-_INDENT = "  "
-
 # The fixed texts of a task file, which the writer joins around its lists
 # and the layout reader splits the file on: the top level's opening and
 # keys, and its close; a complex's key and close; and a carrier entry's
@@ -101,25 +163,10 @@ _ENTRY_END = "\n    }"
 
 @functools.cache
 def _brackets(depth: int) -> Tuple[str, str, str]:
-    """How ``json.dumps(indent=2)`` opens, separates and closes a non-empty
-    list at nesting ``depth``."""
+    """How ``dumps`` opens, separates and closes a non-empty list at
+    nesting ``depth``."""
     inner = "\n" + _INDENT * (depth + 1)
     return "[" + inner, "," + inner, "\n" + _INDENT * depth + "]"
-
-
-def _vertex_texts(vertices: Sequence[Any]) -> List[str]:
-    """``json.dumps(vertex_to_obj(v), indent=2)`` of each vertex, from one
-    call for all of them: each call of the pretty encoder leaves its
-    closures behind as cyclic garbage.
-
-    The list's text holds each vertex's text one indent in, and every line
-    inside an item is indented further, so the items are parted exactly by
-    the lines that close one object and open the next at that indent."""
-    inner = "\n" + _INDENT
-    text = json.dumps([vertex_to_obj(v) for v in vertices], indent=2)
-    # Drop the list's "[" and "]" and the first item's "{" and last one's "}".
-    items = text[len("[" + inner + "{"):-len(inner + "}\n]")].split(inner + "}," + inner + "{")
-    return ["{" + item.replace(inner, "\n") + "\n}" for item in items]
 
 
 class _Bodies(dict):
@@ -141,31 +188,29 @@ def task_to_json(task: Task) -> str:
     """The task file: the same text as ``dumps`` of the task object.
 
     A task repeats its few distinct vertices throughout, so each one is
-    encoded once, from ``vertex_to_obj``, and indented for each nesting
-    depth; each simplex or facet list is joined once per numbering and
-    depth, from its prefix's text and its last vertex.  Carrier entries are
-    written in the input's layer order, which is the canonical order, and
-    each distinct image is encoded once, by the carrier's image numbering.
-    Lists and entries are joined around those texts from fixed strings for
-    their depth.  This is the one definition of the task format, and
-    ``task_from_json`` relies on its entry order: it reads entry k of a
-    file as the k-th input simplex in canonical order.
+    encoded from ``vertex_to_obj`` by ``dumps``'s encoder once for each
+    nesting depth it is written at; each simplex or facet list is joined
+    once per numbering and depth, from its prefix's text and its last
+    vertex.  Carrier entries are written in the input's layer order, which
+    is the canonical order, and each distinct image is encoded once, by the
+    carrier's image numbering.  Lists and entries are joined around those
+    texts from fixed strings for their depth.  This is the one definition
+    of the task format, and ``task_from_json`` relies on its entry order:
+    it reads entry k of a file as the k-th input simplex in canonical order.
     """
     carrier = task.carrier
-    spaces = (task.input._space, task.output._space, carrier._out)
-    vertices = list(dict.fromkeys(v for space in spaces for v in space.vertices))
-    vertex_texts = dict(zip(vertices, _vertex_texts(vertices)))
     bodies: Dict[Tuple[Any, int], _Bodies] = {}
 
     def lists(space: Any, depth: int) -> _Bodies:
         """The body of each mask's vertex list on ``space``, items at ``depth``."""
         found = bodies.get((space, depth))
         if found is None:
-            pad = "\n" + _INDENT * depth
-            found = bodies[space, depth] = _Bodies(
-                [vertex_texts[v].replace("\n", pad) for v in space.vertices],
-                _brackets(depth - 1)[1],
-            )
+            pad, items = "\n" + _INDENT * depth, []
+            for v in space.vertices:
+                text: List[str] = []
+                _encode(vertex_to_obj(v), text, pad)
+                items.append("".join(text))
+            found = bodies[space, depth] = _Bodies(items, _brackets(depth - 1)[1])
         return found
 
     def facets(space: Any, masks: Sequence[int], depth: int) -> str:
@@ -195,7 +240,7 @@ def task_to_json(task: Task) -> str:
     for s in task._simplices():
         parts += (head, simplex[s], middle, image_texts[ids[s]], _ENTRY_END, sep)
     # The separator after the last entry becomes the close of the list.
-    parts[-1] = close + _COLORED + json.dumps(task.colored) + _END
+    parts[-1] = close + _COLORED + _LITERALS[task.colored] + _END
     return "".join(parts)
 
 

@@ -1119,39 +1119,28 @@ class TestCollector:
         assert seen == [False]
         assert gc.isenabled() is collecting
 
+    @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize(
         "argv",
         [
+            ["build", "--n", "{k}", "--out", "{out}"],
             ["analyze", "{task}", "--t", "1"],
             ["search", "{task}", "--t", "1", "--N", "1"],
-            ["build", "--n", "{k}", "--out", "{out}"],
             ["export", "{task}", "--format", "json"],
+            ["export", "{task}", "--format", "dot"],
             ["simulate", "--n", "{k}", "--t", "1", "--trace-out", "{out}"],
             ["replay", "{trace}"],
         ],
+        ids=["build", "analyze", "search", "export-json", "export-dot", "simulate", "replay"],
     )
-    def test_cyclic_garbage_does_not_grow_with_the_task(
-        self, argv, collector, block7_files, tmp_path, capsys
-    ):
-        def garbage(k):
-            names = {
-                "k": k,
-                "task": block7_files[k, False],
-                "out": tmp_path / f"out-{k}",
-                "trace": self.trace(k, tmp_path, capsys),
-            }
-            return self.garbage([arg.format(**names) for arg in argv], capsys)
-
-        assert garbage(2) == garbage(3)
-
-    @pytest.mark.parametrize("command", ["simulate", "replay"])
-    def test_simulator_commands_leave_no_cyclic_garbage(self, command, collector, tmp_path, capsys):
-        trace = self.trace(3, tmp_path, capsys)
-        argv = {
-            "simulate": ["simulate", "--n", "3", "--t", "1", "--trace-out", str(tmp_path / "out")],
-            "replay": ["replay", str(trace)],
-        }[command]
-        assert self.garbage(argv, capsys) == 0
+    def test_no_command_leaves_cyclic_garbage(self, argv, k, collector, block7_files, tmp_path, capsys):
+        names = {
+            "k": k,
+            "task": block7_files[k, False],
+            "out": tmp_path / f"out-{k}",
+            "trace": self.trace(k, tmp_path, capsys),
+        }
+        assert self.garbage([arg.format(**names) for arg in argv], capsys) == 0
 
     @staticmethod
     def trace(k, tmp_path, capsys):

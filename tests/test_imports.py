@@ -1,5 +1,5 @@
-"""A lint of the package's modules: every import is used, and no lint
-warning is silenced."""
+"""A lint of the package's modules: every import is used, no lint warning
+is silenced, and no JSON call indents its text past ``serialize.dumps``."""
 import ast
 import io
 import tokenize
@@ -41,3 +41,21 @@ def test_no_lint_warning_is_silenced(path):
             if token.type == tokenize.COMMENT and "noqa" in token.string.lower()
         ]
     assert not silenced, f"{path.name} silences a lint warning: {'; '.join(silenced)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_json_call_indents(path):
+    """Pretty text has one encoder, ``serialize.dumps``: no ``json.dump`` or
+    ``json.dumps`` call passes ``indent``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    indented = [
+        f"line {node.lineno}: json.{node.func.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "json"
+        and node.func.attr in ("dump", "dumps")
+        and any(keyword.arg == "indent" for keyword in node.keywords)
+    ]
+    assert not indented, f"{path.name} indents JSON past serialize.dumps: {'; '.join(indented)}"

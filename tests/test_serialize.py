@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cbtopo import CbtConfig, build_colorless_task, build_task, decide, serialize
 from cbtopo.errors import InvalidTask, MalformedTrace
@@ -556,6 +557,19 @@ class TestTraceJsonl:
             trace_from_jsonl(text)
 
 
+# Strings that hold quotes, backslashes, control characters and non-ASCII
+# text, which the encoder must escape as the stdlib does.
+_TEXTS = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600') | st.characters())
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
 class TestDumps:
     def test_trailing_newline_and_determinism(self, cbt_tasks):
         obj = task_to_obj(cbt_tasks[1])
@@ -564,3 +578,35 @@ class TestDumps:
         assert first == second
         assert first.endswith("\n")
         assert json.loads(first) == obj
+
+    def test_empty_containers_at_every_depth(self):
+        obj = {"": [], "a": {}, "b": [[], {}, [[{}], {"c": []}]], "d": [{"e": {"f": {}}}]}
+        assert dumps(obj) == json.dumps(obj, indent=2) + "\n"
+        assert dumps([]) == "[]\n" and dumps({}) == "{}\n"
+
+    @settings(max_examples=300)
+    @given(value=st.recursive(
+        st.none() | st.booleans() | st.integers() | st.integers(-(2**130), 2**130) | _TEXTS,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXTS, inner, max_size=4),
+        max_leaves=40,
+    ))
+    def test_matches_the_stdlib_indent_encoder(self, value):
+        assert dumps(value) == json.dumps(value, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "value,name",
+        [
+            (0.5, "float"),
+            ((1, 2), "tuple"),
+            ({1}, "set"),
+            (_Str("a"), "_Str"),
+            (_Int(1), "_Int"),
+            ({1: "a"}, "int"),
+            ({_Str("a"): 1}, "_Str"),
+        ],
+        ids=["float", "tuple", "set", "str-subclass", "int-subclass", "int-key", "str-subclass-key"],
+    )
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_anything_else_raises_type_error(self, value, name, nested):
+        with pytest.raises(TypeError, match=rf"\b{name}\b"):
+            dumps([{"a": [value]}] if nested else value)
