@@ -5,19 +5,21 @@ always produce byte-identical text.  Pretty text comes from one encoder,
 ``dumps``: it writes plain JSON values (dicts with ``str`` keys, lists,
 ``str``, ``int``, ``bool`` and ``None``) byte for byte as
 ``json.dumps(obj, indent=2) + "\n"`` does, in one direct pass, and raises
-``TypeError`` on anything else.  ``task_from_json`` reads a task file
-by the writer's own layout when it can: it cuts the text at the writer's
-separators, decodes each distinct vertex text once, and keeps what it read
-only when that task writes back to the same bytes.
+``TypeError`` on anything else.
+
+A task file is format 2: it lists every vertex once and writes every
+simplex as the indices of its vertices in that list.  ``task_to_obj`` is
+the one writer and ``task_from_obj`` the one reader; the file's text is
+``dumps`` of the one and ``json.loads`` of the other.  Format 1, which wrote
+each vertex object in full inside every simplex, is no longer read.
 """
 from __future__ import annotations
 
-import functools
 import json
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .errors import CbtopoError, EmptyInput, InvalidTask, MalformedTrace
+from .errors import EmptyInput, InvalidTask, MalformedTrace
 from .forksim import ExecutionTrace, Message, SimEvent, ViolationReport
 from .simplicial import (
     BlockRef,
@@ -29,6 +31,7 @@ from .simplicial import (
     _bits,
     _maximal,
     _Numbering,
+    _rank,
 )
 from .solvability import SolvabilityReport
 from .tasks import CarrierMap, Task
@@ -145,305 +148,138 @@ def simplex_to_obj(simplex: Simplex) -> List[Dict[str, Any]]:
     return [vertex_to_obj(v) for v in simplex]
 
 
-# The fixed texts of a task file, which the writer joins around its lists
-# and the layout reader splits the file on: the top level's opening and
-# keys, and its close; a complex's key and close; and a carrier entry's
-# opening, image key and close.
-_INPUT = '{\n  "input": '
-_OUTPUT = ',\n  "output": '
-_CARRIER = ',\n  "carrier": '
-_COLORED = ',\n  "colored": '
-_END = "\n}\n"
-_FACETS = '{\n    "facets": '
-_COMPLEX_END = "\n  }"
-_SIMPLEX = '{\n      "simplex": '
-_IMAGE = ',\n      "image_facets": '
-_ENTRY_END = "\n    }"
+def task_to_obj(task: Task) -> Dict[str, Any]:
+    """The task file's object, format 2: every vertex of the input and the
+    output once, in canonical order, and every simplex as the list of its
+    vertices' indices there, ascending.
 
+    The input's and the output's facets are listed in canonical order, and
+    the carrier map as one ``[simplex, image number]`` entry per input
+    simplex, in canonical (dimension, key) order.  ``images`` lists each
+    image an entry names once, numbered in the order the entries first name
+    them, so equal tasks give equal objects.
+    """
+    space = _Numbering.of((*task.input.vertices, *task.output.vertices))
 
-@functools.cache
-def _brackets(depth: int) -> Tuple[str, str, str]:
-    """How ``dumps`` opens, separates and closes a non-empty list at
-    nesting ``depth``."""
-    inner = "\n" + _INDENT * (depth + 1)
-    return "[" + inner, "," + inner, "\n" + _INDENT * depth + "]"
+    def indices(numbering: _Numbering) -> Callable[[int], List[int]]:
+        renumber = numbering.to(space) or (lambda mask: mask)
+        return lambda mask: list(_bits(renumber(mask)))
 
-
-class _Bodies(dict):
-    """The vertex items of a mask joined as a list's body, built on first
-    request from the body of its prefix (the mask without its top bit)."""
-
-    def __init__(self, items: List[str], sep: str) -> None:
-        super().__init__()
-        self.items, self.sep = items, sep
-
-    def __missing__(self, mask: int) -> str:
-        top = mask.bit_length() - 1
-        rest = mask ^ 1 << top
-        body = self[mask] = self[rest] + self.sep + self.items[top] if rest else self.items[top]
-        return body
+    input_, output = indices(task.input._space), indices(task.output._space)
+    ids, images, number = task.carrier._ids, task.carrier._images, {}
+    entries = [[input_(s), number.setdefault(ids[s], len(number))] for s in task._simplices()]
+    return {
+        "format": 2,
+        "vertices": [vertex_to_obj(v) for v in space.vertices],
+        "input": [input_(f) for f in task.input._facets],
+        "output": [output(f) for f in task.output._facets],
+        "images": [[output(f) for f in images[k]] for k in number],
+        "carrier": entries,
+        "colored": task.colored,
+    }
 
 
 def task_to_json(task: Task) -> str:
-    """The task file: the same text as ``dumps`` of the task object.
-
-    A task repeats its few distinct vertices throughout, so each one is
-    encoded from ``vertex_to_obj`` by ``dumps``'s encoder once for each
-    nesting depth it is written at; each simplex or facet list is joined
-    once per numbering and depth, from its prefix's text and its last
-    vertex.  Carrier entries are written in the input's layer order, which
-    is the canonical order, and each distinct image is encoded once, by the
-    carrier's image numbering.  Lists and entries are joined around those
-    texts from fixed strings for their depth.  This is the one definition
-    of the task format, and ``task_from_json`` relies on its entry order:
-    it reads entry k of a file as the k-th input simplex in canonical order.
-    """
-    carrier = task.carrier
-    bodies: Dict[Tuple[Any, int], _Bodies] = {}
-
-    def lists(space: Any, depth: int) -> _Bodies:
-        """The body of each mask's vertex list on ``space``, items at ``depth``."""
-        found = bodies.get((space, depth))
-        if found is None:
-            pad, items = "\n" + _INDENT * depth, []
-            for v in space.vertices:
-                text: List[str] = []
-                _encode(vertex_to_obj(v), text, pad)
-                items.append("".join(text))
-            found = bodies[space, depth] = _Bodies(items, _brackets(depth - 1)[1])
-        return found
-
-    def facets(space: Any, masks: Sequence[int], depth: int) -> str:
-        """A list of facet lists at ``depth``."""
-        body = lists(space, depth + 2)
-        open_, _, close = _brackets(depth + 1)
-        outer_open, outer_sep, outer_close = _brackets(depth)
-        return outer_open + outer_sep.join([open_ + body[f] + close for f in masks]) + outer_close
-
-    def complex_(c: Complex) -> str:
-        return _FACETS + facets(c._space, c._facets, 2) + _COMPLEX_END
-
-    ids = carrier._ids
-    image_texts = [facets(carrier._out, image, 3) for image in carrier._images]
-    # An entry is an object at depth 2 holding a simplex list at depth 3,
-    # as an input facet is a list at depth 3 in the input's facet list.
-    simplex = lists(task.input._space, 4)
-    open_, _, close = _brackets(3)
-    head = _SIMPLEX + open_
-    middle = close + _IMAGE
-    open_, sep, close = _brackets(1)
-    parts = [
-        _INPUT, complex_(task.input),
-        _OUTPUT, complex_(task.output),
-        _CARRIER + open_,
-    ]
-    for s in task._simplices():
-        parts += (head, simplex[s], middle, image_texts[ids[s]], _ENTRY_END, sep)
-    # The separator after the last entry becomes the close of the list.
-    parts[-1] = close + _COLORED + _LITERALS[task.colored] + _END
-    return "".join(parts)
-
-
-def task_to_obj(task: Task) -> Dict[str, Any]:
-    """The task as fresh JSON objects, read back from ``task_to_json``."""
-    return json.loads(task_to_json(task))
+    """The task file: ``dumps`` of ``task_to_obj``."""
+    return dumps(task_to_obj(task))
 
 
 def task_from_json(text: str) -> Task:
-    """Read a task file's text: the result, or the error, of
-    ``task_from_obj(json.loads(text))``.
-
-    The text is first taken to be in the writer's layout: the input's and
-    the output's facet lists and each distinct image text are cut at the
-    writer's separators, each distinct vertex text is decoded once, entry
-    k's simplex is taken to be the k-th input simplex in canonical order
-    (``task_to_json``'s entry order), and the task so built and validated
-    is returned only when ``task_to_json`` of it is ``text`` itself.  As
-    the writer is the one definition of the format, that task is the one
-    the general reader returns.  Any other text, and any text on which the
-    layout read fails in any way, go to the general reader.
-    """
-    try:
-        task = _task_from_layout(text)
-    except (CbtopoError, LookupError, TypeError, ValueError, RecursionError):
-        task = None
-    if task is not None and task_to_json(task) == text:
-        return task
+    """Read a task file's text: ``task_from_obj(json.loads(text))``."""
     return task_from_obj(json.loads(text))
 
 
-def _task_from_layout(text: str) -> Task:
-    """The task of ``text`` read by the writer's layout, each facet list by
-    ``_TaskReader.layout``, not yet checked against it.  A text in another
-    layout raises, or gives a task whose text differs."""
-    if not text.startswith(_INPUT):
-        raise ValueError("not in the task writer's layout")
-    output_at = text.index(_OUTPUT)
-    carrier_at = text.index(_CARRIER, output_at)
-    colored_at = text.rindex(_COLORED, carrier_at)
-    colored = {"true": True, "false": False}[text[colored_at + len(_COLORED):-len(_END)]]
-    # Each piece after the first opens with an entry's image text, and what
-    # follows the image's end is indented deeper, to the next entry's simplex.
-    texts: Dict[str, int] = {}
-    entries = [
-        texts.setdefault(piece[:piece.rindex(_ENTRY_END)], len(texts))
-        for piece in text[carrier_at:colored_at].split(_IMAGE)[1:]
-    ]
-    reader = _TaskReader()
-    start, end = len(_FACETS), -len(_COMPLEX_END)
-    input_facets = reader.layout(text[len(_INPUT) + start:output_at + end], 2)
-    output_facets = reader.layout(text[output_at + len(_OUTPUT) + start:carrier_at + end], 2)
-    images = [tuple(reader.layout(image, 3)) for image in texts]
-    return _task(reader, input_facets, output_facets, images, entries, colored)
+_KEYS = ("vertices", "input", "output", "images", "carrier", "colored")
 
 
-class _TaskReader:
-    """Decodes the vertex objects of one task file, or one complex, into masks.
+def task_from_obj(obj: Any) -> Task:
+    """Read a task object in format 2, such as ``json.loads`` of a task file.
 
-    Each distinct vertex object is decoded once and numbered in the order
-    it is first seen; ``numbering`` then gives the canonical numbering and
-    the map onto it.  Two objects share a number only when their chain,
-    block and value are equal and of the same types, so ``true`` is never
-    read as a cached chain 1.
+    Each listed vertex is decoded once, and an index stands for its vertex
+    on the canonical numbering of them all, which the input, the output and
+    the images share; no list is taken to be in any order.  Equal images
+    share one number.  The whole object is read and checked, and any fault
+    raises ``InvalidTask`` naming it: a missing key or another format, a
+    vertex listed twice, an index that is not an ``int`` naming a listed
+    vertex, an empty simplex, facet list or image, a simplex that repeats an
+    index, a carrier entry that is not ``[simplex, image number]`` or names
+    no listed image, an image no entry names, an input simplex listed twice,
+    a ``colored`` that is not a boolean, and any task that fails validation.
     """
-
-    def __init__(self) -> None:
-        self.bit_of: Dict[tuple, int] = {}
-        self.bit_of_text: Dict[str, int] = {}
-        self.vertices: List[Vertex] = []
-
-    def bit(self, obj: Any) -> int:
-        """The bit of a vertex object not read before, or the
-        ``InvalidTask`` of a malformed one."""
-        vertex = vertex_from_obj(obj)
-        chain, block = obj["chain"], obj["block"]
-        bit = self.bit_of[type(chain), chain, type(block), block, obj["value"]] = (
-            1 << len(self.vertices)
-        )
-        self.vertices.append(vertex)
-        return bit
-
-    def simplex(self, objs: Sequence[Any]) -> int:
-        bit_of = self.bit_of
-        mask = 0
-        for obj in objs:
-            try:
-                chain, block = obj["chain"], obj["block"]
-                mask |= bit_of[type(chain), chain, type(block), block, obj["value"]]
-            except (KeyError, TypeError):
-                mask |= self.bit(obj)
-        if not mask or mask.bit_count() != len(objs):
-            # Empty, or a vertex repeated: the constructor names the fault.
-            Simplex(vertex_from_obj(obj) for obj in objs)
-        return mask
-
-    def layout(self, text: str, depth: int) -> List[int]:
-        """The facet masks of a facet list that ``task_to_json`` wrote at
-        ``depth``, cut at the writer's separators (a JSON string holds no raw
-        newline, so only between items); each distinct item text decoded once."""
-        outer_open, outer_sep, outer_close = _brackets(depth)
-        open_, sep, close = _brackets(depth + 1)
-        bits, masks = self.bit_of_text, []
-        body = text[len(outer_open + open_ + "{"):-len(close + outer_close)]
-        for facet in body.split(close + outer_sep + open_ + "{"):
-            mask = 0
-            for item in facet.split(sep + "{"):
-                if item not in bits:
-                    bits[item] = self.simplex([json.loads("{" + item)])
-                mask |= bits[item]
-            masks.append(mask)
-        return masks
-
-    def facets(self, objs: Sequence[Any]) -> List[int]:
-        masks = [self.simplex(f) for f in objs]
-        if not masks:
-            raise EmptyInput("a complex needs at least one facet")
-        return masks
-
-    def complex(self, obj: Any) -> List[int]:
-        try:
-            facets = obj["facets"]
-        except (KeyError, TypeError):
-            raise InvalidTask("complex object needs a 'facets' list") from None
-        return self.facets(facets)
-
-    def numbering(self) -> Tuple[_Numbering, Callable[[int], int]]:
-        """The canonical numbering of every vertex read, and the map from
-        first-seen masks onto it."""
-        space = _Numbering.of(self.vertices)
-        return space, _Numbering(self.vertices).to(space) or (lambda mask: mask)
-
-
-def task_from_obj(obj: Dict[str, Any]) -> Task:
-    """Read a task object, such as ``json.loads`` of a task file.
-
-    Every vertex of the file is numbered in one numbering, which the input,
-    the output and the carrier images share.  The whole object is read and
-    checked: a malformed object raises ``InvalidTask`` (or the
-    ``CbtopoError`` a malformed simplex or complex raises), and so does a
-    carrier map that lists one input simplex twice.
-    """
-    reader = _TaskReader()
-    try:
-        input_facets = reader.complex(obj["input"])
-        output_facets = reader.complex(obj["output"])
-        entries_raw = list(obj["carrier"])
-        colored = obj["colored"]
-    except (KeyError, TypeError) as exc:
-        raise InvalidTask(f"malformed task object: {exc}") from None
+    found = obj.get("format") if type(obj) is dict else None
+    if type(found) is not int or found != 2:
+        raise InvalidTask(f"task file format is {found!r}, not 2: run `cbtopo build` again")
+    missing = [key for key in _KEYS if key not in obj]
+    if missing:
+        raise InvalidTask(f"malformed task object: missing {', '.join(map(repr, missing))}")
+    vertex_objs, input_, output, image_objs, entry_objs, colored = map(obj.__getitem__, _KEYS)
     if type(colored) is not bool:
         raise InvalidTask(f"malformed task object: 'colored' must be a boolean, got {colored!r}")
-    entries: Dict[int, int] = {}
-    images: Dict[Tuple[int, ...], int] = {}  # the index of each image as read
-    for entry in entries_raw:
-        try:
-            objs = entry["simplex"]
-            if type(objs) is not list:
-                raise TypeError(f"'simplex' must be a list, got {objs!r}")
-            simplex = reader.simplex(objs)
-            image = tuple(reader.facets(entry["image_facets"]))
-        except (KeyError, TypeError) as exc:
-            raise InvalidTask(f"malformed carrier entry: {exc}") from None
-        if simplex in entries:
-            raise InvalidTask(
-                f"carrier map lists input simplex "
-                f"{Simplex(reader.vertices[i] for i in _bits(simplex))} twice"
-            )
-        entries[simplex] = images.setdefault(image, len(images))
-    return _task(reader, input_facets, output_facets, list(images), entries, colored)
+    where, at = "'vertices'", None  # the key being read, and its item number
+    try:
+        vertices = [vertex_from_obj(v) for v in _list(vertex_objs)]
+        space = _Numbering.of(vertices)
+        if len(space.vertices) != len(vertices):
+            twice = next(v for i, v in enumerate(vertices) if v in vertices[:i])
+            raise ValueError(f"vertex {twice} is listed twice")
+        bit_of = dict(enumerate(map(space.bit.__getitem__, vertices)))
 
+        def simplex(indices: Any) -> int:
+            """The mask of a list of vertex indices."""
+            mask = 0
+            for i in _list(indices):
+                if type(i) is not int or i not in bit_of:
+                    raise ValueError(f"vertex index {i!r} is not an int in 0..{len(vertices) - 1}")
+                mask |= bit_of[i]
+            if not mask or mask.bit_count() != len(indices):
+                raise ValueError(f"simplex {indices!r} is empty or repeats a vertex")
+            return mask
 
-def _task(
-    reader: _TaskReader,
-    input_facets: List[int],
-    output_facets: List[int],
-    images: List[Tuple[int, ...]],
-    entries: Union[Dict[int, int], List[int]],
-    colored: bool,
-) -> Task:
-    """The task of what ``reader`` read, validated as a task.
+        def facets(objs: Any) -> Tuple[int, ...]:
+            return _maximal(map(simplex, _list(objs)))
 
-    ``images`` lists the distinct images as read, first seen first, and
-    ``entries`` gives each carrier entry's index in it: keyed by the
-    entry's simplex mask as read, or listed in the input's canonical
-    simplex order.  Images are numbered in the order listed, so both forms
-    number a file's images alike.
-    """
-    space, renumber = reader.numbering()
-    number: Dict[Tuple[int, ...], int] = {}  # each distinct image's number
-    moved = [number.setdefault(_maximal(map(renumber, image)), len(number)) for image in images]
-    input_ = Complex._of(space, _maximal(map(renumber, input_facets)))
-    if isinstance(entries, list):
-        simplices = (s for layer in input_._masks().values() for s in layer)
-        ids = dict(zip(simplices, map(moved.__getitem__, entries), strict=True))
-    else:
-        ids = {renumber(s): moved[k] for s, k in entries.items()}
+        where = "'input'"
+        input_facets = facets(input_)
+        where = "'output'"
+        output_facets = facets(output)
+        where, images = "'images'", []
+        for at, image in enumerate(_list(image_objs)):
+            images.append(facets(image))
+        where, at = "'carrier'", None
+        image_of: Dict[int, int] = {}  # each entry's simplex mask and listed image
+        for at, entry in enumerate(_list(entry_objs)):
+            if type(entry) is not list or len(entry) != 2:
+                raise ValueError(f"need [simplex, image number], got {entry!r}")
+            s, k = simplex(entry[0]), entry[1]
+            if type(k) is not int or not 0 <= k < len(images):
+                raise ValueError(f"image number {k!r} is not an int in 0..{len(images) - 1}")
+            if s in image_of:
+                raise ValueError(f"carrier map lists input simplex {space.simplex(s)} twice")
+            image_of[s] = k
+        unnamed = set(range(len(images))).difference(image_of.values())
+        if unnamed:
+            where, at = "'images'", min(unnamed)
+            raise ValueError("no carrier entry names it")
+    except (ValueError, EmptyInput) as exc:
+        where = where if at is None else f"{where} item {at}"
+        raise InvalidTask(f"malformed {where}: {exc}") from None
+    # Entries in canonical order, and the distinct images numbered as they
+    # first occur there, as the writer lists them.
+    number: Dict[Tuple[int, ...], int] = {}
+    order = sorted(image_of, key=_rank)
+    ids = {s: number.setdefault(images[image_of[s]], len(number)) for s in order}
     return Task(
-        input=input_,
-        output=Complex._of(space, _maximal(map(renumber, output_facets))),
+        input=Complex._of(space, input_facets),
+        output=Complex._of(space, output_facets),
         carrier=CarrierMap._of(space, space, ids, list(number)),
         colored=colored,
     )
+
+
+def _list(value: Any) -> list:
+    if type(value) is not list:
+        raise ValueError(f"need a list, got {value!r}")
+    return value
 
 
 def report_to_obj(report: SolvabilityReport) -> Dict[str, Any]:

@@ -680,11 +680,59 @@ def vertex_key_oracle(vertex: Vertex) -> tuple:
     return (1, vertex.block.chain, vertex.block.block, rank)
 
 
+def vertex_obj_oracle(vertex: Vertex) -> dict:
+    """A vertex as a task file writes it: its chain, block and value code."""
+    block = vertex.block
+    return {
+        "chain": None if block is None else block.chain,
+        "block": None if block is None else block.block,
+        "value": vertex.value.value,
+    }
+
+
 def task_obj_oracle(task: Task) -> dict:
-    """The JSON object of a task file, by a walk of its own: vertices as
+    """The JSON object of a format-2 task file, by a walk of its own over the
+    task's public API: the input's and the output's vertices once, sorted by
+    ``vertex_key_oracle``; each simplex as the ascending indices of its
+    vertices there; each facet list sorted; one ``[simplex, image number]``
+    entry per carrier entry, by dimension and then indices; and the
+    distinct images numbered in the order the entries first name them."""
+    vertices = sorted(
+        set(task.input.vertices) | set(task.output.vertices), key=vertex_key_oracle
+    )
+    index = {v: i for i, v in enumerate(vertices)}
+
+    def simplex_obj(simplex: Simplex) -> list:
+        return sorted(index[v] for v in simplex.vertex_set)
+
+    def facets_obj(complex_: Complex) -> list:
+        return sorted(simplex_obj(f) for f in complex_.facets)
+
+    entries = sorted(
+        ([simplex_obj(s), facets_obj(image)] for s, image in task.carrier.items()),
+        key=lambda entry: (len(entry[0]), entry[0]),
+    )
+    number: Dict[tuple, int] = {}  # each distinct image's number
+    for entry in entries:
+        entry[1] = number.setdefault(tuple(map(tuple, entry[1])), len(number))
+    return {
+        "format": 2,
+        "vertices": [vertex_obj_oracle(v) for v in vertices],
+        "input": facets_obj(task.input),
+        "output": facets_obj(task.output),
+        "images": [list(map(list, image)) for image in number],
+        "carrier": entries,
+        "colored": task.colored,
+    }
+
+
+def task_obj_oracle_format1(task: Task) -> dict:
+    """The JSON object of a task file in the retired format 1, which wrote
+    every vertex object in full inside every simplex: vertices as
     chain/block/value objects, each simplex and facet list sorted by
     ``vertex_key_oracle``, and one carrier entry per input simplex, by
-    dimension and then vertex order."""
+    dimension and then vertex order.  Kept as the reference that the
+    format-1 ``build`` pins are checked against."""
 
     def ordered(simplex: Simplex) -> list:
         return sorted(simplex.vertex_set, key=vertex_key_oracle)
@@ -692,16 +740,8 @@ def task_obj_oracle(task: Task) -> dict:
     def key(simplex: Simplex) -> tuple:
         return tuple(vertex_key_oracle(v) for v in ordered(simplex))
 
-    def vertex_obj(vertex: Vertex) -> dict:
-        block = vertex.block
-        return {
-            "chain": None if block is None else block.chain,
-            "block": None if block is None else block.block,
-            "value": vertex.value.value,
-        }
-
     def simplex_obj(simplex: Simplex) -> list:
-        return [vertex_obj(v) for v in ordered(simplex)]
+        return [vertex_obj_oracle(v) for v in ordered(simplex)]
 
     def facets_obj(complex_: Complex) -> list:
         return [simplex_obj(f) for f in sorted(complex_.facets, key=key)]
@@ -716,6 +756,84 @@ def task_obj_oracle(task: Task) -> dict:
         ],
         "colored": task.colored,
     }
+
+
+def _set(obj: dict, path: Sequence[Any], value: Any) -> None:
+    """Set the item at ``path`` (keys and list indices) of ``obj``."""
+    *head, last = path
+    for key in head:
+        obj = obj[key]
+    obj[last] = value
+
+
+# Faults of a format-2 task file: each an edit of a task object with at
+# least three carrier entries and two images, and the pattern that
+# ``task_from_obj``'s message for it matches.
+TASK_FILE_FAULTS = {
+    "format-missing": (lambda obj: obj.pop("format"), r"format is None, not 2"),
+    "format-1": (lambda obj: _set(obj, ["format"], 1), r"format is 1, not 2"),
+    "format-string": (lambda obj: _set(obj, ["format"], "2"), r"format is '2', not 2"),
+    "format-float": (lambda obj: _set(obj, ["format"], 2.0), r"format is 2\.0, not 2"),
+    "format-true": (lambda obj: _set(obj, ["format"], True), r"format is True, not 2"),
+    "key-missing": (lambda obj: obj.pop("images"), r"missing 'images'"),
+    "vertex-listed-twice": (
+        lambda obj: obj["vertices"].append(dict(obj["vertices"][0])), r"listed twice"),
+    "index-out-of-range": (
+        lambda obj: _set(obj, ["input", 0, 0], len(obj["vertices"])),
+        r"'input': vertex index \d+ is not an int"),
+    "index-negative": (
+        lambda obj: _set(obj, ["output", 0, 0], -1), r"'output': vertex index -1 is not an int"),
+    "index-bool": (
+        lambda obj: _set(obj, ["images", 1, 0, 0], True),
+        r"'images' item 1: vertex index True is not an int"),
+    "index-float": (
+        lambda obj: _set(obj, ["carrier", 0, 0, 0], 0.0),
+        r"'carrier' item 0: vertex index 0\.0 is not an int"),
+    "index-string": (
+        lambda obj: _set(obj, ["input", 0, 0], "0"), r"vertex index '0' is not an int"),
+    "simplex-not-a-list": (
+        lambda obj: _set(obj, ["input", 0], 0), r"'input': need a list, got 0"),
+    "empty-simplex": (lambda obj: obj["input"].append([]), r"simplex \[\] is empty"),
+    "empty-entry-simplex": (
+        lambda obj: _set(obj, ["carrier", 0, 0], []), r"'carrier' item 0: simplex \[\] is empty"),
+    "empty-input": (
+        lambda obj: _set(obj, ["input"], []), r"'input': a complex needs at least one facet"),
+    "empty-output": (
+        lambda obj: _set(obj, ["output"], []), r"'output': a complex needs at least one facet"),
+    "empty-image": (
+        lambda obj: _set(obj, ["images", 0], []),
+        r"'images' item 0: a complex needs at least one facet"),
+    "repeated-index": (
+        lambda obj: obj["output"][0].append(obj["output"][0][0]),
+        r"'output': .* repeats a vertex"),
+    "repeated-index-in-entry": (
+        lambda obj: obj["carrier"][0][0].append(obj["carrier"][0][0][0]),
+        r"'carrier' item 0: simplex \[\d+, \d+\] is empty or repeats a vertex"),
+    "entry-one-item": (
+        lambda obj: obj["carrier"][0].pop(), r"'carrier' item 0: need \[simplex, image number\]"),
+    "entry-three-items": (
+        lambda obj: obj["carrier"][1].append(0), r"'carrier' item 1: need \[simplex, image"),
+    "entry-not-a-list": (
+        lambda obj: _set(obj, ["carrier", 2], {"simplex": [0], "image": 0}),
+        r"'carrier' item 2: need \[simplex, image number\]"),
+    "image-number-out-of-range": (
+        lambda obj: _set(obj, ["carrier", 0, 1], len(obj["images"])),
+        r"'carrier' item 0: image number \d+ is not an int"),
+    "image-number-negative": (
+        lambda obj: _set(obj, ["carrier", 0, 1], -1), r"image number -1 is not an int"),
+    "image-number-bool": (
+        lambda obj: _set(obj, ["carrier", 0, 1], True), r"image number True is not an int"),
+    "image-unnamed": (
+        lambda obj: obj["images"].append(obj["images"][0]),
+        r"'images' item \d+: no carrier entry names it"),
+    "input-simplex-twice": (
+        lambda obj: obj["carrier"].append(obj["carrier"][0]),
+        r"carrier map lists input simplex \{.*\} twice"),
+    "colored-int": (
+        lambda obj: _set(obj, ["colored"], 1), r"'colored' must be a boolean, got 1"),
+    "colored-string": (
+        lambda obj: _set(obj, ["colored"], "true"), r"'colored' must be a boolean, got 'true'"),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,9 +16,16 @@ import pytest
 import cbtopo
 from cbtopo.cli import build_parser, main
 from cbtopo.forksim import PROTOCOLS, TwoPhaseCommit
-from cbtopo.serialize import dumps, task_to_obj
+from cbtopo.serialize import dumps, task_from_json, task_to_obj
 
-from helpers import cx, identity_task, random_induced_image_task, vtx
+from helpers import (
+    TASK_FILE_FAULTS,
+    cx,
+    identity_task,
+    random_induced_image_task,
+    task_obj_oracle_format1,
+    vtx,
+)
 
 
 def run_cli(argv, capsys):
@@ -35,13 +43,29 @@ def task_file(tmp_path, capsys):
     return path
 
 
+def _index(obj, vertex):
+    """The index of the vertex object ``vertex`` in a task object's list."""
+    return obj["vertices"].index(vertex)
+
+
+def _set_image(obj, entry, facets):
+    """Give a carrier entry of a task object the image ``facets``: in place
+    of its image when no other entry names that, else as a new image."""
+    if sum(other[1] == entry[1] for other in obj["carrier"]) == 1:
+        obj["images"][entry[1]] = facets
+    else:
+        obj["images"].append(facets)
+        entry[1] = len(obj["images"]) - 1
+
+
 class TestBuild:
     def test_stdout_json_with_stderr_summary(self, capsys):
         code, out, err = run_cli(["build", "--n", "1"], capsys)
         assert code == 0
         obj = json.loads(out)
-        assert set(obj) == {"input", "output", "carrier", "colored"}
-        assert obj["colored"] is True
+        assert list(obj) == ["format", "vertices", "input", "output", "images", "carrier",
+                             "colored"]
+        assert obj["format"] == 2 and obj["colored"] is True
         assert "input: vertices=6 facets=9 dimension=1" in err
         assert "carrier: entries=15" in err
 
@@ -59,7 +83,7 @@ class TestBuild:
         assert code == 0
         obj = json.loads(out)
         assert obj["colored"] is False
-        verdicts = {v["value"] for f in obj["output"]["facets"] for v in f}
+        verdicts = {obj["vertices"][i]["value"] for f in obj["output"] for i in f}
         assert verdicts == {"0", "1"}
         assert "colored: false" in err
 
@@ -70,10 +94,12 @@ class TestBuild:
         assert code == 2
         assert err.startswith("error:")
 
-    # sha256 of ``build --n k [--colorless] --block-index 7`` stdout: for
-    # k <= 4 as the object-by-object encoder wrote it before the task writer
-    # replaced it, for k = 5 as the writer wrote it before it walked the
-    # input's layers and built each simplex's text from its prefix's.
+    # sha256 of ``build --n k [--colorless] --block-index 7`` stdout in
+    # format 1, which wrote each vertex object in full inside every simplex:
+    # for k <= 4 as the object-by-object encoder wrote it before the task
+    # writer replaced it, for k = 5 as the writer wrote it before it walked
+    # the input's layers.  The task ``build`` writes now is read back and
+    # encoded through the format-1 oracle, which must give those bytes.
     @pytest.mark.parametrize(
         "n,flags,digest",
         [
@@ -90,6 +116,30 @@ class TestBuild:
         ],
     )
     def test_output_bytes_are_pinned(self, n, flags, digest, capsys):
+        code, out, err = run_cli(
+            ["build", "--n", str(n), *flags, "--block-index", "7"], capsys
+        )
+        assert code == 0
+        text = json.dumps(task_obj_oracle_format1(task_from_json(out)), indent=2) + "\n"
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+    # sha256 of the same stdout, as format 2 first wrote it.
+    @pytest.mark.parametrize(
+        "n,flags,digest",
+        [
+            (1, [], "b83f2a09d49bee1393c29d134815fdfbb4b836a571712c7fc3f108468437abc9"),
+            (1, ["--colorless"], "93b0652ed0188e2ceda63f3fc6eafa08601be305e49aa17573c3552466ad426d"),
+            (2, [], "c401f8875d752c262ecea0833abef63b627766f852d2f324dbfef7c6969be9c5"),
+            (2, ["--colorless"], "fe9bd390f35778bf2e52f35922055f277294e7a3164810bda4815f3a9c6962e6"),
+            (3, [], "0f0764c23d219da5539e05892ae1d75edfd744126877a91229b54bc931da06cb"),
+            (3, ["--colorless"], "65e1049f0a46c31042543398f1a1402f63e279d09bc818c9d13451f039736d78"),
+            (4, [], "fd9e619c76bdcb08f73278e0d44fce76ec47d014a5282a1b9c399f8aa9fe546b"),
+            (4, ["--colorless"], "4507d2fa64b9ffca8edb8dacbbd9bd83843c973dea9bd7aac8b8bdc7072cdde7"),
+            (5, [], "870cf58acdf008f23ab842158dbec97e4326e4156e96648a3e5a60384bfc9e79"),
+            (5, ["--colorless"], "ff0ab520891840af96d17448bb6ece532129913c8368f449f7a18a8748429198"),
+        ],
+    )
+    def test_format_2_bytes_are_pinned(self, n, flags, digest, capsys):
         code, out, err = run_cli(
             ["build", "--n", str(n), *flags, "--block-index", "7"], capsys
         )
@@ -174,21 +224,6 @@ class TestAnalyze:
         assert "claims: CONFIRMED (2/2)" in out
         assert "rigid" not in out
 
-    @pytest.mark.parametrize("colorless", [False, True])
-    def test_build_files_are_read_by_their_layout(
-        self, colorless, block7_files, monkeypatch, capsys
-    ):
-        # The general reader is made to fail wherever it is bound, so the
-        # check passes only on the layout read of the file ``build`` wrote.
-        def refuse(*args):
-            raise AssertionError("the general reader was called")
-
-        expected = run_cli(["analyze", str(block7_files[3, colorless]), "--t", "1"], capsys)
-        monkeypatch.setattr("cbtopo.serialize.task_from_obj", refuse)
-        monkeypatch.setattr("cbtopo.cli.task_from_obj", refuse, raising=False)
-        got = run_cli(["analyze", str(block7_files[3, colorless]), "--t", "1"], capsys)
-        assert got == expected and got[0] == 0
-
     def test_component_acyclicity_reported(self, task_file, capsys):
         _, out, _ = run_cli(["analyze", str(task_file), "--t", "1"], capsys)
         assert "output component 0: reduced_betti=[0, 0, 0]" in out
@@ -196,13 +231,14 @@ class TestAnalyze:
 
     def test_broken_carrier_fails_claims(self, task_file, tmp_path, capsys):
         obj = json.loads(task_file.read_text())
-        all_zero = [{"chain": c, "block": 0, "value": "0"} for c in range(3)]
+        all_zero = [_index(obj, {"chain": c, "block": 0, "value": "0"}) for c in range(3)]
         hits = 0
         for entry in obj["carrier"]:
-            if sorted(v["chain"] for v in entry["simplex"]) == [0, 1, 2] and all(
-                v["value"] == "1" for v in entry["simplex"]
+            simplex = [obj["vertices"][i] for i in entry[0]]
+            if sorted(v["chain"] for v in simplex) == [0, 1, 2] and all(
+                v["value"] == "1" for v in simplex
             ):
-                entry["image_facets"] = [all_zero]
+                _set_image(obj, entry, [all_zero])
                 hits += 1
         assert hits == 1, "expected exactly one all-commit facet"
         broken = tmp_path / "broken.json"
@@ -248,7 +284,7 @@ class TestAnalyze:
         if where is None:
             obj[key] = value
         else:
-            obj[where]["facets"][-1][0][key] = value
+            obj["vertices"][obj[where][-1][0]][key] = value
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps(obj))
         code, _, err = run_cli(["analyze", str(path), "--t", "1"], capsys)
@@ -301,13 +337,45 @@ def test_duplicate_carrier_entry_exits_io(command, options, tmp_path, capsys):
     path = tmp_path / "n1.json"
     assert run_cli(["build", "--n", "1", "--out", str(path)], capsys)[0] == 0
     obj = json.loads(path.read_text())
-    zero = [{"chain": c, "block": 0, "value": "0"} for c in (0, 1)]
-    obj["carrier"].append({"simplex": zero[:1], "image_facets": [zero]})
+    zero = [_index(obj, {"chain": c, "block": 0, "value": "0"}) for c in (0, 1)]
+    obj["images"].append([zero])
+    obj["carrier"].append([zero[:1], len(obj["images"]) - 1])
     path.write_text(json.dumps(obj))
     code, out, err = run_cli([command, str(path), *options], capsys)
     assert (code, out) == (3, "")
     assert "cannot load task" in err
     assert "lists input simplex {v0.0=0} twice" in err
+
+
+@pytest.mark.parametrize(
+    "command,options",
+    [("analyze", ["--t", "1"]), ("search", ["--t", "1", "--N", "0"]), ("export", [])],
+)
+@pytest.mark.parametrize("fault", list(TASK_FILE_FAULTS))
+def test_malformed_format_2_file_exits_io(fault, command, options, task_file, tmp_path, capsys):
+    spoil, message = TASK_FILE_FAULTS[fault]
+    obj = json.loads(task_file.read_text())
+    spoil(obj)
+    path = tmp_path / "spoiled.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli([command, str(path), *options], capsys)
+    assert (code, out) == (3, "")
+    assert "cannot load task" in err and "Traceback" not in err
+    assert re.search(message, err)
+
+
+@pytest.mark.parametrize(
+    "command,options",
+    [("analyze", ["--t", "1"]), ("search", ["--t", "1", "--N", "0"]), ("export", [])],
+)
+def test_format_1_file_exits_io_and_asks_for_a_rebuild(command, options, tmp_path, capsys):
+    path = tmp_path / "format1.json"
+    task = task_from_json(run_cli(["build", "--n", "1"], capsys)[1])
+    path.write_text(dumps(task_obj_oracle_format1(task)))
+    code, out, err = run_cli([command, str(path), *options], capsys)
+    assert (code, out) == (3, "")
+    assert "cannot load task" in err
+    assert "format is None, not 2: run `cbtopo build` again" in err
 
 
 @pytest.mark.parametrize("colored", ["false", 0, None])
@@ -320,45 +388,6 @@ def test_non_boolean_colored_exits_io(colored, task_file, tmp_path, capsys):
     assert (code, out) == (3, "")
     assert "cannot load task" in err
     assert "'colored' must be a boolean" in err
-
-
-def _first_vertex_entry(obj):
-    return next(e for e in obj["carrier"] if len(e["simplex"]) == 1)
-
-
-def _repeat_first_vertex(simplex):
-    simplex.append(dict(simplex[0]))
-
-
-@pytest.mark.parametrize(
-    "command,options", [("analyze", ["--t", "1"]), ("search", ["--t", "1", "--N", "0"])]
-)
-@pytest.mark.parametrize(
-    "spoil,fault",
-    [
-        pytest.param(lambda obj: obj["input"].update(facets=[]),
-                     "a complex needs at least one facet", id="no-input-facets"),
-        pytest.param(lambda obj: _first_vertex_entry(obj).update(image_facets=[]),
-                     "a complex needs at least one facet", id="no-image-facets"),
-        pytest.param(lambda obj: _first_vertex_entry(obj).update(simplex=[]),
-                     "a simplex needs at least one vertex", id="empty-simplex"),
-        pytest.param(lambda obj: _repeat_first_vertex(_first_vertex_entry(obj)["simplex"]),
-                     "repeated vertex in simplex", id="repeated-in-simplex"),
-        pytest.param(lambda obj: _repeat_first_vertex(obj["output"]["facets"][0]),
-                     "repeated vertex in simplex", id="repeated-in-facet"),
-    ],
-)
-def test_empty_or_repeating_simplex_exits_io(
-    spoil, fault, command, options, task_file, tmp_path, capsys
-):
-    obj = json.loads(task_file.read_text())
-    spoil(obj)
-    path = tmp_path / "spoiled.json"
-    path.write_text(json.dumps(obj))
-    code, out, err = run_cli([command, str(path), *options], capsys)
-    assert (code, out) == (3, "")
-    assert "cannot load task" in err
-    assert fault in err
 
 
 class TestSearch:
@@ -434,15 +463,16 @@ class TestSearch:
 
 def _entry_of_dim(obj, dim):
     """The first carrier entry of ``obj`` whose simplex has dimension ``dim``."""
-    return next(e for e in obj["carrier"] if len(e["simplex"]) == dim + 1)
+    return next(e for e in obj["carrier"] if len(e[0]) == dim + 1)
 
 
-def _non_integer_chain(obj, dim):
-    _entry_of_dim(obj, dim)["simplex"][0]["chain"] = 0.5
+def _non_integer_index(obj, dim):
+    _entry_of_dim(obj, dim)[0][0] = 0.5
 
 
 def _image_outside_output(obj, dim):
-    _entry_of_dim(obj, dim)["image_facets"] = [[{"chain": 9, "block": 9, "value": "1"}]]
+    obj["vertices"].append({"chain": 9, "block": 9, "value": "1"})
+    _set_image(obj, _entry_of_dim(obj, dim), [[len(obj["vertices"]) - 1]])
 
 
 def _duplicated_entry(obj, dim):
@@ -454,17 +484,19 @@ def _foreign_simplex(obj, dim):
     # Two vertices of one chain lie in no simplex of a CBT input; at
     # dimension 0 a vertex of a chain the task does not have is foreign.
     entry = _entry_of_dim(obj, dim)
-    first, *rest = entry["simplex"]
+    first, *rest = entry[0]
+    vertex = obj["vertices"][first]
     if rest:
-        other = {**first, "value": "0" if first["value"] != "0" else "1"}
+        other = _index(obj, {**vertex, "value": "0" if vertex["value"] != "0" else "1"})
         simplex = [first, other, *rest[1:]]
     else:
-        simplex = [{**first, "chain": 9}]
-    obj["carrier"].append({"simplex": simplex, "image_facets": entry["image_facets"]})
+        obj["vertices"].append({**vertex, "chain": 9})
+        simplex = [len(obj["vertices"]) - 1]
+    obj["carrier"].append([simplex, entry[1]])
 
 
 SPOILERS = [
-    pytest.param(_non_integer_chain, id="non-integer-chain"),
+    pytest.param(_non_integer_index, id="non-integer-index"),
     pytest.param(_image_outside_output, id="image-outside-output"),
     pytest.param(_duplicated_entry, id="duplicated-entry"),
     pytest.param(_foreign_simplex, id="foreign-simplex"),
@@ -514,11 +546,12 @@ class TestSearchReadsTheWholeFile:
     @pytest.mark.parametrize(
         "replace",
         [
-            pytest.param(lambda entry: {**entry, "simplex": "x"}, id="simplex-string"),
-            pytest.param(lambda entry: {**entry, "simplex": entry["simplex"][0]},
-                         id="simplex-object"),
-            pytest.param(lambda entry: {**entry, "simplex": None}, id="simplex-null"),
-            pytest.param(lambda entry: entry["simplex"], id="entry-list"),
+            pytest.param(lambda entry: ["x", entry[1]], id="simplex-string"),
+            pytest.param(lambda entry: [entry[0][0], entry[1]], id="simplex-index"),
+            pytest.param(lambda entry: [None, entry[1]], id="simplex-null"),
+            pytest.param(lambda entry: entry[0], id="entry-list"),
+            pytest.param(lambda entry: {"simplex": entry[0], "image": entry[1]},
+                         id="entry-object"),
             pytest.param(lambda entry: 7, id="entry-int"),
         ],
     )
@@ -534,7 +567,7 @@ class TestSearchReadsTheWholeFile:
         code, out, err = run_cli(["search", str(path), "--t", "1", "--N", "1"], capsys)
         assert (code, out) == (3, "")
         assert "cannot load task" in err
-        assert "malformed carrier entry" in err
+        assert f"malformed 'carrier' item {index}" in err
 
     @pytest.mark.parametrize("t", ["-1", "0", "2", "5"])
     def test_bad_resilience_on_a_well_formed_file_exits_usage(self, t, task_file, capsys):

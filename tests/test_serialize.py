@@ -17,7 +17,6 @@ from cbtopo.forksim import (
     run,
 )
 from cbtopo.serialize import (
-    _task_from_layout,
     dumps,
     report_to_obj,
     simplex_to_obj,
@@ -34,6 +33,7 @@ from cbtopo.simplicial import Complex, Simplex, barycentric_subdivide
 from cbtopo.tasks import CarrierMap, Task, colorless_projection, restrict_to_skeleton
 
 from helpers import (
+    TASK_FILE_FAULTS,
     closure_oracle,
     cx,
     free,
@@ -43,6 +43,8 @@ from helpers import (
     split_vote_task,
     sx,
     task_obj_oracle,
+    task_obj_oracle_format1,
+    vertex_key_oracle,
     vtx,
 )
 
@@ -99,10 +101,11 @@ class TestComplexObjects:
         task = split_vote_task(c, dict.fromkeys(c.vertices, "1"))
         assert task_from_obj(task_to_obj(task)).input == c
 
-    def test_missing_facets_key(self):
+    def test_input_that_is_not_a_facet_list(self):
         obj = task_to_obj(identity_task(cx([vtx(0, "1")])))
-        for complex_obj in ({"simplices": []}, []):
-            with pytest.raises(InvalidTask, match="'facets' list"):
+        # A format-1 complex object, and an empty facet list.
+        for complex_obj in ({"facets": obj["input"]}, []):
+            with pytest.raises(InvalidTask, match="malformed 'input'"):
                 task_from_obj({**obj, "input": complex_obj})
 
 
@@ -120,30 +123,59 @@ class TestTaskObjects:
 
     def test_obj_shape(self, cbt_tasks):
         obj = task_to_obj(cbt_tasks[1])
-        assert set(obj) == {"input", "output", "carrier", "colored"}
-        assert obj["colored"] is True
-        entry = obj["carrier"][0]
-        assert set(entry) == {"simplex", "image_facets"}
+        assert list(obj) == ["format", "vertices", "input", "output", "images", "carrier",
+                             "colored"]
+        assert obj["format"] == 2 and obj["colored"] is True
+        assert len(obj["vertices"]) == 6
+        simplex, image = obj["carrier"][0]
+        assert simplex == [0] and type(image) is int
 
-    def test_missing_top_level_key(self):
-        with pytest.raises(InvalidTask, match="malformed task object"):
-            task_from_obj({})
+    @pytest.mark.parametrize("key", ["vertices", "input", "output", "images", "carrier",
+                                     "colored"])
+    def test_missing_top_level_key(self, key, cbt_tasks):
+        obj = task_to_obj(cbt_tasks[1])
+        del obj[key]
+        with pytest.raises(InvalidTask, match=f"malformed task object: missing '{key}'"):
+            task_from_obj(obj)
 
     def test_malformed_carrier_entry(self, cbt_tasks):
         obj = task_to_obj(cbt_tasks[1])
-        del obj["carrier"][0]["image_facets"]
-        with pytest.raises(InvalidTask, match="malformed carrier entry"):
+        del obj["carrier"][3][1]
+        with pytest.raises(InvalidTask, match=r"malformed 'carrier' item 3: need \[simplex"):
             task_from_obj(obj)
 
     def test_reloaded_task_is_revalidated(self, cbt_tasks):
         obj = task_to_obj(cbt_tasks[1])
         # poison one carrier image with a verdict outside the output complex
-        obj["carrier"][0]["image_facets"] = [
-            [{"chain": 9, "block": 9, "value": "1"}]
-        ]
-        with pytest.raises(InvalidTask):
+        obj["vertices"].append({"chain": 9, "block": 9, "value": "1"})
+        obj["images"][0] = [[len(obj["vertices"]) - 1]]
+        with pytest.raises(InvalidTask, match="is not a subcomplex of the output"):
             task_from_obj(obj)
 
+    @pytest.mark.parametrize("fault", list(TASK_FILE_FAULTS))
+    def test_each_fault_is_named(self, fault, cbt_tasks):
+        spoil, message = TASK_FILE_FAULTS[fault]
+        obj = task_to_obj(cbt_tasks[2])
+        spoil(obj)
+        with pytest.raises(InvalidTask, match=message):
+            task_from_obj(obj)
+
+    def test_a_format_1_file_is_refused(self, cbt_tasks):
+        text = json.dumps(task_obj_oracle_format1(cbt_tasks[1]), indent=2)
+        with pytest.raises(InvalidTask, match=r"format is None, not 2: run `cbtopo build` again"):
+            task_from_json(text)
+
+    def test_each_listed_vertex_is_decoded_once(self, monkeypatch):
+        text = task_to_json(build_task(CbtConfig(n=3, block_index=7)))
+        decode, decoded = serialize.vertex_from_obj, []
+
+        def counted(obj):
+            decoded.append(obj)
+            return decode(obj)
+
+        monkeypatch.setattr(serialize, "vertex_from_obj", counted)
+        task_from_json(text)
+        assert decoded == json.loads(text)["vertices"]
 
 
 def _key(vertex):
@@ -179,7 +211,12 @@ class TestSkeletonOfARead:
     def test_every_skeleton_matches_the_file(self, n, colorless, cbt_texts):
         text = cbt_texts[n, colorless]
         file = json.loads(text)
-        input_facets = [list(map(_obj_key, f)) for f in file["input"]["facets"]]
+        keys = [_obj_key(v) for v in file["vertices"]]
+
+        def named(indices):
+            return frozenset(keys[i] for i in indices)
+
+        input_facets = [named(f) for f in file["input"]]
         assert max(map(len, input_facets)) == n + 1
         closure = closure_oracle(input_facets)
         task = task_from_json(text)
@@ -193,15 +230,24 @@ class TestSkeletonOfARead:
                 frozenset(map(_key, s)): {frozenset(map(_key, f)) for f in image.facets}
                 for s, image in restricted.carrier.items()
             } == {
-                frozenset(map(_obj_key, e["simplex"])): {
-                    frozenset(map(_obj_key, f)) for f in e["image_facets"]
-                }
-                for e in file["carrier"]
-                if len(e["simplex"]) <= dim + 1
+                named(s): {named(f) for f in file["images"][k]}
+                for s, k in file["carrier"]
+                if len(s) <= dim + 1
             }
-            assert {frozenset(map(_key, f)) for f in restricted.output.facets} == {
-                frozenset(map(_obj_key, f)) for f in file["output"]["facets"]
-            }
+            assert {frozenset(map(_key, f)) for f in restricted.output.facets} == set(
+                map(named, file["output"])
+            )
+
+
+def _derived_tasks(n):
+    """The CBT task's colorless projection and the skeletons of both: skeleton
+    inputs and projected images, each of its own tuple."""
+    task = build_task(CbtConfig(n=n, block_index=7))
+    projected = colorless_projection(task)
+    yield projected
+    for t in range(1, n):
+        yield restrict_to_skeleton(task, t)
+        yield restrict_to_skeleton(projected, t)
 
 
 def _assert_same_text(got, expected):
@@ -220,9 +266,7 @@ class TestTaskWriter:
 
     @staticmethod
     def check(task):
-        text = task_to_json(task)
-        _assert_same_text(text, json.dumps(task_obj_oracle(task), indent=2) + "\n")
-        _assert_same_text(dumps(task_to_obj(task)), text)
+        _assert_same_text(task_to_json(task), json.dumps(task_obj_oracle(task), indent=2) + "\n")
 
     @pytest.mark.parametrize("colorless", [False, True])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -240,13 +284,8 @@ class TestTaskWriter:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_derived_cbt_tasks(self, n):
-        # Skeleton inputs and projected images, each of its own tuple.
-        task = build_task(CbtConfig(n=n, block_index=7))
-        projected = colorless_projection(task)
-        self.check(projected)
-        for t in range(1, n):
-            self.check(restrict_to_skeleton(task, t))
-            self.check(restrict_to_skeleton(projected, t))
+        for task in _derived_tasks(n):
+            self.check(task)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_equal_images_as_distinct_objects(self, seed):
@@ -261,24 +300,15 @@ class TestTaskWriter:
 
     def test_task_to_obj_returns_fresh_objects(self, cbt_tasks):
         first = task_to_obj(cbt_tasks[1])
-        first["input"]["facets"][0][0]["value"] = "bot"
-        assert task_to_obj(cbt_tasks[1])["input"]["facets"][0][0]["value"] != "bot"
-
-
-def _general(text):
-    return task_from_obj(json.loads(text))
-
-
-def _outcome(read, text):
-    """What ``read(text)`` gives: the task, or its error's type and message."""
-    try:
-        return read(text)
-    except Exception as exc:
-        return type(exc), str(exc)
+        first["vertices"][0]["value"] = "bot"
+        first["input"][0].append(5)
+        second = task_to_obj(cbt_tasks[1])
+        assert second["vertices"][0]["value"] != "bot"
+        assert 5 not in second["input"][0]
 
 
 def _assert_same_read(got, expected):
-    """Two reads of one file agree: the same numbering, id table and image
+    """Two reads of one task agree: the same numbering, id table and image
     list, both in order, the same facets and the same ``colored``."""
     assert isinstance(got, Task) and isinstance(expected, Task)
     for a, b in ((got.input, expected.input), (got.output, expected.output)):
@@ -289,56 +319,77 @@ def _assert_same_read(got, expected):
     assert got.colored is expected.colored
 
 
-def _edited(edit):
-    """A perturbation of a task file that edits its object and writes it
-    back in the writer's own indentation."""
+class TestRoundTrip:
+    """``task_from_json(task_to_json(task))`` is the task, on one numbering
+    of the task's own vertices, with each entry's image as the task has it;
+    and it is a fixed point: read and written again, it gives the same
+    text and the same numbering, id table and image list."""
 
-    def perturb(text):
-        obj = json.loads(text)
-        edit(obj)
-        return dumps(obj)
+    @staticmethod
+    def check(task):
+        text = task_to_json(task)
+        read = task_from_json(text)
+        assert read == task and read.colored is task.colored
+        vertices = set(task.input.vertices) | set(task.output.vertices)
+        space = read.input._space
+        assert read.output._space is space and read.carrier._in is space
+        assert space.vertices == tuple(sorted(vertices, key=vertex_key_oracle))
+        carrier = task.carrier
+        assert {read.input._space.simplex(s): read.carrier._images[k]
+                for s, k in read.carrier._ids.items()} == {
+            s: tuple(map(space.mask, image.facets)) for s, image in carrier.items()
+        }
+        assert len(set(read.carrier._images)) == len(read.carrier._images)
+        assert task_to_json(read) == text
+        _assert_same_read(task_from_json(text), read)
 
-    return perturb
+    @pytest.mark.parametrize("colorless", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_cbt_tasks(self, n, colorless):
+        config = CbtConfig(n=n, block_index=7)
+        self.check(build_colorless_task(config) if colorless else build_task(config))
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_derived_tasks(self, n):
+        for task in _derived_tasks(n):
+            self.check(task)
 
-def _swap_entries(obj):
-    # Two entries of one dimension whose images differ.
-    carrier = obj["carrier"]
-    i, j = next(
-        (i, j) for i, j in itertools.combinations(range(len(carrier)), 2)
-        if len(carrier[i]["simplex"]) == len(carrier[j]["simplex"])
-        and carrier[i]["image_facets"] != carrier[j]["image_facets"]
-    )
-    carrier[i], carrier[j] = carrier[j], carrier[i]
-
-
-def _reverse_image(obj):
-    next(e for e in obj["carrier"] if len(e["image_facets"]) > 1)["image_facets"].reverse()
-
-
-def _add_face(obj):
-    facets = obj["input"]["facets"]
-    assert len(facets[0]) > 1
-    facets.append(facets[0][:1])
-
-
-def _first_vertex(edit):
-    """A perturbation that rewrites the text of the file's first vertex
-    object, an input vertex, and leaves every other byte as written."""
-
-    def perturb(text):
-        start = text.index("{", len('{\n  "input": {'))
-        end = text.index("}", start) + 1
-        return text[:start] + edit(text[start:end]) + text[end:]
-
-    return perturb
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_tasks(self, seed):
+        self.check(random_shared_mask_task(random.Random(seed)))
+        self.check(random_induced_image_task(random.Random(seed)))
 
 
-def _reorder_keys(vertex_text):
-    vertex = json.loads(vertex_text)
-    return json.dumps({key: vertex[key] for key in reversed(vertex)}, indent=2).replace(
-        "\n", "\n" + " " * 8
-    )
+def _shuffled(obj, rng):
+    """``obj`` with its vertices, the input's and the output's facets, each
+    simplex's indices, the images, each image's facets and the carrier
+    entries each in a random order, every index remapped to match."""
+    order = rng.sample(range(len(obj["vertices"])), len(obj["vertices"]))
+    at = {old: new for new, old in enumerate(order)}
+
+    def simplex(indices):
+        return rng.sample([at[i] for i in indices], len(indices))
+
+    def facets(lists):
+        return rng.sample([simplex(f) for f in lists], len(lists))
+
+    image_order = rng.sample(range(len(obj["images"])), len(obj["images"]))
+    image_at = {old: new for new, old in enumerate(image_order)}
+    entries = [[simplex(s), image_at[k]] for s, k in obj["carrier"]]
+    return {
+        **obj,
+        "vertices": [obj["vertices"][i] for i in order],
+        "input": facets(obj["input"]),
+        "output": facets(obj["output"]),
+        "images": [facets(obj["images"][i]) for i in image_order],
+        "carrier": rng.sample(entries, len(entries)),
+    }
+
+
+def _reorder_keys(obj):
+    """``obj`` with the keys of it and of each vertex object reversed."""
+    obj = {**obj, "vertices": [dict(reversed(v.items())) for v in obj["vertices"]]}
+    return dict(reversed(obj.items()))
 
 
 def _escape_a_value(text):
@@ -347,109 +398,55 @@ def _escape_a_value(text):
     return text.replace('"value": "1"', '"value": "\\u0031"', 1)
 
 
-_PERTURBATIONS = {
+def _add_face(obj):
+    # A face of the first input facet, listed as a facet too.
+    obj["input"].append(obj["input"][0][:1])
+    return obj
+
+
+_SAME_TASK_TEXTS = {
     "compact": lambda text: json.dumps(json.loads(text)),
-    "entries-swapped": _edited(_swap_entries),
-    "image-reversed": _edited(_reverse_image),
-    "non-maximal-facet": _edited(_add_face),
-    "extra-key": _edited(lambda obj: obj.update(note="hand edited")),
-    "duplicated-entry": _edited(lambda obj: obj["carrier"].append(obj["carrier"][0])),
-    "vertex-in-one-image": _edited(
-        lambda obj: obj["carrier"][-1]["image_facets"].append(
-            [{"chain": 9, "block": 7, "value": "1"}]
-        )
-    ),
-    "final-newline-dropped": lambda text: text[:-1],
-    "simplex-not-a-list": _edited(lambda obj: obj["carrier"][-1].update(simplex=5)),
-    "vertex-keys-reordered": _first_vertex(_reorder_keys),
-    "vertex-without-inner-spaces": _first_vertex(lambda vertex: vertex.replace('": ', '":')),
-    "vertex-repeated-in-input-facet": _edited(
-        lambda obj: obj["input"]["facets"][0].append(obj["input"]["facets"][0][0])
-    ),
+    "keys-reordered": lambda text: json.dumps(_reorder_keys(json.loads(text)), indent=1),
     "value-escaped": _escape_a_value,
-    "block-a-string": _edited(lambda obj: obj["input"]["facets"][0][0].update(block="0")),
+    "extra-key": lambda text: dumps({**json.loads(text), "note": "hand edited"}),
+    "non-maximal-facet": lambda text: dumps(_add_face(json.loads(text))),
+    "final-newline-dropped": lambda text: text[:-1],
 }
 
 
-class TestTaskFromJson:
-    """``task_from_json`` reads a file the writer wrote by its layout, and
-    any other text as ``task_from_obj(json.loads(text))`` does."""
+class TestTaskReader:
+    """The reader reads the JSON value, not its bytes, and takes no list in
+    it to be in any order."""
 
     @staticmethod
-    def layout_read(text, monkeypatch):
-        """``task_from_json(text)`` with the general reader made to fail,
-        so a task can only come from the layout read."""
-
-        def refuse(*args):
-            raise AssertionError("the general reader was called")
-
-        with monkeypatch.context() as patch:
-            patch.setattr("cbtopo.serialize.task_from_obj", refuse)
-            return task_from_json(text)
+    def check_shuffles(text, seed):
+        expected = task_from_json(text)
+        rng = random.Random(seed)
+        for _ in range(3):
+            obj = _shuffled(json.loads(text), rng)
+            _assert_same_read(task_from_obj(obj), expected)
+            _assert_same_read(task_from_json(dumps(obj)), expected)
 
     @pytest.mark.parametrize("colorless", [False, True])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_cbt_files(self, n, colorless, cbt_texts, monkeypatch):
+    def test_shuffled_cbt_files(self, n, colorless, cbt_texts):
         text = cbt_texts[n, colorless]
-        _assert_same_read(self.layout_read(text, monkeypatch), _general(text))
+        assert json.loads(text)["vertices"] != _shuffled(json.loads(text), random.Random(n))[
+            "vertices"]
+        self.check_shuffles(text, n)
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_random_tasks(self, seed, monkeypatch):
+    def test_shuffled_random_tasks(self, seed):
         for build in (random_shared_mask_task, random_induced_image_task):
-            text = task_to_json(build(random.Random(seed)))
-            _assert_same_read(self.layout_read(text, monkeypatch), _general(text))
+            self.check_shuffles(task_to_json(build(random.Random(seed))), seed)
 
-    def test_toy_tasks(self, monkeypatch):
-        line = cx([vtx(0, "0"), vtx(1, "1")], [vtx(1, "1"), vtx(2, "0")])
-        for task in (identity_task(cx([vtx(0, "1"), vtx(1, "0"), vtx(2, "1")])),
-                     split_vote_task(line, {vtx(0, "0"): "0", vtx(1, "1"): "1", vtx(2, "0"): "0"})):
-            text = task_to_json(task)
-            _assert_same_read(self.layout_read(text, monkeypatch), _general(text))
-
-    @pytest.mark.parametrize("name", list(_PERTURBATIONS))
+    @pytest.mark.parametrize("name", list(_SAME_TASK_TEXTS))
     @pytest.mark.parametrize("colorless", [False, True])
-    def test_perturbed_texts_read_as_the_general_reader_reads_them(
-        self, name, colorless, cbt_texts
-    ):
-        text = _PERTURBATIONS[name](cbt_texts[2, colorless])
-        assert text != cbt_texts[2, colorless]
-        got, expected = _outcome(task_from_json, text), _outcome(_general, text)
-        if isinstance(expected, Task):
-            _assert_same_read(got, expected)
-        else:
-            assert got == expected
-
-    def test_each_vertex_text_is_decoded_once_as_one_object(self, cbt_texts, monkeypatch):
-        text = cbt_texts[3, False]
-        loads, decode = json.loads, serialize.vertex_from_obj
-        loaded, decoded = [], []
-
-        def counted_loads(s, *args, **kwargs):
-            loaded.append(s)
-            return loads(s, *args, **kwargs)
-
-        def counted_decode(obj):
-            decoded.append(obj)
-            return decode(obj)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(json, "loads", counted_loads)
-            patch.setattr(serialize, "vertex_from_obj", counted_decode)
-            task = self.layout_read(text, monkeypatch)
-        _assert_same_read(task, _general(text))
-        for s in loaded:
-            assert list(loads(s)) == ["chain", "block", "value"]
-        assert len(loaded) == len(set(loaded))
-        assert 0 < len(decoded) <= len(loaded)
-
-    def test_swapped_entries_fail_only_the_byte_comparison(self, cbt_texts):
-        # Read by the layout, the swapped entries carry each other's
-        # images, and the task is still valid: only its text tells.
-        text = _PERTURBATIONS["entries-swapped"](cbt_texts[2, False])
-        misread = _task_from_layout(text)
-        assert misread != _general(text)
-        assert task_to_json(misread) != text
-        assert task_from_json(text) == _general(text)
+    def test_other_texts_of_one_value_read_the_same_task(self, name, colorless, cbt_texts):
+        text = cbt_texts[2, colorless]
+        other = _SAME_TASK_TEXTS[name](text)
+        assert other != text
+        _assert_same_read(task_from_json(other), task_from_json(text))
 
 
 class TestReportObjects:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from cbtopo import CbtConfig, build_colorless_task, build_task
 from cbtopo.errors import BadResilience, InvalidTask, NotColored
-from cbtopo.serialize import task_from_obj, task_to_obj
+from cbtopo.serialize import task_from_obj, task_to_obj, vertex_from_obj
 from cbtopo.simplicial import Complex, Simplex, Value, Vertex, _bits, _maximal, _Numbering
 from cbtopo.tasks import (
     CarrierMap,
@@ -132,14 +132,23 @@ def wide_triangle_task():
 
 
 def reordered_task():
-    """``build_task`` at n=1 read back from a file that lists the facets
-    of every two-facet image in reverse, so equal images are read in two
-    orders."""
+    """``build_task`` at n=1 read back from a file that lists one two-facet
+    image twice, the copy with its facets reversed, and names the copy from
+    every other entry that names the image; both copies must read as one
+    number."""
     obj = task_to_obj(build_task(CbtConfig(n=1, block_index=7)))
-    for i, entry in enumerate(obj["carrier"]):
-        if i % 2:
-            entry["image_facets"].reverse()
-    return task_from_obj(obj)
+    images, entries = obj["images"], obj["carrier"]
+    k = next(k for k, image in enumerate(images) if len(image) == 2
+             and sum(entry[1] == k for entry in entries) > 1)
+    images.append(images[k][::-1])
+    named = [entry for entry in entries if entry[1] == k]
+    for entry in named[1::2]:
+        entry[1] = len(images) - 1
+    task = task_from_obj(obj)
+    vertices = [vertex_from_obj(v) for v in obj["vertices"]]
+    space, ids = task.input._space, task.carrier._ids
+    assert len({ids[space.mask(vertices[i] for i in entry[0])] for entry in named}) == 1
+    return task
 
 
 class TestCarrierTable:
