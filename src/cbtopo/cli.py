@@ -83,7 +83,9 @@ def _load_task(path: str) -> Task:
         return task_from_json(text)
     except RecursionError:
         raise InvalidTask(f"cannot load task from {path}: JSON nested too deeply") from None
-    except CbtopoError as exc:
+    except json.JSONDecodeError:
+        raise
+    except (ValueError, CbtopoError) as exc:  # ValueError: an int past the digit limit
         raise InvalidTask(f"cannot load task from {path}: {exc}") from None
 
 

@@ -1,17 +1,20 @@
 """Deterministic JSON forms for complexes, tasks, reports, and traces.
 
 Every serializer walks its object in canonical order, so equal objects
-always produce byte-identical text.  Pretty text comes from one encoder,
-``dumps``: it writes plain JSON values (dicts with ``str`` keys, lists,
-``str``, ``int``, ``bool`` and ``None``) byte for byte as
-``json.dumps(obj, indent=2) + "\n"`` does, in one direct pass, and raises
-``TypeError`` on anything else.
+always produce byte-identical text.  Pretty text (``search`` reports and
+``export --format json``) comes from one encoder, ``dumps``: it writes
+plain JSON values (dicts with ``str`` keys, lists, ``str``, ``int``,
+``bool`` and ``None``) byte for byte as ``json.dumps(obj, indent=2) + "\n"``
+does, in one direct pass, and raises ``TypeError`` on anything else.
 
 A task file is format 2: it lists every vertex once and writes every
 simplex as the indices of its vertices in that list.  ``task_to_obj`` is
-the one writer and ``task_from_obj`` the one reader; the file's text is
-``dumps`` of the one and ``json.loads`` of the other.  Format 1, which wrote
-each vertex object in full inside every simplex, is no longer read.
+the one writer and ``task_from_obj`` the one reader.  The file's text is
+compact, one-line JSON of the one, written by the standard library's
+encoder with no whitespace, and ``json.loads`` of the other, which reads
+the value and not its layout, so an indented file reads the same.  Format
+1, which wrote each vertex object in full inside every simplex, is no
+longer read.
 """
 from __future__ import annotations
 
@@ -53,11 +56,13 @@ __all__ = [
 
 def dumps(obj: Any) -> str:
     """``json.dumps(obj, indent=2) + "\n"``, byte for byte, for a plain JSON
-    value: a dict with ``str`` keys, a list, a ``str``, an ``int``, a
-    ``bool`` or ``None``, nested to any depth.  Anything else, a float, a
-    tuple, a non-``str`` key or a subclass of one of those types included,
-    raises ``TypeError`` naming its type.  The text is appended to one list
-    and joined once, so no encoder objects are left behind."""
+    value, as ``search`` reports and ``export --format json`` are written
+    (task files are compact; see ``task_to_json``): a dict with ``str``
+    keys, a list, a ``str``, an ``int``, a ``bool`` or ``None``, nested to
+    any depth.  Anything else, a float, a tuple, a non-``str`` key or a
+    subclass of one of those types included, raises ``TypeError`` naming
+    its type.  The text is appended to one list and joined once, so no
+    encoder objects are left behind."""
     parts: List[str] = []
     _encode(obj, parts, "\n")
     parts.append("\n")
@@ -180,8 +185,10 @@ def task_to_obj(task: Task) -> Dict[str, Any]:
 
 
 def task_to_json(task: Task) -> str:
-    """The task file: ``dumps`` of ``task_to_obj``."""
-    return dumps(task_to_obj(task))
+    """The task file: ``task_to_obj`` as compact JSON, on one line with no
+    whitespace and a final newline.  The standard library's C encoder
+    writes it; ``python3 -m json.tool`` shows it indented."""
+    return json.dumps(task_to_obj(task), separators=(",", ":")) + "\n"
 
 
 def task_from_json(text: str) -> Task:
@@ -422,6 +429,8 @@ def trace_from_jsonl(text: str) -> Tuple[ExecutionTrace, Optional[Tuple[str, ...
         records = [json.loads(line) for line in text.splitlines()]
     except json.JSONDecodeError as exc:
         raise MalformedTrace(f"trace line is not JSON: {exc}") from None
+    except ValueError as exc:  # an int literal past the digit limit
+        raise MalformedTrace(f"trace line is not readable JSON: {exc}") from None
     except RecursionError:
         raise MalformedTrace("trace line is JSON nested too deeply") from None
     types = [r.get("type") if isinstance(r, dict) else None for r in records]

@@ -123,7 +123,8 @@ class TestBuild:
         text = json.dumps(task_obj_oracle_format1(task_from_json(out)), indent=2) + "\n"
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
-    # sha256 of the same stdout, as format 2 first wrote it.
+    # sha256 of the same stdout as format 2 first wrote it, indented by 2:
+    # the compact stdout re-encoded through ``dumps`` must give those bytes.
     @pytest.mark.parametrize(
         "n,flags,digest",
         [
@@ -140,6 +141,30 @@ class TestBuild:
         ],
     )
     def test_format_2_bytes_are_pinned(self, n, flags, digest, capsys):
+        code, out, err = run_cli(
+            ["build", "--n", str(n), *flags, "--block-index", "7"], capsys
+        )
+        assert code == 0
+        text = dumps(json.loads(out))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+    # sha256 of the same stdout, compact JSON on one line.
+    @pytest.mark.parametrize(
+        "n,flags,digest",
+        [
+            (1, [], "464495438556f40082985859f1f9db6a1d02bef27dfae439afdfbea104677ab2"),
+            (1, ["--colorless"], "cb04296e03cfab24877c3239048ac60be809d9796408796830e9634c49dce9d9"),
+            (2, [], "b8cb85c9653eb12b13b14c769d8f428c87038b1ec97a0af2772f414c95186867"),
+            (2, ["--colorless"], "c03036bf5d908c902998985e1cb20e1b2da087e971724f0d171b7e39edb19dde"),
+            (3, [], "e6826a04bb5385e5ee8df299d4e73d9432393c9dc224e9948bbc749a53caced6"),
+            (3, ["--colorless"], "66b928d5b36fc8e37bb7b8307505b03fe37f8528988be51835c1c4d537edcadb"),
+            (4, [], "9d68bb41e709d9409ee05d8ad977b3fa35b24c0bd231b45b23c0153385575a80"),
+            (4, ["--colorless"], "c925885307880103d25c152113e13477ff1eedb9065e04a6e270d3163faeb577"),
+            (5, [], "50c0ecffa40a8877a35badf62014d1ec02aea149ba78f1c9dc705a3510190e62"),
+            (5, ["--colorless"], "9efc00882f522a056e8eb7538e1125839132f6a5c11b1a3646bc423e1728fd6e"),
+        ],
+    )
+    def test_compact_bytes_are_pinned(self, n, flags, digest, capsys):
         code, out, err = run_cli(
             ["build", "--n", str(n), *flags, "--block-index", "7"], capsys
         )
@@ -298,8 +323,9 @@ class TestAnalyze:
     )
     def test_non_integer_index_exits_io(self, task_file, tmp_path, key, old, new, capsys):
         # Every vertex with that index is rewritten, so the task would still
-        # be consistent if the index were read as the equal integer.
-        text = task_file.read_text()
+        # be consistent if the index were read as the equal integer.  The
+        # edit is made in a layout this test writes itself.
+        text = dumps(json.loads(task_file.read_text()))
         spoiled = text.replace(f'"{key}": {old},', f'"{key}": {json.dumps(new)},')
         assert spoiled != text
         path = tmp_path / "spoiled.json"
@@ -310,7 +336,7 @@ class TestAnalyze:
         assert "must be integers" in err
 
 
-@pytest.mark.parametrize(
+_READING_COMMANDS = pytest.mark.parametrize(
     "command,options",
     [
         ("analyze", ["--t", "1"]),
@@ -319,12 +345,32 @@ class TestAnalyze:
         ("replay", []),
     ],
 )
+
+
+@_READING_COMMANDS
 def test_deeply_nested_json_exits_io(command, options, tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 200_000)
     code, out, err = run_cli([command, str(path), *options], capsys)
     assert (code, out) == (3, "")
     assert "nested too deeply" in err
+
+
+@_READING_COMMANDS
+def test_int_past_the_digit_limit_exits_io(command, options, tmp_path, capsys):
+    # ``json.loads`` refuses such a literal with a plain ValueError, not a
+    # JSONDecodeError.
+    path = tmp_path / "long.json"
+    digits = "1" * 5_000
+    if command == "replay":
+        path.write_text(f'{{"type":"meta","n":{digits}}}\n')
+    else:
+        path.write_text(f'{{"format": 2, "vertices": [{digits}]}}')
+    code, out, err = run_cli([command, str(path), *options], capsys)
+    assert (code, out) == (3, "")
+    assert "Exceeds the limit" in err
+    if command != "replay":
+        assert f"cannot load task from {path}" in err
 
 
 @pytest.mark.parametrize(

@@ -262,11 +262,15 @@ def _assert_same_text(got, expected):
 
 
 class TestTaskWriter:
-    """``task_to_json`` is ``dumps`` of an independently built task object."""
+    """``task_to_json`` is compact JSON of an independently built task
+    object."""
 
     @staticmethod
     def check(task):
-        _assert_same_text(task_to_json(task), json.dumps(task_obj_oracle(task), indent=2) + "\n")
+        _assert_same_text(
+            task_to_json(task),
+            json.dumps(task_obj_oracle(task), separators=(",", ":")) + "\n",
+        )
 
     @pytest.mark.parametrize("colorless", [False, True])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -393,7 +397,9 @@ def _reorder_keys(obj):
 
 
 def _escape_a_value(text):
-    # The same vertex in other text: "1" written with a JSON escape.
+    # The same vertex in other text: "1" written with a JSON escape, in a
+    # layout this test writes itself.
+    text = dumps(json.loads(text))
     assert '"value": "1"' in text
     return text.replace('"value": "1"', '"value": "\\u0031"', 1)
 
@@ -406,6 +412,7 @@ def _add_face(obj):
 
 _SAME_TASK_TEXTS = {
     "compact": lambda text: json.dumps(json.loads(text)),
+    "pretty": lambda text: dumps(json.loads(text)),
     "keys-reordered": lambda text: json.dumps(_reorder_keys(json.loads(text)), indent=1),
     "value-escaped": _escape_a_value,
     "extra-key": lambda text: dumps({**json.loads(text), "note": "hand edited"}),
@@ -447,6 +454,27 @@ class TestTaskReader:
         other = _SAME_TASK_TEXTS[name](text)
         assert other != text
         _assert_same_read(task_from_json(other), task_from_json(text))
+
+
+class TestTaskText:
+    """A task file is one line of compact JSON, and the same value indented
+    reads the same task."""
+
+    @staticmethod
+    def check(text):
+        assert text.count("\n") == 1 and text.endswith("\n")
+        assert json.dumps(json.loads(text), separators=(",", ":")) + "\n" == text
+        _assert_same_read(task_from_json(_SAME_TASK_TEXTS["pretty"](text)), task_from_json(text))
+
+    @pytest.mark.parametrize("colorless", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_cbt_files(self, n, colorless, cbt_texts):
+        self.check(cbt_texts[n, colorless])
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_tasks(self, seed):
+        for build in (random_shared_mask_task, random_induced_image_task):
+            self.check(task_to_json(build(random.Random(seed))))
 
 
 class TestReportObjects:
