@@ -9,6 +9,7 @@ the all-abort verdict.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -76,8 +77,19 @@ def build_input_complex(config: CbtConfig) -> Complex:
 
     The complex has 3(n+1) vertices and 3^(n+1) facets of dimension n; a
     vertex set spans a simplex exactly when its chains are pairwise distinct.
+    It is a pseudosphere, so its layers come in closed form, not from the
+    facets: every simplex is a rank or none on each chain, and with none
+    ranked last the rank tuples' lexicographic order is the masks' canonical
+    order within a dimension, which a stable sort by size keeps.
     """
-    return Complex._of(_numbering(config), tuple(_per_chain(config.n, (0, 1, 2))))
+    n = config.n
+    complex_ = Complex._of(_numbering(config), tuple(_per_chain(n, (0, 1, 2))))
+    # The last mask, none on every chain, is empty.
+    simplices = sorted(_per_chain(n, (0, 1, 2, None))[:-1], key=int.bit_count)
+    complex_._layers = {
+        size - 1: tuple(layer) for size, layer in itertools.groupby(simplices, int.bit_count)
+    }
+    return complex_
 
 
 def build_output_complex(config: CbtConfig) -> Complex:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from .errors import EmptyInput, InvalidTask, MalformedTrace
 from .forksim import ExecutionTrace, Message, SimEvent, ViolationReport
@@ -166,20 +166,24 @@ def task_to_obj(task: Task) -> Dict[str, Any]:
     """
     space = _Numbering.of((*task.input.vertices, *task.output.vertices))
 
-    def indices(numbering: _Numbering) -> Callable[[int], List[int]]:
-        renumber = numbering.to(space) or (lambda mask: mask)
-        return lambda mask: list(_bits(renumber(mask)))
+    def indices(numbering: _Numbering) -> Callable[[Iterable[int]], List[List[int]]]:
+        """The index lists, on the file's numbering, of masks on ``numbering``."""
+        renumber = numbering.to(space)
+        return lambda masks: list(map(list, map(_bits, masks if renumber is None
+                                                 else map(renumber, masks))))
 
     input_, output = indices(task.input._space), indices(task.output._space)
-    ids, images, number = task.carrier._ids, task.carrier._images, {}
-    entries = [[input_(s), number.setdefault(ids[s], len(number))] for s in task._simplices()]
+    simplices = list(task._simplices())
+    listed = list(map(task.carrier._ids.__getitem__, simplices))
+    number = {k: i for i, k in enumerate(dict.fromkeys(listed))}
+    images = task.carrier._images
     return {
         "format": 2,
         "vertices": [vertex_to_obj(v) for v in space.vertices],
-        "input": [input_(f) for f in task.input._facets],
-        "output": [output(f) for f in task.output._facets],
-        "images": [[output(f) for f in images[k]] for k in number],
-        "carrier": entries,
+        "input": input_(task.input._facets),
+        "output": output(task.output._facets),
+        "images": [output(images[k]) for k in number],
+        "carrier": list(map(list, zip(input_(simplices), map(number.__getitem__, listed)))),
         "colored": task.colored,
     }
 
@@ -187,8 +191,9 @@ def task_to_obj(task: Task) -> Dict[str, Any]:
 def task_to_json(task: Task) -> str:
     """The task file: ``task_to_obj`` as compact JSON, on one line with no
     whitespace and a final newline.  The standard library's C encoder
-    writes it; ``python3 -m json.tool`` shows it indented."""
-    return json.dumps(task_to_obj(task), separators=(",", ":")) + "\n"
+    writes it, without its check for cycles, since the object is freshly
+    built and has none; ``python3 -m json.tool`` shows it indented."""
+    return json.dumps(task_to_obj(task), separators=(",", ":"), check_circular=False) + "\n"
 
 
 def task_from_json(text: str) -> Task:
@@ -206,12 +211,15 @@ def task_from_obj(obj: Any) -> Task:
     on the canonical numbering of them all, which the input, the output and
     the images share; no list is taken to be in any order.  Equal images
     share one number.  The whole object is read and checked, and any fault
-    raises ``InvalidTask`` naming it: a missing key or another format, a
-    vertex listed twice, an index that is not an ``int`` naming a listed
-    vertex, an empty simplex, facet list or image, a simplex that repeats an
-    index, a carrier entry that is not ``[simplex, image number]`` or names
-    no listed image, an image no entry names, an input simplex listed twice,
-    a ``colored`` that is not a boolean, and any task that fails validation.
+    raises ``InvalidTask`` naming it: a missing key or another format, an
+    empty vertex or image list, a vertex listed twice, an index that is not
+    an ``int`` naming a listed vertex, an empty simplex, facet list or
+    image, a simplex that repeats an index, a carrier entry that is not
+    ``[simplex, image number]`` or names no listed image, an image no entry
+    names, an input simplex listed twice, a ``colored`` that is not a
+    boolean, and any task that fails validation.  The entries are numbered
+    in the order of the input's layers, which validation takes from the
+    same cache; an entry of no input simplex goes after them.
     """
     found = obj.get("format") if type(obj) is dict else None
     if type(found) is not int or found != 2:
@@ -225,6 +233,8 @@ def task_from_obj(obj: Any) -> Task:
     where, at = "'vertices'", None  # the key being read, and its item number
     try:
         vertices = [vertex_from_obj(v) for v in _list(vertex_objs)]
+        if not vertices:
+            raise ValueError("no vertex is listed")
         space = _Numbering.of(vertices)
         if len(space.vertices) != len(vertices):
             twice = next(v for i, v in enumerate(vertices) if v in vertices[:i])
@@ -252,6 +262,8 @@ def task_from_obj(obj: Any) -> Task:
         where, images = "'images'", []
         for at, image in enumerate(_list(image_objs)):
             images.append(facets(image))
+        if not images:
+            raise ValueError("no image is listed")
         where, at = "'carrier'", None
         image_of: Dict[int, int] = {}  # each entry's simplex mask and listed image
         for at, entry in enumerate(_list(entry_objs)):
@@ -271,12 +283,17 @@ def task_from_obj(obj: Any) -> Task:
         where = where if at is None else f"{where} item {at}"
         raise InvalidTask(f"malformed {where}: {exc}") from None
     # Entries in canonical order, and the distinct images numbered as they
-    # first occur there, as the writer lists them.
+    # first occur there, as the writer lists them.  The input's layers are
+    # that order, and validation takes them from the same cache; entries of
+    # no input simplex follow, for validation to name.
+    input_complex = Complex._of(space, input_facets)
+    order = [s for layer in input_complex._masks().values() for s in layer if s in image_of]
+    if len(order) != len(image_of):
+        order += sorted(image_of.keys() - set(order), key=_rank)
     number: Dict[Tuple[int, ...], int] = {}
-    order = sorted(image_of, key=_rank)
     ids = {s: number.setdefault(images[image_of[s]], len(number)) for s in order}
     return Task(
-        input=Complex._of(space, input_facets),
+        input=input_complex,
         output=Complex._of(space, output_facets),
         carrier=CarrierMap._of(space, space, ids, list(number)),
         colored=colored,

@@ -248,6 +248,16 @@ def _maximal(masks: Iterable[int]) -> Tuple[int, ...]:
         if not distinct:
             raise EmptyInput("a complex needs at least one facet")
         return tuple(distinct)
+    # Most carrier images have two or three facets, tested pairwise here.
+    if len(distinct) == 2:
+        a, b = distinct
+        if a | b in distinct:
+            return (a | b,)
+        return (a, b) if _bits(a) < _bits(b) else (b, a)
+    if len(distinct) == 3:
+        a, b, c = distinct
+        kept = [m for m, x, y in ((a, b, c), (b, c, a), (c, a, b)) if m | x != x and m | y != y]
+        return tuple(sorted(kept, key=_bits))
     family = sorted(distinct, key=int.bit_count, reverse=True)
     # A mask of the largest size is no proper subset of another, so only
     # smaller ones are scanned; a pure family skips the scan.
@@ -311,7 +321,7 @@ def _bit_map(targets: Sequence[int]) -> Callable[[int], int]:
     """The map that sends a mask to the OR of ``targets[i]`` over its bits i.
 
     Tables of 256 entries serve eight bits each, so a mask on a numbering of
-    up to eight vertices costs one lookup.
+    up to eight vertices costs one lookup, and one of up to sixteen two.
     """
     tables = []
     for base in range(0, len(targets), 8):
@@ -321,6 +331,9 @@ def _bit_map(targets: Sequence[int]) -> Callable[[int], int]:
         tables.append(table)
     if len(tables) == 1:
         return tables[0].__getitem__
+    if len(tables) == 2:
+        low, high = tables
+        return lambda mask: low[mask & 255] | high[mask >> 8]
 
     def apply(mask: int) -> int:
         out = 0
@@ -360,8 +373,7 @@ class _Numbering:
         return m
 
     def simplex(self, mask: int) -> "Simplex":
-        vertices = self.vertices
-        return Simplex(vertices[i] for i in _bits(mask))
+        return Simplex(map(self.vertices.__getitem__, _bits(mask)), _canonical=True)
 
     def same(self, other: "_Numbering") -> bool:
         # Vertices are interned or compare by value, so equal tuples number alike.
@@ -382,18 +394,21 @@ class Simplex:
 
     __slots__ = ("_vertices", "_vertex_set", "_key", "_hash")
 
-    def __init__(self, vertices: Iterable[Any]) -> None:
+    def __init__(self, vertices: Iterable[Any], *, _canonical: bool = False) -> None:
+        """``_canonical`` vertices are distinct and in canonical order, as a
+        mask's bits give them on a numbering, and are taken unchecked."""
         vs = tuple(vertices)
-        if not vs:
-            raise MalformedSimplex("a simplex needs at least one vertex")
         vset = frozenset(vs)
-        if len(vset) != len(vs):
-            raise MalformedSimplex(f"repeated vertex in simplex {vs!r}")
-        ordered = tuple(sorted(vs, key=_sort_key))
-        self._vertices = ordered
+        if not _canonical:
+            if not vs:
+                raise MalformedSimplex("a simplex needs at least one vertex")
+            if len(vset) != len(vs):
+                raise MalformedSimplex(f"repeated vertex in simplex {vs!r}")
+            vs = tuple(sorted(vs, key=_sort_key))
+        self._vertices = vs
         self._vertex_set = vset
-        self._key = tuple(map(_sort_key, ordered))
-        self._hash = hash(ordered)
+        self._key = tuple(map(_sort_key, vs))
+        self._hash = hash(vs)
 
     @property
     def vertices(self) -> Tuple[Any, ...]:

@@ -176,7 +176,7 @@ def search_carried_simplicial_map(
     restricted = restrict_to_skeleton(task, t)
     subdivided = barycentric_subdivide(restricted.input, depth)
     carriers = subdivided.carriers
-    image = restricted.carrier._image
+    ids, images = restricted.carrier._ids, restricted.carrier._images
     output = restricted.output
     output_facets = output._facets
     all_facets_mask = (1 << len(output_facets)) - 1
@@ -191,14 +191,15 @@ def search_carried_simplicial_map(
         for u in facet:
             incidence[u].append(fid)
     used = [u for u, fids in enumerate(incidence) if fids]
-    # Value interchangeability (Freuder, AAAI 1991): one vertex per mask.
+    # Value interchangeability (Freuder, AAAI 1991): one vertex per mask,
+    # taken once per image number, since many carriers share an image.
     class_reps: Dict[int, tuple] = {}
-    for carrier in {carriers[u] for u in used}:
+    for k in {ids[carriers[u]] for u in used}:
         first_of_mask: Dict[int, int] = {}
-        for w in _bits(_support(image(carrier))):
+        for w in _bits(_support(images[k])):
             first_of_mask.setdefault(vertex_bit[w], w)
-        class_reps[carrier] = tuple(first_of_mask.values())
-    domains = [class_reps[c] if fids else None for c, fids in zip(carriers, incidence)]
+        class_reps[k] = tuple(first_of_mask.values())
+    domains = [class_reps[ids[c]] if fids else None for c, fids in zip(carriers, incidence)]
     order = sorted(used, key=lambda u: len(domains[u]))
 
     candidates = [all_facets_mask] * len(sub_facets)

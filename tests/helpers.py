@@ -776,6 +776,10 @@ TASK_FILE_FAULTS = {
     "format-float": (lambda obj: _set(obj, ["format"], 2.0), r"format is 2\.0, not 2"),
     "format-true": (lambda obj: _set(obj, ["format"], True), r"format is True, not 2"),
     "key-missing": (lambda obj: obj.pop("images"), r"missing 'images'"),
+    "vertices-empty": (
+        lambda obj: _set(obj, ["vertices"], []), r"malformed 'vertices': no vertex is listed"),
+    "images-empty": (
+        lambda obj: _set(obj, ["images"], []), r"malformed 'images': no image is listed"),
     "vertex-listed-twice": (
         lambda obj: obj["vertices"].append(dict(obj["vertices"][0])), r"listed twice"),
     "index-out-of-range": (

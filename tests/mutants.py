@@ -42,8 +42,13 @@ _TASK_FILE_TESTS = ("tests/test_serialize.py", "tests/test_cli.py")
 MUTANTS = (
     # The format-2 reader's checks.
     Mutant("entries-in-file-order", _SERIALIZE,
-           "    order = sorted(image_of, key=_rank)",
+           "    order = [s for layer in input_complex._masks().values() for s in layer"
+           " if s in image_of]",
            "    order = list(image_of)",
+           _TASK_FILE_TESTS),
+    Mutant("reader-drops-foreign-entries", _SERIALIZE,
+           "        order += sorted(image_of.keys() - set(order), key=_rank)",
+           "        pass",
            _TASK_FILE_TESTS),
     Mutant("no-unnamed-image-check", _SERIALIZE,
            "        unnamed = set(range(len(images))).difference(image_of.values())",
@@ -75,14 +80,23 @@ MUTANTS = (
            _TASK_FILE_TESTS),
     # The format-2 writer.
     Mutant("writer-keeps-image-order", _SERIALIZE,
-           "    ids, images, number = task.carrier._ids, task.carrier._images, {}",
-           "    ids, images, number = task.carrier._ids, task.carrier._images,"
-           " {k: k for k in range(len(task.carrier._images))}",
+           "    number = {k: i for i, k in enumerate(dict.fromkeys(listed))}",
+           "    number = {k: k for k in range(len(task.carrier._images))}",
            _TASK_FILE_TESTS),
     Mutant("writer-indents", _SERIALIZE,
-           '    return json.dumps(task_to_obj(task), separators=(",", ":")) + "\\n"',
+           '    return json.dumps(task_to_obj(task), separators=(",", ":"), check_circular=False)'
+           ' + "\\n"',
            "    return dumps(task_to_obj(task))",
            _TASK_FILE_TESTS),
+    # The closed-form CBT layers and the small-family path of ``_maximal``.
+    Mutant("cbt-layers-none-first", "src/cbtopo/cbt.py",
+           "    simplices = sorted(_per_chain(n, (0, 1, 2, None))[:-1], key=int.bit_count)",
+           "    simplices = sorted(_per_chain(n, (None, 0, 1, 2))[1:], key=int.bit_count)",
+           ("tests/test_cbt.py",)),
+    Mutant("maximal-small-keeps-dominated", "src/cbtopo/simplicial.py",
+           "        if a | b in distinct:",
+           "        if False:",
+           ("tests/test_simplicial.py",)),
     # An int literal past the digit limit is a malformed file, not a usage error.
     Mutant("long-int-task-is-usage-error", "src/cbtopo/cli.py",
            "    except (ValueError, CbtopoError) as exc:  # ValueError: an int past the digit limit",

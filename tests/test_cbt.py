@@ -11,10 +11,11 @@ from cbtopo.cbt import (
     build_output_complex,
     build_task,
 )
+from cbtopo import simplicial
 from cbtopo.connectivity import connected_components, reduced_betti
-from cbtopo.simplicial import Simplex, Value, Vertex
+from cbtopo.simplicial import Simplex, Value, Vertex, _layers
 
-from helpers import cx, free, sx, vtx
+from helpers import closure_oracle, cx, free, sx, vertex_key_oracle, vtx
 
 
 class TestConfig:
@@ -49,6 +50,34 @@ class TestInputComplex:
         }
         assert set(complex_.facets) == expected
         assert len(complex_.facets) == 3 ** (n + 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_closed_form_layers_match_closure_oracle(self, n):
+        complex_ = build_input_complex(CbtConfig(n=n, block_index=7))
+        vertices = complex_._space.vertices
+        facets = [
+            [vtx(chain, code, block=7) for chain, code in enumerate(codes)]
+            for codes in itertools.product(("0", "1", "bot"), repeat=n + 1)
+        ]
+        closure = closure_oracle(facets)
+        layers = complex_._masks()
+        assert list(layers) == list(range(n + 1))
+        for dim, layer in layers.items():
+            got = [[vertices[i] for i in range(m.bit_length()) if m >> i & 1] for m in layer]
+            expected = sorted(
+                (s for s in closure if len(s) == dim + 1),
+                key=lambda s: sorted(map(vertex_key_oracle, s)),
+            )
+            assert got == [sorted(s, key=vertex_key_oracle) for s in expected]
+        assert layers == _layers(complex_._facets)
+
+    def test_building_a_task_enumerates_no_layers(self, monkeypatch):
+        def enumerate_layers(facets):
+            raise AssertionError("the input's layers were enumerated from its facets")
+
+        monkeypatch.setattr(simplicial, "_layers", enumerate_layers)
+        task = build_task(CbtConfig(n=3, block_index=7))
+        assert len(task.carrier) == 4 ** 4 - 1
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_purity(self, n):

@@ -178,6 +178,66 @@ class TestTaskObjects:
         assert decoded == json.loads(text)["vertices"]
 
 
+_CODE_RANK = {"0": 0, "1": 1, "bot": 2}
+
+
+def _simplex_text(obj, indices):
+    """How a message names the simplex of ``indices``, from the file's
+    colored vertex objects alone: ``{vC.B=V, ...}`` in canonical order."""
+    listed = sorted(
+        (obj["vertices"][i] for i in indices),
+        key=lambda v: (v["chain"], v["block"], _CODE_RANK[v["value"]]),
+    )
+    return "{" + ", ".join(f"v{v['chain']}.{v['block']}={v['value']}" for v in listed) + "}"
+
+
+def _canonical_first(obj, simplices):
+    """The simplex, of lists of indices, that canonical order puts first."""
+    def key(indices):
+        vertices = [obj["vertices"][i] for i in indices]
+        return len(indices), sorted((v["chain"], v["block"], _CODE_RANK[v["value"]])
+                                    for v in vertices)
+    return min(simplices, key=key)
+
+
+def _same_chain_pairs(obj, count):
+    """``count`` simplices of two vertices of one chain each, which no CBT
+    input holds: values 0 and 1 of chains 0, 1, ..."""
+    at = {(v["chain"], v["value"]): i for i, v in enumerate(obj["vertices"])}
+    return [[at[chain, "1"], at[chain, "0"]] for chain in range(count)]
+
+
+class TestEntriesOfNoInputSimplex:
+    """A missing entry and a foreign one are named exactly as validation
+    names them, whatever the entries' order in the file."""
+
+    @pytest.mark.parametrize("first", [False, True])
+    def test_foreign_entries_name_the_canonical_first(self, first, cbt_tasks):
+        obj = task_to_obj(cbt_tasks[2])
+        foreign = _same_chain_pairs(obj, 3)[::-1]
+        added = [[simplex, 0] for simplex in foreign]
+        obj["carrier"] = added + obj["carrier"] if first else obj["carrier"] + added
+        with pytest.raises(InvalidTask) as caught:
+            task_from_obj(obj)
+        expected = _simplex_text(obj, _canonical_first(obj, foreign))
+        assert str(caught.value) == f"carrier map entry for foreign simplex {expected}"
+
+    @pytest.mark.parametrize("with_foreign", [False, True])
+    def test_missing_entries_name_the_canonical_first(self, with_foreign, cbt_tasks):
+        obj = task_to_obj(cbt_tasks[2])
+        entries = obj["carrier"]
+        # Entries whose image another kept entry still names.
+        shared = [e for e in entries if sum(k == e[1] for _, k in entries) > 2]
+        dropped = [shared[-1], shared[1], shared[len(shared) // 2]]
+        obj["carrier"] = [e for e in entries if e not in dropped]
+        if with_foreign:
+            obj["carrier"] += [[simplex, 0] for simplex in _same_chain_pairs(obj, 2)]
+        with pytest.raises(InvalidTask) as caught:
+            task_from_obj(obj)
+        expected = _simplex_text(obj, _canonical_first(obj, [s for s, _ in dropped]))
+        assert str(caught.value) == f"carrier map has no entry for input simplex {expected}"
+
+
 def _key(vertex):
     """A vertex as the (chain, block, value) of its file object."""
     block = vertex.block

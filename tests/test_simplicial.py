@@ -24,6 +24,8 @@ from cbtopo.simplicial import (
     SubdivisionVertex,
     Value,
     Vertex,
+    _bit_map,
+    _maximal,
     barycentric_subdivide,
     make_complex,
 )
@@ -661,3 +663,68 @@ def test_subdivision_complexes_match_oracle(k, data):
         frozenset(pair) for pair in itertools.combinations([*sub.vertices, _FOREIGN[0]], 2)
     }
     _check_family(family, probes)
+
+
+# ---------------------------------------------------------------------------
+# The mask kernels' small cases and simplices from masks, against per-bit
+# oracles
+# ---------------------------------------------------------------------------
+
+
+def _bit_list(mask):
+    """The set bits of ``mask``, ascending, one shift at a time."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_maximal_of_small_families_matches_oracle(size):
+    # Every family of ``size`` masks over four bits, repeats included, so
+    # one to three distinct masks, each pair nested, equal or apart.
+    for family in itertools.combinations_with_replacement(range(1, 16), size):
+        expected = sorted(tuple(sorted(f)) for f in maximal_facets(map(_bit_list, family)))
+        for order in (family, family[::-1]):
+            assert [tuple(_bit_list(m)) for m in _maximal(order)] == expected, order
+
+
+@pytest.mark.parametrize("width", range(9, 17))
+def test_two_table_bit_map_matches_per_bit_or(width):
+    rng = random.Random(width)
+    targets = [rng.getrandbits(24) for _ in range(width)]
+    apply = _bit_map(targets)
+    singles = [1 << i for i in range(width)]
+    drawn = [rng.getrandbits(width) for _ in range(300)]
+    for mask in [0, (1 << width) - 1, *singles, *drawn]:
+        expected = 0
+        for i in _bit_list(mask):
+            expected |= targets[i]
+        assert apply(mask) == expected
+
+
+def _random_mixed_complex(rng):
+    pool = [free("0"), free("1"), vtx(0, "0"), vtx(0, "bot"), vtx(1, "1"), vtx(2, "0", block=3),
+            vtx(2, "1")]
+    return make_complex(rng.sample(pool, rng.randint(1, 4)) for _ in range(rng.randint(1, 5)))
+
+
+def _complexes_to_number():
+    for n in (1, 2, 3, 4):
+        yield build_input_complex(CbtConfig(n=n, block_index=7))
+    rng = random.Random(20261021)
+    for _ in range(20):
+        k = _random_mixed_complex(rng)
+        yield k
+        yield barycentric_subdivide(k, 1).complex
+
+
+def test_simplex_of_a_mask_equals_the_checked_simplex():
+    for k in _complexes_to_number():
+        space = k._space
+        for layer in k._masks().values():
+            for mask in layer:
+                got = space.simplex(mask)
+                # The checked constructor, given the vertices in reverse.
+                expected = Simplex([space.vertices[i] for i in _bit_list(mask)][::-1])
+                assert got == expected and hash(got) == hash(expected)
+                assert got.vertices == expected.vertices
+                assert got.sort_key() == expected.sort_key()
+                assert got.vertex_set == expected.vertex_set

@@ -174,9 +174,9 @@ class TestSearch:
         made = []
         init = Simplex.__init__
 
-        def counting(self, vertices):
+        def counting(self, vertices, **canonical):
             made.append(1)
-            init(self, vertices)
+            init(self, vertices, **canonical)
 
         monkeypatch.setattr(Simplex, "__init__", counting)
         report = search_carried_simplicial_map(colorless_tasks[2], 1, 2)
