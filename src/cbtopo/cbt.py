@@ -83,13 +83,13 @@ def build_input_complex(config: CbtConfig) -> Complex:
     order within a dimension, which a stable sort by size keeps.
     """
     n = config.n
-    complex_ = Complex._of(_numbering(config), tuple(_per_chain(n, (0, 1, 2))))
     # The last mask, none on every chain, is empty.
     simplices = sorted(_per_chain(n, (0, 1, 2, None))[:-1], key=int.bit_count)
-    complex_._layers = {
+    layers = {
         size - 1: tuple(layer) for size, layer in itertools.groupby(simplices, int.bit_count)
     }
-    return complex_
+    # The top layer, a rank on every chain, is the facets.
+    return Complex._of(_numbering(config), layers[n], layers)
 
 
 def build_output_complex(config: CbtConfig) -> Complex:

@@ -34,7 +34,6 @@ from .simplicial import (
     _bits,
     _maximal,
     _Numbering,
-    _rank,
 )
 from .solvability import SolvabilityReport
 from .tasks import CarrierMap, Task
@@ -285,11 +284,11 @@ def task_from_obj(obj: Any) -> Task:
     # Entries in canonical order, and the distinct images numbered as they
     # first occur there, as the writer lists them.  The input's layers are
     # that order, and validation takes them from the same cache; entries of
-    # no input simplex follow, for validation to name.
+    # no input simplex follow in any order, and validation names them.
     input_complex = Complex._of(space, input_facets)
     order = [s for layer in input_complex._masks().values() for s in layer if s in image_of]
     if len(order) != len(image_of):
-        order += sorted(image_of.keys() - set(order), key=_rank)
+        order += image_of.keys() - set(order)
     number: Dict[Tuple[int, ...], int] = {}
     ids = {s: number.setdefault(images[image_of[s]], len(number)) for s in order}
     return Task(

@@ -248,16 +248,12 @@ def _maximal(masks: Iterable[int]) -> Tuple[int, ...]:
         if not distinct:
             raise EmptyInput("a complex needs at least one facet")
         return tuple(distinct)
-    # Most carrier images have two or three facets, tested pairwise here.
+    # Most carrier images have two facets, tested directly here.
     if len(distinct) == 2:
         a, b = distinct
         if a | b in distinct:
             return (a | b,)
         return (a, b) if _bits(a) < _bits(b) else (b, a)
-    if len(distinct) == 3:
-        a, b, c = distinct
-        kept = [m for m, x, y in ((a, b, c), (b, c, a), (c, a, b)) if m | x != x and m | y != y]
-        return tuple(sorted(kept, key=_bits))
     family = sorted(distinct, key=int.bit_count, reverse=True)
     # A mask of the largest size is no proper subset of another, so only
     # smaller ones are scanned; a pure family skips the scan.
@@ -468,11 +464,18 @@ class Complex:
         self._set(space, _maximal(space.mask(f) for f in facets))
 
     @classmethod
-    def _of(cls, space: _Numbering, facets: Tuple[int, ...]) -> "Complex":
+    def _of(
+        cls,
+        space: _Numbering,
+        facets: Tuple[int, ...],
+        layers: Dict[int, Tuple[int, ...]] | None = None,
+    ) -> "Complex":
         """The complex on ``space`` whose facets are ``facets``: maximal
-        masks in canonical order."""
+        masks in canonical order.  ``layers``, when given, must be what
+        ``_layers(facets)`` returns, and is kept in its place."""
         complex_ = object.__new__(cls)
         complex_._set(space, facets)
+        complex_._layers = layers
         return complex_
 
     def _set(self, space: _Numbering, facets: Tuple[int, ...]) -> None:
@@ -551,9 +554,7 @@ class Complex:
         # smaller facet, and none of those lies in another.
         layers = {d: layer for d, layer in self._masks().items() if d <= k}
         low = [f for f in self._facets if f.bit_count() <= k]
-        skeleton = Complex._of(self._space, tuple(sorted((*layers[k], *low), key=_bits)))
-        skeleton._layers = layers
-        return skeleton
+        return Complex._of(self._space, tuple(sorted((*layers[k], *low), key=_bits)), layers)
 
     def induced_subcomplex(self, vertices: Iterable[Any]) -> "Complex":
         """The subcomplex of all simplices whose vertices lie in ``vertices``."""

@@ -47,7 +47,7 @@ MUTANTS = (
            "    order = list(image_of)",
            _TASK_FILE_TESTS),
     Mutant("reader-drops-foreign-entries", _SERIALIZE,
-           "        order += sorted(image_of.keys() - set(order), key=_rank)",
+           "        order += image_of.keys() - set(order)",
            "        pass",
            _TASK_FILE_TESTS),
     Mutant("no-unnamed-image-check", _SERIALIZE,
