@@ -1,25 +1,23 @@
 """Deterministic JSON forms for complexes, tasks, reports, and traces.
 
 Every serializer walks its object in canonical order, so equal objects
-always produce byte-identical text.  Pretty text (``search`` reports and
-``export --format json``) comes from one encoder, ``dumps``: it writes
-plain JSON values (dicts with ``str`` keys, lists, ``str``, ``int``,
-``bool`` and ``None``) byte for byte as ``json.dumps(obj, indent=2) + "\n"``
-does, in one direct pass, and raises ``TypeError`` on anything else.
+always produce byte-identical text.  All of it is written by one encoder,
+``dumps``: compact JSON on one line, with no whitespace and a final
+newline, from the standard library's C encoder.  Task files, ``search``
+reports and ``export --format json`` are one such line each, and a trace
+is one line per record.  ``python3 -m json.tool`` shows a line indented.
 
 A task file is format 2: it lists every vertex once and writes every
 simplex as the indices of its vertices in that list.  ``task_to_obj`` is
 the one writer and ``task_from_obj`` the one reader.  The file's text is
-compact, one-line JSON of the one, written by the standard library's
-encoder with no whitespace, and ``json.loads`` of the other, which reads
-the value and not its layout, so an indented file reads the same.  Format
-1, which wrote each vertex object in full inside every simplex, is no
-longer read.
+``dumps`` of the one, and ``json.loads`` of the other, which reads the
+value and not its layout, so an indented file reads the same.  Format 1,
+which wrote each vertex object in full inside every simplex, is no longer
+read.
 """
 from __future__ import annotations
 
 import json
-from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from .errors import EmptyInput, InvalidTask, MalformedTrace
@@ -53,70 +51,17 @@ __all__ = [
 ]
 
 
+# The one JSON writer: the standard library's C encoder, with no whitespace
+# and without its check for cycles, since every object written is freshly
+# built and has none.
+_compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+
+
 def dumps(obj: Any) -> str:
-    """``json.dumps(obj, indent=2) + "\n"``, byte for byte, for a plain JSON
-    value, as ``search`` reports and ``export --format json`` are written
-    (task files are compact; see ``task_to_json``): a dict with ``str``
-    keys, a list, a ``str``, an ``int``, a ``bool`` or ``None``, nested to
-    any depth.  Anything else, a float, a tuple, a non-``str`` key or a
-    subclass of one of those types included, raises ``TypeError`` naming
-    its type.  The text is appended to one list and joined once, so no
-    encoder objects are left behind."""
-    parts: List[str] = []
-    _encode(obj, parts, "\n")
-    parts.append("\n")
-    return "".join(parts)
-
-
-_INDENT = "  "
-_LITERALS = {None: "null", True: "true", False: "false"}
-# The text of each scalar type, by exact type: a subclass is not in it.
-_SCALARS: Dict[type, Callable[[Any], str]] = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    bool: _LITERALS.__getitem__,
-    type(None): _LITERALS.__getitem__,
-}
-
-
-def _encode(obj: Any, parts: List[str], pad: str) -> None:
-    """Append ``dumps``'s text of ``obj``, less the final newline, to
-    ``parts``, with ``pad`` (a newline and the indent of ``obj``) opening
-    each of its lines after the first."""
-    kind = type(obj)
-    if kind is dict and obj:
-        inner = pad + _INDENT
-        sep, after = "{" + inner, "," + inner
-        for key, value in obj.items():
-            if type(key) is not str:
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            scalar = _SCALARS.get(type(value))
-            if scalar is None:
-                parts.append(sep + encode_basestring_ascii(key) + ": ")
-                _encode(value, parts, inner)
-            else:
-                parts.append(sep + encode_basestring_ascii(key) + ": " + scalar(value))
-            sep = after
-        parts.append(pad + "}")
-    elif kind is list and obj:
-        inner = pad + _INDENT
-        sep, after = "[" + inner, "," + inner
-        for value in obj:
-            scalar = _SCALARS.get(type(value))
-            if scalar is None:
-                parts.append(sep)
-                _encode(value, parts, inner)
-            else:
-                parts.append(sep + scalar(value))
-            sep = after
-        parts.append(pad + "]")
-    elif kind is dict or kind is list:
-        parts.append("{}" if kind is dict else "[]")
-    else:
-        scalar = _SCALARS.get(kind)
-        if scalar is None:
-            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-        parts.append(scalar(obj))
+    """``obj`` as compact JSON on one line, with a final newline: a task
+    file, a ``search`` report, an ``export --format json`` graph or one
+    trace record.  ``python3 -m json.tool`` shows it indented."""
+    return _compact(obj) + "\n"
 
 
 def vertex_to_obj(vertex: Any) -> Dict[str, Any]:
@@ -188,11 +133,8 @@ def task_to_obj(task: Task) -> Dict[str, Any]:
 
 
 def task_to_json(task: Task) -> str:
-    """The task file: ``task_to_obj`` as compact JSON, on one line with no
-    whitespace and a final newline.  The standard library's C encoder
-    writes it, without its check for cycles, since the object is freshly
-    built and has none; ``python3 -m json.tool`` shows it indented."""
-    return json.dumps(task_to_obj(task), separators=(",", ":"), check_circular=False) + "\n"
+    """The task file: ``dumps(task_to_obj(task))``."""
+    return dumps(task_to_obj(task))
 
 
 def task_from_json(text: str) -> Task:
@@ -353,48 +295,36 @@ def _event_to_obj(event: SimEvent) -> Dict[str, Any]:
 
 def trace_to_jsonl(trace: ExecutionTrace, report: ViolationReport | None = None) -> str:
     """One JSON object per line: metadata, events, outcome, optional verdict."""
-    lines = [
-        json.dumps(
-            {
-                "type": "meta",
-                "n": trace.n,
-                "t": trace.t,
-                "protocol": trace.protocol,
-                "inputs": [v.value for v in trace.inputs],
-            },
-            separators=(",", ":"),
-        )
+    records = [
+        {
+            "type": "meta",
+            "n": trace.n,
+            "t": trace.t,
+            "protocol": trace.protocol,
+            "inputs": [v.value for v in trace.inputs],
+        },
+        *map(_event_to_obj, trace.events),
+        {
+            "type": "outcome",
+            "decided": [v.value if v else None for v in trace.outcome],
+            "realized": [v.value for v in trace.realized],
+            "crashed": sorted(trace.crashed),
+            "suspended": sorted(trace.suspended),
+            "quiescent": trace.quiescent,
+        },
     ]
-    for event in trace.events:
-        lines.append(json.dumps(_event_to_obj(event), separators=(",", ":")))
-    lines.append(
-        json.dumps(
-            {
-                "type": "outcome",
-                "decided": [v.value if v else None for v in trace.outcome],
-                "realized": [v.value for v in trace.realized],
-                "crashed": sorted(trace.crashed),
-                "suspended": sorted(trace.suspended),
-                "quiescent": trace.quiescent,
-            },
-            separators=(",", ":"),
-        )
-    )
     if report is not None:
-        lines.append(
-            json.dumps(
-                {
-                    "type": "verdict",
-                    "ok": report.ok,
-                    "violations": [
-                        {"kind": v.kind, "detail": v.detail, "chains": list(v.chains)}
-                        for v in report.violations
-                    ],
-                },
-                separators=(",", ":"),
-            )
+        records.append(
+            {
+                "type": "verdict",
+                "ok": report.ok,
+                "violations": [
+                    {"kind": v.kind, "detail": v.detail, "chains": list(v.chains)}
+                    for v in report.violations
+                ],
+            }
         )
-    return "\n".join(lines) + "\n"
+    return "".join(map(dumps, records))
 
 
 def _int_field(obj: Dict[str, Any], key: str) -> int:

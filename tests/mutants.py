@@ -38,6 +38,8 @@ class Mutant(NamedTuple):
 
 _SERIALIZE = "src/cbtopo/serialize.py"
 _TASK_FILE_TESTS = ("tests/test_serialize.py", "tests/test_cli.py")
+_FORKSIM = "src/cbtopo/forksim.py"
+_TASKS = "src/cbtopo/tasks.py"
 
 MUTANTS = (
     # The format-2 reader's checks.
@@ -84,9 +86,8 @@ MUTANTS = (
            "    number = {k: k for k in range(len(task.carrier._images))}",
            _TASK_FILE_TESTS),
     Mutant("writer-indents", _SERIALIZE,
-           '    return json.dumps(task_to_obj(task), separators=(",", ":"), check_circular=False)'
-           ' + "\\n"',
-           "    return dumps(task_to_obj(task))",
+           '_compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode',
+           "_compact = json.JSONEncoder(indent=2, check_circular=False).encode",
            _TASK_FILE_TESTS),
     # The closed-form CBT layers and the small-family path of ``_maximal``.
     Mutant("cbt-layers-none-first", "src/cbtopo/cbt.py",
@@ -97,6 +98,53 @@ MUTANTS = (
            "        if a | b in distinct:",
            "        if False:",
            ("tests/test_simplicial.py",)),
+    # The verdict rules: the simulator's four, the search's narrowing of a
+    # facet's candidates, the CBT map's suspension rule, the three ``verify_*``
+    # checks and the obstruction's witness test.
+    Mutant("no-agreement-rule", _FORKSIM,
+           "    broken = _AGREEMENT if live & live - 1 else 0",
+           "    broken = 0",
+           ("tests/test_forksim.py",)),
+    Mutant("no-suspension-rule", _FORKSIM,
+           "    if bits & _COMMIT and bits & _SUSPENDED:",
+           "    if False:",
+           ("tests/test_forksim.py",)),
+    Mutant("no-validity-rule", _FORKSIM,
+           "    if bits & (_ABORT | _UNCOMMITTED) == _ABORT:",
+           "    if False:",
+           ("tests/test_forksim.py",)),
+    Mutant("no-termination-rule", _FORKSIM,
+           "    if bits & _UNDECIDED and quiescent():",
+           "    if False:",
+           ("tests/test_forksim.py",)),
+    Mutant("search-never-narrows", "src/cbtopo/solvability.py",
+           "                candidates[fid] = new_mask",
+           "                pass",
+           ("tests/test_solvability.py",)),
+    Mutant("commit-on-suspended-leg", "src/cbtopo/cbt.py",
+           "            live = simplex & zero | (simplex & one) >> 1",
+           "            live = simplex & zero | (simplex & one) >> 1 | (simplex & bottom) >> 2",
+           ("tests/test_cbt.py",)),
+    Mutant("monotonic-always-passes", _TASKS,
+           "            if not _within(distinct[j], distinct[k]):",
+           "            if False:",
+           ("tests/test_tasks.py",)),
+    Mutant("rigid-always-passes", _TASKS,
+           "        if image_dim != dim:",
+           "        if False:",
+           ("tests/test_tasks.py",)),
+    Mutant("name-preserving-always-passes", _TASKS,
+           "        if names_in(simplex) == named[ids[simplex]]:",
+           "        if True:",
+           ("tests/test_tasks.py",)),
+    Mutant("witnesses-in-one-component", "src/cbtopo/solvability.py",
+           "        if len(touched) == 1 and all(c != touched[0] for c, _ in found):",
+           "        if len(touched) == 1:",
+           ("tests/test_solvability.py",)),
+    Mutant("witness-touches-two-components", "src/cbtopo/solvability.py",
+           "        if len(touched) == 1 and all(c != touched[0] for c, _ in found):",
+           "        if touched and all(c != touched[0] for c, _ in found):",
+           ("tests/test_solvability.py",)),
     # An int literal past the digit limit is a malformed file, not a usage error.
     Mutant("long-int-task-is-usage-error", "src/cbtopo/cli.py",
            "    except (ValueError, CbtopoError) as exc:  # ValueError: an int past the digit limit",

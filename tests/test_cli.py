@@ -124,7 +124,7 @@ class TestBuild:
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
     # sha256 of the same stdout as format 2 first wrote it, indented by 2:
-    # the compact stdout re-encoded through ``dumps`` must give those bytes.
+    # the compact stdout re-indented by ``json.dumps`` must give those bytes.
     @pytest.mark.parametrize(
         "n,flags,digest",
         [
@@ -145,7 +145,7 @@ class TestBuild:
             ["build", "--n", str(n), *flags, "--block-index", "7"], capsys
         )
         assert code == 0
-        text = dumps(json.loads(out))
+        text = json.dumps(json.loads(out), indent=2) + "\n"
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
     # sha256 of the same stdout, compact JSON on one line.
@@ -189,10 +189,19 @@ def block7_files(tmp_path_factory):
     return files
 
 
+def _reindented(out):
+    """``out`` with its first line, one compact JSON value, indented by 2,
+    as ``search`` reports and ``export --format json`` were once written;
+    the lines after it are kept as they are."""
+    line, _, rest = out.partition("\n")
+    return json.dumps(json.loads(line), indent=2) + "\n" + rest
+
+
 # sha256 of the stdout of ``analyze`` at every legal t, ``search`` at N = 0
 # and 1, and ``export`` in both formats, on the files of ``block7_files``, as
 # written before complexes were kept as masks; and of the two deeper colorless
-# searches, as written before subdivision ran on index tables.
+# searches, as written before subdivision ran on index tables.  A report or
+# a JSON export was indented then, so its compact line is re-indented.
 @pytest.mark.parametrize(
     "k,colorless,argv,digest",
     [
@@ -225,6 +234,36 @@ def block7_files(tmp_path_factory):
     ],
 )
 def test_reading_outputs_are_pinned(k, colorless, argv, digest, block7_files, capsys):
+    command, *options = argv
+    code, out, err = run_cli([command, str(block7_files[k, colorless]), *options], capsys)
+    assert code == 0, err
+    if command == "search" or "json" in options:
+        out = _reindented(out)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# sha256 of the same ``search`` and ``export --format json`` stdout as it is
+# written now, the JSON compact on its first line.
+@pytest.mark.parametrize(
+    "k,colorless,argv,digest",
+    [
+        (2, False, ["search", "--t", "1", "--N", "0"], "fd833581aaa3d153a6dd2d869154013ddd1d7937e8a9d255e0adf3756c3b91d8"),
+        (2, False, ["search", "--t", "1", "--N", "1"], "f99c09f8ef51b58bc1e41a2f30e3562ddecba33c7cc1902ca167c5cdb144207b"),
+        (2, True, ["search", "--t", "1", "--N", "0"], "fd833581aaa3d153a6dd2d869154013ddd1d7937e8a9d255e0adf3756c3b91d8"),
+        (2, True, ["search", "--t", "1", "--N", "1"], "f99c09f8ef51b58bc1e41a2f30e3562ddecba33c7cc1902ca167c5cdb144207b"),
+        (3, False, ["search", "--t", "1", "--N", "0"], "39367996de8e2a2bff87d35ecb3c4a50dfafba5242d9a2c31fbf0f4928649ccb"),
+        (3, False, ["search", "--t", "1", "--N", "1"], "c261994de8f798d1e7454abb70f37260044b7cbad478e7a1675d252ede3d0fa9"),
+        (3, True, ["search", "--t", "1", "--N", "0"], "39367996de8e2a2bff87d35ecb3c4a50dfafba5242d9a2c31fbf0f4928649ccb"),
+        (3, True, ["search", "--t", "1", "--N", "1"], "c261994de8f798d1e7454abb70f37260044b7cbad478e7a1675d252ede3d0fa9"),
+        (3, False, ["export", "--format", "json", "--which", "input"], "65bb4b5c085cb2780a13381a356e4d1995ff5457261a6425f0e0a6e3b27b50e3"),
+        (3, False, ["export", "--format", "json", "--which", "output"], "7faa23a4a5456cd13b388638d5c4f1041109752f6f19477f136a21084f47f705"),
+        (3, True, ["export", "--format", "json", "--which", "input"], "65bb4b5c085cb2780a13381a356e4d1995ff5457261a6425f0e0a6e3b27b50e3"),
+        (3, True, ["export", "--format", "json", "--which", "output"], "5494ca7f989aa82291d0c4d5dd5b79a3b93418c420e01c16747bc48b2e6645e9"),
+        (4, True, ["search", "--t", "2", "--N", "2"], "3bbec21977b6a69c867300ecd4c794dbd422a1ff71b4aa5aa5465df7b30817fa"),
+        (3, True, ["search", "--t", "1", "--N", "3"], "2505ff61ad3c2c780fe82dba6ee287527fa7d5d1ba9f5f9114ce2e6ebdfe461e"),
+    ],
+)
+def test_compact_json_outputs_are_pinned(k, colorless, argv, digest, block7_files, capsys):
     command, *options = argv
     code, out, err = run_cli([command, str(block7_files[k, colorless]), *options], capsys)
     assert code == 0, err
@@ -325,7 +364,7 @@ class TestAnalyze:
         # Every vertex with that index is rewritten, so the task would still
         # be consistent if the index were read as the equal integer.  The
         # edit is made in a layout this test writes itself.
-        text = dumps(json.loads(task_file.read_text()))
+        text = json.dumps(json.loads(task_file.read_text()), indent=2)
         spoiled = text.replace(f'"{key}": {old},', f'"{key}": {json.dumps(new)},')
         assert spoiled != text
         path = tmp_path / "spoiled.json"
@@ -442,8 +481,8 @@ class TestSearch:
             ["search", str(task_file), "--t", "1", "--N", "1"], capsys
         )
         assert code == 0
-        head, _, tail = out.rpartition("\n}")
-        report = json.loads(head + "\n}")
+        line, _, tail = out.partition("\n")
+        report = json.loads(line)
         assert report["verdict"] == "no_map_up_to_depth"
         assert "no carried simplicial map up to depth 1" in tail
 
@@ -457,7 +496,7 @@ class TestSearch:
 
     # sha256 of ``search`` stdout on the identity task of a triangle, whose
     # assignment lists subdivision vertices, as written before subdivision
-    # ran on index tables.
+    # ran on index tables, with the report indented (see ``_reindented``).
     @pytest.mark.parametrize(
         "depth,digest",
         [
@@ -472,6 +511,23 @@ class TestSearch:
         code, out, err = run_cli(["search", str(path), "--t", "1", "--N", str(depth)], capsys)
         assert code == 0
         assert f"map found at depth {depth}" in out
+        assert hashlib.sha256(_reindented(out).encode("utf-8")).hexdigest() == digest
+
+    # sha256 of the same stdout, the report compact on its first line.
+    @pytest.mark.parametrize(
+        "depth,digest",
+        [
+            (1, "6e8c4ba4849b897ab54e21aac75e330c7679d39cbffde4a884e7c98a8dd657ff"),
+            (2, "e89ef3299aa483cb02b03c4de000b683cb5b951ad859c16def8b30af7d4535a2"),
+        ],
+    )
+    def test_found_map_compact_output_is_pinned(self, depth, digest, tmp_path, capsys):
+        task = identity_task(cx([vtx(0, "1"), vtx(1, "1"), vtx(2, "1")]))
+        path = tmp_path / "identity.json"
+        path.write_text(dumps(task_to_obj(task)))
+        code, out, err = run_cli(["search", str(path), "--t", "1", "--N", str(depth)], capsys)
+        assert code == 0
+        assert out.count("\n") == 2
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     def test_non_monotonic_task_no_map_at_depth_only(self, tmp_path, capsys):
@@ -480,8 +536,8 @@ class TestSearch:
         path.write_text(dumps(task_to_obj(random_induced_image_task(random.Random(3)))))
         code, out, err = run_cli(["search", str(path), "--t", "1", "--N", "1"], capsys)
         assert code == 0
-        head, _, tail = out.rpartition("\n}")
-        report = json.loads(head + "\n}")
+        line, _, tail = out.partition("\n")
+        report = json.loads(line)
         assert report["verdict"] == "no_map_up_to_depth"
         assert "or below" not in report["note"]
         assert tail.strip().startswith("no carried simplicial map at depth 1 (")
@@ -1112,7 +1168,8 @@ class TestExport:
         assert path.read_text().startswith("graph task_input {")
 
     # sha256 of ``export`` stdout on the n=2 files of ``block7_files``, as
-    # written when each JSON node spelled out its vertex's fields itself.
+    # written when each JSON node spelled out its vertex's fields itself; the
+    # JSON was indented then (see ``_reindented``).
     @pytest.mark.parametrize(
         "colorless,fmt,which,digest",
         [
@@ -1130,6 +1187,25 @@ class TestExport:
         argv = ["export", str(block7_files[2, colorless]), "--format", fmt, "--which", which]
         code, out, err = run_cli(argv, capsys)
         assert code == 0, err
+        if fmt == "json":
+            out = _reindented(out)
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    # sha256 of the same JSON stdout, compact on one line.
+    @pytest.mark.parametrize(
+        "colorless,which,digest",
+        [
+            (False, "input", "6efa5325dcf0e86882aadee4bd32eea520c81d27443623bf8ca5c31e889804da"),
+            (False, "output", "66c01e7aee9307b6cacc32c561a25d4c99181f0e874ef88dded2846f4f06f0bf"),
+            (True, "input", "6efa5325dcf0e86882aadee4bd32eea520c81d27443623bf8ca5c31e889804da"),
+            (True, "output", "5494ca7f989aa82291d0c4d5dd5b79a3b93418c420e01c16747bc48b2e6645e9"),
+        ],
+    )
+    def test_compact_json_bytes_are_pinned(self, colorless, which, digest, block7_files, capsys):
+        argv = ["export", str(block7_files[2, colorless]), "--format", "json", "--which", which]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0, err
+        assert out.count("\n") == 1
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     def test_byte_determinism(self, task_file, capsys):

@@ -107,6 +107,17 @@ class TestObstruction:
         report = connectivity_obstruction(colorless_tasks[2], 1)
         assert report.witnesses == (sx(vtx(0, "1")), sx(vtx(0, "bot")))
 
+    def test_second_witness_skips_the_first_ones_component(self):
+        # The first two vertices are carried into the same component, so the
+        # second witness is the third vertex, carried into the other.
+        inp = cx([vtx(0, "0"), vtx(1, "0"), vtx(2, "0")])
+        side = {v: "1" if v.block.chain == 2 else "0" for v in inp.vertices}
+        report = connectivity_obstruction(split_vote_task(inp, side), 1)
+        assert report.verdict is Verdict.UNSOLVABLE_BY_OBSTRUCTION
+        assert report.witnesses == (sx(vtx(0, "0")), sx(vtx(2, "0")))
+        a, b = report.witness_components
+        assert a != b
+
     @pytest.mark.parametrize("t", [0, 1])
     def test_resilience_bound_enforced_for_n1(self, colorless_tasks, t):
         with pytest.raises(BadResilience):
