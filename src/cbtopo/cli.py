@@ -55,6 +55,7 @@ from .tasks import (
 )
 
 EXIT_OK = 0
+EXIT_PIPE = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_CLAIM = 4
@@ -376,7 +377,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # the reader closed stdout, as ``| head -1`` may
+        # The flush at exit then writes to the null device.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except ResourceBound as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

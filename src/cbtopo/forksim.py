@@ -14,7 +14,7 @@ import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import or_
+from operator import attrgetter, or_
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InvalidSchedule, ResourceBound, _require_int, check_resilience
@@ -51,9 +51,10 @@ class NodeState:
     """Per-node record handed to the protocol.
 
     ``local_value`` is the node's view of its own leg and is rewritten to
-    the suspended marker by a Suspend event; protocols must treat it as
-    read-only.  ``memory`` holds protocol-private state and may contain only
-    scalars and flat dicts so that states stay comparable.
+    the suspended marker by a Suspend event; protocols must treat it, and
+    ``crashed`` and ``suspended``, as read-only.  ``memory`` holds
+    protocol-private state and may contain only scalars and flat dicts so
+    that states stay comparable.
 
     A ``Simulation`` interns its records: ``sim.nodes[i]`` is shared by
     every state that holds it and is read-only.  A reaction runs on a
@@ -78,28 +79,22 @@ class NodeState:
         self.decided = value
 
     def clone(self) -> "NodeState":
-        memory = {
+        node = object.__new__(NodeState)
+        node.__dict__ = self.__dict__.copy()
+        node.memory = {
             key: dict(value) if isinstance(value, dict) else value
             for key, value in self.memory.items()
         }
-        return NodeState(
-            chain=self.chain,
-            local_value=self.local_value,
-            phase=self.phase,
-            decided=self.decided,
-            crashed=self.crashed,
-            suspended=self.suspended,
-            memory=memory,
-        )
+        return node
 
     def fingerprint(self) -> tuple:
         # One level deep, as ``clone`` copies: a list stays unhashable.  Each
         # member is tagged, so a dict never shares a key with a tuple.
-        memory = sorted(
+        memory = sorted([
             (key, (True, tuple(sorted(value.items()))) if isinstance(value, dict)
              else (False, value))
             for key, value in self.memory.items()
-        )
+        ])
         return (
             self.chain, self.phase, self.local_value, self.decided, self.crashed,
             self.suspended, tuple(memory),
@@ -322,9 +317,11 @@ class _Kernel:
     ``records`` (read-only) and ``messages`` (``(receiver, sender, payload)``)
     by id, and memos.  ``reactions`` maps a record id and an event ("step",
     "crash", "suspend" or a message id) to the new record id and the ids of
-    the messages sent.  ``enabled`` lists a state's options and ``advance``
-    takes one: the one transition of ``Simulation.apply``, the exhaustive
-    walk and random trials; ``quiescent`` asks it of a state.
+    the messages sent.  ``enabled`` lists a state's options; ``effect``
+    says what one does and ``build`` makes the child from that.
+    ``Simulation.apply`` and random trials run both; the exhaustive walk
+    keys each child from its effect and builds only those it keeps.
+    ``quiescent`` asks it of a state.
     ``symmetry`` is the quotient by the protocol's declared symmetry, with
     no class when it declares no two chains alike with equal inputs.
     ``message`` builds each ``Message`` a read asks for once."""
@@ -349,17 +346,12 @@ class _Kernel:
             by_input.setdefault(inputs[chain], []).append(chain)
         self.symmetry = _Symmetry(self, [chains for chains in by_input.values() if len(chains) > 1])
 
-    def _intern(self, table: list, key: tuple, value: Any) -> int:
-        ident = self._ids.get(key)
-        if ident is None:
-            ident = self._ids[key] = len(table)
-            table.append(value)
-        return ident
-
     def record(self, node: NodeState) -> int:
         fingerprint = node.fingerprint()
-        ident = self._intern(self.records, fingerprint, node)
-        if ident == len(self.fingerprints):
+        ident = self._ids.get(fingerprint)
+        if ident is None:
+            ident = self._ids[fingerprint] = len(self.records)
+            self.records.append(node)
             self.fingerprints.append(fingerprint)
             self.bits.append(_chain_bits(node.local_value, node.decided, node.crashed))
         return ident
@@ -377,10 +369,14 @@ class _Kernel:
         else:
             _, sender, payload = self.messages[event]
             sent = self.protocol.on_message(node, sender, dict(payload), self.n)
-        messages = []
+        messages, ids, sender = [], self._ids, node.index
         for receiver, payload in sent:
-            key = (_check_chain(receiver, self.n), node.index, tuple(sorted(payload.items())))
-            messages.append(self._intern(self.messages, key, key))
+            key = (_check_chain(receiver, self.n), sender, tuple(sorted(payload.items())))
+            ident = ids.get(key)
+            if ident is None:
+                ident = ids[key] = len(self.messages)
+                self.messages.append(key)
+            messages.append(ident)
         reaction = self.reactions[record, event] = (self.record(node), tuple(messages))
         return reaction
 
@@ -390,7 +386,7 @@ class _Kernel:
         place)``: the identity is a flag bit, or for a delivery 3(n+1) plus
         its message id (not its sequence), and a delivery's place is its
         index in flight, None for the others."""
-        _, _, idents, flags = state[:4]
+        _, _, idents, flags, _, _, _, _ = state
         local = self._local.get((flags, max_suspensions))
         if local is None:
             # ``options[i]`` has flag bit i; a crash blocks a step too.
@@ -412,42 +408,47 @@ class _Kernel:
                 options.append(("deliver", receiver, base + ident, at))
         return options + others
 
-    def advance(self, state: tuple, option: tuple) -> tuple:
-        """The state after ``option`` (see ``enabled``), unchecked; a
-        delivery to a crashed receiver drops the message.  A state with a
-        view, the exhaustive walk's, passes it to its child edited by
-        ``_Symmetry.edit``; one without, None."""
-        records, sequences, idents, flags, sequence, count, log, view = state
+    def effect(self, state: tuple, option: tuple) -> tuple:
+        """What ``option`` (see ``enabled``) does at ``state``, unchecked:
+        ``(old, new, removed, sent, flags)``, the acting chain's record id
+        before and after, the message id taken (or None), the ids sent and
+        the new flag mask.  A delivery to a crashed receiver is dropped."""
+        records, _, idents, flags, _, _, _, _ = state
         kind, chain, identity, at = option
-        removed = None
+        old = records[chain]
         if at is None:
+            removed, event = None, kind
             flags |= 1 << identity
-            event = kind
-            log = (log, kind, chain, None, None)
         else:
             removed = event = idents[at]
-            log = (log, kind, chain, sequences[at], event)
+            if flags >> (3 * chain + 2) & 1:
+                return old, old, removed, (), flags
+        record, sent = self.reactions.get((old, event)) or self.react(old, event)
+        return old, record, removed, sent, flags
+
+    def build(self, state: tuple, option: tuple, change: tuple,
+              view: Optional[tuple] = None) -> tuple:
+        """The child of ``state`` by ``option``, whose ``effect`` is
+        ``change``, with view ``view`` (None outside the exhaustive walk)."""
+        records, sequences, idents, _, sequence, count, log, _ = state
+        kind, chain, _, at = option
+        _, record, removed, sent, flags = change
+        log = (log, kind, chain, None if at is None else sequences[at], removed)
+        if at is not None:
             sequences = sequences[:at] + sequences[at + 1:]
             idents = idents[:at] + idents[at + 1:]
-            if flags >> (3 * chain + 2) & 1:
-                event = None
-        old = record = records[chain]
-        sent = ()
-        if event is not None:
-            record, sent = self.reactions.get((old, event)) or self.react(old, event)
-            records = records[:chain] + (record,) + records[chain + 1:]
-            if sent:
-                sequences += tuple(range(sequence, sequence + len(sent)))
-                idents += sent
-                sequence += len(sent)
-        if view is not None:
-            view = self.symmetry.edit(view, chain, old, record, removed, sent, flags)
-        return records, sequences, idents, flags, sequence, count + 1, log, view
+        records = list(records)
+        records[chain] = record
+        if sent:
+            sequences += tuple(range(sequence, sequence + len(sent)))
+            idents += sent
+            sequence += len(sent)
+        return tuple(records), sequences, idents, flags, sequence, count + 1, log, view
 
     def quiescent(self, state: tuple) -> bool:
         """No runnable start step in ``state`` and no message deliverable
         to a live node."""
-        _, _, idents, flags = state[:4]
+        _, _, idents, flags, _, _, _, _ = state
         steps = self.step_bits  # every chain started or crashed
         return (flags | flags >> 2) & steps == steps and all(
             flags >> (3 * self.messages[i][0] + 2) & 1 for i in idents
@@ -489,7 +490,7 @@ class _Symmetry:
     column, and those its chain-keyed entries and messages name; on a
     declared chain, that is its own column alone.  ``_records`` and
     ``_messages`` hold what a view reads of each record and message id,
-    ``_plans`` what an event changes, and ``_edits`` maps a change to a
+    ``_plans`` what an option changes, and ``_edits`` maps a change to a
     column, as (column, new head or None, parts lost, parts gained), to
     the new column."""
 
@@ -539,10 +540,10 @@ class _Symmetry:
         """``Simulation.fingerprint`` of a state with view ``view``: the
         fixed chains' column ids as they stand, then each class's, sorted,
         as a class's size is fixed."""
-        key = list(view[:self.width])
+        key = view[:self.width]
         for lo, hi in self.spans:
-            key += sorted(view[lo:hi])
-        return tuple(key)
+            key += tuple(sorted(view[lo:hi]))
+        return key
 
     def twin(self, state: tuple, option: tuple) -> Optional[tuple]:
         """The twin key of ``option`` at ``state``, a state with a view, or
@@ -560,16 +561,16 @@ class _Symmetry:
         cls = self._class.get(chain)
         return None if cls is None else (cls, at is None, what, state[7][self.slots[chain]])
 
-    def edit(self, view: tuple, chain: int, old: int, new: int, removed: Optional[int],
-             sent: tuple, flags: int) -> tuple:
-        """The view after an event on ``chain``: its record id went from
-        ``old`` to ``new``, it took message ``removed`` (or None) and sent
-        ``sent``, and ``flags`` is the new flag mask."""
-        key = (old, new, flags >> 3 * chain & 7, removed, sent)
-        plan = self._plans.get(key) or self._plan(*key)
+    def edit(self, view: tuple, chain: int, identity: int, change: tuple) -> tuple:
+        """The view after an option on ``chain``, of identity ``identity``
+        and ``_Kernel.effect`` ``change``.  The old record and the identity
+        fix the plan: only a crash sets ``crashed``, so the record tells a
+        dropped delivery too.  The chain's flag bits join its head here."""
+        old, new, removed, sent, flags = change
+        plan = self._plans.get((old, identity)) or self._plan(old, identity, new, removed, sent)
         view = list(view)
         for at, head, gone, came in plan:
-            key = (view[at], head, gone, came)
+            key = (view[at], head if head is None else head | flags >> 3 * chain & 7, gone, came)
             column = self._edits.get(key)
             view[at] = self._change(*key) if column is None else column
         return tuple(view)
@@ -595,27 +596,28 @@ class _Symmetry:
         )
         return ident
 
-    def _plan(self, old: int, new: int, bits: int, removed: Optional[int], sent: tuple) -> tuple:
-        """An event that takes a chain's record from ``old`` to ``new``
-        and leaves it flag bits ``bits``: for the acting chain and each
-        other column it changes, its position, its new head (None for
-        another column) and the parts it loses and gains."""
+    def _plan(self, old: int, identity: int, new: int, removed: Optional[int],
+              sent: tuple) -> tuple:
+        """An event that takes a chain's record from ``old`` to ``new``:
+        for the acting chain and each other column it changes, its
+        position, its head but the flag bits (None for another column)
+        and the parts it loses and gains."""
         chain = self.records[new].index
         part, entries = self._records.get(new) or self._record(new)
         changes: Dict[int, Tuple[list, list]] = {chain: ([], [])}
-        for side, held in enumerate(((self._records.get(old) or self._record(old))[1], entries)):
+        for side, held in (0, (self._records.get(old) or self._record(old))[1]), (1, entries):
             for target, entry in held:
                 changes.setdefault(target, ([], []))[side].append(entry)
-        for side, idents in enumerate(((removed,) if removed is not None else (), sent)):
+        for side, idents in (0, () if removed is None else (removed,)), (1, sent):
             for ident in idents:
                 target, held = self._messages.get(ident) or self._message(ident)
                 changes.setdefault(target, ([], []))[side].append(held)
-        plan = self._plans[old, new, bits, removed, sent] = tuple(
-            (self.slots[target], part << 3 | bits if target == chain else None,
+        plan = self._plans[old, identity] = tuple([
+            (self.slots[target], part << 3 if target == chain else None,
              tuple(gone), tuple(came))
             for target, (gone, came) in changes.items()
             if target == chain or sorted(gone) != sorted(came)
-        )
+        ])
         return plan
 
     def _part(self, key: tuple) -> int:
@@ -681,10 +683,10 @@ class Simulation:
     sequence, message id)`` links, and the view: the ``_Symmetry`` view,
     one column id per chain, in the exhaustive walk's states, None in
     every other.  The ids index ``kernel``, shared by a root and its
-    clones, and fingerprints compare within one root's clones.  ``apply`` checks an
-    action and takes it by ``_Kernel.advance``, which the exhaustive walk
-    and random trials call on bare state tuples.  ``nodes``, ``events``
-    and the like are built on demand."""
+    clones, and fingerprints compare within one root's clones.  ``apply``
+    checks an action and takes it by ``_Kernel.effect`` and ``build``, as
+    random trials do on bare state tuples.  ``nodes``, ``events`` and the
+    like are built on demand."""
 
     __slots__ = ("kernel", "state")
 
@@ -767,7 +769,7 @@ class Simulation:
             option = kernel.options[3 * chain + offset]
         else:
             raise InvalidSchedule(f"unknown action kind {kind!r}")
-        self.state = kernel.advance(self.state, option)
+        self.state = kernel.build(self.state, option, kernel.effect(self.state, option))
 
     def quiescent(self) -> bool:
         """No runnable start step and no message deliverable to a live node."""
@@ -844,13 +846,13 @@ def _chain_bits(realized: Value, decided: Optional[Value], crashed: bool) -> int
     return bits
 
 
-def _broken(bits: int, quiescent: Callable[[], bool]) -> int:
+def _broken(bits: int, quiescent: Callable[[Any], bool], of: Any) -> int:
     """The rules broken by the chains whose ``_chain_bits`` OR to ``bits``:
     live nodes decided differently (``_AGREEMENT``); some node decided
     commit while some leg is suspended (``_SUSPENSION``); some node decided
     abort although every leg stayed committed (``_VALIDITY``); and a live
     node is undecided once the run is quiescent (``_TERMINATION``), which
-    alone asks ``quiescent``.  Crashed nodes count in the middle two.
+    alone asks ``quiescent(of)``.  Crashed nodes count in the middle two.
     Against the carrier map of ``cbt.build_carrier_map``: agreement and
     validity keep the decisions on one of its facets, though the map counts
     crashed nodes too; the suspension rule is stricter than the map, which
@@ -861,7 +863,7 @@ def _broken(bits: int, quiescent: Callable[[], bool]) -> int:
         broken |= _SUSPENSION
     if bits & (_ABORT | _UNCOMMITTED) == _ABORT:
         broken |= _VALIDITY
-    if bits & _UNDECIDED and quiescent():
+    if bits & _UNDECIDED and quiescent(of):
         broken |= _TERMINATION
     return broken
 
@@ -872,7 +874,7 @@ def check_trace(trace: ExecutionTrace) -> ViolationReport:
     chains = range(trace.n + 1)
     bits = [_chain_bits(trace.realized[i], trace.outcome[i], i in trace.crashed) for i in chains]
     every = reduce(or_, bits)
-    broken = _broken(every, lambda: trace.quiescent)
+    broken = _broken(every, attrgetter("quiescent"), trace)
     distinct = sorted(value.value for value in Value if every >> value.rank & 1)
     deciders, committed, suspended, aborted, undecided = (
         tuple(i for i in chains if bits[i] & bit)
@@ -900,7 +902,7 @@ def _violates(kernel: _Kernel, state: tuple) -> bool:
     ``kernel``'s ids index: the rules on the bits the kernel keeps for
     each record, without the trace."""
     bits = reduce(or_, map(kernel.bits.__getitem__, state[0]))
-    return _broken(bits, lambda: kernel.quiescent(state)) != 0
+    return _broken(bits, kernel.quiescent, state) != 0
 
 
 @dataclass(frozen=True)
@@ -971,15 +973,17 @@ def find_violation(
         rng = random.Random(mode.seed)
         root = Simulation(n, t, protocol, inputs)
         kernel = root.kernel
+        enabled, effect, build, choice = kernel.enabled, kernel.effect, kernel.build, rng.choice
         # ``kernel.enabled`` lists as many options as ``enabled`` lists
         # actions, in the same order, so the draws are ``enabled``'s.
         for _ in range(mode.trials):
             state = root.state
             while state[5] < _MAX_RANDOM_EVENTS:
-                options = kernel.enabled(state, suspensions)
+                options = enabled(state, suspensions)
                 if not options:
                     break
-                state = kernel.advance(state, rng.choice(options))
+                option = choice(options)
+                state = build(state, option, effect(state, option))
             if _violates(kernel, state):
                 return Simulation._of(kernel, state).trace()
         return None
@@ -992,10 +996,11 @@ def _explore(
     """``find_violation``'s exhaustive walk: state caching plus sleep sets,
     quotiented by the protocol's declared symmetry.
 
-    The root's view is read by ``_Symmetry.view``, and each child is a
-    state tuple that ``_Kernel.advance`` makes from its parent's, its view
-    edited from the parent's; only the violating state it returns is
-    wrapped in a ``Simulation``.  The cache maps a state's key, its
+    The root's view is read by ``_Symmetry.view``; a child's is edited
+    from its parent's by its ``_Kernel.effect`` and keyed, and
+    ``_Kernel.build`` runs only for a child kept.  Only the violating
+    state it returns is wrapped in a ``Simulation``.  The cache maps a
+    state's key, its
     ``fingerprint``, to the fewest events that reached it, not to a sleep
     set, and drops a state reached again on as many events or more.
     Equal keys mean states that a permutation of each class renames into each other, one
@@ -1041,8 +1046,8 @@ def _explore(
     # ``acts_on[c]`` holds the bits of the actions on chain c met so far.
     # ``shared[i]``: the bits a suspend or crash shares a budget with.
     kernel, state = root.kernel, root.state
-    enabled, advance, key = kernel.enabled, kernel.advance, kernel.symmetry.key
-    twin_of = kernel.symmetry.twin
+    enabled, effect, build = kernel.enabled, kernel.effect, kernel.build
+    key, edit, twin_of = kernel.symmetry.key, kernel.symmetry.edit, kernel.symmetry.twin
     acts_on = [0b111 << (3 * chain) for chain in range(root.n + 1)]
     shared = [(0, kernel.suspend_bits, kernel.crash_bits)[i % 3] for i in range(len(acts_on) * 3)]
     base = len(shared)
@@ -1082,8 +1087,9 @@ def _explore(
             if twin is not None and twin in taken:
                 continue
             taken.add(twin)
-            child = advance(state, option)
-            child_key = key(child[7])
+            change = effect(state, option)
+            child_view = edit(state[7], chain, identity, change)
+            child_key = key(child_view)
             known = seen.get(child_key)
             if known is None or known > events:
                 seen[child_key] = events
@@ -1092,6 +1098,7 @@ def _explore(
                 if events < depth:
                     conflicts = acts_on[chain] | (shared[identity] if identity < base else 0)
                     child_sleep = sleep & ~conflicts
+                child = build(state, option, change, child_view)
                 kept.append((child, child_sleep, known is None))
         # Pushed last to first, so a child is expanded only after the
         # subtrees of the siblings in its sleep set.

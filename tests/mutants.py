@@ -114,12 +114,16 @@ MUTANTS = (
            "    if False:",
            ("tests/test_forksim.py",)),
     Mutant("no-termination-rule", _FORKSIM,
-           "    if bits & _UNDECIDED and quiescent():",
+           "    if bits & _UNDECIDED and quiescent(of):",
            "    if False:",
            ("tests/test_forksim.py",)),
     Mutant("search-never-narrows", "src/cbtopo/solvability.py",
            "                candidates[fid] = new_mask",
            "                pass",
+           ("tests/test_solvability.py",)),
+    Mutant("trail-never-unwinds", "src/cbtopo/solvability.py",
+           "            candidates[fid] = old",
+           "            pass",
            ("tests/test_solvability.py",)),
     Mutant("commit-on-suspended-leg", "src/cbtopo/cbt.py",
            "            live = simplex & zero | (simplex & one) >> 1",
@@ -145,6 +149,20 @@ MUTANTS = (
            "        if len(touched) == 1 and all(c != touched[0] for c, _ in found):",
            "        if touched and all(c != touched[0] for c, _ in found):",
            ("tests/test_solvability.py",)),
+    # The exhaustive walk's cache test and twin skip.
+    Mutant("walk-skips-seen-test", _FORKSIM,
+           "            if known is None or known > events:",
+           "            if True:",
+           ("tests/test_forksim.py",)),
+    Mutant("walk-advances-twins", _FORKSIM,
+           "            if twin is not None and twin in taken:",
+           "            if False:",
+           ("tests/test_forksim.py",)),
+    # ``main`` pauses the cyclic collector around each command.
+    Mutant("collector-never-paused", "src/cbtopo/cli.py",
+           "    gc.disable()",
+           "    pass",
+           ("tests/test_cli.py",)),
     # An int literal past the digit limit is a malformed file, not a usage error.
     Mutant("long-int-task-is-usage-error", "src/cbtopo/cli.py",
            "    except (ValueError, CbtopoError) as exc:  # ValueError: an int past the digit limit",

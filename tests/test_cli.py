@@ -1136,6 +1136,51 @@ class TestHashIndependence:
             assert one == other
 
 
+class TestClosedStdout:
+    """A reader that closes stdout early, as ``| head -1`` does, ends the
+    command with exit code 1 and nothing on stderr: no ``error:`` line and
+    no ``Exception ignored`` at exit."""
+
+    ARGV = {
+        "search": (["search", "{task}", "--t", "1", "--N", "1"], b'{"'),
+        "simulate": (["simulate", "--n", "2", "--t", "1"], b"violation found after "),
+    }
+
+    @staticmethod
+    def _command(argv, task_file):
+        src = str(Path(cbtopo.__file__).resolve().parent.parent)
+        # Unbuffered, every line is its own write, so the reader can close
+        # the pipe while the command still has lines to write.
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return [sys.executable, "-m", "cbtopo", *(a.format(task=task_file) for a in argv)], env
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_reader_closes_after_the_first_line(self, command, task_file):
+        argv, start = self.ARGV[command]
+        args, env = self._command(argv, task_file)
+        child = subprocess.Popen(args, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        first = child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        # 0 when the command wrote every line before the reader closed.
+        assert child.wait() in (0, 1)
+        assert first.startswith(start) and first.endswith(b"\n")
+        assert err == b""
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_stdout_closed_before_the_first_line(self, command, task_file):
+        args, env = self._command(self.ARGV[command][0], task_file)
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(args, env=env, stdout=write, stderr=subprocess.PIPE)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (1, b"")
+
+
 class TestExport:
     def test_dot_output_skeleton(self, task_file, capsys):
         code, out, err = run_cli(

@@ -48,6 +48,12 @@ def A(kind, chain=None, sequence=None):
     return ScheduleAction(kind=kind, chain=chain, sequence=sequence)
 
 
+def _step(kernel, state, option):
+    """The child of ``state`` by ``option`` as ``apply`` takes it: the
+    effect step, then the build step with no view."""
+    return kernel.build(state, option, kernel.effect(state, option))
+
+
 FAILURE_FREE = [
     A("step", 0),
     A("step", 1),
@@ -209,6 +215,87 @@ class TestOneTransition:
         # The sweep, or the trials, took hundreds of events.
         assert sum(events) > 300
         assert checks is None or len(events) == checks
+
+
+class TestBuildOnlyKept:
+    """The walk keys each child from the effect step and the edited view
+    alone, and runs the build step once for each child it pushes, right
+    after keying it, and never for a child it drops as cached."""
+
+    ONE, ZERO, BOT = Value.ONE, Value.ZERO, Value.BOTTOM
+
+    @pytest.mark.parametrize("n,t,inputs", [
+        (2, 1, (ONE, ONE, ONE)),
+        (2, 0, (ONE, BOT, ONE)),
+        (3, 1, (ONE, ONE, ZERO, ONE)),
+        (3, 0, (ONE, ONE, ONE, ONE)),
+        (4, 1, (ONE, ONE, ONE, ONE, ZERO)),
+        (4, 2, (ONE, ONE, ONE, ONE, ONE)),
+    ])
+    def test_build_runs_once_per_pushed_child(self, n, t, inputs):
+        calls = []  # ("effect", events), ("key", key) and ("build", child), in call order
+        checked = []
+        effect, build, key = forksim._Kernel.effect, forksim._Kernel.build, forksim._Symmetry.key
+
+        def effected(kernel, state, option):
+            calls.append(("effect", state[5] + 1))
+            return effect(kernel, state, option)
+
+        def keyed(symmetry, view):
+            calls.append(("key", key(symmetry, view)))
+            return calls[-1][1]
+
+        def built(kernel, state, option, change, view=None):
+            # Built right after its key, so never for a child keyed but dropped.
+            assert calls[-1][0] == "key" and calls[-2][0] == "effect"
+            calls.append(("build", build(kernel, state, option, change, view)))
+            return calls[-1][1]
+
+        def record(kernel, state):
+            checked.append((kernel, state))
+            return False
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(forksim._Kernel, "effect", effected)
+            patch.setattr(forksim._Kernel, "build", built)
+            patch.setattr(forksim._Symmetry, "key", keyed)
+            patch.setattr(forksim, "_violates", record)
+            assert find_violation(
+                n, t, TwoPhaseCommit(), ExhaustiveMode(depth=24), inputs=inputs
+            ) is None
+        symmetry = checked[0][0].symmetry
+        # Replay the cache over the log: the root's key, then for each option
+        # taken its effect and its child's key, and the build step exactly
+        # when the child is kept (unseen, or seen only on more events).
+        (kind, root_key), *log = calls
+        assert kind == "key"
+        seen, first, again, dropped = {root_key: 0}, set(), 0, 0
+        at = 0
+        while at < len(log):
+            (kind, events), (kind_2, child_key) = log[at:at + 2]
+            assert (kind, kind_2) == ("effect", "key")
+            at += 2
+            known = seen.get(child_key)
+            if known is not None and known <= events:
+                dropped += 1
+                assert at == len(log) or log[at][0] == "effect"
+                continue
+            kind, child = log[at]
+            at += 1
+            assert kind == "build"
+            assert child[5] == events and symmetry.view(child) == child[7]
+            assert key(symmetry, child[7]) == child_key
+            seen[child_key] = events
+            if known is None:
+                first.add(id(child))
+            else:
+                again += 1
+        # Each child kept on its first visit is checked once, and no other.
+        assert len(checked) - 1 == len(first) == len({id(state) for _, state in checked[1:]})
+        assert first == {id(state) for _, state in checked[1:]}
+        assert dropped > 0
+        builds = sum(kind == "build" for kind, _ in log)
+        assert builds == len(first) + again
 
 
 class TestRunBounds:
@@ -1222,17 +1309,19 @@ class TestOneView:
         assert checked[0][0].symmetry.spans == []
 
     def test_states_outside_the_walk_carry_no_view(self):
+        """Every state is made by ``_Kernel.build``: with no view by
+        ``apply`` and random trials, with one by the walk."""
         views = []
-        advance = forksim._Kernel.advance
+        build = forksim._Kernel.build
 
-        def recorded(kernel, state, option):
-            child = advance(kernel, state, option)
+        def recorded(kernel, state, option, change, view=None):
+            child = build(kernel, state, option, change, view)
             views.append(child[7])
             return child
 
         inputs = [self.ONE, self.ONE, self.ONE, self.ZERO]
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(forksim._Kernel, "advance", recorded)
+            patch.setattr(forksim._Kernel, "build", recorded)
             sim = Simulation(3, 1, TwoPhaseCommit(), inputs)
             assert sim.state[7] is None
             run(2, 1, TwoPhaseCommit(), SUSPEND_AFTER_VOTE)
@@ -1263,10 +1352,12 @@ class TestTwins:
 
     @staticmethod
     def _twins_have_one_orbit(n, t, suspensions, depth, inputs, protocol):
-        """Over a full sweep, at each expanded state: the walk advances the
-        options it keys by ``twin`` (the ones not asleep) but those whose
-        twin key an advanced one shares, and options that share a twin key
-        have children with one key.  Returns how many sets of two or more
+        """Over a full sweep, at each expanded state: the walk advances
+        (runs ``_Kernel.effect`` for) the options it keys by ``twin`` (the
+        ones not asleep) but those whose twin key an advanced one shares,
+        and options that share a twin key have children with one key, both
+        as the walk edits their views and as ``_Symmetry.view`` reads them
+        off the built children.  Returns how many sets of two or more
         options shared one."""
         expanded = []  # kernel, state, options keyed with their keys, options advanced
 
@@ -1283,14 +1374,14 @@ class TestTwins:
         def recorded(kernel, state, option):
             assert state is expanded[-1][1]
             expanded[-1][3].append(option)
-            return advance(kernel, state, option)
+            return effect(kernel, state, option)
 
         enabled, twin_of = forksim._Kernel.enabled, forksim._Symmetry.twin
-        advance = forksim._Kernel.advance
+        effect = forksim._Kernel.effect
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(forksim, "_violates", lambda kernel, state: False)
             patch.setattr(forksim._Kernel, "enabled", expand)
-            patch.setattr(forksim._Kernel, "advance", recorded)
+            patch.setattr(forksim._Kernel, "effect", recorded)
             patch.setattr(forksim._Symmetry, "twin", twin)
             assert find_violation(
                 n, t, protocol, ExhaustiveMode(depth=depth), suspensions=suspensions,
@@ -1307,8 +1398,14 @@ class TestTwins:
             for key, options in by_key.items():
                 if key is not None and len(options) > 1:
                     sets += 1
-                    children = [advance(kernel, state, option) for option in options]
-                    assert len({kernel.symmetry.key(c[7]) for c in children}) == 1
+                    symmetry = kernel.symmetry
+                    views = [
+                        symmetry.edit(state[7], option[1], option[2], effect(kernel, state, option))
+                        for option in options
+                    ]
+                    assert len({symmetry.key(view) for view in views}) == 1
+                    children = [_step(kernel, state, option) for option in options]
+                    assert [symmetry.view(child) for child in children] == views
         # With a class, the root's start steps on it are twins; with none,
         # no option has a twin key.
         spans = expanded[0][0].symmetry.spans
@@ -1339,14 +1436,14 @@ class TestTwins:
         """The five participants' start steps at the root are twins, as are
         their suspensions: the root advances chain 0's and chain 1's."""
         taken = []
-        advance = forksim._Kernel.advance
+        effect = forksim._Kernel.effect
 
         def recorded(kernel, state, option):
             taken.append(option[:2])
-            return advance(kernel, state, option)
+            return effect(kernel, state, option)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(forksim._Kernel, "advance", recorded)
+            patch.setattr(forksim._Kernel, "effect", recorded)
             assert find_violation(5, 0, TwoPhaseCommit(), ExhaustiveMode(depth=1)) is None
         assert taken == [("step", 0), ("step", 1), ("suspend", 0), ("suspend", 1)]
 
@@ -1357,8 +1454,8 @@ class TestTwins:
         kernel, symmetry = sim.kernel, sim.kernel.symmetry
         state = (*sim.state[:7], symmetry.view(sim.state))
         assert len({symmetry.twin(state, option) for option in options}) == len(options)
-        children = [kernel.advance(state, option) for option in options]
-        assert len({symmetry.key(c[7]) for c in children}) == len(options)
+        children = [_step(kernel, state, option) for option in options]
+        assert len({symmetry.key(symmetry.view(c)) for c in children}) == len(options)
         return state
 
     def test_equal_columns_in_two_classes_are_not_twins(self):
